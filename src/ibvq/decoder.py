@@ -7,6 +7,13 @@ its phones and concatenated, a length regulator repeats phone rows by their
 frame durations, and a convolutional decoder emits the output channels.
 Ground-truth durations drive reconstruction and transfer; the duration
 predictor is exercised by its own pipeline.
+
+Training runs on packed batches: the phone and frame rows of several
+utterances stacked into single matrices, with offsets marking where each
+utterance starts, so a training step is one graph. The text encoder and the
+frame decoder take those offsets and never mix utterances; broadcasting and
+length regulation are row-wise already. Reconstruction and transfer of one
+utterance are the batch of one.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from ibvq.quantizer import (
     lookup,
     quantize_batch,
 )
-from ibvq.synthdata.types import AlignmentHierarchy, round_half_up
+from ibvq.synthdata.types import AlignmentHierarchy, PackedBatch, round_half_up
 
 
 @dataclass(frozen=True)
@@ -90,21 +97,14 @@ class DecoderModel:
         self.store.add("dur.conv2.b", np.zeros((1, dh)))
         self.store.add("dur.out.w", nc.glorot_uniform(rng, dh, 1))
         self.store.add("dur.out.b", np.zeros((1, 1)))
-        self._pe: dict[int, np.ndarray] = {}
-
-    def positional(self, length: int, dim: int) -> np.ndarray:
-        table = self._pe.get(dim)
-        if table is None or table.shape[0] < length:
-            table = nc.sinusoid_table(max(length, 256), dim)
-            self._pe[dim] = table
-        return table[:length]
 
     def duration_parameter_names(self) -> list[str]:
         return [n for n in self.store.names() if n.startswith("dur.")]
 
 
-def encode_text(phone_ids, model: DecoderModel) -> nc.Tensor:
-    """Phone ids to (P, phone_dim) phone-level features."""
+def encode_text(phone_ids, model: DecoderModel, offsets=None) -> nc.Tensor:
+    """Phone ids to (P, phone_dim) phone-level features; ``offsets`` marks
+    where each utterance of a packed id sequence starts."""
     ids = np.asarray(phone_ids, dtype=np.int64).reshape(-1)
     if ids.size < 1:
         raise ValidationError("encode_text needs at least one phone")
@@ -114,17 +114,21 @@ def encode_text(phone_ids, model: DecoderModel) -> nc.Tensor:
             f"{int(ids.min())}..{int(ids.max())}"
         )
     p = model.store
+    offsets = nc.check_offsets(offsets, ids.size)
     h = nc.add(nc.gather_rows(p["embed"], ids),
-               nc.constant(model.positional(ids.size, model.config.phone_dim)))
+               nc.constant(nc.positional(offsets, model.config.phone_dim)))
     normed = nc.layer_norm(h, p["tenc.ln1_g"], p["tenc.ln1_b"])
     attended = nc.attention(
         nc.affine(normed, p["tenc.wq"]),
         nc.affine(normed, p["tenc.wk"]),
         nc.affine(normed, p["tenc.wv"]),
+        offsets=offsets,
     )
     h = nc.add(h, nc.affine(attended, p["tenc.wo"]))
     normed = nc.layer_norm(h, p["tenc.ln2_g"], p["tenc.ln2_b"])
-    conv = nc.relu(nc.conv1d(normed, p["tenc.conv.k"], p["tenc.conv.b"], width=3))
+    conv = nc.relu(
+        nc.conv1d(normed, p["tenc.conv.k"], p["tenc.conv.b"], width=3, offsets=offsets)
+    )
     return nc.add(h, conv)
 
 
@@ -151,26 +155,33 @@ def length_regulate(phone_feats: nc.Tensor, durations) -> nc.Tensor:
     return nc.repeat_rows(phone_feats, durations)
 
 
-def decode_frames(frame_feats: nc.Tensor, model: DecoderModel) -> nc.Tensor:
-    """Frame-level fused features (T, phone_dim + prosody_dim) to (T, C)."""
+def decode_frames(frame_feats: nc.Tensor, model: DecoderModel, offsets=None) -> nc.Tensor:
+    """Frame-level fused features (T, phone_dim + prosody_dim) to (T, C);
+    ``offsets`` marks where each utterance of packed frame rows starts."""
     cfg = model.config
     expected = cfg.phone_dim + cfg.prosody_dim
     if frame_feats.cols != expected:
         raise ShapeError(f"frame features have {frame_feats.cols} dims, expected {expected}")
     p = model.store
+    offsets = nc.check_offsets(offsets, frame_feats.rows)
     h = nc.relu(nc.affine(frame_feats, p["fuse.w"], p["fuse.b"]))
-    h = nc.add(h, nc.constant(model.positional(h.rows, cfg.hidden)))
-    h = nc.add(h, nc.relu(nc.conv1d(h, p["sdec.conv1.k"], p["sdec.conv1.b"], width=5)))
-    h = nc.add(h, nc.relu(nc.conv1d(h, p["sdec.conv2.k"], p["sdec.conv2.b"], width=3)))
+    h = nc.add(h, nc.constant(nc.positional(offsets, cfg.hidden)))
+    h = nc.add(h, nc.relu(nc.conv1d(h, p["sdec.conv1.k"], p["sdec.conv1.b"], width=5,
+                                    offsets=offsets)))
+    h = nc.add(h, nc.relu(nc.conv1d(h, p["sdec.conv2.k"], p["sdec.conv2.b"], width=3,
+                                    offsets=offsets)))
     deep = nc.affine(h, p["sdec.out.w"], p["sdec.out.b"])
     return nc.add(deep, nc.matmul(frame_feats, p["sdec.skip.w"]))
 
 
-def duration_logits(phone_feats: nc.Tensor, model: DecoderModel) -> nc.Tensor:
-    """(P, 1) raw log-duration outputs of the duration head."""
+def duration_logits(phone_feats: nc.Tensor, model: DecoderModel, offsets=None) -> nc.Tensor:
+    """(P, 1) raw log-duration outputs of the duration head; ``offsets``
+    marks where each utterance of packed phone rows starts."""
     p = model.store
-    h = nc.relu(nc.conv1d(phone_feats, p["dur.conv1.k"], p["dur.conv1.b"], width=3))
-    h = nc.relu(nc.conv1d(h, p["dur.conv2.k"], p["dur.conv2.b"], width=3))
+    offsets = nc.check_offsets(offsets, phone_feats.rows)
+    h = nc.relu(nc.conv1d(phone_feats, p["dur.conv1.k"], p["dur.conv1.b"], width=3,
+                          offsets=offsets))
+    h = nc.relu(nc.conv1d(h, p["dur.conv2.k"], p["dur.conv2.b"], width=3, offsets=offsets))
     return nc.affine(h, p["dur.out.w"], p["dur.out.b"])
 
 
@@ -261,17 +272,22 @@ def transfer(
 
 @dataclass
 class ReconstructionGraph:
-    """Differentiable reconstruction with its bottleneck terms, for training."""
+    """Differentiable reconstruction of a packed batch with its losses.
+
+    ``mse`` averages each utterance's reconstruction MSE over the batch, and
+    ``loss`` adds the bottleneck's batch-averaged codebook and commitment
+    terms: the training objective of one step.
+    """
 
     output: nc.Tensor
     bottleneck: BottleneckOutput
     word_features: nc.Tensor
+    mse: nc.Tensor
+    loss: nc.Tensor
 
 
 def reconstruction_graph(
-    features,
-    align: AlignmentHierarchy,
-    phone_ids,
+    batch: PackedBatch,
     enc_model: EncoderModel,
     codebook_param: nc.Tensor | None,
     cap_cfg: CapacityConfig,
@@ -279,7 +295,8 @@ def reconstruction_graph(
     commitment_cost: float,
     bypass_quantizer: bool = False,
 ) -> ReconstructionGraph:
-    """Build the end-to-end training graph for one utterance.
+    """Build the end-to-end training graph of a packed batch: one graph
+    whatever the batch size, in which no utterance reads another's rows.
 
     With ``bypass_quantizer`` the word vectors flow through unquantized and
     both bottleneck losses are zero; the whole graph is then an ordinary
@@ -287,16 +304,22 @@ def reconstruction_graph(
     checks exercise (the straight-through estimator is intentionally not the
     derivative of the quantized forward pass).
     """
-    word_feats = encode(features, align, enc_model)
+    word_feats = encode(batch.features, batch.alignment, enc_model, batch.frame_offsets)
     if bypass_quantizer:
         zero = nc.constant(np.zeros((1, 1)))
         bn = BottleneckOutput(
             quantized=word_feats, codes=None, codebook_loss=zero, commitment_loss=zero
         )
     else:
-        bn = apply_bottleneck(word_feats, codebook_param, cap_cfg, commitment_cost)
-    phone_feats = encode_text(phone_ids, dec_model)
-    fused = broadcast_prosody(bn.quantized, align.phones_per_word(), phone_feats)
-    frames = length_regulate(fused, np.diff(align.phone_edges))
-    out = decode_frames(frames, dec_model)
-    return ReconstructionGraph(output=out, bottleneck=bn, word_features=word_feats)
+        bn = apply_bottleneck(
+            word_feats, codebook_param, cap_cfg, commitment_cost, batch.word_offsets
+        )
+    phone_feats = encode_text(batch.phone_ids, dec_model, batch.phone_offsets)
+    fused = broadcast_prosody(bn.quantized, batch.alignment.phones_per_word(), phone_feats)
+    frames = length_regulate(fused, np.diff(batch.alignment.phone_edges))
+    out = decode_frames(frames, dec_model, batch.frame_offsets)
+    mse = nc.mse(out, batch.features, batch.frame_offsets)
+    loss = nc.add(nc.add(mse, bn.codebook_loss), bn.commitment_loss)
+    return ReconstructionGraph(
+        output=out, bottleneck=bn, word_features=word_feats, mse=mse, loss=loss
+    )

@@ -6,6 +6,11 @@ connection and layer norm) stand in for a deeper feed-forward transformer
 stack: global context plus local filtering at desk scale. Pooling is
 frame-weighted at every level, so the word vector equals the plain mean
 over the word's frames regardless of the intermediate phone/syllable path.
+
+Every function takes a packed batch: the frames of several utterances
+stacked row-wise, with ``offsets`` marking where each utterance starts
+(see `ibvq.numcore`); one utterance is the batch of one and needs no
+offsets. Utterances in a batch never see each other's frames.
 """
 
 from __future__ import annotations
@@ -58,19 +63,14 @@ class EncoderModel:
         self.store.add("conv.ln_b", np.zeros((1, c)))
         self.store.add("proj.w", nc.glorot_uniform(rng, c, d))
         self.store.add("proj.b", np.zeros((1, d)))
-        self._pe_cache: np.ndarray = nc.sinusoid_table(256, c)
-
-    def positional(self, length: int) -> np.ndarray:
-        if length > self._pe_cache.shape[0]:
-            self._pe_cache = nc.sinusoid_table(length, self.config.channels)
-        return self._pe_cache[:length]
 
 
-def extract_frame_features(x, model: EncoderModel) -> nc.Tensor:
-    """Map a (T, C) feature matrix to (T, D) frame-level acoustic features.
+def extract_frame_features(x, model: EncoderModel, offsets=None) -> nc.Tensor:
+    """Map (T, C) packed feature rows to (T, D) frame-level acoustic features.
 
-    Sinusoidal positional encoding is added to the input before the blocks,
-    so frame order matters to the output. Blocks are pre-norm: the residual
+    Sinusoidal positional encoding of each frame's position within its
+    utterance is added to the input before the blocks, so frame order
+    matters to the output. Blocks are pre-norm: the residual
     stream carries the raw input channels to the output projection, which
     matters here because single input channels (pitch, voicing, energy) are
     meaningful on their own and per-frame normalization would entangle them
@@ -82,16 +82,20 @@ def extract_frame_features(x, model: EncoderModel) -> nc.Tensor:
         raise ShapeError(
             f"input has {xt.cols} channels, model expects {model.config.channels}"
         )
-    h = nc.add(xt, nc.constant(model.positional(xt.rows)))
+    offsets = nc.check_offsets(offsets, xt.rows)
+    h = nc.add(xt, nc.constant(nc.positional(offsets, model.config.channels)))
     normed = nc.layer_norm(h, p["attn.ln_g"], p["attn.ln_b"])
     attended = nc.attention(
         nc.affine(normed, p["attn.wq"]),
         nc.affine(normed, p["attn.wk"]),
         nc.affine(normed, p["attn.wv"]),
+        offsets=offsets,
     )
     h = nc.add(h, nc.affine(attended, p["attn.wo"]))
     normed = nc.layer_norm(h, p["conv.ln_g"], p["conv.ln_b"])
-    conv = nc.relu(nc.conv1d(normed, p["conv.k"], p["conv.b"], width=CONV_WIDTH))
+    conv = nc.relu(
+        nc.conv1d(normed, p["conv.k"], p["conv.b"], width=CONV_WIDTH, offsets=offsets)
+    )
     h = nc.add(h, conv)
     return nc.affine(h, p["proj.w"], p["proj.b"])
 
@@ -109,7 +113,9 @@ def pool_hierarchy(frames: nc.Tensor, align: AlignmentHierarchy) -> dict[str, nc
 
     Each level averages over its constituent frames (children weighted by
     their frame counts), which makes the hierarchy associative: the word row
-    equals the direct mean over the word's frames.
+    equals the direct mean over the word's frames. For a packed batch,
+    ``align`` is the batch's stacked hierarchy and the rows of every level
+    come out in utterance order.
     """
     align.validate()
     if align.total_frames != frames.rows:
@@ -126,6 +132,7 @@ def pool_hierarchy(frames: nc.Tensor, align: AlignmentHierarchy) -> dict[str, nc
     return {"phone": phones, "syllable": syllables, "word": words}
 
 
-def encode(x, align: AlignmentHierarchy, model: EncoderModel) -> nc.Tensor:
-    """Word-level acoustic features (W, D) for one utterance."""
-    return pool_hierarchy(extract_frame_features(x, model), align)["word"]
+def encode(x, align: AlignmentHierarchy, model: EncoderModel, offsets=None) -> nc.Tensor:
+    """Word-level acoustic features (W, D) of the utterances packed in ``x``,
+    whose frame rows start at ``offsets``, over their stacked alignment."""
+    return pool_hierarchy(extract_frame_features(x, model, offsets), align)["word"]

@@ -108,8 +108,10 @@ def cmd_train(args) -> int:
             fh.write(
                 f"{p.step},{p.total!r},{p.mse!r},{p.codebook!r},{p.commitment!r}\n"
             )
-    final = trained.loss_curve[-1]
-    print(f"trained K={args.K} G={args.G} seed={args.seed}: final loss {final.total:.6f}")
+    summary = f"trained K={args.K} G={args.G} seed={args.seed}"
+    if trained.loss_curve:
+        summary += f": final loss {trained.loss_curve[-1].total:.6f}"
+    print(summary)
     if trained.usage is not None:
         print(f"code perplexity per group: {np.round(trained.usage, 3).tolist()}")
     return 0

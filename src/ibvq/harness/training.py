@@ -21,7 +21,7 @@ from ibvq.decoder import (
     reconstruction_graph,
 )
 from ibvq.encoder import EncoderConfig, EncoderModel, encode
-from ibvq.errors import CheckpointError, ConfigError, TrainingError
+from ibvq.errors import CheckpointError, ConfigError, ShapeError, TrainingError
 from ibvq.quantizer import (
     CapacityConfig,
     Codebook,
@@ -29,7 +29,7 @@ from ibvq.quantizer import (
     quantize_batch,
     usage_stats,
 )
-from ibvq.synthdata.types import Corpus, Utterance
+from ibvq.synthdata.types import Corpus, pack_utterances
 
 
 @dataclass(frozen=True)
@@ -130,11 +130,13 @@ def train_autoencoder(
     codebook_param = None
     assign_counts = np.zeros(cap_cfg.K, dtype=np.int64) if cap_cfg.enabled else None
 
+    def encode_all(batch) -> np.ndarray:
+        with enc.store.frozen():
+            return encode(batch.features, batch.alignment, enc, batch.frame_offsets).data
+
     def seed_codebook() -> nc.Tensor:
         seed_idx = rng.permutation(len(utts))[: max(train_cfg.batch_size, 64)]
-        seed_feats = np.vstack(
-            [encode(utts[i].features, utts[i].alignment, enc).data for i in seed_idx]
-        )
+        seed_feats = encode_all(pack_utterances([utts[i] for i in seed_idx]))
         cb0 = init_codebook_from_features(seed_feats, cap_cfg, seed=train_cfg.seed)
         return cb_store.add("entries", cb0.entries)
 
@@ -147,45 +149,28 @@ def train_autoencoder(
         step_cfg = dataclasses.replace(train_cfg, learning_rate=lr)
         if cap_cfg.enabled and codebook_param is None and step >= warmup:
             codebook_param = seed_codebook()
-        batch = sampler.next()
-        bypass = codebook_param is None
-        batch_word_feats = []
-        mse_sum = cb_sum = commit_sum = None
-        for i in batch:
-            utt = utts[i]
-            graph = reconstruction_graph(
-                utt.features, utt.alignment, utt.spec.phone_ids,
-                enc, codebook_param, cap_cfg, dec,
-                commitment_cost=train_cfg.commitment_cost,
-                bypass_quantizer=bypass,
+        graph = reconstruction_graph(
+            pack_utterances([utts[i] for i in sampler.next()]),
+            enc, codebook_param, cap_cfg, dec,
+            commitment_cost=train_cfg.commitment_cost,
+            bypass_quantizer=codebook_param is None,
+        )
+        if graph.bottleneck.codes is not None:
+            assign_counts += np.bincount(
+                graph.bottleneck.codes.reshape(-1), minlength=cap_cfg.K
             )
-            if graph.bottleneck.codes is not None:
-                assign_counts += np.bincount(
-                    graph.bottleneck.codes.reshape(-1), minlength=cap_cfg.K
-                )
-            batch_word_feats.append(graph.word_features.data)
-            m = nc.mse(graph.output, utt.features)
-            mse_sum = m if mse_sum is None else nc.add(mse_sum, m)
-            cb_sum = graph.bottleneck.codebook_loss if cb_sum is None else nc.add(
-                cb_sum, graph.bottleneck.codebook_loss
-            )
-            commit_sum = graph.bottleneck.commitment_loss if commit_sum is None else nc.add(
-                commit_sum, graph.bottleneck.commitment_loss
-            )
-        scale = 1.0 / len(batch)
-        total = nc.mul(nc.add(nc.add(mse_sum, cb_sum), commit_sum), scale)
         point = LossPoint(
             step=step,
-            mse=mse_sum.item() * scale,
-            codebook=cb_sum.item() * scale,
-            commitment=commit_sum.item() * scale,
+            mse=graph.mse.item(),
+            codebook=graph.bottleneck.codebook_loss.item(),
+            commitment=graph.bottleneck.commitment_loss.item(),
         )
         if not np.isfinite(point.total):
             raise TrainingError(f"loss diverged (non-finite) at step {step}")
         curve.append(point)
         for store in stores:
             store.zero_grad()
-        total.backward()
+        graph.loss.backward()
         for store in stores:
             nc.adam_step(store, store.grads(), step_cfg)
         if (
@@ -195,7 +180,7 @@ def train_autoencoder(
         ):
             dead = assign_counts == 0
             if dead.any():
-                pool = np.vstack(batch_word_feats).reshape(-1, codebook_param.cols)
+                pool = graph.word_features.data.reshape(-1, codebook_param.cols)
                 pick = rng.integers(0, pool.shape[0], size=int(dead.sum()))
                 codebook_param.data[dead] = pool[pick] + rng.normal(
                     0.0, 1e-3, size=(int(dead.sum()), codebook_param.cols)
@@ -208,8 +193,7 @@ def train_autoencoder(
         if codebook_param is None:  # steps == 0: still produce a usable bundle
             codebook_param = seed_codebook()
         codebook = Codebook(entries=codebook_param.data.copy(), groups=cap_cfg.G)
-        all_feats = np.vstack([encode(u.features, u.alignment, enc).data for u in utts])
-        codes, _, _ = quantize_batch(all_feats, codebook)
+        codes, _, _ = quantize_batch(encode_all(pack_utterances(utts)), codebook)
         usage = usage_stats(codes, cap_cfg).perplexity
     models = AutoencoderModels(encoder=enc, decoder=dec, cap_cfg=cap_cfg, codebook=codebook)
     return TrainedAutoencoder(models=models, loss_curve=curve, usage=usage)
@@ -231,16 +215,11 @@ def train_duration_head(
     dur_names = set(dec.duration_parameter_names())
     curve = []
     for step in range(train_cfg.steps):
-        batch = sampler.next()
-        total = None
-        for i in batch:
-            utt = utts[i]
-            feats = encode_text(utt.spec.phone_ids, dec)
-            raw = duration_logits(feats, dec)
-            target = np.log(np.diff(utt.alignment.phone_edges).astype(np.float64))
-            term = nc.mse(raw, target.reshape(-1, 1))
-            total = term if total is None else nc.add(total, term)
-        loss = nc.mul(total, 1.0 / len(batch))
+        batch = pack_utterances([utts[i] for i in sampler.next()])
+        feats = encode_text(batch.phone_ids, dec, batch.phone_offsets)
+        raw = duration_logits(feats, dec, batch.phone_offsets)
+        target = np.log(np.diff(batch.alignment.phone_edges).astype(np.float64))
+        loss = nc.mse(raw, target.reshape(-1, 1), batch.phone_offsets)
         if not np.isfinite(loss.item()):
             raise TrainingError(f"duration loss diverged at step {step}")
         curve.append(loss.item() / 1.0)
@@ -302,8 +281,14 @@ def load_models(path: str | Path) -> AutoencoderModels:
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"incomplete model metadata in {root}: {e}") from e
     params = nc.load_params(root / _PARAMS_NAME)
-    enc.store.load({k[4:]: v for k, v in params.items() if k.startswith("enc.")})
-    dec.store.load({k[4:]: v for k, v in params.items() if k.startswith("dec.")})
+    stray = sorted(k for k in params if not k.startswith(("enc.", "dec.")) and k != "cb.entries")
+    if stray:
+        raise CheckpointError(f"checkpoint {root} holds unknown parameters: {stray}")
+    try:
+        enc.store.load({k[4:]: v for k, v in params.items() if k.startswith("enc.")})
+        dec.store.load({k[4:]: v for k, v in params.items() if k.startswith("dec.")})
+    except (ConfigError, ShapeError) as e:
+        raise CheckpointError(f"checkpoint {root} does not match its metadata: {e}") from e
     codebook = None
     if cap_cfg.enabled:
         if "cb.entries" not in params:

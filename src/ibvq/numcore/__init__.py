@@ -3,6 +3,11 @@
 Dense float64 matrices with reverse-mode gradients, the layer operations the
 models in this package are built from, an adaptive-moment optimizer, a
 finite-difference gradient checker, and a binary checkpoint format.
+
+The sequence layers (`attention`, `conv1d`, `mse`, `positional`) take
+optional ``offsets`` marking where each sequence of a packed batch starts,
+so one graph over stacked sequences computes what a graph per sequence
+would; see `ibvq.numcore.tensor`.
 """
 
 from ibvq.numcore.checkpoint import load_params, save_params
@@ -19,6 +24,7 @@ from ibvq.numcore.tensor import (
     add,
     affine,
     attention,
+    check_offsets,
     concat_cols,
     constant,
     conv1d,
@@ -30,6 +36,7 @@ from ibvq.numcore.tensor import (
     mean_all,
     mse,
     mul,
+    positional,
     relu,
     repeat_rows,
     segment_mean,
@@ -53,6 +60,7 @@ __all__ = [
     "add",
     "affine",
     "attention",
+    "check_offsets",
     "concat_cols",
     "constant",
     "conv1d",
@@ -67,6 +75,7 @@ __all__ = [
     "mean_all",
     "mse",
     "mul",
+    "positional",
     "relu",
     "repeat_rows",
     "save_params",

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -93,13 +95,33 @@ class ParamStore:
         for p in self.params.values():
             p.grad = None
 
+    @contextmanager
+    def frozen(self) -> Iterator[None]:
+        """Treat every parameter as a constant inside the block.
+
+        Operations on constants record no graph, so a forward-only pass frees
+        each intermediate as soon as the next operation has consumed it.
+        """
+        for p in self.params.values():
+            p.requires_grad = False
+        try:
+            yield
+        finally:
+            for p in self.params.values():
+                p.requires_grad = True
+
     def export(self) -> dict[str, Array]:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load(self, arrays: dict[str, Array]) -> None:
+        """Replace every parameter's values; the names must match exactly."""
+        unknown = sorted(set(arrays) - set(self.params))
+        if unknown:
+            raise ConfigError(f"unknown parameters in checkpoint: {unknown}")
+        missing = sorted(set(self.params) - set(arrays))
+        if missing:
+            raise ConfigError(f"parameters missing from checkpoint: {missing}")
         for name, arr in arrays.items():
-            if name not in self.params:
-                raise ConfigError(f"unknown parameter {name!r} in checkpoint")
             p = self.params[name]
             arr = np.asarray(arr, dtype=np.float64)
             if arr.shape != p.data.shape:

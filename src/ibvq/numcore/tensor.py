@@ -6,14 +6,29 @@ runs reverse-mode accumulation into ``.grad`` of every leaf that was created
 with ``requires_grad=True``. Everything is float64 and deterministic: the
 same inputs produce bit-identical outputs.
 
+A node's backward function receives the upstream gradient as its argument
+and refers only to the node's inputs, never to the node itself. A graph
+therefore holds no reference cycle, and reference counting frees it as soon
+as its loss tensor is dropped, without waiting for the cycle collector.
+
 The operation set is intentionally small: exactly the layers the models in
 this package need (affine, scaled dot-product attention, same-padded 1-D
 convolution, layer norm, segment pooling, row repetition, gathers, the
 straight-through estimator, and the usual reductions/losses).
+
+Sequence layers work on packed batches: several sequences stacked row-wise
+into one matrix, with an ``offsets`` array of S+1 entries marking where
+each of the S sequences starts (``offsets[0] == 0``, ``offsets[-1]`` is the
+row count). `attention` attends only within a sequence, `conv1d` zero-pads
+at every sequence boundary, `mse` averages each sequence's entries and then
+the sequences, and `positional` numbers rows from 0 in every sequence, so a
+packed batch computes exactly what its sequences compute one at a time.
+Without offsets the whole matrix is one sequence.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -42,14 +57,14 @@ def _as_matrix(data) -> Array:
 class Tensor:
     """A 2-D float64 matrix node in the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(
         self,
         data,
         requires_grad: bool = False,
         _parents: tuple = (),
-        _backward: Callable[[], None] | None = None,
+        _backward: Callable[[Array], None] | None = None,
     ):
         self.data = _as_matrix(data)
         self.grad: Array | None = None
@@ -103,7 +118,7 @@ class Tensor:
         self.grad = np.ones((1, 1))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -144,12 +159,10 @@ def _needs_grad(*tensors: Tensor) -> bool:
     return any(t.requires_grad for t in tensors)
 
 
-def _child(data: Array, parents: tuple, backward: Callable[[], None] | None) -> Tensor:
+def _child(data: Array, parents: tuple, backward: Callable[[Array], None]) -> Tensor:
     if any(p.requires_grad for p in parents):
-        out = Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
-    else:
-        out = Tensor(data)
-    return out
+        return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
+    return Tensor(data)
 
 
 def _unbroadcast(g: Array, shape: tuple[int, int]) -> Array:
@@ -177,30 +190,26 @@ def add(a: Tensor, b) -> Tensor:
     _broadcast_ok(a, b)
     out_data = a.data + b.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
 
-    out = _child(out_data, (a, b), backward)
-    return out
+    return _child(out_data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_ok(a, b)
     out_data = a.data - b.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g, b.data.shape))
 
-    out = _child(out_data, (a, b), backward)
-    return out
+    return _child(out_data, (a, b), backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -208,25 +217,22 @@ def mul(a: Tensor, b) -> Tensor:
         s = float(b)
         out_data = a.data * s
 
-        def backward_scalar():
+        def backward_scalar(g):
             if a.requires_grad:
-                a._accumulate(out.grad * s)
+                a._accumulate(g * s)
 
-        out = _child(out_data, (a,), backward_scalar)
-        return out
+        return _child(out_data, (a,), backward_scalar)
 
     _broadcast_ok(a, b)
     out_data = a.data * b.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    out = _child(out_data, (a, b), backward)
-    return out
+    return _child(out_data, (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -234,47 +240,42 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             a._accumulate(g @ b.data.T)
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
-    out = _child(out_data, (a, b), backward)
-    return out
+    return _child(out_data, (a, b), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out.grad.T)
+            a._accumulate(g.T)
 
-    out = _child(a.data.T.copy(), (a,), backward)
-    return out
+    return _child(a.data.T.copy(), (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
     out_data = np.where(mask, a.data, 0.0)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out.grad * mask)
+            a._accumulate(g * mask)
 
-    out = _child(out_data, (a,), backward)
-    return out
+    return _child(out_data, (a,), backward)
 
 
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out.grad * out_data)
+            a._accumulate(g * out_data)
 
-    out = _child(out_data, (a,), backward)
-    return out
+    return _child(out_data, (a,), backward)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -282,49 +283,44 @@ def softmax_rows(a: Tensor) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=1, keepdims=True)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            g = out.grad
             dot = (g * y).sum(axis=1, keepdims=True)
             a._accumulate(y * (g - dot))
 
-    out = _child(y, (a,), backward)
-    return out
+    return _child(y, (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out_data = np.array([[a.data.sum()]])
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(np.full_like(a.data, out.grad[0, 0]))
+            a._accumulate(np.full_like(a.data, g[0, 0]))
 
-    out = _child(out_data, (a,), backward)
-    return out
+    return _child(out_data, (a,), backward)
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
     out_data = np.array([[a.data.mean()]])
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(np.full_like(a.data, out.grad[0, 0] / n))
+            a._accumulate(np.full_like(a.data, g[0, 0] / n))
 
-    out = _child(out_data, (a,), backward)
-    return out
+    return _child(out_data, (a,), backward)
 
 
 def sqnorm(a: Tensor) -> Tensor:
     """Sum of squared entries as a 1x1 tensor."""
     out_data = np.array([[float(np.sum(a.data * a.data))]])
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(2.0 * out.grad[0, 0] * a.data)
+            a._accumulate(2.0 * g[0, 0] * a.data)
 
-    out = _child(out_data, (a,), backward)
-    return out
+    return _child(out_data, (a,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -339,8 +335,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         n = x.cols
         if x.requires_grad:
             dxhat = g * gain.data
@@ -352,8 +347,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=0, keepdims=True))
 
-    out = _child(out_data, (x, gain, bias), backward)
-    return out
+    return _child(out_data, (x, gain, bias), backward)
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
@@ -366,14 +360,13 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         )
     out_data = table.data[idx].copy()
 
-    def backward():
+    def backward(g):
         if table.requires_grad:
             acc = np.zeros_like(table.data)
-            np.add.at(acc, idx, out.grad)
+            np.add.at(acc, idx, g)
             table._accumulate(acc)
 
-    out = _child(out_data, (table,), backward)
-    return out
+    return _child(out_data, (table,), backward)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -386,16 +379,14 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     widths = [p.cols for p in parts]
     out_data = np.hstack([p.data for p in parts])
 
-    def backward():
-        g = out.grad
+    def backward(g):
         start = 0
         for p, w in zip(parts, widths):
             if p.requires_grad:
                 p._accumulate(g[:, start : start + w])
             start += w
 
-    out = _child(out_data, tuple(parts), backward)
-    return out
+    return _child(out_data, tuple(parts), backward)
 
 
 def _check_edges(edges: Array, total_rows: int) -> None:
@@ -431,9 +422,9 @@ def segment_mean(x: Tensor, edges, weights=None) -> Tensor:
     sums = np.add.reduceat(x.data * w[:, None], edges[:-1], axis=0)
     out_data = sums / seg_w[:, None]
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            g_per_row = np.repeat(out.grad / seg_w[:, None], np.diff(edges), axis=0)
+            g_per_row = np.repeat(g / seg_w[:, None], np.diff(edges), axis=0)
             x._accumulate(g_per_row * w[:, None])
 
     out = _child(out_data, (x,), backward)
@@ -450,12 +441,11 @@ def repeat_rows(x: Tensor, counts) -> Tensor:
     out_data = np.repeat(x.data, counts, axis=0)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            x._accumulate(np.add.reduceat(out.grad, starts, axis=0))
+            x._accumulate(np.add.reduceat(g, starts, axis=0))
 
-    out = _child(out_data, (x,), backward)
-    return out
+    return _child(out_data, (x,), backward)
 
 
 def unfold_rows(x: Tensor, width: int) -> Tensor:
@@ -474,16 +464,14 @@ def unfold_rows(x: Tensor, width: int) -> Tensor:
     blocks = [padded[k : k + t] for k in range(width)]
     out_data = np.hstack(blocks)
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            g = out.grad
             acc = np.zeros((t + 2 * h, c))
             for k in range(width):
                 acc[k : k + t] += g[:, k * c : (k + 1) * c]
             x._accumulate(acc[h : h + t])
 
-    out = _child(out_data, (x,), backward)
-    return out
+    return _child(out_data, (x,), backward)
 
 
 def straight_through(x: Tensor, values: Array) -> Tensor:
@@ -492,12 +480,11 @@ def straight_through(x: Tensor, values: Array) -> Tensor:
     if values.shape != x.data.shape:
         raise ShapeError(f"straight_through value shape {values.shape} != {x.shape}")
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            x._accumulate(out.grad)
+            x._accumulate(g)
 
-    out = _child(values.copy(), (x,), backward)
-    return out
+    return _child(values.copy(), (x,), backward)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -513,15 +500,14 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     nll = lse - logits.data[np.arange(n), idx]
     out_data = np.array([[nll.mean()]])
 
-    def backward():
+    def backward(g):
         if logits.requires_grad:
             probs = np.exp(shifted)
             probs /= probs.sum(axis=1, keepdims=True)
             probs[np.arange(n), idx] -= 1.0
-            logits._accumulate(out.grad[0, 0] * probs / n)
+            logits._accumulate(g[0, 0] * probs / n)
 
-    out = _child(out_data, (logits,), backward)
-    return out
+    return _child(out_data, (logits,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -541,22 +527,106 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return y
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product attention: softmax(q kT / sqrt(d)) v."""
+# ---------------------------------------------------------------------------
+# Sequence operations on packed batches
+# ---------------------------------------------------------------------------
+
+
+def check_offsets(offsets, rows: int) -> Array:
+    """Validated sequence offsets over ``rows`` rows; None is one sequence."""
+    if offsets is None:
+        return np.array([0, rows], dtype=np.int64)
+    off = np.asarray(offsets, dtype=np.int64)
+    _check_edges(off, rows)
+    return off
+
+
+def positional(offsets, dim: int) -> Array:
+    """Sinusoidal encodings (rows, dim) of each row's position within its
+    sequence; positions restart at 0 at every offset."""
+    off = np.asarray(offsets, dtype=np.int64)
+    lengths = np.diff(off)
+    pos = np.arange(off[-1]) - np.repeat(off[:-1], lengths)
+    # a table's rows do not depend on its length: round the length up so
+    # that batches of similar lengths share one table
+    rows = max(256, 1 << int(lengths.max() - 1).bit_length())
+    return _shared_sinusoid_table(rows, dim)[pos]
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_sinusoid_table(length: int, dim: int) -> Array:
+    table = sinusoid_table(length, dim)
+    table.flags.writeable = False
+    return table
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, offsets=None) -> Tensor:
+    """Scaled dot-product attention softmax(q kT / sqrt(d)) v as one node.
+
+    With ``offsets`` the rows of q, k and v are packed sequences and each
+    query attends only to the keys of its own sequence: the score matrix is
+    block diagonal and is computed block by block. Without, every query
+    attends to every key, and q may have another row count than k and v.
+    """
     if q.cols != k.cols:
         raise ShapeError(f"query/key widths differ: {q.shape} vs {k.shape}")
     if k.rows != v.rows:
         raise ShapeError(f"key/value row counts differ: {k.shape} vs {v.shape}")
-    scores = mul(matmul(q, transpose(k)), 1.0 / math.sqrt(q.cols))
-    return matmul(softmax_rows(scores), v)
+    if offsets is None:
+        q_off, k_off = check_offsets(None, q.rows), check_offsets(None, k.rows)
+    else:
+        if q.rows != k.rows:
+            raise ShapeError(f"packed attention needs one key per query: {q.shape} vs {k.shape}")
+        q_off = k_off = check_offsets(offsets, q.rows)
+    blocks = list(zip(q_off[:-1], q_off[1:], k_off[:-1], k_off[1:]))
+    scale = 1.0 / math.sqrt(q.cols)
+    out_data = np.empty((q.rows, v.cols))
+    keep = _needs_grad(q, k, v)
+    probs = []
+    for qa, qb, ka, kb in blocks:
+        p = q.data[qa:qb] @ k.data[ka:kb].T
+        p *= scale
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        out_data[qa:qb] = p @ v.data[ka:kb]
+        if keep:
+            probs.append(p)
+
+    def backward(g):
+        dq = np.empty_like(q.data) if q.requires_grad else None
+        dk = np.empty_like(k.data) if k.requires_grad else None
+        dv = np.empty_like(v.data) if v.requires_grad else None
+        for (qa, qb, ka, kb), p in zip(blocks, probs):
+            gs = g[qa:qb]
+            if dv is not None:
+                dv[ka:kb] = p.T @ gs
+            if dq is None and dk is None:
+                continue
+            ds = gs @ v.data[ka:kb].T
+            ds -= (ds * p).sum(axis=1, keepdims=True)
+            ds *= p
+            ds *= scale
+            if dq is not None:
+                dq[qa:qb] = ds @ k.data[ka:kb]
+            if dk is not None:
+                dk[ka:kb] = ds.T @ q.data[qa:qb]
+        for t, d in ((q, dq), (k, dk), (v, dv)):
+            if d is not None:
+                t._accumulate(d)
+
+    return _child(out_data, (q, k, v), backward)
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, *, width: int) -> Tensor:
-    """Same-padded 1-D convolution over the row sequence of ``x``.
+def conv1d(
+    x: Tensor, kernel: Tensor, bias: Tensor | None = None, *, width: int, offsets=None
+) -> Tensor:
+    """Same-padded 1-D convolution over the row sequence of ``x`` as one node.
 
     The kernel is a (width * C_in, C_out) matrix whose k-th row block applies
-    to the neighbor at offset k - width//2; zero padding keeps the output
-    length equal to the input length.
+    to the neighbor at offset k - width//2. Every sequence of a packed ``x``
+    is zero padded at both ends, so no output row reads another sequence's
+    rows, and the output keeps the input's row count.
     """
     if width % 2 == 0 or width < 1:
         raise ConfigError(f"conv1d width must be odd and positive, got {width}")
@@ -564,16 +634,67 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, *, width: int)
         raise ShapeError(
             f"kernel rows {kernel.rows} != width*channels {width * x.cols}"
         )
-    return affine(unfold_rows(x, width), kernel, bias)
+    if bias is not None and bias.shape != (1, kernel.cols):
+        raise ShapeError(f"bias must be 1x{kernel.cols}, got {bias.shape}")
+    off = check_offsets(offsets, x.rows)
+    h = width // 2
+    t, c = x.shape
+    n_seq = off.size - 1
+    # h zero rows precede every sequence and follow the last one; row r of x
+    # sits at padded row pos[r], and output row r reads padded rows taps[r]
+    pos = np.arange(t) + h * (1 + np.repeat(np.arange(n_seq), np.diff(off)))
+    padded_rows = t + h * (n_seq + 1)
+    padded = np.zeros((padded_rows, c))
+    padded[pos] = x.data
+    taps = pos[:, None] + np.arange(-h, h + 1)
+    windows = padded[taps].reshape(t, width * c)
+    out_data = windows @ kernel.data
+    if bias is not None:
+        out_data = out_data + bias.data
+
+    def backward(g):
+        if kernel.requires_grad:
+            kernel._accumulate(windows.T @ g)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            g_windows = g @ kernel.data.T
+            acc = np.zeros((padded_rows, c))
+            for j in range(width):
+                acc[taps[:, j]] += g_windows[:, j * c : (j + 1) * c]
+            x._accumulate(acc[pos])
+
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return _child(out_data, parents, backward)
 
 
-def mse(pred: Tensor, target) -> Tensor:
-    """Mean squared error over all entries; target carries no gradient."""
-    tgt = target if isinstance(target, Tensor) else constant(target)
+def mse(pred: Tensor, target, offsets=None) -> Tensor:
+    """Mean squared error as one node; the target carries no gradient.
+
+    With ``offsets`` each sequence's error is the mean over its own entries,
+    and the result is the mean of those over the sequences, so each sequence
+    weighs the same whatever its length.
+    """
+    tgt = target.data if isinstance(target, Tensor) else _as_matrix(target)
     if tgt.shape != pred.shape:
         raise ShapeError(f"mse shapes differ: {pred.shape} vs {tgt.shape}")
-    diff = sub(pred, tgt)
-    return mean_all(mul(diff, diff))
+    off = check_offsets(offsets, pred.rows)
+    lengths = np.diff(off)
+    seq_scale = 1.0 / lengths.size
+    diff = pred.data - tgt
+    sq = diff * diff
+    total = 0.0
+    for a, b in zip(off[:-1], off[1:]):
+        total += sq[a:b].mean()
+    out_data = np.array([[total * seq_scale]])
+
+    def backward(g):
+        if pred.requires_grad:
+            # per row: 2 * upstream / (sequences * entries of the row's sequence)
+            coef = (g[0, 0] * seq_scale) / (lengths * pred.cols).astype(np.float64)
+            pred._accumulate(2.0 * np.repeat(coef, lengths)[:, None] * diff)
+
+    return _child(out_data, (pred,), backward)
 
 
 def sinusoid_table(length: int, dim: int) -> Array:

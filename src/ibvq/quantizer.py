@@ -159,14 +159,17 @@ def apply_bottleneck(
     codebook_param: nc.Tensor | None,
     cfg: CapacityConfig,
     commitment_cost: float = DEFAULT_COMMITMENT_COST,
+    offsets=None,
 ) -> BottleneckOutput:
     """Differentiable bottleneck application for training graphs.
 
     Forward values are the quantized vectors; gradients reach the input via
     the straight-through estimator and reach the codebook via the codebook
-    loss only. Losses are means over the n x D entries so they sit on the
-    same scale as a mean-squared reconstruction loss. With K = 0 the output
-    is the zero matrix, there are no codes, and both losses are exactly 0.
+    loss only. Each loss is a mean over an utterance's n x D entries, so it
+    sits on the same scale as a mean-squared reconstruction loss; for rows
+    packed from several utterances (``offsets`` marks where each starts) the
+    per-utterance means are averaged. With K = 0 the output is the zero
+    matrix, there are no codes, and both losses are exactly 0.
     """
     n = x.rows
     if not cfg.enabled:
@@ -183,16 +186,13 @@ def apply_bottleneck(
         raise ShapeError(f"dim {x.cols} not divisible by G={cfg.G}")
     cb = Codebook(entries=codebook_param.data, groups=cfg.G)
     codes, q_values, _ = quantize_batch(x.data, cb)
-    scale = 1.0 / (n * x.cols)
     # codebook pulls toward frozen encoder outputs
     gathered = nc.concat_cols(
         [nc.gather_rows(codebook_param, codes[:, g]) for g in range(cfg.G)]
     )
-    codebook_loss = nc.mul(nc.sqnorm(nc.sub(gathered, nc.constant(x.data))), scale)
+    codebook_loss = nc.mse(gathered, x.data, offsets)
     # encoder commits to the frozen selected entries
-    commitment_loss = nc.mul(
-        nc.sqnorm(nc.sub(x, nc.constant(q_values))), commitment_cost * scale
-    )
+    commitment_loss = nc.mul(nc.mse(x, q_values, offsets), commitment_cost)
     return BottleneckOutput(
         quantized=nc.straight_through(x, q_values),
         codes=codes,

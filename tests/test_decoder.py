@@ -21,7 +21,7 @@ from ibvq.decoder import (
 from ibvq.encoder import EncoderConfig, EncoderModel
 from ibvq.errors import AlignmentError, ShapeError, ValidationError, VocabularyError
 from ibvq.quantizer import CapacityConfig, Codebook
-from ibvq.synthdata import CorpusConfig, build_corpus
+from ibvq.synthdata import CorpusConfig, build_corpus, pack_utterances
 
 
 @pytest.fixture(scope="module")
@@ -251,21 +251,80 @@ def test_end_to_end_gradient_check():
     point = {f"e.{n}": enc.store[n].data.copy() for n in names}
     point.update({f"d.{n}": dec.store[n].data.copy() for n in dec_names})
 
+    batch = pack_utterances(corpus.utterances)
+
     def loss(p):
         for n in names:
             enc.store.params[n] = p[f"e.{n}"]
         for n in dec_names:
             dec.store.params[n] = p[f"d.{n}"]
-        total = None
-        for utt in corpus.utterances:
-            graph = reconstruction_graph(
-                utt.features, utt.alignment, utt.spec.phone_ids,
-                enc, None, CapacityConfig(K=0, G=2), dec,
-                commitment_cost=0.25, bypass_quantizer=True,
-            )
-            term = nc.mse(graph.output, utt.features)
-            total = term if total is None else nc.add(total, term)
-        return total
+        graph = reconstruction_graph(
+            batch, enc, None, CapacityConfig(K=0, G=2), dec,
+            commitment_cost=0.25, bypass_quantizer=True,
+        )
+        return graph.loss
 
     err = nc.grad_check(loss, point, eps=1e-5)
     assert err < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# packed batches
+# ---------------------------------------------------------------------------
+
+
+def trainable(corpus, k=4, seed=3):
+    """Encoder, decoder and a codebook parameter, as a training step uses them."""
+    models = make_models(corpus, k, seed)
+    cb = nc.ParamStore()
+    param = cb.add("entries", models.codebook.entries)
+    return models, [models.encoder.store, models.decoder.store, cb], param
+
+
+def step_graph(batch, models, param):
+    return reconstruction_graph(
+        batch, models.encoder, param, models.cap_cfg, models.decoder, commitment_cost=0.25
+    )
+
+
+def test_packed_loss_and_gradients_equal_per_utterance_graphs(corpus):
+    utts = corpus.utterances[:5]
+    assert len({u.alignment.total_frames for u in utts}) == len(utts)  # mixed lengths
+    models, stores, param = trainable(corpus)
+
+    def run(batch):
+        for store in stores:
+            store.zero_grad()
+        graph = step_graph(batch, models, param)
+        graph.loss.backward()
+        grads = {(i, n): g.copy() for i, s in enumerate(stores) for n, g in s.grads().items()}
+        return graph, grads
+
+    packed, packed_grads = run(pack_utterances(utts))
+    parts = [run(pack_utterances([u])) for u in utts]
+    for field in ("mse", "loss"):
+        single = sum(getattr(g, field).item() for g, _ in parts) / len(utts)
+        npt.assert_allclose(getattr(packed, field).item(), single, rtol=1e-12)
+    for key, grad in packed_grads.items():
+        single = sum(grads[key] for _, grads in parts) / len(utts)
+        scale = max(np.abs(single).max(), 1e-300)
+        assert np.abs(grad - single).max() <= 1e-12 * scale, key
+
+
+def test_packed_utterances_do_not_see_each_other(corpus):
+    models, _, param = trainable(corpus)
+    utts = corpus.utterances[:3]
+    batch = pack_utterances(utts)
+    changed = pack_utterances(utts)
+    middle = slice(batch.frame_offsets[1], batch.frame_offsets[2])
+    changed.features[middle] += np.random.default_rng(9).normal(
+        size=changed.features[middle].shape
+    )
+    a, b = step_graph(batch, models, param), step_graph(changed, models, param)
+    assert not np.array_equal(a.output.data[middle], b.output.data[middle])
+    for i in (0, 2):
+        # the encoder's word vectors, before quantization can hide a change
+        words = slice(batch.word_offsets[i], batch.word_offsets[i + 1])
+        npt.assert_array_equal(a.word_features.data[words], b.word_features.data[words])
+        frames = slice(batch.frame_offsets[i], batch.frame_offsets[i + 1])
+        npt.assert_array_equal(a.output.data[frames], b.output.data[frames])

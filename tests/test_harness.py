@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +8,9 @@ import numpy.testing as npt
 import pytest
 
 import ibvq.numcore as nc
-from ibvq.decoder import reconstruct
-from ibvq.errors import TrainingError
+from ibvq.decoder import DecoderConfig, DecoderModel, reconstruct, reconstruction_graph
+from ibvq.encoder import EncoderConfig, EncoderModel
+from ibvq.errors import CheckpointError, TrainingError
 from ibvq.harness.cli import main as cli_main
 from ibvq.harness.experiments import (
     CELL_COLUMNS,
@@ -27,7 +30,7 @@ from ibvq.harness.training import (
     train_duration_head,
 )
 from ibvq.quantizer import CapacityConfig
-from ibvq.synthdata import CorpusConfig, build_corpus
+from ibvq.synthdata import CorpusConfig, build_corpus, pack_utterances
 
 TINY_TRAIN = nc.TrainConfig(learning_rate=3e-3, steps=30, seed=5, batch_size=4)
 
@@ -93,6 +96,66 @@ def test_model_checkpoint_round_trip(tmp_path, corpus, trained):
     a = reconstruct(utt.features, utt.alignment, utt.spec.phone_ids, trained.models)
     b = reconstruct(utt.features, utt.alignment, utt.spec.phone_ids, loaded)
     npt.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the training-step graph
+# ---------------------------------------------------------------------------
+
+
+def step_graph(corpus, batch_size):
+    """The graph of one quantized training step on the first utterances."""
+    enc = EncoderModel(EncoderConfig(seed=0))
+    dec = DecoderModel(DecoderConfig(n_phones=corpus.inventory.size, seed=1))
+    codebook = nc.ParamStore().add("entries", np.random.default_rng(2).normal(size=(4, 4)))
+    batch = pack_utterances(corpus.utterances[:batch_size])
+    return reconstruction_graph(batch, enc, codebook, CapacityConfig(K=4, G=2), dec, 0.25)
+
+
+def count_nodes(root) -> int:
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_step_graph_size_independent_of_batch(corpus, monkeypatch):
+    """A packed training step is one graph: a graph per utterance would grow
+    with the batch (about 80 nodes per utterance)."""
+    sizes = []
+    backward = nc.Tensor.backward
+
+    def counting_backward(loss):
+        sizes[-1].append(count_nodes(loss))
+        backward(loss)
+
+    monkeypatch.setattr(nc.Tensor, "backward", counting_backward)
+    for batch_size in (2, 8):
+        sizes.append([])
+        cfg = nc.TrainConfig(steps=2, seed=5, batch_size=batch_size)
+        # step 0 bypasses the quantizer, step 1 quantizes
+        train_autoencoder(corpus, CapacityConfig(K=4, G=2), cfg, warmup_steps=1)
+    assert sizes[0] == sizes[1]
+    assert len(sizes[0]) == 2 and max(sizes[0]) < 100
+
+
+def test_step_graph_freed_by_reference_counting(corpus):
+    gc.disable()
+    try:
+        graph = step_graph(corpus, 4)
+        graph.loss.backward()
+        inner = [weakref.ref(graph.word_features), weakref.ref(graph.output)]
+        loss = graph.loss
+        del graph
+        assert all(ref() is not None for ref in inner)  # the loss still holds them
+        del loss
+        assert all(ref() is None for ref in inner)
+    finally:
+        gc.enable()
 
 
 def test_duration_head_trains(corpus, trained):
@@ -281,3 +344,31 @@ def test_cli_error_exit_codes(cli_workspace, tmp_path):
     rc = cli_main(["predict", "--ckpt", str(ckpt0), "--text", str(text),
                    "--out", str(tmp_path / "c.csv")])
     assert rc == 1
+
+
+def test_cli_rejects_checkpoint_missing_a_parameter(cli_workspace, tmp_path):
+    root, corpus_dir, ckpt = cli_workspace
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for name in ("meta.json", "corpus_path.txt"):
+        (broken / name).write_bytes((ckpt / name).read_bytes())
+    params = nc.load_params(ckpt / "params.ibvq")
+    dropped = next(k for k in params if k.startswith("dec."))
+    del params[dropped]
+    nc.save_params(broken / "params.ibvq", params)
+    with pytest.raises(CheckpointError, match=dropped[4:]):
+        load_models(broken)
+    rc = cli_main(["reconstruct", "--ckpt", str(broken), "--utt", "utt_0000",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+
+
+def test_cli_train_zero_steps(cli_workspace, tmp_path, capsys):
+    _, corpus_dir, _ = cli_workspace
+    out = tmp_path / "ckpt"
+    rc = cli_main(["train", "--corpus", str(corpus_dir), "--K", "4", "--seed", "1",
+                   "--steps", "0", "--out", str(out)])
+    assert rc == 0
+    assert "final loss" not in capsys.readouterr().out
+    assert (out / "loss_curve.csv").read_text() == "step,total,mse,codebook,commitment\n"
+    load_models(out)

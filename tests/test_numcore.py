@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import ibvq.numcore as nc
-from ibvq.errors import CheckpointError, ConfigError, NumericError, ShapeError
+from ibvq.errors import AlignmentError, CheckpointError, ConfigError, NumericError, ShapeError
 
 
 def rand(rng, r, c, lo=-1.0, hi=1.0):
@@ -170,6 +170,17 @@ def test_adam_deterministic():
     npt.assert_array_equal(run(), run())
 
 
+def test_frozen_store_records_no_graph():
+    store = nc.ParamStore()
+    w = store.add("w", [[2.0]])
+    with store.frozen():
+        out = nc.mul(w, w)
+    assert not out.requires_grad and out._parents == ()
+    assert w.requires_grad
+    nc.mul(w, w).backward()
+    npt.assert_array_equal(w.grad, [[4.0]])
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         nc.TrainConfig(learning_rate=0.0)
@@ -310,6 +321,61 @@ def test_grad_attention():
         lambda p: nc.sqnorm(nc.attention(p["q"], p["k"], p["v"])),
         {"q": rand(RNG, 3, 4), "k": rand(RNG, 5, 4), "v": rand(RNG, 5, 2)},
     )
+
+
+# three packed sequences, the middle one a single row: a width-5 kernel
+# reaches two rows past both of its ends
+PACKED = [0, 3, 4, 8]
+
+
+def test_grad_attention_packed():
+    check(
+        lambda p: nc.sqnorm(nc.attention(p["q"], p["k"], p["v"], offsets=PACKED)),
+        {"q": rand(RNG, 8, 3), "k": rand(RNG, 8, 3), "v": rand(RNG, 8, 2)},
+    )
+
+
+def test_grad_conv1d_packed():
+    check(
+        lambda p: nc.sqnorm(nc.conv1d(p["x"], p["k"], p["b"], width=5, offsets=PACKED)),
+        {"x": rand(RNG, 8, 2), "k": rand(RNG, 10, 3), "b": rand(RNG, 1, 3)},
+    )
+
+
+def test_grad_mse_packed():
+    check(lambda p: nc.mse(p["x"], np.ones((8, 3)), offsets=PACKED), {"x": rand(RNG, 8, 3)})
+
+
+def test_packed_ops_equal_each_sequence_alone():
+    rng = np.random.default_rng(8)
+    x, w = rand(rng, 8, 2), rand(rng, 10, 3)
+    q, k, v = rand(rng, 8, 3), rand(rng, 8, 3), rand(rng, 8, 2)
+    conv = nc.conv1d(nc.tensor(x), nc.tensor(w), width=5, offsets=PACKED).data
+    attn = nc.attention(nc.tensor(q), nc.tensor(k), nc.tensor(v), offsets=PACKED).data
+    pe = nc.positional(PACKED, 6)
+    for a, b in zip(PACKED[:-1], PACKED[1:]):
+        rows = slice(a, b)
+        one = nc.conv1d(nc.tensor(x[rows]), nc.tensor(w), width=5).data
+        npt.assert_allclose(conv[rows], one, rtol=1e-14, atol=1e-15)
+        one = nc.attention(nc.tensor(q[rows]), nc.tensor(k[rows]), nc.tensor(v[rows])).data
+        npt.assert_allclose(attn[rows], one, rtol=1e-14, atol=1e-15)
+        npt.assert_array_equal(pe[rows], nc.sinusoid_table(b - a, 6))
+
+
+def test_mse_packed_weights_every_sequence_equally():
+    pred = np.zeros((4, 2))
+    target = np.array([[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [2.0, 2.0]])
+    # per-sequence means 1 and 4, averaged; a flat mean would give 3.25
+    assert nc.mse(nc.tensor(pred), target, offsets=[0, 1, 4]).item() == 2.5
+    assert nc.mse(nc.tensor(pred), target).item() == 3.25
+
+
+def test_packed_offsets_must_cover_rows():
+    x = nc.tensor(np.zeros((4, 2)))
+    with pytest.raises(AlignmentError):
+        nc.conv1d(x, nc.tensor(np.zeros((6, 2))), width=3, offsets=[0, 2, 3])
+    with pytest.raises(AlignmentError):
+        nc.attention(x, x, x, offsets=[0, 2, 2, 4])
 
 
 def test_grad_affine_chain():
