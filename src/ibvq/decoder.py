@@ -13,7 +13,9 @@ utterances stacked into single matrices, with offsets marking where each
 utterance starts, so a training step is one graph. The text encoder and the
 frame decoder take those offsets and never mix utterances; broadcasting and
 length regulation are row-wise already. Reconstruction and transfer of one
-utterance are the batch of one.
+utterance are the batch of one. Evaluation (`prosody_codes`, which also
+takes a packed batch, and `decode_with_codes`, hence `reconstruct` and
+`transfer`) runs with the parameters frozen, so it records no graph.
 """
 
 from __future__ import annotations
@@ -211,11 +213,16 @@ class AutoencoderModels:
             raise ConfigError("enabled bottleneck requires a codebook")
 
 
-def prosody_codes(features, align: AlignmentHierarchy, models: AutoencoderModels) -> np.ndarray | None:
-    """Discrete codes (W, G) for one utterance; None when the bottleneck is off."""
+def prosody_codes(
+    features, align: AlignmentHierarchy, models: AutoencoderModels, offsets=None
+) -> np.ndarray | None:
+    """Discrete codes (W, G) of one utterance, or of the utterances packed in
+    ``features`` whose frame rows start at ``offsets``, in word order; None
+    when the bottleneck is off. A forward pass only: it records no graph."""
     if not models.cap_cfg.enabled:
         return None
-    word_feats = encode(features, align, models.encoder)
+    with models.encoder.store.frozen():
+        word_feats = encode(features, align, models.encoder, offsets)
     codes, _, _ = quantize_batch(word_feats.data, models.codebook)
     return codes
 
@@ -227,7 +234,8 @@ def decode_with_codes(
     phones_per_word,
     models: AutoencoderModels,
 ) -> np.ndarray:
-    """Generate features from discrete prosody codes plus target content."""
+    """Generate features from discrete prosody codes plus target content
+    (a forward pass only: it records no graph)."""
     counts = np.asarray(phones_per_word, dtype=np.int64).reshape(-1)
     if codes is None:
         word_vecs = np.zeros((counts.size, models.decoder.config.prosody_dim))
@@ -238,10 +246,11 @@ def decode_with_codes(
                 f"{codes.shape[0]} code rows for {counts.size} words"
             )
         word_vecs = lookup(codes, models.codebook)
-    phone_feats = encode_text(phone_ids, models.decoder)
-    fused = broadcast_prosody(nc.constant(word_vecs), counts, phone_feats)
-    frames = length_regulate(fused, durations)
-    return decode_frames(frames, models.decoder).data
+    with models.decoder.store.frozen():
+        phone_feats = encode_text(phone_ids, models.decoder)
+        fused = broadcast_prosody(nc.constant(word_vecs), counts, phone_feats)
+        frames = length_regulate(fused, durations)
+        return decode_frames(frames, models.decoder).data
 
 
 def reconstruct(features, align: AlignmentHierarchy, phone_ids, models: AutoencoderModels) -> np.ndarray:

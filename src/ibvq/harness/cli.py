@@ -27,6 +27,7 @@ from ibvq.harness.experiments import (
     ExperimentConfig,
     SweepReport,
     CellResult,
+    corpus_codes,
     mi_analysis,
     run_sweep,
     write_capacity_table_csv,
@@ -39,7 +40,6 @@ from ibvq.mi import MineConfig
 from ibvq.predictor import PredictorConfig, predict_codes, train_predictor
 from ibvq.quantizer import CapacityConfig, save_codes
 from ibvq.synthdata import CorpusConfig, build_corpus, read_corpus, write_corpus
-from ibvq.harness.experiments import corpus_codes
 
 _FLOAT_FMT = "%.17g"
 
@@ -193,7 +193,8 @@ def cmd_mi(args) -> int:
     if not models.cap_cfg.enabled:
         raise ConfigError("the checkpoint has a disabled bottleneck: no codes to analyze")
     mine_cfg = MineConfig(steps=args.mine_steps, seed=args.seed)
-    plugin, mine = mi_analysis(corpus, models, indices, mine_cfg)
+    codes = corpus_codes(corpus, models, indices)
+    plugin, mine = mi_analysis(corpus, models, indices, codes, mine_cfg)
     from ibvq.quantizer import capacity
 
     with Path(args.out).open("w") as fh:

@@ -23,7 +23,7 @@ from ibvq.errors import ConfigError, ValidationError
 from ibvq.metrics import compare, extract_pitch
 from ibvq.mi import MineConfig, content_vector, mine_estimate
 from ibvq.predictor import PredictorConfig, evaluate_predictor, predict_codes, train_predictor
-from ibvq.quantizer import CapacityConfig, capacity, quantize_batch, usage_stats
+from ibvq.quantizer import CapacityConfig, capacity
 from ibvq.synthdata import (
     ENERGY_CHANNEL,
     TEMPLATE_START,
@@ -31,8 +31,8 @@ from ibvq.synthdata import (
     CorpusConfig,
     merge_symbols,
     oracle_mi_discrete,
+    pack_utterances,
 )
-from ibvq.encoder import encode
 from ibvq.harness.training import TrainedAutoencoder, split_corpus, train_autoencoder
 
 DEFAULT_CAPACITY_GRID = (0, 2, 4, 8, 16, 32, 64)
@@ -155,25 +155,23 @@ def reconstruction_eval(corpus: Corpus, models: AutoencoderModels, indices: list
 
 
 def corpus_codes(corpus: Corpus, models: AutoencoderModels, indices: list[int]) -> list[np.ndarray]:
-    """Per-utterance (W, G) code blocks from the trained reference encoder."""
-    blocks = []
-    for i in indices:
-        utt = corpus.utterances[i]
-        feats = encode(utt.features, utt.alignment, models.encoder).data
-        codes, _, _ = quantize_batch(feats, models.codebook)
-        blocks.append(codes)
-    return blocks
+    """Per-utterance (W, G) code blocks from the trained reference encoder,
+    from one packed forward pass over the utterances."""
+    batch = pack_utterances([corpus.utterances[i] for i in indices])
+    codes = prosody_codes(batch.features, batch.alignment, models, batch.frame_offsets)
+    return np.split(codes, batch.word_offsets[1:-1])
 
 
 def mi_analysis(
     corpus: Corpus,
     models: AutoencoderModels,
     indices: list[int],
+    codes: list[np.ndarray],
     mine_cfg: MineConfig | None,
 ) -> tuple[float, float]:
-    """Plug-in MI(codes; word identity) and MINE MI(content vector; codes)."""
-    blocks = corpus_codes(corpus, models, indices)
-    codes = np.vstack(blocks)
+    """Plug-in MI(codes; word identity) and MINE MI(content vector; codes),
+    from the code blocks ``codes`` of the utterances ``indices``."""
+    codes = np.vstack(codes)
     word_ids = np.array(
         [wid for i in indices for wid in corpus.utterances[i].spec.word_ids]
     )
@@ -270,13 +268,15 @@ def predictor_experiment(
     corpus: Corpus,
     train_indices: list[int],
     held_indices: list[int],
+    train_codes: list[np.ndarray],
+    held_codes: list[np.ndarray],
     steps: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Train the text-to-prosody predictor on encoder codes and measure
-    held-out accuracy plus the feature MSE of decoding its predictions."""
+    """Train the text-to-prosody predictor on the encoder's code blocks of
+    the training utterances and measure held-out accuracy against
+    ``held_codes`` plus the feature MSE of decoding its predictions."""
     texts = [corpus.utterances[i].spec.word_ids for i in train_indices]
-    codes = corpus_codes(corpus, models, train_indices)
     cfg = PredictorConfig(
         word_vocab=corpus.config.word_vocab,
         K=models.cap_cfg.K,
@@ -284,10 +284,9 @@ def predictor_experiment(
         seed=seed,
     )
     model = train_predictor(
-        texts, codes, cfg, nc.TrainConfig(learning_rate=5e-3, steps=steps, seed=seed)
+        texts, train_codes, cfg, nc.TrainConfig(learning_rate=5e-3, steps=steps, seed=seed)
     )
     held_texts = [corpus.utterances[i].spec.word_ids for i in held_indices]
-    held_codes = corpus_codes(corpus, models, held_indices)
     report = evaluate_predictor(model, held_texts, held_codes)
     mses = []
     for i in held_indices:
@@ -324,8 +323,12 @@ def run_cell(
     models = trained.models
     cell.__dict__.update(reconstruction_eval(corpus, models, held_indices))
     if cap_cfg.enabled:
-        all_idx = train_indices + held_indices
-        cell.plugin_mi, cell.mine_mi = mi_analysis(corpus, models, all_idx, cfg.mine)
+        # training ended with the codes of its utterances; the held-out ones
+        # are encoded here, once for every evaluation that needs them
+        held_codes = corpus_codes(corpus, models, held_indices)
+        cell.plugin_mi, cell.mine_mi = mi_analysis(
+            corpus, models, train_indices + held_indices, trained.codes + held_codes, cfg.mine
+        )
         cell.perplexity_mean = float(np.mean(trained.usage))
         tr = run_transfer_experiment(
             models, corpus, held_indices, n_pairs=cfg.transfer_pairs, seed=seed
@@ -333,7 +336,8 @@ def run_cell(
         cell.transfer_prosody_r = tr.prosody_similarity_r
         cell.transfer_clearness = tr.content_clearness
         cell.predictor_accuracy, cell.predicted_codes_mse = predictor_experiment(
-            models, corpus, train_indices, held_indices, steps=cfg.predictor_steps, seed=seed
+            models, corpus, train_indices, held_indices, trained.codes, held_codes,
+            steps=cfg.predictor_steps, seed=seed,
         )
     else:
         cell.plugin_mi = 0.0  # no codes: the bottleneck transmits nothing

@@ -18,6 +18,7 @@ from ibvq.decoder import (
     duration_logits,
     encode_text,
     predict_durations,
+    prosody_codes,
     reconstruction_graph,
 )
 from ibvq.encoder import EncoderConfig, EncoderModel, encode
@@ -26,7 +27,6 @@ from ibvq.quantizer import (
     CapacityConfig,
     Codebook,
     init_codebook_from_features,
-    quantize_batch,
     usage_stats,
 )
 from ibvq.synthdata.types import Corpus, pack_utterances
@@ -49,6 +49,9 @@ class TrainedAutoencoder:
     models: AutoencoderModels
     loss_curve: list[LossPoint]
     usage: "np.ndarray | None"  # (G,) final code perplexity per group
+    # (W, G) code block of each training utterance, in training order, from
+    # the final usage pass; None when the bottleneck is off
+    codes: "list[np.ndarray] | None" = None
 
 
 def split_corpus(corpus: Corpus, holdout_fraction: float = 0.1) -> tuple[list[int], list[int]]:
@@ -130,14 +133,12 @@ def train_autoencoder(
     codebook_param = None
     assign_counts = np.zeros(cap_cfg.K, dtype=np.int64) if cap_cfg.enabled else None
 
-    def encode_all(batch) -> np.ndarray:
-        with enc.store.frozen():
-            return encode(batch.features, batch.alignment, enc, batch.frame_offsets).data
-
     def seed_codebook() -> nc.Tensor:
         seed_idx = rng.permutation(len(utts))[: max(train_cfg.batch_size, 64)]
-        seed_feats = encode_all(pack_utterances([utts[i] for i in seed_idx]))
-        cb0 = init_codebook_from_features(seed_feats, cap_cfg, seed=train_cfg.seed)
+        batch = pack_utterances([utts[i] for i in seed_idx])
+        with enc.store.frozen():
+            seed_feats = encode(batch.features, batch.alignment, enc, batch.frame_offsets)
+        cb0 = init_codebook_from_features(seed_feats.data, cap_cfg, seed=train_cfg.seed)
         return cb_store.add("entries", cb0.entries)
 
     stores = [enc.store, dec.store, cb_store]
@@ -188,15 +189,18 @@ def train_autoencoder(
             assign_counts[:] = 0
 
     codebook = None
-    usage = None
     if cap_cfg.enabled:
         if codebook_param is None:  # steps == 0: still produce a usable bundle
             codebook_param = seed_codebook()
         codebook = Codebook(entries=codebook_param.data.copy(), groups=cap_cfg.G)
-        codes, _, _ = quantize_batch(encode_all(pack_utterances(utts)), codebook)
-        usage = usage_stats(codes, cap_cfg).perplexity
     models = AutoencoderModels(encoder=enc, decoder=dec, cap_cfg=cap_cfg, codebook=codebook)
-    return TrainedAutoencoder(models=models, loss_curve=curve, usage=usage)
+    usage = blocks = None
+    if cap_cfg.enabled:
+        batch = pack_utterances(utts)
+        codes = prosody_codes(batch.features, batch.alignment, models, batch.frame_offsets)
+        usage = usage_stats(codes, cap_cfg).perplexity
+        blocks = np.split(codes, batch.word_offsets[1:-1])
+    return TrainedAutoencoder(models=models, loss_curve=curve, usage=usage, codes=blocks)
 
 
 def train_duration_head(

@@ -5,6 +5,12 @@ Donsker-Varadhan lower bound I >= E_joint[T] - ln E_marginal[exp T], with
 the standard exponential-moving-average correction for the biased gradient
 of the log-partition term. Discrete codes enter the network through learned
 embeddings so it sees a metric space rather than raw integers.
+
+Each training step evaluates the network once, on the joint rows of its
+batch stacked on the same rows with the codes shuffled (the marginal
+rows); the two halves are then read off the one result. The full-data
+bound is likewise one frozen pass over the data stacked with all of its
+derangements.
 """
 
 from __future__ import annotations
@@ -126,6 +132,15 @@ class MineModel:
         h = nc.relu(nc.affine(h, self.store["w1"], self.store["b1"]))
         return nc.affine(h, self.store["w2"], self.store["b2"])
 
+    def joint_and_marginal(
+        self, x: np.ndarray, z: np.ndarray, z_marg: np.ndarray
+    ) -> tuple[nc.Tensor, nc.Tensor]:
+        """T on the joint rows (x, z) and on the marginal rows (x, z_marg),
+        from one pass of the network over both stacked."""
+        n = x.shape[0]
+        t = self.statistic(np.vstack([x, x]), np.vstack([z, z_marg]))
+        return nc.gather_rows(t, np.arange(n)), nc.gather_rows(t, np.arange(n, 2 * n))
+
 
 def _prepare_inputs(xs, zs) -> tuple[np.ndarray, np.ndarray, int]:
     xs = np.asarray(xs, dtype=np.float64)
@@ -169,6 +184,9 @@ def mine_estimate(xs, zs, cfg: MineConfig | None = None) -> float:
         shuffle_marginal(xs, zs, seed=cfg.seed + 1 + r)[1]
         for r in range(cfg.eval_derangements)
     ]
+    # the joint rows followed by the same rows under every derangement
+    x_eval = np.vstack([xs] * (1 + cfg.eval_derangements))
+    z_eval = np.vstack([zs] + z_eval_margs)
     ema = None
     smoothed = None
     batch = min(cfg.batch_size, n)
@@ -176,8 +194,7 @@ def mine_estimate(xs, zs, cfg: MineConfig | None = None) -> float:
         idx = rng.choice(n, size=batch, replace=False)
         x_b, z_b = xs[idx], zs[idx]
         z_m = z_b[rng.permutation(batch)]
-        t_joint = model.statistic(x_b, z_b)
-        t_marg = model.statistic(x_b, z_m)
+        t_joint, t_marg = model.joint_and_marginal(x_b, z_b, z_m)
         exp_marg = nc.exp(t_marg)
         batch_mean_exp = float(exp_marg.data.mean())
         if not np.isfinite(batch_mean_exp):
@@ -192,10 +209,9 @@ def mine_estimate(xs, zs, cfg: MineConfig | None = None) -> float:
         loss.backward()
         nc.adam_step(model.store, model.store.grads(), train_cfg)
         if (step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1:
-            t_marg_all = np.concatenate(
-                [model.statistic(xs, zm).data[:, 0] for zm in z_eval_margs]
-            )
-            bound = dv_bound(model.statistic(xs, zs).data, t_marg_all)
+            with model.store.frozen():
+                t_eval = model.statistic(x_eval, z_eval).data[:, 0]
+            bound = dv_bound(t_eval[:n], t_eval[n:])
             smoothed = bound if smoothed is None else (
                 cfg.eval_smoothing * smoothed + (1.0 - cfg.eval_smoothing) * bound
             )

@@ -4,10 +4,10 @@ Dense float64 matrices with reverse-mode gradients, the layer operations the
 models in this package are built from, an adaptive-moment optimizer, a
 finite-difference gradient checker, and a binary checkpoint format.
 
-The sequence layers (`attention`, `conv1d`, `mse`, `positional`) take
-optional ``offsets`` marking where each sequence of a packed batch starts,
-so one graph over stacked sequences computes what a graph per sequence
-would; see `ibvq.numcore.tensor`.
+The sequence layers (`attention`, `conv1d`, `mse`, `cross_entropy`,
+`positional`) take optional ``offsets`` marking where each sequence of a
+packed batch starts, so one graph over stacked sequences computes what a
+graph per sequence would; see `ibvq.numcore.tensor`.
 """
 
 from ibvq.numcore.checkpoint import load_params, save_params

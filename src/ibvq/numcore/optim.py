@@ -101,14 +101,17 @@ class ParamStore:
 
         Operations on constants record no graph, so a forward-only pass frees
         each intermediate as soon as the next operation has consumed it.
+        On exit every parameter gets back the flag it had on entry, so a
+        nested block leaves the store frozen until the outermost one ends.
         """
+        before = {name: p.requires_grad for name, p in self.params.items()}
         for p in self.params.values():
             p.requires_grad = False
         try:
             yield
         finally:
-            for p in self.params.values():
-                p.requires_grad = True
+            for name, p in self.params.items():
+                p.requires_grad = before[name]
 
     def export(self) -> dict[str, Array]:
         return {name: p.data.copy() for name, p in self.params.items()}

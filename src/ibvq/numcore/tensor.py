@@ -20,9 +20,10 @@ Sequence layers work on packed batches: several sequences stacked row-wise
 into one matrix, with an ``offsets`` array of S+1 entries marking where
 each of the S sequences starts (``offsets[0] == 0``, ``offsets[-1]`` is the
 row count). `attention` attends only within a sequence, `conv1d` zero-pads
-at every sequence boundary, `mse` averages each sequence's entries and then
-the sequences, and `positional` numbers rows from 0 in every sequence, so a
-packed batch computes exactly what its sequences compute one at a time.
+at every sequence boundary, `mse` and `cross_entropy` average each
+sequence's entries and then the sequences, and `positional` numbers rows
+from 0 in every sequence, so a packed batch computes exactly what its
+sequences compute one at a time.
 Without offsets the whole matrix is one sequence.
 """
 
@@ -362,9 +363,12 @@ def gather_rows(table: Tensor, indices) -> Tensor:
 
     def backward(g):
         if table.requires_grad:
-            acc = np.zeros_like(table.data)
-            np.add.at(acc, idx, g)
-            table._accumulate(acc)
+            # one bincount over flat (row * cols + col) positions adds the
+            # rows of g in index order, exactly as np.add.at(acc, idx, g)
+            rows, cols = table.data.shape
+            flat = (idx[:, None] * cols + np.arange(cols)).ravel()
+            acc = np.bincount(flat, weights=g.ravel(), minlength=rows * cols)
+            table._accumulate(acc.reshape(rows, cols))
 
     return _child(out_data, (table,), backward)
 
@@ -487,25 +491,38 @@ def straight_through(x: Tensor, values: Array) -> Tensor:
     return _child(values.copy(), (x,), backward)
 
 
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood of integer targets under row softmax."""
+def cross_entropy(logits: Tensor, targets, offsets=None) -> Tensor:
+    """Mean negative log-likelihood of integer targets under row softmax.
+
+    With ``offsets`` each sequence's NLL is the mean over its own rows, and
+    the result is the mean of those over the sequences, so each sequence
+    weighs the same whatever its length (as in `mse`).
+    """
     idx = np.asarray(targets, dtype=np.int64).reshape(-1)
     n, k = logits.shape
     if idx.size != n:
         raise ShapeError(f"targets length {idx.size} != logit rows {n}")
     if idx.min() < 0 or idx.max() >= k:
         raise ValidationError(f"target class out of range [0, {k})")
+    off = check_offsets(offsets, n)
+    lengths = np.diff(off)
+    seq_scale = 1.0 / lengths.size
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + logits.data.max(axis=1)
     nll = lse - logits.data[np.arange(n), idx]
-    out_data = np.array([[nll.mean()]])
+    total = 0.0
+    for a, b in zip(off[:-1], off[1:]):
+        total += nll[a:b].mean()
+    out_data = np.array([[total * seq_scale]])
 
     def backward(g):
         if logits.requires_grad:
             probs = np.exp(shifted)
             probs /= probs.sum(axis=1, keepdims=True)
             probs[np.arange(n), idx] -= 1.0
-            logits._accumulate(g[0, 0] * probs / n)
+            # per row: upstream / (sequences * rows of the row's sequence)
+            coef = (g[0, 0] * seq_scale) / lengths.astype(np.float64)
+            logits._accumulate(np.repeat(coef, lengths)[:, None] * probs)
 
     return _child(out_data, (logits,), backward)
 

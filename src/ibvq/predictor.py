@@ -4,6 +4,13 @@ Each word is represented by its own embedding concatenated with its left
 and right neighbors, passed through one attention block over the sentence,
 and classified by G parallel K-way heads (one per code group). Prediction
 is the per-head argmax, ties to the lowest index.
+
+Training and evaluation run on packed sentences: the words of several
+sentences stacked into one id sequence, with offsets marking where each
+sentence starts (see `ibvq.numcore`). The neighbor window is zero padded
+at every sentence boundary and attention stays inside a sentence, so a
+packed batch computes what each sentence computes alone, and a training
+step is one graph whatever the batch size.
 """
 
 from __future__ import annotations
@@ -66,15 +73,25 @@ def _check_words(word_ids, vocab: int) -> np.ndarray:
     return ids
 
 
-def head_logits(word_ids, model: PredictorModel) -> list[nc.Tensor]:
-    """Per-group (W, K) logits for one word sequence."""
+def pack_sentences(texts) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked word ids of ``texts`` and the S+1 offsets where each starts."""
+    ids = [np.asarray(t, dtype=np.int64).reshape(-1) for t in texts]
+    offsets = np.concatenate([[0], np.cumsum([t.size for t in ids])]).astype(np.int64)
+    return np.concatenate(ids), offsets
+
+
+def head_logits(word_ids, model: PredictorModel, offsets=None) -> list[nc.Tensor]:
+    """Per-group (W, K) logits of the words of one sentence, or of packed
+    sentences whose words start at ``offsets``."""
     ids = _check_words(word_ids, model.config.word_vocab)
+    offsets = nc.check_offsets(offsets, ids.size)
     p = model.store
     e = nc.gather_rows(p["embed"], ids)
     # neighbor concatenation: [left, self, right] with zero padding at edges
-    h = nc.relu(nc.affine(nc.unfold_rows(e, 3), p["ctx.w"], p["ctx.b"]))
+    h = nc.relu(nc.conv1d(e, p["ctx.w"], p["ctx.b"], width=3, offsets=offsets))
     attended = nc.attention(
-        nc.affine(h, p["attn.wq"]), nc.affine(h, p["attn.wk"]), nc.affine(h, p["attn.wv"])
+        nc.affine(h, p["attn.wq"]), nc.affine(h, p["attn.wk"]), nc.affine(h, p["attn.wv"]),
+        offsets=offsets,
     )
     h = nc.layer_norm(nc.add(h, nc.affine(attended, p["attn.wo"])),
                       p["attn.ln_g"], p["attn.ln_b"])
@@ -85,7 +102,8 @@ def head_logits(word_ids, model: PredictorModel) -> list[nc.Tensor]:
 
 def predict_codes(word_ids, model: PredictorModel) -> np.ndarray:
     """(W, G) argmax codes; deterministic, ties to the lowest index."""
-    logits = head_logits(word_ids, model)
+    with model.store.frozen():
+        logits = head_logits(word_ids, model)
     return np.stack([lg.data.argmax(axis=1) for lg in logits], axis=1)
 
 
@@ -115,7 +133,9 @@ def train_predictor(
     """Minimize per-head cross-entropy of codes given word context.
 
     ``texts`` and ``codes`` are parallel lists: word-id sequences and their
-    (W, G) integer code blocks from a trained encoder run.
+    (W, G) integer code blocks from a trained encoder run. Each step is one
+    graph over the packed batch; its loss is the mean over heads and
+    sentences of each sentence's mean cross-entropy over its words.
     """
     cfg.validate()
     _validate_pairs(texts, codes, cfg)
@@ -131,14 +151,13 @@ def train_predictor(
             pos = 0
         batch = order[pos : pos + min(train_cfg.batch_size, n)]
         pos += train_cfg.batch_size
-        total = None
-        for i in batch:
-            logits = head_logits(texts[i], model)
-            arr = np.asarray(codes[i], dtype=np.int64)
-            for g in range(cfg.G):
-                term = nc.cross_entropy(logits[g], arr[:, g])
-                total = term if total is None else nc.add(total, term)
-        loss = nc.mul(total, 1.0 / (len(batch) * cfg.G))
+        ids, offsets = pack_sentences([texts[i] for i in batch])
+        targets = np.vstack([np.asarray(codes[i], dtype=np.int64) for i in batch])
+        logits = head_logits(ids, model, offsets)
+        total = nc.cross_entropy(logits[0], targets[:, 0], offsets)
+        for g in range(1, cfg.G):
+            total = nc.add(total, nc.cross_entropy(logits[g], targets[:, g], offsets))
+        loss = nc.mul(total, 1.0 / cfg.G)
         model.store.zero_grad()
         loss.backward()
         nc.adam_step(model.store, model.store.grads(), train_cfg)
@@ -153,24 +172,21 @@ class PredictorReport:
 
 
 def evaluate_predictor(model: PredictorModel, texts: list, codes: list) -> PredictorReport:
-    """Held-out classification quality of the code heads."""
+    """Held-out classification quality of the code heads, from one packed
+    forward pass over every sentence; both figures average over words."""
     cfg = model.config
     _validate_pairs(texts, codes, cfg)
-    correct = np.zeros(cfg.G)
-    nll = np.zeros(cfg.G)
-    n_words = 0
-    for t, c in zip(texts, codes):
-        logits = head_logits(t, model)
-        arr = np.asarray(c, dtype=np.int64)
-        n_words += len(t)
-        for g in range(cfg.G):
-            lg = logits[g].data
-            correct[g] += np.sum(lg.argmax(axis=1) == arr[:, g])
-            shifted = lg - lg.max(axis=1, keepdims=True)
-            logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            nll[g] -= logp[np.arange(len(t)), arr[:, g]].sum()
+    ids, offsets = pack_sentences(texts)
+    targets = np.vstack([np.asarray(c, dtype=np.int64) for c in codes])
+    with model.store.frozen():
+        logits = head_logits(ids, model, offsets)
+        # without offsets the cross-entropy is the mean over all words
+        nll = np.array([nc.cross_entropy(lg, targets[:, g]).item()
+                        for g, lg in enumerate(logits)])
+    correct = np.array([np.sum(lg.data.argmax(axis=1) == targets[:, g])
+                        for g, lg in enumerate(logits)])
     return PredictorReport(
-        accuracy=correct / n_words,
-        perplexity=np.exp(nll / n_words),
-        n_words=n_words,
+        accuracy=correct / ids.size,
+        perplexity=np.exp(nll),
+        n_words=int(ids.size),
     )

@@ -1,3 +1,6 @@
+import importlib
+from contextlib import contextmanager
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -196,6 +199,35 @@ def test_transfer_degenerate_equals_reconstruct(corpus):
         models,
     )
     npt.assert_array_equal(rec, tra)
+
+
+def test_reconstruct_records_no_graph(corpus, monkeypatch):
+    # the package's `tensor` function shadows its module of the same name
+    tensor_module = importlib.import_module("ibvq.numcore.tensor")
+    models = make_models(corpus, k=8)
+    utt = corpus.utterances[3]
+    args = (utt.features, utt.alignment, utt.spec.phone_ids, models)
+
+    @contextmanager
+    def not_frozen(store):
+        yield
+
+    with monkeypatch.context() as m:
+        m.setattr(nc.ParamStore, "frozen", not_frozen)
+        recorded = reconstruct(*args)  # parameters require gradients throughout
+
+    child, nodes = tensor_module._child, []
+
+    def recording_child(*a):
+        nodes.append(child(*a))
+        return nodes[-1]
+
+    monkeypatch.setattr(tensor_module, "_child", recording_child)
+    out = reconstruct(*args)
+    assert nodes and not any(n.requires_grad for n in nodes)
+    npt.assert_array_equal(out, recorded)
+    assert all(p.requires_grad for s in (models.encoder.store, models.decoder.store)
+               for p in s.params.values())
 
 
 def test_transfer_word_count_mismatch(corpus):

@@ -8,13 +8,20 @@ import numpy.testing as npt
 import pytest
 
 import ibvq.numcore as nc
-from ibvq.decoder import DecoderConfig, DecoderModel, reconstruct, reconstruction_graph
+from ibvq.decoder import (
+    DecoderConfig,
+    DecoderModel,
+    prosody_codes,
+    reconstruct,
+    reconstruction_graph,
+)
 from ibvq.encoder import EncoderConfig, EncoderModel
 from ibvq.errors import CheckpointError, TrainingError
 from ibvq.harness.cli import main as cli_main
 from ibvq.harness.experiments import (
     CELL_COLUMNS,
     ExperimentConfig,
+    corpus_codes,
     matched_pairs,
     phone_recovery_accuracy,
     read_sweep_csv,
@@ -29,6 +36,7 @@ from ibvq.harness.training import (
     train_autoencoder,
     train_duration_head,
 )
+from ibvq.mi import MineConfig
 from ibvq.quantizer import CapacityConfig
 from ibvq.synthdata import CorpusConfig, build_corpus, pack_utterances
 
@@ -195,6 +203,23 @@ def test_phone_recovery_on_clean_features(corpus):
     assert acc > 0.95  # rendered features are the templates plus small noise
 
 
+def test_corpus_codes_equal_per_utterance_codes(corpus, trained):
+    models = trained.models
+    indices = list(range(len(corpus.utterances)))
+    packed = corpus_codes(corpus, models, indices)
+    assert len(packed) == len(indices)
+    for block, utt in zip(packed, corpus.utterances):
+        npt.assert_array_equal(block, prosody_codes(utt.features, utt.alignment, models))
+
+
+def test_training_keeps_the_codes_of_its_utterances(corpus, trained):
+    # the fixture trains on every utterance, in corpus order
+    indices = list(range(len(corpus.utterances)))
+    assert len(trained.codes) == len(indices)
+    for kept, fresh in zip(trained.codes, corpus_codes(corpus, trained.models, indices)):
+        npt.assert_array_equal(kept, fresh)
+
+
 def test_matched_pairs_props(corpus):
     pairs = matched_pairs(corpus, list(range(len(corpus.utterances))), n_pairs=10, seed=0)
     assert 0 < len(pairs) <= 10
@@ -225,6 +250,26 @@ def tiny_sweep(tmp_path_factory):
     )
     report = run_sweep(cfg, out_dir=out)
     return cfg, report, out
+
+
+def test_sweep_outputs_byte_identical_between_runs(tmp_path):
+    # 40 utterances of 2-6 words (about 160) give MINE the 100 words it needs
+    cfg = ExperimentConfig(
+        capacities=(4,),
+        corpus=CorpusConfig(n_utterances=40, seed=3),
+        train=nc.TrainConfig(learning_rate=3e-3, steps=12, seed=0, batch_size=4),
+        seeds=(2,),
+        holdout_fraction=0.3,
+        transfer_pairs=4,
+        predictor_steps=10,
+        mine=MineConfig(steps=30, hidden=8, batch_size=64, eval_every=10, seed=4),
+    )
+    first = run_sweep(cfg, out_dir=tmp_path / "a")
+    run_sweep(cfg, out_dir=tmp_path / "b")
+    assert first.cells[0].status == "ok", first.cells[0].error
+    assert math.isfinite(first.cells[0].mine_mi)
+    for name in ("sweep.csv", "mi_curve.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_sweep_row_count_and_schema(tiny_sweep):

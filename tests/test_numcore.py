@@ -181,6 +181,17 @@ def test_frozen_store_records_no_graph():
     npt.assert_array_equal(w.grad, [[4.0]])
 
 
+def test_nested_frozen_blocks_keep_parameters_frozen():
+    store = nc.ParamStore()
+    w = store.add("w", [[2.0]])
+    with store.frozen():
+        with store.frozen():
+            pass
+        assert not w.requires_grad  # the inner block must not unfreeze
+        assert not nc.mul(w, w).requires_grad
+    assert w.requires_grad
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         nc.TrainConfig(learning_rate=0.0)
@@ -280,6 +291,18 @@ def test_grad_gather_rows():
     )
 
 
+def test_gather_rows_backward_equals_add_at():
+    rng = np.random.default_rng(12)
+    table = nc.tensor(rand(rng, 7, 3), requires_grad=True)
+    idx = rng.integers(0, 7, size=200)  # every row repeats, row order mixed
+    idx[:3] = 4
+    g = rand(rng, 200, 3, lo=-1e3, hi=1e3)
+    nc.sum_all(nc.mul(nc.gather_rows(table, idx), nc.constant(g))).backward()
+    expected = np.zeros((7, 3))
+    np.add.at(expected, idx, g)
+    npt.assert_array_equal(table.grad, expected)
+
+
 def test_grad_concat_cols():
     check(
         lambda p: nc.sqnorm(nc.concat_cols([p["a"], p["b"]])),
@@ -344,6 +367,27 @@ def test_grad_conv1d_packed():
 
 def test_grad_mse_packed():
     check(lambda p: nc.mse(p["x"], np.ones((8, 3)), offsets=PACKED), {"x": rand(RNG, 8, 3)})
+
+
+def test_grad_cross_entropy_packed():
+    targets = np.array([1, 0, 2, 3, 0, 1, 1, 2])
+    check(
+        lambda p: nc.cross_entropy(p["l"], targets, offsets=PACKED),
+        {"l": rand(RNG, 8, 4, lo=-2.0, hi=2.0)},
+    )
+
+
+def test_cross_entropy_packed_weights_every_sequence_equally():
+    # uniform logits over 4 classes: every row's NLL is ln 4, but a confident
+    # correct row costs ~0; sequence 0 is one confident row, sequence 1 three
+    # uniform rows
+    logits = np.zeros((4, 4))
+    logits[0, 2] = 50.0
+    targets = [2, 0, 1, 3]
+    packed = nc.cross_entropy(nc.tensor(logits), targets, offsets=[0, 1, 4]).item()
+    flat = nc.cross_entropy(nc.tensor(logits), targets).item()
+    npt.assert_allclose(packed, math.log(4) / 2, rtol=1e-12)
+    npt.assert_allclose(flat, 3 * math.log(4) / 4, rtol=1e-12)
 
 
 def test_packed_ops_equal_each_sequence_alone():

@@ -8,6 +8,8 @@ from ibvq.predictor import (
     PredictorConfig,
     PredictorModel,
     evaluate_predictor,
+    head_logits,
+    pack_sentences,
     predict_codes,
     train_predictor,
 )
@@ -96,3 +98,97 @@ def test_evaluate_perfect_and_chance_levels():
     chance = evaluate_predictor(uniform, texts, rand_codes)
     assert np.all(np.abs(chance.accuracy - 1 / 16) < 0.05)
     npt.assert_allclose(chance.perplexity, 16.0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# packed sentences
+# ---------------------------------------------------------------------------
+
+
+def test_packed_step_equals_per_sentence_graphs():
+    """A packed step's loss and gradients are the old per-sentence sum of
+    per-head mean cross-entropies divided by B*G."""
+    texts, codes, _ = deterministic_dataset(sentences=5, seed=4)
+    texts[2] = texts[2][:1]  # a one-word sentence: no neighbors at all
+    codes[2] = codes[2][:1]
+    model = PredictorModel(PredictorConfig(word_vocab=12, K=8, seed=6))
+    g_count = model.config.G
+
+    def grads(loss):
+        model.store.zero_grad()
+        loss.backward()
+        return {n: g.copy() for n, g in model.store.grads().items()}
+
+    ids, offsets = pack_sentences(texts)
+    targets = np.vstack(codes)
+    logits = head_logits(ids, model, offsets)
+    per_head = [nc.cross_entropy(logits[g], targets[:, g], offsets) for g in range(g_count)]
+    packed = nc.mul(nc.add(per_head[0], per_head[1]), 1.0 / g_count)
+    packed_grads = grads(packed)
+
+    total = None
+    for t, c in zip(texts, codes):
+        for g, lg in enumerate(head_logits(t, model)):
+            term = nc.cross_entropy(lg, c[:, g])
+            total = term if total is None else nc.add(total, term)
+    single = nc.mul(total, 1.0 / (len(texts) * g_count))
+    single_grads = grads(single)
+
+    npt.assert_allclose(packed.item(), single.item(), rtol=1e-12)
+    for name, grad in packed_grads.items():
+        scale = max(np.abs(single_grads[name]).max(), 1e-300)
+        assert np.abs(grad - single_grads[name]).max() <= 1e-12 * scale, name
+
+
+def test_packed_sentences_do_not_see_each_other():
+    model = PredictorModel(PredictorConfig(word_vocab=12, K=8, seed=7))
+    texts = [[1, 2, 3], [4, 5], [6, 7, 8, 9]]
+    ids, offsets = pack_sentences(texts)
+    changed, _ = pack_sentences([texts[0], [10, 11], texts[2]])
+    a, b = head_logits(ids, model, offsets), head_logits(changed, model, offsets)
+    middle = slice(offsets[1], offsets[2])
+    assert not np.array_equal(a[0].data[middle], b[0].data[middle])
+    for i in (0, 2):
+        rows = slice(offsets[i], offsets[i + 1])
+        for la, lb in zip(a, b):
+            npt.assert_array_equal(la.data[rows], lb.data[rows])
+
+
+def test_step_graph_size_independent_of_batch(monkeypatch):
+    texts, codes, _ = deterministic_dataset(sentences=20, seed=2)
+    sizes = []
+    backward = nc.Tensor.backward
+
+    def counting_backward(loss):
+        seen, stack = {id(loss)}, [loss]
+        while stack:
+            for parent in stack.pop()._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        sizes[-1].append(len(seen))
+        backward(loss)
+
+    monkeypatch.setattr(nc.Tensor, "backward", counting_backward)
+    for batch_size in (2, 8):
+        sizes.append([])
+        train_predictor(texts, codes, PredictorConfig(word_vocab=12, K=8, seed=1),
+                        nc.TrainConfig(steps=3, seed=1, batch_size=batch_size))
+    assert sizes[0] == sizes[1]
+    assert len(set(sizes[0])) == 1
+
+
+def test_evaluate_matches_per_sentence_logits():
+    texts, codes, _ = deterministic_dataset(sentences=12, seed=5)
+    model = PredictorModel(PredictorConfig(word_vocab=12, K=8, seed=8))
+    report = evaluate_predictor(model, texts, codes)
+    logits = [head_logits(t, model) for t in texts]
+    for g in range(2):
+        lg = np.vstack([ls[g].data for ls in logits])
+        target = np.concatenate([c[:, g] for c in codes])
+        assert report.accuracy[g] == np.mean(lg.argmax(axis=1) == target)
+        shifted = lg - lg.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        nll = -logp[np.arange(target.size), target].mean()
+        npt.assert_allclose(report.perplexity[g], np.exp(nll), rtol=1e-12)
+    assert report.n_words == sum(len(t) for t in texts)
