@@ -8,9 +8,9 @@ same invocation produces bit-identical output files. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -44,20 +44,31 @@ from ibvq.synthdata import CorpusConfig, build_corpus, read_corpus, write_corpus
 _FLOAT_FMT = "%.17g"
 
 
-def _load_json_config(path: str | None, cls, **overrides):
-    data = {}
-    if path:
-        try:
-            data = json.loads(Path(path).read_text())
-        except OSError as e:
-            raise ConfigError(f"cannot read config {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"malformed config {path}, line {e.lineno}: {e.msg}") from e
-    data.update({k: v for k, v in overrides.items() if v is not None})
+def _read_json(path: str | None) -> dict:
+    """The JSON object in the config file at ``path``; {} without a path."""
+    if not path:
+        return {}
     try:
+        data = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"malformed config {path}, line {e.lineno}: {e.msg}") from e
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, not {type(data).__name__}")
+    return data
+
+
+def _config(cls, data, where: str, **overrides):
+    """``cls`` built from the keys of the JSON object ``data``, with the
+    ``overrides`` that are not None in place of its own. A value that is not
+    an object, or a key ``cls`` does not take, is a ConfigError naming
+    ``where``."""
+    try:
+        data = {**data, **{k: v for k, v in overrides.items() if v is not None}}
         return cls(**data)
     except TypeError as e:
-        raise ConfigError(f"bad config for {cls.__name__}: {e}") from e
+        raise ConfigError(f"bad {where}: {e}") from e
 
 
 def _find_utterance(corpus, utt_id: str):
@@ -79,7 +90,7 @@ def _corpus_for_ckpt(args, ckpt_dir: Path):
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_json_config(args.config, CorpusConfig, seed=args.seed)
+    cfg = _config(CorpusConfig, _read_json(args.config), "corpus config", seed=args.seed)
     corpus = build_corpus(cfg)
     write_corpus(corpus, args.out)
     print(f"wrote {len(corpus.utterances)} utterances to {args.out}")
@@ -147,30 +158,23 @@ def cmd_transfer(args) -> int:
     return 0
 
 
+_SWEEP_SECTIONS = {"corpus": CorpusConfig, "train": nc.TrainConfig, "mine": MineConfig}
+
+
 def _experiment_config_from_json(path: str | None, seed: int | None) -> ExperimentConfig:
-    data = {}
-    if path:
-        try:
-            data = json.loads(Path(path).read_text())
-        except OSError as e:
-            raise ConfigError(f"cannot read config {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"malformed config {path}, line {e.lineno}: {e.msg}") from e
-    if "corpus" in data:
-        data["corpus"] = CorpusConfig(**data["corpus"])
-    if "train" in data:
-        data["train"] = nc.TrainConfig(**data["train"])
-    if "mine" in data:
-        data["mine"] = MineConfig(**data["mine"]) if data["mine"] is not None else None
-    for key in ("capacities", "seeds"):
-        if key in data:
-            data[key] = tuple(data[key])
-    if seed is not None:
-        data["seeds"] = (seed,)
+    data = _read_json(path)
+    for name, cls in _SWEEP_SECTIONS.items():
+        # a null mine section turns the MINE estimate off
+        if name in data and not (name == "mine" and data[name] is None):
+            data[name] = _config(cls, data[name], f"{name} section of the sweep config")
     try:
-        return ExperimentConfig(**data)
+        for key in ("capacities", "seeds"):
+            if key in data:
+                data[key] = tuple(data[key])
     except TypeError as e:
-        raise ConfigError(f"bad experiment config: {e}") from e
+        raise ConfigError(f"bad sweep config: {e}") from e
+    return _config(ExperimentConfig, data, "sweep config",
+                   seeds=(seed,) if seed is not None else None)
 
 
 def cmd_sweep(args) -> int:
@@ -239,18 +243,9 @@ def cmd_report(args) -> int:
     rows = read_sweep_csv(Path(args.input) / "sweep.csv")
     if not rows:
         raise ValidationError(f"no sweep rows found under {args.input}")
-    cells = []
-    for row in rows:
-        kwargs = {}
-        for f in dataclasses.fields(CellResult):
-            raw = row[f.name]
-            if f.type in ("int",):
-                kwargs[f.name] = int(raw)
-            elif f.type in ("float",):
-                kwargs[f.name] = float(raw)
-            else:
-                kwargs[f.name] = raw
-        cells.append(CellResult(**kwargs))
+    parsers = typing.get_type_hints(CellResult)  # field name -> int, float or str
+    cells = [CellResult(**{name: parse(row[name]) for name, parse in parsers.items()})
+             for row in rows]
     capacities = tuple(sorted({c.K for c in cells}))
     groups = cells[0].G
     cfg = ExperimentConfig(capacities=capacities, groups=groups)

@@ -22,7 +22,7 @@ from ibvq.decoder import (
     reconstruction_graph,
 )
 from ibvq.encoder import EncoderConfig, EncoderModel, encode
-from ibvq.errors import CheckpointError, ConfigError, ShapeError, TrainingError
+from ibvq.errors import CheckpointError, ConfigError, ShapeError
 from ibvq.quantizer import (
     CapacityConfig,
     Codebook,
@@ -63,25 +63,6 @@ def split_corpus(corpus: Corpus, holdout_fraction: float = 0.1) -> tuple[list[in
     heldout = sorted(order[:n_hold].tolist())
     train = sorted(order[n_hold:].tolist())
     return train, heldout
-
-
-class _BatchSampler:
-    """Deterministic epoch-reshuffling batch iterator."""
-
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
-        self.n = n
-        self.batch = min(batch_size, n)
-        self.rng = rng
-        self.order = rng.permutation(n)
-        self.pos = 0
-
-    def next(self) -> np.ndarray:
-        if self.pos + self.batch > self.n:
-            self.order = self.rng.permutation(self.n)
-            self.pos = 0
-        out = self.order[self.pos : self.pos + self.batch]
-        self.pos += self.batch
-        return out
 
 
 def train_autoencoder(
@@ -126,7 +107,7 @@ def train_autoencoder(
     dec = DecoderModel(dec_cfg)
 
     rng = np.random.default_rng(train_cfg.seed)
-    sampler = _BatchSampler(len(utts), train_cfg.batch_size, rng)
+    sampler = nc.BatchSampler(len(utts), train_cfg.batch_size, rng)
 
     warmup = min(warmup_steps, max(train_cfg.steps - 1, 0)) if cap_cfg.enabled else 0
     cb_store = nc.ParamStore()
@@ -141,13 +122,11 @@ def train_autoencoder(
         cb0 = init_codebook_from_features(seed_feats.data, cap_cfg, seed=train_cfg.seed)
         return cb_store.add("entries", cb0.entries)
 
-    stores = [enc.store, dec.store, cb_store]
     curve: list[LossPoint] = []
-    for step in range(train_cfg.steps):
-        # cosine decay to 10% of the base rate sharpens late convergence
-        frac = step / max(train_cfg.steps - 1, 1)
-        lr = train_cfg.learning_rate * (0.1 + 0.45 * (1.0 + math.cos(math.pi * frac)))
-        step_cfg = dataclasses.replace(train_cfg, learning_rate=lr)
+    word_features = None  # the current step's encoder outputs, for reseeding
+
+    def step_loss(step: int) -> nc.Tensor:
+        nonlocal codebook_param, word_features, assign_counts
         if cap_cfg.enabled and codebook_param is None and step >= warmup:
             codebook_param = seed_codebook()
         graph = reconstruction_graph(
@@ -160,20 +139,21 @@ def train_autoencoder(
             assign_counts += np.bincount(
                 graph.bottleneck.codes.reshape(-1), minlength=cap_cfg.K
             )
-        point = LossPoint(
+        curve.append(LossPoint(
             step=step,
             mse=graph.mse.item(),
             codebook=graph.bottleneck.codebook_loss.item(),
             commitment=graph.bottleneck.commitment_loss.item(),
-        )
-        if not np.isfinite(point.total):
-            raise TrainingError(f"loss diverged (non-finite) at step {step}")
-        curve.append(point)
-        for store in stores:
-            store.zero_grad()
-        graph.loss.backward()
-        for store in stores:
-            nc.adam_step(store, store.grads(), step_cfg)
+        ))
+        word_features = graph.word_features.data
+        return graph.loss
+
+    def learning_rate(step: int) -> float:
+        # cosine decay to 10% of the base rate sharpens late convergence
+        frac = step / max(train_cfg.steps - 1, 1)
+        return train_cfg.learning_rate * (0.1 + 0.45 * (1.0 + math.cos(math.pi * frac)))
+
+    def reseed_dead_codes(step: int) -> None:
         if (
             codebook_param is not None
             and reseed_every > 0
@@ -181,12 +161,15 @@ def train_autoencoder(
         ):
             dead = assign_counts == 0
             if dead.any():
-                pool = graph.word_features.data.reshape(-1, codebook_param.cols)
+                pool = word_features.reshape(-1, codebook_param.cols)
                 pick = rng.integers(0, pool.shape[0], size=int(dead.sum()))
                 codebook_param.data[dead] = pool[pick] + rng.normal(
                     0.0, 1e-3, size=(int(dead.sum()), codebook_param.cols)
                 )
             assign_counts[:] = 0
+
+    nc.fit([enc.store, dec.store, cb_store], train_cfg.steps, step_loss, learning_rate,
+           on_step=reseed_dead_codes)
 
     codebook = None
     if cap_cfg.enabled:
@@ -215,22 +198,20 @@ def train_duration_head(
     if train_indices is not None:
         utts = [corpus.utterances[i] for i in train_indices]
     rng = np.random.default_rng(train_cfg.seed)
-    sampler = _BatchSampler(len(utts), train_cfg.batch_size, rng)
-    dur_names = set(dec.duration_parameter_names())
+    sampler = nc.BatchSampler(len(utts), train_cfg.batch_size, rng)
     curve = []
-    for step in range(train_cfg.steps):
+
+    def step_loss(step: int) -> nc.Tensor:
         batch = pack_utterances([utts[i] for i in sampler.next()])
-        feats = encode_text(batch.phone_ids, dec, batch.phone_offsets)
+        with dec.store.frozen():
+            feats = encode_text(batch.phone_ids, dec, batch.phone_offsets)
         raw = duration_logits(feats, dec, batch.phone_offsets)
         target = np.log(np.diff(batch.alignment.phone_edges).astype(np.float64))
         loss = nc.mse(raw, target.reshape(-1, 1), batch.phone_offsets)
-        if not np.isfinite(loss.item()):
-            raise TrainingError(f"duration loss diverged at step {step}")
-        curve.append(loss.item() / 1.0)
-        dec.store.zero_grad()
-        loss.backward()
-        grads = {k: v for k, v in dec.store.grads().items() if k in dur_names}
-        nc.adam_step(dec.store, grads, train_cfg)
+        curve.append(loss.item())
+        return loss
+
+    nc.fit([dec.store], train_cfg.steps, step_loss, train_cfg.learning_rate)
     return curve
 
 

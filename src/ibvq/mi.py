@@ -24,7 +24,6 @@ import ibvq.numcore as nc
 from ibvq.errors import (
     ConfigError,
     ShapeError,
-    TrainingError,
     ValidationError,
     VocabularyError,
 )
@@ -177,7 +176,6 @@ def mine_estimate(xs, zs, cfg: MineConfig | None = None) -> float:
         raise ValidationError(f"mine_estimate needs >= 100 samples, got {n}")
     model = MineModel(xs.shape[1], zs.shape[1], n_symbols, cfg)
     rng = np.random.default_rng(cfg.seed)
-    train_cfg = nc.TrainConfig(learning_rate=cfg.learning_rate, seed=cfg.seed, steps=cfg.steps)
     # several independent derangements keep the Monte-Carlo noise of the
     # log-partition term well below the estimator's tolerance
     z_eval_margs = [
@@ -190,24 +188,24 @@ def mine_estimate(xs, zs, cfg: MineConfig | None = None) -> float:
     ema = None
     smoothed = None
     batch = min(cfg.batch_size, n)
-    for step in range(cfg.steps):
+
+    def step_loss(step: int) -> nc.Tensor:
+        nonlocal ema
         idx = rng.choice(n, size=batch, replace=False)
         x_b, z_b = xs[idx], zs[idx]
         z_m = z_b[rng.permutation(batch)]
         t_joint, t_marg = model.joint_and_marginal(x_b, z_b, z_m)
         exp_marg = nc.exp(t_marg)
         batch_mean_exp = float(exp_marg.data.mean())
-        if not np.isfinite(batch_mean_exp):
-            raise TrainingError(f"statistics network diverged at step {step}")
         ema = batch_mean_exp if ema is None else (
             cfg.ema_decay * ema + (1.0 - cfg.ema_decay) * batch_mean_exp
         )
         # maximize mean(T_joint) - E[exp T_marg]/ema: same gradient direction
         # as the DV bound but with the debiased log-partition gradient
-        loss = nc.sub(nc.mul(nc.mean_all(exp_marg), 1.0 / ema), nc.mean_all(t_joint))
-        model.store.zero_grad()
-        loss.backward()
-        nc.adam_step(model.store, model.store.grads(), train_cfg)
+        return nc.sub(nc.mul(nc.mean_all(exp_marg), 1.0 / ema), nc.mean_all(t_joint))
+
+    def evaluate_bound(step: int) -> None:
+        nonlocal smoothed
         if (step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1:
             with model.store.frozen():
                 t_eval = model.statistic(x_eval, z_eval).data[:, 0]
@@ -215,4 +213,6 @@ def mine_estimate(xs, zs, cfg: MineConfig | None = None) -> float:
             smoothed = bound if smoothed is None else (
                 cfg.eval_smoothing * smoothed + (1.0 - cfg.eval_smoothing) * bound
             )
+
+    nc.fit([model.store], cfg.steps, step_loss, cfg.learning_rate, on_step=evaluate_bound)
     return max(float(smoothed), 0.0)

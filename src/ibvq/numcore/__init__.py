@@ -1,8 +1,9 @@
 """Deterministic differentiable-computation core.
 
 Dense float64 matrices with reverse-mode gradients, the layer operations the
-models in this package are built from, an adaptive-moment optimizer, a
-finite-difference gradient checker, and a binary checkpoint format.
+models in this package are built from, an adaptive-moment optimizer and the
+one training loop (`fit`) that applies it, a finite-difference gradient
+checker, and a binary checkpoint format.
 
 The sequence layers (`attention`, `conv1d`, `mse`, `cross_entropy`,
 `positional`) take optional ``offsets`` marking where each sequence of a
@@ -13,9 +14,11 @@ graph per sequence would; see `ibvq.numcore.tensor`.
 from ibvq.numcore.checkpoint import load_params, save_params
 from ibvq.numcore.gradcheck import grad_check
 from ibvq.numcore.optim import (
+    BatchSampler,
     ParamStore,
     TrainConfig,
     adam_step,
+    fit,
     glorot_uniform,
 )
 from ibvq.numcore.tensor import (
@@ -53,6 +56,7 @@ from ibvq.numcore.tensor import (
 
 __all__ = [
     "Array",
+    "BatchSampler",
     "ParamStore",
     "Tensor",
     "TrainConfig",
@@ -66,6 +70,7 @@ __all__ = [
     "conv1d",
     "cross_entropy",
     "exp",
+    "fit",
     "gather_rows",
     "glorot_uniform",
     "grad_check",

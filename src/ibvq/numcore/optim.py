@@ -1,14 +1,15 @@
-"""Named parameter storage and the adaptive-moment optimizer."""
+"""Named parameter storage, the adaptive-moment optimizer and the one
+training loop every model in the package is fitted with."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ibvq.errors import ConfigError, NumericError, ShapeError
+from ibvq.errors import ConfigError, NumericError, ShapeError, TrainingError
 from ibvq.numcore.tensor import Array, Tensor, tensor
 
 ADAM_BETA1 = 0.9
@@ -18,18 +19,12 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters shared by the training loops.
-
-    ``kl_weight`` is kept for completeness but is inert under the quantized
-    bottleneck, whose capacity term is a constant independent of the
-    parameters; it multiplies nothing in the loss.
-    """
+    """Hyperparameters shared by the training runs."""
 
     learning_rate: float = 3e-3
     steps: int = 1200
     seed: int = 0
     batch_size: int = 8
-    kl_weight: float = 1.0
     commitment_cost: float = 0.25
 
     def __post_init__(self):
@@ -39,8 +34,6 @@ class TrainConfig:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.kl_weight < 0:
-            raise ConfigError(f"kl_weight must be >= 0, got {self.kl_weight}")
         if self.commitment_cost < 0:
             raise ConfigError(
                 f"commitment_cost must be >= 0, got {self.commitment_cost}"
@@ -85,11 +78,9 @@ class ParamStore:
         return self._step[name]
 
     def grads(self) -> dict[str, Array]:
-        """Collect accumulated gradients, treating missing ones as zero."""
-        out = {}
-        for name, p in self.params.items():
-            out[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-        return out
+        """The accumulated gradients of the parameters the last backward
+        pass reached; a parameter it did not reach has none."""
+        return {name: p.grad for name, p in self.params.items() if p.grad is not None}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -134,7 +125,7 @@ class ParamStore:
             p.data = arr.copy()
 
 
-def adam_step(store: ParamStore, grads: dict[str, Array], cfg: TrainConfig) -> ParamStore:
+def adam_step(store: ParamStore, grads: dict[str, Array], lr: float) -> ParamStore:
     """One adaptive-moment update with bias correction, in place.
 
     Deterministic: parameters are visited in sorted name order. A non-finite
@@ -161,5 +152,52 @@ def adam_step(store: ParamStore, grads: dict[str, Array], cfg: TrainConfig) -> P
         v += (1.0 - ADAM_BETA2) * g * g
         m_hat = m / (1.0 - ADAM_BETA1**t)
         v_hat = v / (1.0 - ADAM_BETA2**t)
-        p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return store
+
+
+class BatchSampler:
+    """Deterministic epoch-reshuffling batch iterator over ``range(n)``."""
+
+    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
+        self.n = n
+        self.batch = min(batch_size, n)
+        self.rng = rng
+        self.order = rng.permutation(n)
+        self.pos = 0
+
+    def next(self) -> np.ndarray:
+        if self.pos + self.batch > self.n:
+            self.order = self.rng.permutation(self.n)
+            self.pos = 0
+        out = self.order[self.pos : self.pos + self.batch]
+        self.pos += self.batch
+        return out
+
+
+def fit(
+    stores: Sequence[ParamStore],
+    steps: int,
+    step_loss: Callable[[int], Tensor],
+    lr: float | Callable[[int], float],
+    on_step: Callable[[int], None] | None = None,
+) -> None:
+    """Minimize ``step_loss(step)`` for ``steps`` Adam steps.
+
+    Each step builds the loss graph, back-propagates it and updates, store
+    by store, only the parameters the loss reached; ``lr`` is a rate or a
+    function of the step index, and ``on_step(step)`` runs after the
+    update. A non-finite loss raises TrainingError naming the step.
+    """
+    for step in range(steps):
+        loss = step_loss(step)
+        if not np.isfinite(loss.item()):
+            raise TrainingError(f"loss diverged (non-finite) at step {step}")
+        for store in stores:
+            store.zero_grad()
+        loss.backward()
+        rate = lr(step) if callable(lr) else lr
+        for store in stores:
+            adam_step(store, store.grads(), rate)
+        if on_step is not None:
+            on_step(step)

@@ -22,8 +22,10 @@ each of the S sequences starts (``offsets[0] == 0``, ``offsets[-1]`` is the
 row count). `attention` attends only within a sequence, `conv1d` zero-pads
 at every sequence boundary, `mse` and `cross_entropy` average each
 sequence's entries and then the sequences, and `positional` numbers rows
-from 0 in every sequence, so a packed batch computes exactly what its
-sequences compute one at a time.
+from 0 in every sequence, so a packed batch computes what its sequences
+compute one at a time, to rounding: the BLAS result for a row of a matrix
+product can depend on the product's row count, so the two can differ in
+the last bit.
 Without offsets the whole matrix is one sequence.
 """
 

@@ -141,26 +141,21 @@ def train_predictor(
     _validate_pairs(texts, codes, cfg)
     train_cfg = train_cfg or nc.TrainConfig(learning_rate=5e-3, steps=400, seed=cfg.seed)
     model = PredictorModel(cfg)
-    rng = np.random.default_rng(train_cfg.seed)
-    n = len(texts)
-    order = rng.permutation(n)
-    pos = 0
-    for _ in range(train_cfg.steps):
-        if pos + train_cfg.batch_size > n:
-            order = rng.permutation(n)
-            pos = 0
-        batch = order[pos : pos + min(train_cfg.batch_size, n)]
-        pos += train_cfg.batch_size
+    sampler = nc.BatchSampler(
+        len(texts), train_cfg.batch_size, np.random.default_rng(train_cfg.seed)
+    )
+
+    def step_loss(step: int) -> nc.Tensor:
+        batch = sampler.next()
         ids, offsets = pack_sentences([texts[i] for i in batch])
         targets = np.vstack([np.asarray(codes[i], dtype=np.int64) for i in batch])
         logits = head_logits(ids, model, offsets)
         total = nc.cross_entropy(logits[0], targets[:, 0], offsets)
         for g in range(1, cfg.G):
             total = nc.add(total, nc.cross_entropy(logits[g], targets[:, g], offsets))
-        loss = nc.mul(total, 1.0 / cfg.G)
-        model.store.zero_grad()
-        loss.backward()
-        nc.adam_step(model.store, model.store.grads(), train_cfg)
+        return nc.mul(total, 1.0 / cfg.G)
+
+    nc.fit([model.store], train_cfg.steps, step_loss, train_cfg.learning_rate)
     return model
 
 

@@ -18,7 +18,6 @@ import ibvq.numcore as nc
 from ibvq.errors import CodeRangeError, ConfigError, ShapeError, ValidationError
 
 DEFAULT_COMMITMENT_COST = 0.25
-EMA_DECAY = 0.99
 
 
 @dataclass(frozen=True)
@@ -75,18 +74,6 @@ class Codebook:
         return self.groups * self.sub_dim
 
 
-def _split_groups(x: np.ndarray, cb: Codebook) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    if x.shape[1] != cb.dim:
-        raise ShapeError(
-            f"vector dim {x.shape[1]} != groups * entry dim = {cb.groups} * {cb.sub_dim}"
-        )
-    # (n, G, sub_dim)
-    return x.reshape(x.shape[0], cb.groups, cb.sub_dim)
-
-
 def quantize_batch(x: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quantize rows of (n, D) against the shared codebook.
 
@@ -94,23 +81,22 @@ def quantize_batch(x: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray,
     concatenated nearest entries (n, D), and squared L2 distances to every
     entry (n, G, K). Ties go to the lowest index (argmin semantics).
     """
-    grouped = _split_groups(x, cb)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != cb.dim:
+        raise ShapeError(
+            f"rows {x.shape} are not (n, groups * entry dim = {cb.groups} * {cb.sub_dim})"
+        )
+    grouped = x.reshape(x.shape[0], cb.groups, cb.sub_dim)
     diff = grouped[:, :, None, :] - cb.entries[None, None, :, :]
     sq = np.einsum("ngkd,ngkd->ngk", diff, diff)
     codes = sq.argmin(axis=2)
-    quantized = cb.entries[codes].reshape(grouped.shape[0], cb.dim)
+    quantized = cb.entries[codes].reshape(x.shape[0], cb.dim)
     return codes, quantized, sq
 
 
-def quantize(x: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize one D-vector: (codes (G,), q (D,), per-group sq distances (G, K))."""
-    codes, q, sq = quantize_batch(np.asarray(x).reshape(1, -1), cb)
-    return codes[0], q[0], sq[0]
-
-
 def lookup(codes, cb: Codebook) -> np.ndarray:
-    """Concatenate codebook entries for integer codes; inverse of quantize's
-    code assignment (lookup(quantize(x).codes) == quantize(x).q)."""
+    """Concatenate codebook entries for integer codes; inverse of
+    quantize_batch's code assignment (lookup(codes) == quantized)."""
     idx = np.asarray(codes, dtype=np.int64)
     squeeze = idx.ndim == 1
     if squeeze:
@@ -123,27 +109,6 @@ def lookup(codes, cb: Codebook) -> np.ndarray:
         )
     out = cb.entries[idx].reshape(idx.shape[0], cb.dim)
     return out[0] if squeeze else out
-
-
-def vq_loss(x, q, commitment_cost: float = DEFAULT_COMMITMENT_COST) -> tuple[float, float]:
-    """Squared-error pair (codebook_loss, commitment_loss) for one vector.
-
-    The first term trains codebook entries toward the (frozen) input, the
-    second penalizes the (live) input for straying from its frozen entry.
-    Gradient routing is handled by the graph builder in apply_bottleneck;
-    here the two numbers are returned for inspection.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if x.shape != q.shape:
-        raise ShapeError(f"vq_loss shapes differ: {x.shape} vs {q.shape}")
-    sq = float(np.sum((x - q) ** 2))
-    return sq, commitment_cost * sq
-
-
-def straight_through(upstream_grad: np.ndarray) -> np.ndarray:
-    """Identity pass-through of the gradient across the quantization step."""
-    return np.asarray(upstream_grad, dtype=np.float64).copy()
 
 
 @dataclass
@@ -227,7 +192,7 @@ def usage_stats(codes: np.ndarray, cfg: CapacityConfig) -> UsageStats:
 
 
 # ---------------------------------------------------------------------------
-# codebook fitting and initialization
+# codebook initialization
 # ---------------------------------------------------------------------------
 
 
@@ -255,25 +220,6 @@ def kmeans_pp_seeds(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
-def fit_codebook(
-    data: np.ndarray, k: int, groups: int = 2, iters: int = 10, seed: int = 0
-) -> Codebook:
-    """Lloyd's k-means on sub-vector rows, k-means++ seeded, deterministic."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ShapeError(f"fit_codebook expects (n, sub_dim) data, got {data.shape}")
-    rng = np.random.default_rng(seed)
-    centers = kmeans_pp_seeds(data, k, rng)
-    for _ in range(iters):
-        sq = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = sq.argmin(axis=1)
-        for j in range(k):
-            members = data[assign == j]
-            if members.shape[0] > 0:
-                centers[j] = members.mean(axis=0)
-    return Codebook(entries=centers, groups=groups)
-
-
 def init_codebook_from_features(
     word_features: np.ndarray, cfg: CapacityConfig, seed: int = 0
 ) -> Codebook:
@@ -287,31 +233,6 @@ def init_codebook_from_features(
     sub = feats.reshape(-1, feats.shape[1] // cfg.G)
     rng = np.random.default_rng(seed)
     return Codebook(entries=kmeans_pp_seeds(sub, cfg.K, rng), groups=cfg.G)
-
-
-@dataclass
-class EmaState:
-    """Running cluster statistics for the exponential-moving-average update."""
-
-    counts: np.ndarray  # (K,)
-    sums: np.ndarray    # (K, sub_dim)
-
-
-def ema_update(
-    cb: Codebook, x: np.ndarray, codes: np.ndarray, state: EmaState, decay: float = EMA_DECAY
-) -> EmaState:
-    """Move codebook entries toward the running mean of their assigned
-    sub-vectors (alternative to gradient-based codebook learning)."""
-    grouped = _split_groups(x, cb).reshape(-1, cb.sub_dim)
-    flat_codes = np.asarray(codes, dtype=np.int64).reshape(-1)
-    batch_counts = np.bincount(flat_codes, minlength=cb.size).astype(np.float64)
-    batch_sums = np.zeros_like(cb.entries)
-    np.add.at(batch_sums, flat_codes, grouped)
-    state.counts = decay * state.counts + (1.0 - decay) * batch_counts
-    state.sums = decay * state.sums + (1.0 - decay) * batch_sums
-    active = state.counts > 1e-8
-    cb.entries[active] = state.sums[active] / state.counts[active, None]
-    return state
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 from pathlib import Path
@@ -374,7 +375,7 @@ def test_cli_predict_codes(cli_workspace, tmp_path):
     assert np.all((codes >= 0) & (codes < 4))
 
 
-def test_cli_error_exit_codes(cli_workspace, tmp_path):
+def test_cli_error_exit_codes(cli_workspace, tmp_path, capsys):
     root, corpus_dir, ckpt = cli_workspace
     # unknown utterance -> validation error -> exit 1
     rc = cli_main(["reconstruct", "--ckpt", str(ckpt), "--utt", "nope",
@@ -389,6 +390,26 @@ def test_cli_error_exit_codes(cli_workspace, tmp_path):
     rc = cli_main(["predict", "--ckpt", str(ckpt0), "--text", str(text),
                    "--out", str(tmp_path / "c.csv")])
     assert rc == 1
+    # a malformed config is a config error -> exit 1 with a message, no output
+    malformed = [
+        ("sweep", {"train": {"steps": 5, "bogus": 1}}),
+        ("sweep", {"corpus": [1, 2]}),
+        ("sweep", {"mine": {"stepz": 3}}),
+        ("sweep", {"train": None}),
+        ("sweep", {"capacitiez": [4]}),
+        ("sweep", {"seeds": 5}),
+        ("sweep", [1, 2]),
+        ("gen-data", [1, 2]),
+        ("gen-data", {"n_utts": 3}),
+    ]
+    config = tmp_path / "config.json"
+    for command, data in malformed:
+        config.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = cli_main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 1, (command, data)
+        assert capsys.readouterr().err.startswith("error: "), (command, data)
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_checkpoint_missing_a_parameter(cli_workspace, tmp_path):

@@ -1,11 +1,20 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import ibvq.numcore as nc
-from ibvq.errors import AlignmentError, CheckpointError, ConfigError, NumericError, ShapeError
+from ibvq.errors import (
+    AlignmentError,
+    CheckpointError,
+    ConfigError,
+    NumericError,
+    ShapeError,
+    TrainingError,
+)
 
 
 def rand(rng, r, c, lo=-1.0, hi=1.0):
@@ -127,8 +136,7 @@ def test_adam_zero_gradient_is_identity():
     store = nc.ParamStore()
     store.add("w", [[1.0, -2.0], [0.5, 3.0]])
     before = store["w"].data.copy()
-    cfg = nc.TrainConfig(learning_rate=0.1)
-    nc.adam_step(store, {"w": np.zeros((2, 2))}, cfg)
+    nc.adam_step(store, {"w": np.zeros((2, 2))}, 0.1)
     npt.assert_array_equal(store["w"].data, before)
     assert store.step_count("w") == 1
 
@@ -136,9 +144,8 @@ def test_adam_zero_gradient_is_identity():
 def test_adam_first_step_magnitude_is_learning_rate():
     store = nc.ParamStore()
     store.add("w", [[0.0, 0.0]])
-    cfg = nc.TrainConfig(learning_rate=0.05)
     g = np.array([[0.3, -4.0]])
-    nc.adam_step(store, {"w": g}, cfg)
+    nc.adam_step(store, {"w": g}, 0.05)
     # first bias-corrected step is lr * g / (|g| + eps') elementwise
     npt.assert_allclose(np.abs(store["w"].data), 0.05, rtol=1e-6)
     npt.assert_array_equal(np.sign(store["w"].data), -np.sign(g))
@@ -148,26 +155,113 @@ def test_adam_nan_gradient_raises_naming_parameter():
     store = nc.ParamStore()
     store.add("enc.w", [[1.0]])
     with pytest.raises(NumericError, match="enc.w"):
-        nc.adam_step(store, {"enc.w": np.array([[np.nan]])}, nc.TrainConfig())
+        nc.adam_step(store, {"enc.w": np.array([[np.nan]])}, 1e-3)
 
 
 def test_adam_shape_mismatch():
     store = nc.ParamStore()
     store.add("w", [[1.0]])
     with pytest.raises(ShapeError):
-        nc.adam_step(store, {"w": np.zeros((2, 2))}, nc.TrainConfig())
+        nc.adam_step(store, {"w": np.zeros((2, 2))}, 1e-3)
 
 
 def test_adam_deterministic():
     def run():
         store = nc.ParamStore()
         store.add("w", [[1.0, 2.0]])
-        cfg = nc.TrainConfig(learning_rate=0.01)
         for i in range(5):
-            nc.adam_step(store, {"w": np.array([[0.1 * i, -0.2]])}, cfg)
+            nc.adam_step(store, {"w": np.array([[0.1 * i, -0.2]])}, 0.01)
         return store["w"].data
 
     npt.assert_array_equal(run(), run())
+
+
+# ---------------------------------------------------------------------------
+# fit
+# ---------------------------------------------------------------------------
+
+
+def quadratic_store():
+    store = nc.ParamStore()
+    store.add("w", [[1.0, -2.0]])
+    store.add("unused", [[3.0]])
+    return store
+
+
+def test_fit_leaves_a_parameter_the_loss_never_reaches():
+    store = quadratic_store()
+    before = store["unused"].data.copy()
+    nc.fit([store], 5, lambda step: nc.sqnorm(store["w"]), 0.1)
+    npt.assert_array_equal(store["unused"].data, before)
+    assert store.step_count("unused") == 0
+    assert store.step_count("w") == 5
+    assert store.grads().keys() == {"w"}
+
+
+def test_fit_passes_each_step_to_a_callable_rate():
+    seen = []
+
+    def rate(step):
+        seen.append(step)
+        return 0.1 / (step + 1)
+
+    store = quadratic_store()
+    nc.fit([store], 4, lambda step: nc.sqnorm(store["w"]), rate)
+    assert seen == [0, 1, 2, 3]
+    # the first bias-corrected Adam step moves each entry by the rate
+    first = quadratic_store()
+    nc.fit([first], 1, lambda step: nc.sqnorm(first["w"]), rate)
+    npt.assert_allclose(first["w"].data, [[0.9, -1.9]], rtol=1e-6)
+
+
+def test_fit_runs_on_step_after_the_update():
+    store = quadratic_store()
+    seen = []
+    nc.fit([store], 3, lambda step: nc.sqnorm(store["w"]), 0.1,
+           on_step=lambda step: seen.append((step, store.step_count("w"),
+                                             store["w"].data.copy())))
+    assert [(s, n) for s, n, _ in seen] == [(0, 1), (1, 2), (2, 3)]
+    npt.assert_array_equal(seen[-1][2], store["w"].data)
+    assert not np.array_equal(seen[0][2], [[1.0, -2.0]])
+
+
+def test_fit_non_finite_loss_raises_naming_the_step():
+    store = quadratic_store()
+
+    def loss(step):
+        scale = np.inf if step == 2 else 1.0
+        return nc.mul(nc.sqnorm(store["w"]), scale)
+
+    with pytest.raises(TrainingError, match="step 2"):
+        nc.fit([store], 5, loss, 0.1)
+    assert store.step_count("w") == 2  # the diverged step made no update
+
+
+def test_batch_sampler_visits_every_index_once_per_epoch():
+    sampler = nc.BatchSampler(10, 4, np.random.default_rng(0))
+    epoch = np.concatenate([sampler.next(), sampler.next()])
+    assert len(set(epoch.tolist())) == 8
+    # fewer items than a batch: every batch is one whole epoch, the first
+    # from the permutation drawn at construction
+    small = nc.BatchSampler(3, 8, np.random.default_rng(1))
+    npt.assert_array_equal(small.next(), np.random.default_rng(1).permutation(3))
+    assert sorted(small.next().tolist()) == [0, 1, 2]
+
+
+def test_only_fit_calls_adam_step():
+    """A training loop written beside `fit` would call `adam_step` itself."""
+    src = Path(nc.__file__).resolve().parent.parent
+    callers = []
+    for path in sorted(src.rglob("*.py")):
+        if path == src / "numcore" / "optim.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name == "adam_step":
+                    callers.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert callers == []
 
 
 def test_frozen_store_records_no_graph():

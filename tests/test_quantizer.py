@@ -46,30 +46,30 @@ def test_capacity_config_validation():
 
 def test_quantize_hand_case():
     cb = two_entry_codebook()
-    codes, q, sq = qz.quantize(np.array([0.1, -0.1, 0.9, 1.2]), cb)
-    npt.assert_array_equal(codes, [0, 1])
-    npt.assert_array_equal(q, [0.0, 0.0, 1.0, 1.0])
-    assert sq.shape == (2, 2)
-    npt.assert_allclose(sq[0], [0.02, 2.02], atol=1e-12)
+    codes, q, sq = qz.quantize_batch(np.array([[0.1, -0.1, 0.9, 1.2]]), cb)
+    npt.assert_array_equal(codes, [[0, 1]])
+    npt.assert_array_equal(q, [[0.0, 0.0, 1.0, 1.0]])
+    assert sq.shape == (1, 2, 2)
+    npt.assert_allclose(sq[0, 0], [0.02, 2.02], atol=1e-12)
 
 
 def test_quantize_fixed_point():
     cb = two_entry_codebook()
-    x = np.array([1.0, 1.0, 0.0, 0.0])
-    codes, q, sq = qz.quantize(x, cb)
+    x = np.array([[1.0, 1.0, 0.0, 0.0]])
+    codes, q, sq = qz.quantize_batch(x, cb)
     npt.assert_array_equal(q, x)
-    assert sq[0, codes[0]] == 0.0 and sq[1, codes[1]] == 0.0
+    assert sq[0, 0, codes[0, 0]] == 0.0 and sq[0, 1, codes[0, 1]] == 0.0
 
 
 def test_quantize_tie_goes_to_lowest_index():
     cb = two_entry_codebook()
-    codes, _, _ = qz.quantize(np.array([0.5, 0.5, 0.5, 0.5]), cb)
-    npt.assert_array_equal(codes, [0, 0])
+    codes, _, _ = qz.quantize_batch(np.array([[0.5, 0.5, 0.5, 0.5]]), cb)
+    npt.assert_array_equal(codes, [[0, 0]])
 
 
 def test_quantize_dimension_mismatch():
     with pytest.raises(ShapeError):
-        qz.quantize(np.array([1.0, 2.0, 3.0]), two_entry_codebook())
+        qz.quantize_batch(np.array([[1.0, 2.0, 3.0]]), two_entry_codebook())
 
 
 def test_lookup_hand_case_and_round_trip():
@@ -100,36 +100,43 @@ def test_nearest_neighbor_matches_brute_force():
 
 
 # ---------------------------------------------------------------------------
-# vq_loss
+# the training bottleneck
 # ---------------------------------------------------------------------------
+
+
+# The vq_loss tests check the codebook and commitment losses of
+# apply_bottleneck: both are the mean squared distance to the chosen entries,
+# the commitment loss scaled by its cost.
+LOSS_ROWS = np.array([[1.0, 0.0, 1.0, 1.0], [0.25, 0.0, 0.5, 1.5]])
+# chosen entries: [0,0][1,1] and [0,0][1,1]; squared distances 1, 0, 0.0625, 0.5
+LOSS_ROWS_MEAN_SQ = (1.0 + 0.0 + 0.0625 + 0.5) / 8
+
+
+def bottleneck_losses(x, commitment_cost):
+    cbp = nc.tensor(two_entry_codebook().entries)
+    out = qz.apply_bottleneck(
+        nc.tensor(x), cbp, qz.CapacityConfig(K=2, G=2), commitment_cost=commitment_cost
+    )
+    return out, out.codebook_loss.item(), out.commitment_loss.item()
 
 
 def test_vq_loss_zero_at_fixed_point():
-    assert qz.vq_loss([1.0, 2.0], [1.0, 2.0]) == (0.0, 0.0)
+    _, cb_loss, commit = bottleneck_losses(np.array([[1.0, 1.0, 0.0, 0.0]]), 0.25)
+    assert (cb_loss, commit) == (0.0, 0.0)
 
 
 def test_vq_loss_hand_case():
-    cb_loss, commit = qz.vq_loss([1.0, 0.0], [0.0, 0.0], commitment_cost=0.25)
-    assert cb_loss == 1.0
-    assert commit == 0.25
+    out, cb_loss, commit = bottleneck_losses(LOSS_ROWS, 0.25)
+    npt.assert_array_equal(out.codes, [[0, 1], [0, 1]])
+    assert cb_loss == LOSS_ROWS_MEAN_SQ
+    assert commit == 0.25 * LOSS_ROWS_MEAN_SQ
 
 
 def test_vq_loss_commitment_linearity():
-    _, c1 = qz.vq_loss([1.0, 0.0], [0.0, 0.0], commitment_cost=0.25)
-    cb2, c2 = qz.vq_loss([1.0, 0.0], [0.0, 0.0], commitment_cost=0.5)
+    _, _, c1 = bottleneck_losses(LOSS_ROWS, 0.25)
+    _, cb2, c2 = bottleneck_losses(LOSS_ROWS, 0.5)
     assert c2 == 2 * c1
-    assert cb2 == 1.0
-
-
-# ---------------------------------------------------------------------------
-# straight-through estimator
-# ---------------------------------------------------------------------------
-
-
-def test_straight_through_identity():
-    g = np.array([[1.0, -2.0, 3.0]])
-    npt.assert_array_equal(qz.straight_through(g), g)
-    npt.assert_array_equal(qz.straight_through(np.zeros((2, 2))), np.zeros((2, 2)))
+    assert cb2 == LOSS_ROWS_MEAN_SQ
 
 
 def test_bottleneck_gradient_trace_matches_quantized_input():
@@ -235,20 +242,24 @@ def test_plugin_mi_of_codes_never_exceeds_capacity():
     x = rng.normal(size=(400, 8)) + labels[:, None] * 0.05
     for k in (2, 4, 16):
         cfg = qz.CapacityConfig(K=k, G=2)
-        cb = qz.fit_codebook(x.reshape(-1, 4), k=k, groups=2, seed=0)
+        cb = qz.init_codebook_from_features(x, cfg, seed=0)
         codes, _, _ = qz.quantize_batch(x, cb)
         mi = sd.oracle_mi_discrete(sd.merge_symbols(codes), labels)
         assert mi <= qz.capacity(cfg) + 1e-9
 
 
 def test_quantization_error_non_increasing_in_k():
+    """At one seed the k-means++ entries for K are the first entries for any
+    larger K, so the codebooks are nested and distortion cannot grow."""
     distortions = {}
     for k in (2, 4, 8, 16):
         per_seed = []
         for seed in (0, 1, 2):
             rng = np.random.default_rng(100 + seed)
             x = rng.normal(size=(300, 8))
-            cb = qz.fit_codebook(x.reshape(-1, 4), k=k, groups=2, seed=seed)
+            cb = qz.init_codebook_from_features(x, qz.CapacityConfig(K=k, G=2), seed=seed)
+            largest = qz.init_codebook_from_features(x, qz.CapacityConfig(K=16, G=2), seed=seed)
+            npt.assert_array_equal(cb.entries, largest.entries[:k])
             _, q, _ = qz.quantize_batch(x, cb)
             per_seed.append(float(np.mean((x - q) ** 2)))
         distortions[k] = np.mean(per_seed)
@@ -258,16 +269,8 @@ def test_quantization_error_non_increasing_in_k():
 
 
 # ---------------------------------------------------------------------------
-# codebook fitting and code files
+# codebook initialization and code files
 # ---------------------------------------------------------------------------
-
-
-def test_fit_codebook_deterministic():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(100, 4))
-    a = qz.fit_codebook(x, k=8, seed=3)
-    b = qz.fit_codebook(x, k=8, seed=3)
-    npt.assert_array_equal(a.entries, b.entries)
 
 
 def test_init_codebook_from_features_shapes():
@@ -277,16 +280,6 @@ def test_init_codebook_from_features_shapes():
     assert cb.entries.shape == (16, 4)
     with pytest.raises(ConfigError):
         qz.init_codebook_from_features(feats, qz.CapacityConfig(K=0, G=2))
-
-
-def test_ema_update_moves_toward_assignments():
-    cb = qz.Codebook(entries=np.array([[0.0, 0.0], [5.0, 5.0]]), groups=1)
-    state = qz.EmaState(counts=np.zeros(2), sums=np.zeros((2, 2)))
-    x = np.full((50, 2), 1.0)
-    codes, _, _ = qz.quantize_batch(x, cb)
-    qz.ema_update(cb, x, codes, state, decay=0.5)
-    npt.assert_allclose(cb.entries[0], [1.0, 1.0], atol=1e-9)
-    npt.assert_allclose(cb.entries[1], [5.0, 5.0])  # untouched, no assignments
 
 
 def test_codes_csv_round_trip(tmp_path):
