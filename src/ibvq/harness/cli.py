@@ -2,7 +2,7 @@
 
 Every command takes explicit seeds and writes deterministic artifacts: the
 same invocation produces bit-identical output files. Exit codes: 0 success,
-1 validation/configuration error, 2 numeric/training failure.
+1 validation/configuration or file-system error, 2 numeric/training failure.
 """
 
 from __future__ import annotations
@@ -71,19 +71,14 @@ def _config(cls, data, where: str, **overrides):
         raise ConfigError(f"bad {where}: {e}") from e
 
 
-def _find_utterance(corpus, utt_id: str):
-    for utt in corpus.utterances:
-        if utt.spec.utt_id == utt_id:
-            return utt
-    raise ValidationError(f"utterance {utt_id!r} not found in corpus")
-
-
-def _corpus_for_ckpt(args, ckpt_dir: Path):
+def _corpus_for_ckpt(args, ckpt_dir: Path, utt_ids=None):
+    """The corpus given by --corpus, else the one the checkpoint was trained
+    on; only the utterances ``utt_ids`` names, or all of them without it."""
     if getattr(args, "corpus", None):
-        return read_corpus(args.corpus)
+        return read_corpus(args.corpus, utt_ids)
     pointer = ckpt_dir / "corpus_path.txt"
     if pointer.is_file():
-        return read_corpus(pointer.read_text().strip())
+        return read_corpus(pointer.read_text().strip(), utt_ids)
     raise ConfigError(
         "checkpoint has no recorded corpus path; pass --corpus explicitly"
     )
@@ -131,8 +126,7 @@ def cmd_train(args) -> int:
 def cmd_reconstruct(args) -> int:
     ckpt = Path(args.ckpt)
     models = load_models(ckpt)
-    corpus = _corpus_for_ckpt(args, ckpt)
-    utt = _find_utterance(corpus, args.utt)
+    (utt,) = _corpus_for_ckpt(args, ckpt, [args.utt]).utterances
     out = reconstruct(utt.features, utt.alignment, utt.spec.phone_ids, models)
     np.savetxt(args.out, out, fmt=_FLOAT_FMT, delimiter=",")
     print(f"reconstructed {args.utt}: {out.shape[0]} frames -> {args.out}")
@@ -142,9 +136,8 @@ def cmd_reconstruct(args) -> int:
 def cmd_transfer(args) -> int:
     ckpt = Path(args.ckpt)
     models = load_models(ckpt)
-    corpus = _corpus_for_ckpt(args, ckpt)
-    ref = _find_utterance(corpus, args.ref)
-    tgt = _find_utterance(corpus, args.target)
+    utts = _corpus_for_ckpt(args, ckpt, [args.ref, args.target]).utterances
+    ref, tgt = utts[0], utts[-1]  # one utterance when --ref and --target are the same
     out = transfer(
         ref.features,
         ref.alignment,
@@ -337,7 +330,7 @@ def main(argv=None) -> int:
     except (NumericError,) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValidationError, ConfigError, IbvqError) as e:
+    except (ValidationError, ConfigError, IbvqError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -3,17 +3,23 @@ holding features.csv (one frame per row), alignment.json, and spec.json.
 
 Floats are written with enough digits to round-trip float64 exactly, so
 write followed by read reproduces the in-memory corpus bit for bit.
+
+``read_corpus`` reads either every utterance the manifest lists or only the
+utterances named by id. The manifest is validated in full either way, and
+every utterance read passes the same checks, so a query about one utterance
+parses one ``features.csv`` instead of the whole corpus.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
-from ibvq.errors import CorpusFormatError
+from ibvq.errors import CorpusFormatError, ValidationError
 from ibvq.synthdata.types import (
     AlignmentHierarchy,
     Corpus,
@@ -138,7 +144,17 @@ def _read_features(path: Path, channels: int, utt_id: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def read_corpus(path: str | Path) -> Corpus:
+def read_corpus(path: str | Path, utt_ids: Sequence[str] | None = None) -> Corpus:
+    """The corpus stored under ``path``.
+
+    Without ``utt_ids`` every utterance the manifest lists is read, in
+    manifest order. With ``utt_ids`` only those utterances are read, in the
+    order given and each once; an id the manifest does not list raises
+    ValidationError before any of its files is opened, so an id never names
+    a path outside the corpus's own entries. Each utterance read is checked
+    the same way: its spec, its alignment, and the column and row counts of
+    its features.
+    """
     root = Path(path)
     manifest = _load_json(root / MANIFEST_NAME, "manifest")
     try:
@@ -159,9 +175,16 @@ def read_corpus(path: str | Path) -> Corpus:
             )
             for w in manifest["lexicon"]
         ]
-        utt_ids = list(manifest["utterances"])
+        listed = list(manifest["utterances"])
     except (KeyError, TypeError, ValueError) as e:
         raise CorpusFormatError(f"manifest {root / MANIFEST_NAME} is incomplete: {e}") from e
+    if utt_ids is None:
+        utt_ids = listed
+    else:
+        utt_ids = list(dict.fromkeys(utt_ids))
+        for utt_id in utt_ids:
+            if utt_id not in listed:
+                raise ValidationError(f"utterance {utt_id!r} not found in corpus")
     utterances = []
     for utt_id in utt_ids:
         utt_dir = root / utt_id

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import shutil
 import weakref
 from pathlib import Path
 
@@ -348,18 +349,32 @@ def test_cli_reconstruct_and_transfer(cli_workspace, tmp_path):
     from ibvq.synthdata import read_corpus
 
     corpus = read_corpus(corpus_dir)
-    counts = {u.alignment.n_words: u.spec.utt_id for u in corpus.utterances}
-    ref = corpus.utterances[0]
-    match = None
-    for u in corpus.utterances[1:]:
-        if u.alignment.n_words == ref.alignment.n_words:
-            match = u.spec.utt_id
-            break
-    if match is not None:
-        out3 = tmp_path / "tra.csv"
-        rc = cli_main(["transfer", "--ckpt", str(ckpt), "--ref", "utt_0000",
-                       "--target", match, "--out", str(out3)])
-        assert rc == 0 and out3.is_file()
+    [(ref, target)] = matched_pairs(corpus, list(range(len(corpus.utterances))), 1, seed=0)
+    argv = ["transfer", "--ckpt", str(ckpt), "--ref", corpus.utterances[ref].spec.utt_id,
+            "--target", corpus.utterances[target].spec.utt_id, "--out"]
+    out3, out4 = tmp_path / "tra.csv", tmp_path / "tra2.csv"
+    assert cli_main(argv + [str(out3)]) == 0
+    assert cli_main(argv + [str(out4)]) == 0
+    assert out3.read_bytes() == out4.read_bytes()
+
+
+def test_cli_query_reads_only_the_named_utterances(cli_workspace, tmp_path):
+    _, corpus_dir, ckpt = cli_workspace
+    expect = tmp_path / "expect.csv"
+    assert cli_main(["reconstruct", "--ckpt", str(ckpt), "--utt", "utt_0003",
+                     "--out", str(expect)]) == 0
+    damaged = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, damaged)
+    (damaged / "utt_0005" / "features.csv").unlink()
+    out = tmp_path / "rec.csv"
+    assert cli_main(["reconstruct", "--ckpt", str(ckpt), "--corpus", str(damaged),
+                     "--utt", "utt_0003", "--out", str(out)]) == 0
+    assert out.read_bytes() == expect.read_bytes()
+    # the damaged utterance itself, and a command that uses the whole corpus, still fail
+    assert cli_main(["reconstruct", "--ckpt", str(ckpt), "--corpus", str(damaged),
+                     "--utt", "utt_0005", "--out", str(tmp_path / "x.csv")]) == 1
+    assert cli_main(["mi", "--ckpt", str(ckpt), "--corpus", str(damaged),
+                     "--out", str(tmp_path / "mi.csv")]) == 1
 
 
 def test_cli_predict_codes(cli_workspace, tmp_path):
@@ -381,6 +396,18 @@ def test_cli_error_exit_codes(cli_workspace, tmp_path, capsys):
     rc = cli_main(["reconstruct", "--ckpt", str(ckpt), "--utt", "nope",
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 1
+    # an output that cannot be written is a message and exit 1, not a traceback
+    not_a_dir = tmp_path / "file.txt"
+    not_a_dir.write_text("")
+    unwritable = [
+        ["reconstruct", "--ckpt", str(ckpt), "--utt", "utt_0003",
+         "--out", str(tmp_path / "missing" / "x.csv")],
+        ["gen-data", "--config", str(root / "corpus.json"), "--out", str(not_a_dir / "corpus")],
+    ]
+    for argv in unwritable:
+        capsys.readouterr()
+        assert cli_main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
     # K=0 prediction is a config error -> exit 1
     ckpt0 = tmp_path / "ckpt0"
     assert cli_main(["train", "--corpus", str(corpus_dir), "--K", "0", "--seed", "1",

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ibvq.synthdata as sd
-from ibvq.errors import ConfigError, CorpusFormatError, ShapeError
+from ibvq.errors import ConfigError, CorpusFormatError, ShapeError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +206,36 @@ def test_malformed_manifest_reports_line(tmp_path):
     (root / "manifest.json").write_text('{\n "version": 1,\n oops\n}\n')
     with pytest.raises(CorpusFormatError, match="line 3"):
         sd.read_corpus(root)
+
+
+def test_read_named_utterances_equals_full_read(tmp_path, small_corpus):
+    sd.write_corpus(small_corpus, tmp_path / "corpus")
+    full = sd.read_corpus(tmp_path / "corpus")
+    part = sd.read_corpus(tmp_path / "corpus", ["utt_0007", "utt_0002", "utt_0007", "utt_0029"])
+    by_id = {u.spec.utt_id: u for u in full.utterances}
+    expect = [by_id[i] for i in ("utt_0007", "utt_0002", "utt_0029")]
+    assert part == dataclasses.replace(full, utterances=expect)
+    assert sd.read_corpus(tmp_path / "corpus", []).utterances == []
+
+
+@pytest.mark.parametrize("bad", ["utt_9999", "../x", "utt_0000/.."])
+def test_read_unlisted_utterance_opens_nothing_but_the_manifest(tmp_path, small_corpus,
+                                                                monkeypatch, bad):
+    root = tmp_path / "corpus"
+    sd.write_corpus(small_corpus, root)
+    # a well-formed utterance directory just outside the corpus, reachable as "../x"
+    shutil.copytree(root / "utt_0000", tmp_path / "x")
+    opened = []
+    real_open = Path.open
+
+    def spy_open(self, *args, **kwargs):
+        opened.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", spy_open)
+    with pytest.raises(ValidationError, match="not found in corpus"):
+        sd.read_corpus(root, ["utt_0001", bad])
+    assert opened == [root / "manifest.json"]
 
 
 # ---------------------------------------------------------------------------
