@@ -225,7 +225,9 @@ def run_transfer_experiment(
     """Objective proxies for cross-text transfer quality.
 
     Prosody similarity: correlation between the output's word-level pitch
-    readout and the reference words' true pitch means. Content clearness:
+    readout and the reference words' true pitch means; NaN where it is
+    undefined (a constant output pitch, or fewer than three voiced words),
+    so that the seed average skips it. Content clearness:
     nearest-template phone recovery accuracy against the target's phones.
     """
     pairs = matched_pairs(corpus, indices, n_pairs, seed)
@@ -255,7 +257,7 @@ def run_transfer_experiment(
     if len(pitch_out) >= 3 and np.std(pitch_out) > 1e-9:
         r = float(np.corrcoef(pitch_out, pitch_ref)[0, 1])
     else:
-        r = 0.0
+        r = math.nan
     return TransferResult(
         prosody_similarity_r=r,
         content_clearness=float(np.mean(clearness)),

@@ -4,13 +4,15 @@ The estimator trains a small statistics network to maximize the
 Donsker-Varadhan lower bound I >= E_joint[T] - ln E_marginal[exp T], with
 the standard exponential-moving-average correction for the biased gradient
 of the log-partition term. Discrete codes enter the network through learned
-embeddings so it sees a metric space rather than raw integers.
+embeddings so it sees a metric space rather than raw integers; the G
+embeddings of a code tuple come from one gather.
 
-Each training step evaluates the network once, on the joint rows of its
-batch stacked on the same rows with the codes shuffled (the marginal
-rows); the two halves are then read off the one result. The full-data
-bound is likewise one frozen pass over the data stacked with all of its
-derangements.
+The network's first layer is factorized over its two inputs, x @ w1x +
+emb(z) @ w1z + b1, so an x row paired with several code tuples is projected
+once. Each training step projects its batch's x rows once and evaluates
+the rest of the network on them paired with their own codes (the joint
+rows) and with shuffled codes (the marginal rows); the full-data bound
+projects the data once for the joint rows and all of its derangements.
 """
 
 from __future__ import annotations
@@ -97,7 +99,11 @@ def content_vector(phone_ids, embedding_table: np.ndarray) -> np.ndarray:
 
 
 class MineModel:
-    """Two-layer statistics network T(x, z) -> scalar."""
+    """Two-layer statistics network T(x, z) -> scalar.
+
+    The first layer's weight over the concatenated input [x, emb(z)] is held
+    as its two row blocks, w1x and w1z, drawn as one matrix.
+    """
 
     def __init__(self, x_dim: int, z_dim: int, n_symbols: int, cfg: MineConfig):
         cfg.validate()
@@ -106,39 +112,41 @@ class MineModel:
         self.store = nc.ParamStore()
         rng = np.random.default_rng(cfg.seed)
         z_repr = cfg.code_embed_dim * z_dim if self.discrete else z_dim
-        in_dim = x_dim + z_repr
         if self.discrete:
             self.store.add(
                 "embed", 0.1 * rng.standard_normal((n_symbols * z_dim, cfg.code_embed_dim))
             )
-        self.store.add("w1", nc.glorot_uniform(rng, in_dim, cfg.hidden))
+        w1 = nc.glorot_uniform(rng, x_dim + z_repr, cfg.hidden)
+        self.store.add("w1x", w1[:x_dim])
+        self.store.add("w1z", w1[x_dim:])
         self.store.add("b1", np.zeros((1, cfg.hidden)))
         self.store.add("w2", nc.glorot_uniform(rng, cfg.hidden, 1))
         self.store.add("b2", np.zeros((1, 1)))
         self.n_symbols = n_symbols
         self.z_dim = z_dim
 
-    def _z_repr(self, z: np.ndarray) -> nc.Tensor:
-        if not self.discrete:
-            return nc.constant(z)
-        parts = []
-        for g in range(self.z_dim):
-            parts.append(nc.gather_rows(self.store["embed"], g * self.n_symbols + z[:, g]))
-        return nc.concat_cols(parts) if len(parts) > 1 else parts[0]
+    def statistic(self, x: np.ndarray, z: np.ndarray) -> tuple[nc.Tensor, ...]:
+        """T at each x row paired with each of its k code tuples.
 
-    def statistic(self, x: np.ndarray, z: np.ndarray) -> nc.Tensor:
-        h = nc.concat_cols([nc.constant(x), self._z_repr(z)])
-        h = nc.relu(nc.affine(h, self.store["w1"], self.store["b1"]))
-        return nc.affine(h, self.store["w2"], self.store["b2"])
+        ``z`` holds the k tuples of every row side by side, shape (n, k *
+        z_dim). Returns k (n, 1) tensors, the j-th holding T(x[i], tuple j
+        of z[i]); the x rows are projected once for all k.
+        """
+        n, width = x.shape[0], self.z_dim
+        k = z.shape[1] // width
+        if k < 1 or z.shape != (n, k * width):
+            raise ShapeError(f"codes {z.shape} are not {n} rows of k tuples of {width}")
+        x_proj = nc.affine(nc.constant(x), self.store["w1x"])
+        return tuple(self._head(x_proj, z[:, j * width : (j + 1) * width]) for j in range(k))
 
-    def joint_and_marginal(
-        self, x: np.ndarray, z: np.ndarray, z_marg: np.ndarray
-    ) -> tuple[nc.Tensor, nc.Tensor]:
-        """T on the joint rows (x, z) and on the marginal rows (x, z_marg),
-        from one pass of the network over both stacked."""
-        n = x.shape[0]
-        t = self.statistic(np.vstack([x, x]), np.vstack([z, z_marg]))
-        return nc.gather_rows(t, np.arange(n)), nc.gather_rows(t, np.arange(n, 2 * n))
+    def _head(self, x_proj: nc.Tensor, z: np.ndarray) -> nc.Tensor:
+        """T from projected x rows and one code tuple per row."""
+        if self.discrete:
+            z_repr = nc.gather_rows(self.store["embed"], z + self.n_symbols * np.arange(self.z_dim))
+        else:
+            z_repr = nc.constant(z)
+        h = nc.add(x_proj, nc.affine(z_repr, self.store["w1z"], self.store["b1"]))
+        return nc.affine(nc.relu(h), self.store["w2"], self.store["b2"])
 
 
 def _prepare_inputs(xs, zs) -> tuple[np.ndarray, np.ndarray, int]:
@@ -182,9 +190,8 @@ def mine_estimate(xs, zs, cfg: MineConfig | None = None) -> float:
         shuffle_marginal(xs, zs, seed=cfg.seed + 1 + r)[1]
         for r in range(cfg.eval_derangements)
     ]
-    # the joint rows followed by the same rows under every derangement
-    x_eval = np.vstack([xs] * (1 + cfg.eval_derangements))
-    z_eval = np.vstack([zs] + z_eval_margs)
+    # each row's codes followed by its codes under every derangement
+    z_eval = np.hstack([zs] + z_eval_margs)
     ema = None
     smoothed = None
     batch = min(cfg.batch_size, n)
@@ -194,7 +201,7 @@ def mine_estimate(xs, zs, cfg: MineConfig | None = None) -> float:
         idx = rng.choice(n, size=batch, replace=False)
         x_b, z_b = xs[idx], zs[idx]
         z_m = z_b[rng.permutation(batch)]
-        t_joint, t_marg = model.joint_and_marginal(x_b, z_b, z_m)
+        t_joint, t_marg = model.statistic(x_b, np.hstack([z_b, z_m]))
         exp_marg = nc.exp(t_marg)
         batch_mean_exp = float(exp_marg.data.mean())
         ema = batch_mean_exp if ema is None else (
@@ -208,8 +215,8 @@ def mine_estimate(xs, zs, cfg: MineConfig | None = None) -> float:
         nonlocal smoothed
         if (step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1:
             with model.store.frozen():
-                t_eval = model.statistic(x_eval, z_eval).data[:, 0]
-            bound = dv_bound(t_eval[:n], t_eval[n:])
+                t_joint, *t_margs = model.statistic(xs, z_eval)
+            bound = dv_bound(t_joint.data, np.vstack([t.data for t in t_margs]))
             smoothed = bound if smoothed is None else (
                 cfg.eval_smoothing * smoothed + (1.0 - cfg.eval_smoothing) * bound
             )

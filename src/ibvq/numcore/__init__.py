@@ -5,6 +5,12 @@ models in this package are built from, an adaptive-moment optimizer and the
 one training loop (`fit`) that applies it, a finite-difference gradient
 checker, and a binary checkpoint format.
 
+Layers are few, large graph nodes: `affine` is one node with its own
+backward, and `gather_rows` takes a ``(rows, G)`` index matrix to read G
+table rows per output row in one node. A `ParamStore` keeps its parameters
+and their Adam moments as views into one flat buffer, so `adam_step` updates
+a whole store with a few vectorised numpy calls.
+
 The sequence layers (`attention`, `conv1d`, `mse`, `cross_entropy`,
 `positional`) take optional ``offsets`` marking where each sequence of a
 packed batch starts, so one graph over stacked sequences computes what a

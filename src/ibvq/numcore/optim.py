@@ -1,5 +1,11 @@
 """Named parameter storage, the adaptive-moment optimizer and the one
-training loop every model in the package is fitted with."""
+training loop every model in the package is fitted with.
+
+A store's parameter values, Adam moments and step counts live in flat
+arrays; each parameter tensor is a view of its slice. One Adam step is a few
+vectorised numpy calls per run of adjacent parameters the loss reached, and
+it computes exactly what the update written parameter by parameter does.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +21,8 @@ from ibvq.numcore.tensor import Array, Tensor, tensor
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_BETAS = np.array([[ADAM_BETA1], [ADAM_BETA2]])
+_ONE_MINUS_BETAS = 1.0 - _BETAS
 
 
 @dataclass(frozen=True)
@@ -47,22 +55,32 @@ def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Array:
 
 
 class ParamStore:
-    """Named parameter matrices plus per-parameter optimizer state."""
+    """Named parameter matrices plus per-parameter optimizer state.
+
+    The values of every parameter and its two adaptive moments live in one
+    flat ``(3, total)`` buffer per store, laid out in sorted name order, and
+    the step counts in one array: each parameter tensor holds a reshaped
+    view of its row-0 slice, so `adam_step` updates a whole store with a few
+    vectorised numpy calls. The layout is (re)built when it is first needed
+    after `add`. A parameter whose tensor or array was
+    rebound (``params[name] = t``) is taken back into its place, with its
+    values and its optimizer state, by the next step or load.
+    """
 
     def __init__(self):
         self.params: dict[str, Tensor] = {}
-        self._m: dict[str, Array] = {}
-        self._v: dict[str, Array] = {}
-        self._step: dict[str, int] = {}
+        self._flat = np.zeros((3, 0))
+        self._steps = np.zeros(0, dtype=np.int64)
+        self._sizes = np.zeros(0, dtype=np.int64)
+        self._slots: dict[str, tuple[int, int, int]] = {}  # name -> (index, start, stop)
+        self._views: dict[str, Array] = {}
+        self._runs: dict[tuple[str, ...], list[tuple[int, int, int, int]]] = {}
 
     def add(self, name: str, data) -> Tensor:
         if name in self.params:
             raise ConfigError(f"parameter {name!r} already registered")
         p = tensor(data, requires_grad=True)
         self.params[name] = p
-        self._m[name] = np.zeros_like(p.data)
-        self._v[name] = np.zeros_like(p.data)
-        self._step[name] = 0
         return p
 
     def __getitem__(self, name: str) -> Tensor:
@@ -75,7 +93,8 @@ class ParamStore:
         return list(self.params)
 
     def step_count(self, name: str) -> int:
-        return self._step[name]
+        self._layout()
+        return int(self._steps[self._slots[name][0]])
 
     def grads(self) -> dict[str, Array]:
         """The accumulated gradients of the parameters the last backward
@@ -108,51 +127,134 @@ class ParamStore:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load(self, arrays: dict[str, Array]) -> None:
-        """Replace every parameter's values; the names must match exactly."""
+        """Overwrite every parameter's values in place; the names and shapes
+        must match exactly, and nothing changes unless they all do."""
         unknown = sorted(set(arrays) - set(self.params))
         if unknown:
             raise ConfigError(f"unknown parameters in checkpoint: {unknown}")
         missing = sorted(set(self.params) - set(arrays))
         if missing:
             raise ConfigError(f"parameters missing from checkpoint: {missing}")
+        arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()}
         for name, arr in arrays.items():
+            shape = self.params[name].data.shape
+            if arr.shape != shape:
+                raise ShapeError(f"parameter {name!r} shape {arr.shape} != expected {shape}")
+        self._layout()
+        self._reclaim(sorted(arrays))
+        for name, arr in arrays.items():
+            self._views[name][...] = arr
+
+    def _layout(self) -> None:
+        """Move every parameter registered since the last layout into the
+        flat buffer, keeping the values and state of the others."""
+        if len(self._slots) == len(self.params):
+            return
+        self._reclaim(sorted(self._slots))
+        names = sorted(self.params)
+        sizes = np.array([self.params[n].data.size for n in names], dtype=np.int64)
+        stops = np.cumsum(sizes)
+        flat = np.zeros((3, int(stops[-1])))
+        steps = np.zeros(len(names), dtype=np.int64)
+        slots, views = {}, {}
+        for i, (name, stop) in enumerate(zip(names, stops.tolist())):
             p = self.params[name]
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise ShapeError(
-                    f"parameter {name!r} shape {arr.shape} != expected {p.data.shape}"
-                )
-            p.data = arr.copy()
+            start = stop - p.data.size
+            flat[0, start:stop] = p.data.ravel()
+            if name in self._slots:
+                j, a, b = self._slots[name]
+                flat[1:, start:stop] = self._flat[1:, a:b]
+                steps[i] = self._steps[j]
+            views[name] = p.data = flat[0, start:stop].reshape(p.data.shape)
+            slots[name] = (i, start, stop)
+        self._flat, self._steps, self._sizes = flat, steps, sizes
+        self._slots, self._views, self._runs = slots, views, {}
+
+    def _reclaim(self, names) -> None:
+        """Copy the values of every rebound parameter among ``names`` into
+        its place in the buffer and point its tensor back at that place."""
+        for name in names:
+            p = self.params[name]
+            view = self._views[name]
+            if p.data is not view:
+                if p.data.shape != view.shape:
+                    raise ShapeError(
+                        f"parameter {name!r} was rebound with shape {p.data.shape}, "
+                        f"registered as {view.shape}"
+                    )
+                view[...] = p.data
+                p.data = view
+
+    def _runs_of(self, names: tuple[str, ...]) -> list[tuple[int, int, int, int]]:
+        """The sorted ``names`` as maximal runs of adjacent parameters:
+        (first index, end index, first element, end element) per run."""
+        runs = self._runs.get(names)
+        if runs is None:
+            runs = []
+            for name in names:
+                i, a, b = self._slots[name]
+                if runs and runs[-1][1] == i:
+                    runs[-1] = (runs[-1][0], i + 1, runs[-1][2], b)
+                else:
+                    runs.append((i, i + 1, a, b))
+            self._runs[names] = runs
+        return runs
 
 
 def adam_step(store: ParamStore, grads: dict[str, Array], lr: float) -> ParamStore:
     """One adaptive-moment update with bias correction, in place.
 
-    Deterministic: parameters are visited in sorted name order. A non-finite
-    gradient raises NumericError naming the offending parameter.
+    Only the parameters named in ``grads`` move, and only their moments and
+    step counts change. Every name, shape and value is checked before
+    anything is written, so a failed step leaves the store as it was: an
+    unknown name raises ConfigError, a wrong shape ShapeError, and a
+    non-finite gradient NumericError naming the first such parameter in
+    sorted order.
     """
-    for name in sorted(grads):
-        if name not in store.params:
+    names = tuple(sorted(grads))
+    if not names:
+        return store
+    store._layout()
+    arrays = []
+    for name in names:
+        view = store._views.get(name)
+        if view is None:
             raise ConfigError(f"gradient for unknown parameter {name!r}")
-        p = store.params[name]
         g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} != parameter {name!r} shape {p.data.shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
-        t = store._step[name] + 1
-        store._step[name] = t
-        m = store._m[name]
-        v = store._v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if g.shape != view.shape:
+            raise ShapeError(f"gradient shape {g.shape} != parameter {name!r} shape {view.shape}")
+        arrays.append(g)
+    g_flat = np.concatenate(arrays, axis=None)
+    if not np.isfinite(g_flat).all():
+        bad = next(name for name, g in zip(names, arrays) if not np.isfinite(g).all())
+        raise NumericError(f"non-finite gradient for parameter {bad!r}")
+    store._reclaim(names)
+    pos = 0
+    for first, end, a, b in store._runs_of(names):
+        g = g_flat[pos : pos + b - a]
+        pos += b - a
+        steps = store._steps[first:end]
+        steps += 1
+        # rows m and v: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
+        moments = store._flat[1:, a:b]
+        moments *= _BETAS
+        new = _ONE_MINUS_BETAS * g
+        new[1] *= g
+        moments += new
+        # each parameter's bias corrections, as Python floats like a scalar
+        # update's, repeated over its entries
+        t = steps.tolist()
+        corrections = np.array(
+            [[1.0 - ADAM_BETA1**s for s in t], [1.0 - ADAM_BETA2**s for s in t]]
+        )
+        corrections = np.repeat(corrections, store._sizes[first:end], axis=1)
+        m_hat, v_hat = np.divide(moments, corrections, out=new)
+        # p -= lr m_hat / (sqrt(v_hat) + eps), in place
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += ADAM_EPS
+        m_hat *= lr
+        m_hat /= v_hat
+        store._flat[0, a:b] -= m_hat
     return store
 
 

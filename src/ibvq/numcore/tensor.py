@@ -252,6 +252,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _child(out_data, (a, b), backward)
 
 
+def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """y = x @ weight + bias, with the bias row broadcast over rows, as one
+    node; values and gradients equal those of `matmul` followed by `add`."""
+    if x.cols != weight.rows:
+        raise ShapeError(f"affine dimensions differ: x {x.shape} vs W {weight.shape}")
+    if bias is not None and bias.shape != (1, weight.cols):
+        raise ShapeError(f"bias must be 1x{weight.cols}, got {bias.shape}")
+    out_data = x.data @ weight.data
+    if bias is not None:
+        out_data += bias.data
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g @ weight.data.T)
+        if weight.requires_grad:
+            weight._accumulate(x.data.T @ g)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=0, keepdims=True))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _child(out_data, parents, backward)
+
+
 def transpose(a: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
@@ -261,12 +284,11 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    out_data = np.where(mask, a.data, 0.0)
+    out_data = np.maximum(a.data, 0.0)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * mask)
+            a._accumulate(g * (out_data > 0.0))
 
     return _child(out_data, (a,), backward)
 
@@ -354,23 +376,38 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    """Rows of ``table`` at ``indices``.
+
+    A 2-D ``(rows, G)`` index matrix gathers G table rows per output row and
+    lays them side by side: the output is ``(rows, G * cols)``, what
+    `concat_cols` of G one-column gathers gives, in one node. Any other
+    index shape is flattened to one index per output row.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 2:
+        idx = idx.reshape(-1, 1)
     if idx.size == 0:
         raise ValidationError("gather_rows needs at least one index")
     if idx.min() < 0 or idx.max() >= table.rows:
         raise ValidationError(
             f"gather index out of range [0, {table.rows}): {int(idx.min())}..{int(idx.max())}"
         )
-    out_data = table.data[idx].copy()
+    n, groups = idx.shape
+    out_data = table.data[idx].reshape(n, groups * table.cols)
 
     def backward(g):
         if table.requires_grad:
-            # one bincount over flat (row * cols + col) positions adds the
-            # rows of g in index order, exactly as np.add.at(acc, idx, g)
+            # one bincount over flat (group, row, col) positions adds each
+            # group's rows of g in index order, exactly as np.add.at(acc, idx,
+            # g) would; the groups are then added in order, as G gathers
+            # accumulate into one table
             rows, cols = table.data.shape
-            flat = (idx[:, None] * cols + np.arange(cols)).ravel()
-            acc = np.bincount(flat, weights=g.ravel(), minlength=rows * cols)
-            table._accumulate(acc.reshape(rows, cols))
+            bins = (np.arange(groups) * rows + idx)[:, :, None] * cols + np.arange(cols)
+            acc = np.bincount(bins.ravel(), weights=g.ravel(), minlength=groups * rows * cols)
+            acc = acc.reshape(groups, rows, cols)
+            for j in range(1, groups):
+                acc[0] += acc[j]
+            table._accumulate(acc[0])
 
     return _child(out_data, (table,), backward)
 
@@ -527,23 +564,6 @@ def cross_entropy(logits: Tensor, targets, offsets=None) -> Tensor:
             logits._accumulate(np.repeat(coef, lengths)[:, None] * probs)
 
     return _child(out_data, (logits,), backward)
-
-
-# ---------------------------------------------------------------------------
-# Composite layer operations
-# ---------------------------------------------------------------------------
-
-
-def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """y = x @ weight + bias, with the bias row broadcast over rows."""
-    if x.cols != weight.rows:
-        raise ShapeError(f"affine dimensions differ: x {x.shape} vs W {weight.shape}")
-    y = matmul(x, weight)
-    if bias is not None:
-        if bias.shape != (1, weight.cols):
-            raise ShapeError(f"bias must be 1x{weight.cols}, got {bias.shape}")
-        y = add(y, bias)
-    return y
 
 
 # ---------------------------------------------------------------------------

@@ -152,10 +152,7 @@ def apply_bottleneck(
     cb = Codebook(entries=codebook_param.data, groups=cfg.G)
     codes, q_values, _ = quantize_batch(x.data, cb)
     # codebook pulls toward frozen encoder outputs
-    gathered = nc.concat_cols(
-        [nc.gather_rows(codebook_param, codes[:, g]) for g in range(cfg.G)]
-    )
-    codebook_loss = nc.mse(gathered, x.data, offsets)
+    codebook_loss = nc.mse(nc.gather_rows(codebook_param, codes), x.data, offsets)
     # encoder commits to the frozen selected entries
     commitment_loss = nc.mul(nc.mse(x, q_values, offsets), commitment_cost)
     return BottleneckOutput(

@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import ibvq.harness.experiments as experiments
 import ibvq.numcore as nc
 from ibvq.decoder import (
     DecoderConfig,
@@ -28,6 +29,7 @@ from ibvq.harness.experiments import (
     phone_recovery_accuracy,
     read_sweep_csv,
     run_sweep,
+    run_transfer_experiment,
     word_pitch_readout,
 )
 from ibvq.harness.training import (
@@ -220,6 +222,20 @@ def test_training_keeps_the_codes_of_its_utterances(corpus, trained):
     assert len(trained.codes) == len(indices)
     for kept, fresh in zip(trained.codes, corpus_codes(corpus, trained.models, indices)):
         npt.assert_array_equal(kept, fresh)
+
+
+@pytest.mark.parametrize("readout", [120.0, math.nan])
+def test_transfer_r_undefined_is_nan(corpus, trained, monkeypatch, readout):
+    """A constant output pitch, or no voiced word at all, has no correlation
+    with the reference: r is NaN, not 0."""
+    monkeypatch.setattr(experiments, "word_pitch_readout",
+                        lambda features, edges: [readout] * (len(edges) - 1))
+    result = run_transfer_experiment(
+        trained.models, corpus, list(range(len(corpus.utterances))), n_pairs=4
+    )
+    assert result.n_pairs > 0
+    assert math.isnan(result.prosody_similarity_r)
+    assert 0.0 <= result.content_clearness <= 1.0
 
 
 def test_matched_pairs_props(corpus):

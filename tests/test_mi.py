@@ -166,8 +166,9 @@ def test_mine_grouped_codes_accepted():
 
 
 def test_stacked_objective_equals_two_passes():
-    """One pass over the stacked joint and marginal rows gives the two-pass
-    objective mean(exp T_marg) / ema - mean(T_joint), loss and gradients."""
+    """One pass over each row's joint and marginal codes side by side gives
+    the two-pass objective mean(exp T_marg) / ema - mean(T_joint), loss and
+    gradients."""
     rng = np.random.default_rng(8)
     x = rng.standard_normal((40, 3))
     z = rng.integers(0, 5, size=(40, 2))
@@ -181,9 +182,45 @@ def test_stacked_objective_equals_two_passes():
         loss.backward()
         return loss.item(), {n: g.copy() for n, g in model.store.grads().items()}
 
-    stacked, stacked_grads = objective(*model.joint_and_marginal(x, z, z_marg))
-    two, two_grads = objective(model.statistic(x, z), model.statistic(x, z_marg))
+    stacked, stacked_grads = objective(*model.statistic(x, np.hstack([z, z_marg])))
+    (t_joint,), (t_marg,) = model.statistic(x, z), model.statistic(x, z_marg)
+    two, two_grads = objective(t_joint, t_marg)
     npt.assert_allclose(stacked, two, rtol=1e-12)
     for name, grad in two_grads.items():
         scale = max(np.abs(grad).max(), 1e-300)
         assert np.abs(stacked_grads[name] - grad).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("discrete", [True, False])
+def test_factorized_statistic_equals_concatenated_input(discrete):
+    """x @ w1x + emb(z) @ w1z + b1 is the first layer over [x, emb(z)] with
+    the weight [w1x; w1z], for every tuple of a row."""
+    rng = np.random.default_rng(9)
+    n, k, groups, symbols = 30, 3, 2, 5
+    x = rng.standard_normal((n, 4))
+    if discrete:
+        z = rng.integers(0, symbols, size=(n, k * groups))
+    else:
+        z = rng.standard_normal((n, k * groups))
+    model = MineModel(4, groups, symbols if discrete else 0, MineConfig(hidden=16, seed=3))
+    p = {name: model.store[name].data for name in model.store.names()}
+    w1 = np.vstack([p["w1x"], p["w1z"]])
+    outs = model.statistic(x, z)
+    assert len(outs) == k
+    for j, out in enumerate(outs):
+        tuples = z[:, j * groups : (j + 1) * groups]
+        if discrete:
+            rows = p["embed"][tuples + symbols * np.arange(groups)]
+            z_repr = rows.reshape(n, -1)
+        else:
+            z_repr = tuples
+        h = np.maximum(np.hstack([x, z_repr]) @ w1 + p["b1"], 0.0)
+        npt.assert_allclose(out.data, h @ p["w2"] + p["b2"], rtol=1e-12, atol=1e-12)
+
+
+def test_statistic_rejects_codes_of_another_width():
+    model = MineModel(3, 2, 4, MineConfig(hidden=8))
+    with pytest.raises(ShapeError):
+        model.statistic(np.zeros((5, 3)), np.zeros((5, 3), dtype=np.int64))
+    with pytest.raises(ShapeError):
+        model.statistic(np.zeros((5, 3)), np.zeros((4, 2), dtype=np.int64))

@@ -47,6 +47,39 @@ def test_affine_shape_mismatch():
         nc.affine(x, w)
 
 
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_affine_one_node_equals_matmul_add(with_bias):
+    """The one-node affine gives the values and gradients of matmul + add,
+    bit for bit."""
+    rng = np.random.default_rng(21)
+    data = {"x": rand(rng, 9, 5), "w": rand(rng, 5, 4), "b": rand(rng, 1, 4)}
+    g = rand(rng, 9, 4, lo=-3.0, hi=3.0)
+
+    def run(fused):
+        t = {k: nc.tensor(v, requires_grad=True) for k, v in data.items()}
+        bias = t["b"] if with_bias else None
+        if fused:
+            y = nc.affine(t["x"], t["w"], bias)
+        else:
+            y = nc.matmul(t["x"], t["w"])
+            y = nc.add(y, bias) if with_bias else y
+        nc.sum_all(nc.mul(y, nc.constant(g))).backward()
+        return y, t
+
+    y1, t1 = run(True)
+    y2, t2 = run(False)
+    assert y1._parents == ((t1["x"], t1["w"], t1["b"]) if with_bias else (t1["x"], t1["w"]))
+    npt.assert_array_equal(y1.data, y2.data)
+    for name in ("x", "w", "b") if with_bias else ("x", "w"):
+        npt.assert_array_equal(t1[name].grad, t2[name].grad)
+
+
+def test_affine_bias_shape_mismatch():
+    with pytest.raises(ShapeError):
+        nc.affine(nc.tensor(np.zeros((3, 2))), nc.tensor(np.zeros((2, 4))),
+                  nc.tensor(np.zeros((1, 3))))
+
+
 # ---------------------------------------------------------------------------
 # attention
 # ---------------------------------------------------------------------------
@@ -174,6 +207,142 @@ def test_adam_deterministic():
         return store["w"].data
 
     npt.assert_array_equal(run(), run())
+
+
+class ReferenceAdam:
+    """Adam written parameter by parameter, the way the update is defined."""
+
+    def __init__(self, values):
+        self.values = {k: np.array(v, dtype=np.float64) for k, v in values.items()}
+        self.m = {k: np.zeros_like(v) for k, v in self.values.items()}
+        self.v = {k: np.zeros_like(v) for k, v in self.values.items()}
+        self.t = dict.fromkeys(self.values, 0)
+
+    def step(self, grads, lr):
+        for name in sorted(grads):
+            g = grads[name]
+            self.t[name] += 1
+            t = self.t[name]
+            self.m[name] = 0.9 * self.m[name] + (1.0 - 0.9) * g
+            self.v[name] = 0.999 * self.v[name] + (1.0 - 0.999) * g * g
+            m_hat = self.m[name] / (1.0 - 0.9**t)
+            v_hat = self.v[name] / (1.0 - 0.999**t)
+            self.values[name] = self.values[name] - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def reference_store(rng):
+    values = {"a": rand(rng, 3, 2), "b": rand(rng, 1, 4), "c.k": rand(rng, 4, 4),
+              "c.w": rand(rng, 2, 1), "d": rand(rng, 1, 1)}
+    store = nc.ParamStore()
+    for name, value in values.items():
+        store.add(name, value)
+    return store, ReferenceAdam(values)
+
+
+def assert_matches_reference(store, ref):
+    for name in store.names():
+        npt.assert_array_equal(store[name].data, ref.values[name], err_msg=name)
+        assert store.step_count(name) == ref.t[name], name
+
+
+def test_flat_adam_equals_per_parameter_reference():
+    """Over 20 steps whose gradients reach a varying subset of parameters,
+    the store moves exactly as the per-parameter update; a parameter no step
+    reached keeps its values and a step count of 0."""
+    rng = np.random.default_rng(30)
+    store, ref = reference_store(rng)
+    names = ["a", "b", "c.k", "c.w"]  # "d" is never reached
+    for step in range(20):
+        reached = [n for n in names if rng.random() < 0.6] or ["c.w"]
+        grads = {n: rand(rng, *store[n].shape, lo=-2.0, hi=2.0) for n in reached}
+        lr = 0.01 * (1 + step % 3)
+        nc.adam_step(store, grads, lr)
+        ref.step(grads, lr)
+        assert_matches_reference(store, ref)
+    assert store.step_count("d") == 0
+    # a parameter first reached late starts from zero moments
+    grads = {"d": np.array([[0.7]])}
+    nc.adam_step(store, grads, 0.1)
+    ref.step(grads, 0.1)
+    assert_matches_reference(store, ref)
+
+
+def test_adam_failed_step_leaves_store_unchanged():
+    """A non-finite gradient for one parameter updates no parameter: values,
+    moments and step counts stay as they were, and the error names the
+    first offending parameter in sorted order."""
+    rng = np.random.default_rng(31)
+    store, ref = reference_store(rng)
+    warm = {n: rand(rng, *store[n].shape) for n in ("a", "b", "c.k")}
+    nc.adam_step(store, warm, 0.05)
+    ref.step(warm, 0.05)
+    before = {n: a.tobytes() for n, a in store.export().items()}
+    bad = {n: rand(rng, *store[n].shape) for n in ("a", "b", "c.k", "c.w")}
+    bad["c.k"][1, 2] = np.nan
+    bad["c.w"][0, 0] = np.inf
+    with pytest.raises(NumericError, match="'c.k'"):
+        nc.adam_step(store, bad, 0.05)
+    assert {n: a.tobytes() for n, a in store.export().items()} == before
+    assert_matches_reference(store, ref)
+    # the moments are untouched too: the next good step matches the reference
+    good = {n: rand(rng, *store[n].shape) for n in ("a", "c.k")}
+    nc.adam_step(store, good, 0.05)
+    ref.step(good, 0.05)
+    assert_matches_reference(store, ref)
+
+
+def test_adam_unknown_or_misshapen_gradient_changes_nothing():
+    rng = np.random.default_rng(32)
+    store, ref = reference_store(rng)
+    with pytest.raises(ConfigError, match="'zz'"):
+        nc.adam_step(store, {"a": np.ones((3, 2)), "zz": np.ones((1, 1))}, 0.1)
+    with pytest.raises(ShapeError, match="'b'"):
+        nc.adam_step(store, {"a": np.ones((3, 2)), "b": np.ones((4, 1))}, 0.1)
+    assert_matches_reference(store, ref)
+
+
+def test_load_step_export_match_reference():
+    """`load` replaces values in place and keeps the optimizer state; the
+    next step and `export` then agree with the per-parameter update."""
+    rng = np.random.default_rng(33)
+    store, ref = reference_store(rng)
+    tensors = dict(store.params)
+    first = {"a": rand(rng, 3, 2)}
+    nc.adam_step(store, first, 0.1)
+    ref.step(first, 0.1)
+    loaded = {n: rand(rng, *store[n].shape) for n in store.names()}
+    store.load(loaded)
+    ref.values = {n: v.copy() for n, v in loaded.items()}
+    assert all(store[n] is tensors[n] for n in store.names())
+    assert_matches_reference(store, ref)
+    grads = {n: rand(rng, *store[n].shape) for n in ("a", "c.k", "d")}
+    nc.adam_step(store, grads, 0.02)
+    ref.step(grads, 0.02)
+    exported = store.export()
+    for name in store.names():
+        npt.assert_array_equal(exported[name], ref.values[name], err_msg=name)
+    # exported arrays are copies
+    exported["a"][:] = 99.0
+    npt.assert_array_equal(store["a"].data, ref.values["a"])
+
+
+def test_rebound_parameter_keeps_being_updated():
+    """A tensor put in place of a parameter through ``params[name] = t`` is
+    updated by later steps, from its own values and the name's moments."""
+    rng = np.random.default_rng(34)
+    store, ref = reference_store(rng)
+    g1 = {n: rand(rng, *store[n].shape) for n in ("a", "b")}
+    nc.adam_step(store, g1, 0.05)
+    ref.step(g1, 0.05)
+    fresh = rand(rng, 1, 4)
+    store.params["b"] = replacement = nc.tensor(fresh.copy(), requires_grad=True)
+    ref.values["b"] = fresh
+    for _ in range(3):
+        g = {n: rand(rng, *store[n].shape) for n in ("a", "b")}
+        nc.adam_step(store, g, 0.05)
+        ref.step(g, 0.05)
+        assert store["b"] is replacement
+        assert_matches_reference(store, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +566,40 @@ def test_gather_rows_backward_equals_add_at():
     npt.assert_array_equal(table.grad, expected)
 
 
+def test_grad_gather_rows_index_matrix():
+    idx = np.array([[0, 3], [2, 2], [1, 0]])
+    check(
+        lambda p: nc.sqnorm(nc.gather_rows(p["t"], idx)),
+        {"t": rand(RNG, 4, 2)},
+    )
+
+
+@pytest.mark.parametrize("groups", [2, 3])
+def test_gather_rows_index_matrix_equals_concat_of_gathers(groups):
+    """A (rows, G) index matrix gives what G one-column gathers joined by
+    concat_cols give, values and table gradient bit for bit, also when the
+    groups share table rows."""
+    rng = np.random.default_rng(13)
+    table = rand(rng, 6, 3)
+    idx = rng.integers(0, 6, size=(50, groups))
+    g = rand(rng, 50, 3 * groups, lo=-1e3, hi=1e3)
+
+    def run(one_node):
+        t = nc.tensor(table, requires_grad=True)
+        if one_node:
+            out = nc.gather_rows(t, idx)
+        else:
+            out = nc.concat_cols([nc.gather_rows(t, idx[:, j]) for j in range(groups)])
+        nc.sum_all(nc.mul(out, nc.constant(g))).backward()
+        return out.data, t.grad
+
+    one, one_grad = run(True)
+    many, many_grad = run(False)
+    assert one.shape == (50, 3 * groups)
+    npt.assert_array_equal(one, many)
+    npt.assert_array_equal(one_grad, many_grad)
+
+
 def test_grad_concat_cols():
     check(
         lambda p: nc.sqnorm(nc.concat_cols([p["a"], p["b"]])),
@@ -514,6 +717,17 @@ def test_packed_offsets_must_cover_rows():
         nc.conv1d(x, nc.tensor(np.zeros((6, 2))), width=3, offsets=[0, 2, 3])
     with pytest.raises(AlignmentError):
         nc.attention(x, x, x, offsets=[0, 2, 2, 4])
+
+
+def test_grad_affine():
+    check(
+        lambda p: nc.sqnorm(nc.affine(p["x"], p["w"], p["b"])),
+        {"x": rand(RNG, 4, 3), "w": rand(RNG, 3, 5), "b": rand(RNG, 1, 5)},
+    )
+    check(
+        lambda p: nc.sqnorm(nc.affine(p["x"], p["w"])),
+        {"x": rand(RNG, 4, 3), "w": rand(RNG, 3, 5)},
+    )
 
 
 def test_grad_affine_chain():

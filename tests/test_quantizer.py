@@ -190,6 +190,29 @@ def test_bottleneck_codebook_loss_finite_difference():
     assert nc.grad_check(loss, {"cb": entries}, eps=1e-5) < 1e-6
 
 
+@pytest.mark.parametrize("groups", [2, 3])
+def test_bottleneck_codebook_loss_equals_per_group_gathers(groups):
+    """The codebook loss reads every group's entries with one gather; its
+    value and codebook gradient equal those of one gather per group joined
+    by concat_cols, bit for bit."""
+    rng = np.random.default_rng(4)
+    offsets = [0, 30, 70]
+    x_data = rng.normal(size=(70, 2 * groups))
+    entries = rng.normal(size=(5, 2))
+    cfg = qz.CapacityConfig(K=5, G=groups)
+
+    cbp = nc.tensor(entries, requires_grad=True)
+    out = qz.apply_bottleneck(nc.constant(x_data), cbp, cfg, offsets=offsets)
+    out.codebook_loss.backward()
+
+    ref = nc.tensor(entries, requires_grad=True)
+    gathered = nc.concat_cols([nc.gather_rows(ref, out.codes[:, g]) for g in range(groups)])
+    ref_loss = nc.mse(gathered, x_data, offsets)
+    ref_loss.backward()
+    assert out.codebook_loss.item() == ref_loss.item()
+    npt.assert_array_equal(cbp.grad, ref.grad)
+
+
 def test_bottleneck_disabled():
     x = nc.tensor(np.ones((3, 4)), requires_grad=True)
     out = qz.apply_bottleneck(x, None, qz.CapacityConfig(K=0, G=2))
