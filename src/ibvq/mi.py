@@ -136,16 +136,17 @@ class MineModel:
         k = z.shape[1] // width
         if k < 1 or z.shape != (n, k * width):
             raise ShapeError(f"codes {z.shape} are not {n} rows of k tuples of {width}")
-        x_proj = nc.affine(nc.constant(x), self.store["w1x"])
+        x_proj = nc.affine(nc.constant(x), self.store["w1x"], self.store["b1"])
         return tuple(self._head(x_proj, z[:, j * width : (j + 1) * width]) for j in range(k))
 
     def _head(self, x_proj: nc.Tensor, z: np.ndarray) -> nc.Tensor:
-        """T from projected x rows and one code tuple per row."""
+        """T from the projected x rows (first-layer bias included) and one
+        code tuple per row."""
         if self.discrete:
             z_repr = nc.gather_rows(self.store["embed"], z + self.n_symbols * np.arange(self.z_dim))
         else:
             z_repr = nc.constant(z)
-        h = nc.add(x_proj, nc.affine(z_repr, self.store["w1z"], self.store["b1"]))
+        h = nc.add(x_proj, nc.affine(z_repr, self.store["w1z"]))
         return nc.affine(nc.relu(h), self.store["w2"], self.store["b2"])
 
 
