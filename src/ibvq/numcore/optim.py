@@ -62,9 +62,9 @@ class ParamStore:
     the step counts in one array: each parameter tensor holds a reshaped
     view of its row-0 slice, so `adam_step` updates a whole store with a few
     vectorised numpy calls. The layout is (re)built when it is first needed
-    after `add`. A parameter whose tensor or array was
-    rebound (``params[name] = t``) is taken back into its place, with its
-    values and its optimizer state, by the next step or load.
+    after `add`. A parameter whose tensor or array was rebound (``params[name]
+    = t``) is taken back into its place, with its values and its optimizer
+    state, by the next step or load.
     """
 
     def __init__(self):
