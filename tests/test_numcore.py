@@ -267,6 +267,24 @@ def test_flat_adam_equals_per_parameter_reference():
     assert_matches_reference(store, ref)
 
 
+def test_parameter_added_after_steps_keeps_the_others_state():
+    """Adding a parameter rebuilds the store's layout without losing the
+    values, moments or step counts of the parameters already trained."""
+    rng = np.random.default_rng(35)
+    store, ref = reference_store(rng)
+    for _ in range(3):
+        grads = {n: rand(rng, *store[n].shape) for n in ("a", "c.k")}
+        nc.adam_step(store, grads, 0.05)
+        ref.step(grads, 0.05)
+    late = rand(rng, 2, 3)
+    store.add("bb", late)
+    ref.values["bb"], ref.m["bb"], ref.v["bb"], ref.t["bb"] = late, 0 * late, 0 * late, 0
+    grads = {n: rand(rng, *store[n].shape) for n in ("a", "bb", "c.k")}
+    nc.adam_step(store, grads, 0.05)
+    ref.step(grads, 0.05)
+    assert_matches_reference(store, ref)
+
+
 def test_adam_failed_step_leaves_store_unchanged():
     """A non-finite gradient for one parameter updates no parameter: values,
     moments and step counts stay as they were, and the error names the
