@@ -203,14 +203,14 @@ def mine_estimate(xs, zs, cfg: MineConfig | None = None) -> float:
         x_b, z_b = xs[idx], zs[idx]
         z_m = z_b[rng.permutation(batch)]
         t_joint, t_marg = model.statistic(x_b, np.hstack([z_b, z_m]))
-        exp_marg = nc.exp(t_marg)
-        batch_mean_exp = float(exp_marg.data.mean())
+        mean_exp_marg = nc.mean_all(nc.exp(t_marg))
+        batch_mean_exp = mean_exp_marg.item()
         ema = batch_mean_exp if ema is None else (
             cfg.ema_decay * ema + (1.0 - cfg.ema_decay) * batch_mean_exp
         )
         # maximize mean(T_joint) - E[exp T_marg]/ema: same gradient direction
         # as the DV bound but with the debiased log-partition gradient
-        return nc.sub(nc.mul(nc.mean_all(exp_marg), 1.0 / ema), nc.mean_all(t_joint))
+        return nc.sub(nc.mul(mean_exp_marg, 1.0 / ema), nc.mean_all(t_joint))
 
     def evaluate_bound(step: int) -> None:
         nonlocal smoothed
