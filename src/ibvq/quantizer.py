@@ -243,8 +243,3 @@ def save_codes(path: str | Path, codes: np.ndarray) -> None:
     if codes.ndim != 2:
         raise ShapeError(f"codes must be (n, G), got {codes.shape}")
     np.savetxt(path, codes, fmt="%d", delimiter=",")
-
-
-def load_codes(path: str | Path) -> np.ndarray:
-    arr = np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2)
-    return arr

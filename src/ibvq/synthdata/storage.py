@@ -1,19 +1,30 @@
-"""Corpus directory layout: manifest.json plus one directory per utterance
-holding features.csv (one frame per row), alignment.json, and spec.json.
+"""Corpus directory layout (manifest version 2)::
 
-Floats are written with enough digits to round-trip float64 exactly, so
-write followed by read reproduces the in-memory corpus bit for bit.
+    manifest.json            config, inventory, lexicon, utterance ids
+    <utt_id>/features.npy    (frames, channels) little-endian float64, C order
+    <utt_id>/alignment.json  phone, syllable and word frame edges
+    <utt_id>/spec.json       words, syllables, durations and prosody factors
+
+Features are stored as ``.npy`` binaries, so write followed by read
+reproduces the in-memory corpus bit for bit with no decimal formatting or
+parsing. A manifest of any other version is refused: a corpus written by an
+earlier release must be regenerated with ``ibvq gen-data``.
+
+``write_corpus`` writes the manifest last, through a temporary file renamed
+into place, so a directory whose writing was interrupted has no manifest and
+cannot be read as a corpus.
 
 ``read_corpus`` reads either every utterance the manifest lists or only the
 utterances named by id. The manifest is validated in full either way, and
 every utterance read passes the same checks, so a query about one utterance
-parses one ``features.csv`` instead of the whole corpus.
+opens one ``features.npy`` instead of the whole corpus.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -33,7 +44,8 @@ from ibvq.synthdata.types import (
 )
 
 MANIFEST_NAME = "manifest.json"
-_FLOAT_FMT = "%.17g"
+MANIFEST_VERSION = 2
+FEATURES_NAME = "features.npy"
 
 
 def _dump_json(path: Path, obj) -> None:
@@ -86,7 +98,7 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "version": 1,
+        "version": MANIFEST_VERSION,
         "config": dataclasses.asdict(corpus.config),
         "inventory": {
             "voiced": corpus.inventory.voiced.astype(int).tolist(),
@@ -105,11 +117,13 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
         ],
         "utterances": [u.spec.utt_id for u in corpus.utterances],
     }
-    _dump_json(root / MANIFEST_NAME, manifest)
+    manifest_path = root / MANIFEST_NAME
+    manifest_path.unlink(missing_ok=True)
     for utt in corpus.utterances:
         utt_dir = root / utt.spec.utt_id
         utt_dir.mkdir(exist_ok=True)
-        np.savetxt(utt_dir / "features.csv", utt.features, fmt=_FLOAT_FMT, delimiter=",")
+        features = np.ascontiguousarray(utt.features, dtype="<f8")
+        np.save(utt_dir / FEATURES_NAME, features, allow_pickle=False)
         _dump_json(
             utt_dir / "alignment.json",
             {
@@ -119,29 +133,38 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
             },
         )
         _dump_json(utt_dir / "spec.json", _spec_to_json(utt.spec))
+    tmp = root / f"{MANIFEST_NAME}.tmp"
+    try:
+        _dump_json(tmp, manifest)
+        os.replace(tmp, manifest_path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def _read_features(path: Path, channels: int, utt_id: str) -> np.ndarray:
-    if not path.is_file():
-        raise CorpusFormatError(f"missing feature file for utterance {utt_id}: {path}")
-    rows = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != channels:
-                raise CorpusFormatError(
-                    f"{path} line {lineno}: row has {len(parts)} columns, expected {channels}"
-                )
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError as e:
-                raise CorpusFormatError(f"{path} line {lineno}: {e}") from e
-    if not rows:
-        raise CorpusFormatError(f"{path}: empty feature file for utterance {utt_id}")
-    return np.asarray(rows, dtype=np.float64)
+def _read_features(path: Path, channels: int, frames: int, utt_id: str) -> np.ndarray:
+    where = f"feature file for utterance {utt_id}: {path}"
+    try:
+        with path.open("rb") as fh:
+            features = np.lib.format.read_array(fh, allow_pickle=False)
+    except OSError as e:
+        raise CorpusFormatError(f"missing {where} ({e})") from e
+    except (ValueError, EOFError, MemoryError) as e:
+        # MemoryError: a header that claims more rows than the file holds
+        # fails its allocation before the short read is noticed
+        raise CorpusFormatError(f"unreadable {where} ({e})") from e
+    if features.dtype != np.float64:
+        raise CorpusFormatError(f"{where} has dtype {features.dtype}, expected float64")
+    if features.ndim != 2 or features.shape[1] != channels:
+        raise CorpusFormatError(f"{where} has shape {features.shape}, expected (frames, {channels})")
+    if features.shape[0] == 0:
+        raise CorpusFormatError(f"empty {where}")
+    if features.shape[0] != frames:
+        raise CorpusFormatError(
+            f"{where} has {features.shape[0]} rows but the alignment covers {frames} frames"
+        )
+    if not np.isfinite(features).all():
+        raise CorpusFormatError(f"non-finite value in {where}")
+    return features
 
 
 def read_corpus(path: str | Path, utt_ids: Sequence[str] | None = None) -> Corpus:
@@ -152,11 +175,17 @@ def read_corpus(path: str | Path, utt_ids: Sequence[str] | None = None) -> Corpu
     order given and each once; an id the manifest does not list raises
     ValidationError before any of its files is opened, so an id never names
     a path outside the corpus's own entries. Each utterance read is checked
-    the same way: its spec, its alignment, and the column and row counts of
-    its features.
+    the same way: its spec, its alignment, and its features' dtype, shape,
+    finiteness and row count.
     """
     root = Path(path)
     manifest = _load_json(root / MANIFEST_NAME, "manifest")
+    version = manifest.get("version") if isinstance(manifest, dict) else None
+    if version != MANIFEST_VERSION:
+        raise CorpusFormatError(
+            f"manifest {root / MANIFEST_NAME} has version {version!r}, expected "
+            f"{MANIFEST_VERSION}; regenerate the corpus with `ibvq gen-data`"
+        )
     try:
         config = CorpusConfig(**manifest["config"])
         inv = manifest["inventory"]
@@ -199,11 +228,8 @@ def read_corpus(path: str | Path, utt_ids: Sequence[str] | None = None) -> Corpu
         except (KeyError, TypeError, ValueError) as e:
             raise CorpusFormatError(f"bad alignment in {utt_dir}: {e}") from e
         alignment.validate()
-        features = _read_features(utt_dir / "features.csv", config.channels, utt_id)
-        if features.shape[0] != alignment.total_frames:
-            raise CorpusFormatError(
-                f"{utt_id}: {features.shape[0]} feature rows but alignment covers "
-                f"{alignment.total_frames} frames"
-            )
+        features = _read_features(
+            utt_dir / FEATURES_NAME, config.channels, alignment.total_frames, utt_id
+        )
         utterances.append(Utterance(spec=spec, features=features, alignment=alignment))
     return Corpus(config=config, inventory=inventory, lexicon=lexicon, utterances=utterances)

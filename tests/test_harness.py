@@ -346,8 +346,8 @@ def test_cli_gen_data_deterministic(cli_workspace, tmp_path):
     root, corpus_dir, _ = cli_workspace
     again = tmp_path / "corpus2"
     assert cli_main(["gen-data", "--config", str(root / "corpus.json"), "--out", str(again)]) == 0
-    a = (corpus_dir / "utt_0000" / "features.csv").read_bytes()
-    b = (again / "utt_0000" / "features.csv").read_bytes()
+    a = (corpus_dir / "utt_0000" / "features.npy").read_bytes()
+    b = (again / "utt_0000" / "features.npy").read_bytes()
     assert a == b
 
 
@@ -381,7 +381,7 @@ def test_cli_query_reads_only_the_named_utterances(cli_workspace, tmp_path):
                      "--out", str(expect)]) == 0
     damaged = tmp_path / "corpus"
     shutil.copytree(corpus_dir, damaged)
-    (damaged / "utt_0005" / "features.csv").unlink()
+    (damaged / "utt_0005" / "features.npy").unlink()
     out = tmp_path / "rec.csv"
     assert cli_main(["reconstruct", "--ckpt", str(ckpt), "--corpus", str(damaged),
                      "--utt", "utt_0003", "--out", str(out)]) == 0
@@ -391,6 +391,25 @@ def test_cli_query_reads_only_the_named_utterances(cli_workspace, tmp_path):
                      "--utt", "utt_0005", "--out", str(tmp_path / "x.csv")]) == 1
     assert cli_main(["mi", "--ckpt", str(ckpt), "--corpus", str(damaged),
                      "--out", str(tmp_path / "mi.csv")]) == 1
+
+
+def test_cli_refuses_a_version_1_corpus(cli_workspace, tmp_path, capsys):
+    _, corpus_dir, _ = cli_workspace
+    old = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, old)
+    # the layout written before manifest version 2: text feature files
+    manifest = json.loads((old / "manifest.json").read_text())
+    manifest["version"] = 1
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    for npy in old.glob("*/features.npy"):
+        np.savetxt(npy.with_suffix(".csv"), np.load(npy), fmt="%.17g", delimiter=",")
+        npy.unlink()
+    capsys.readouterr()
+    assert cli_main(["train", "--corpus", str(old), "--K", "4", "--seed", "1",
+                     "--steps", "1", "--out", str(tmp_path / "ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "version 1" in err and "ibvq gen-data" in err
 
 
 def test_cli_predict_codes(cli_workspace, tmp_path):

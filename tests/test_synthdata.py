@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import shutil
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import ibvq.synthdata as sd
 from ibvq.errors import ConfigError, CorpusFormatError, ShapeError, ValidationError
+from ibvq.synthdata import storage
 
 
 @pytest.fixture(scope="module")
@@ -176,28 +178,114 @@ def test_corpus_round_trip(tmp_path, small_corpus):
     assert loaded == small_corpus
 
 
+def test_corpus_round_trip_is_bit_exact(tmp_path, small_corpus):
+    first = small_corpus.utterances[0]
+    features = first.features.copy()
+    big = np.finfo(np.float64).max
+    features[0, :4] = [-0.0, np.finfo(np.float64).smallest_subnormal, big, -big]
+    corpus = dataclasses.replace(
+        small_corpus,
+        utterances=[dataclasses.replace(first, features=features), *small_corpus.utterances[1:]],
+    )
+    sd.write_corpus(corpus, tmp_path / "corpus")
+    loaded = sd.read_corpus(tmp_path / "corpus")
+    assert len(loaded.utterances) == len(corpus.utterances)
+    for got, want in zip(loaded.utterances, corpus.utterances):
+        assert got.features.dtype == np.float64
+        assert got.features.tobytes() == want.features.tobytes()
+
+
 def test_corpus_write_deterministic_bytes(tmp_path, small_corpus):
     sd.write_corpus(small_corpus, tmp_path / "c1")
     sd.write_corpus(small_corpus, tmp_path / "c2")
-    for rel in ("manifest.json", "utt_0000/features.csv", "utt_0000/spec.json"):
+    for rel in ("manifest.json", "utt_0000/features.npy", "utt_0000/spec.json"):
         assert (tmp_path / "c1" / rel).read_bytes() == (tmp_path / "c2" / rel).read_bytes()
 
 
 def test_missing_feature_file_names_utterance(tmp_path, small_corpus):
     sd.write_corpus(small_corpus, tmp_path / "corpus")
-    (tmp_path / "corpus" / "utt_0003" / "features.csv").unlink()
+    (tmp_path / "corpus" / "utt_0003" / "features.npy").unlink()
     with pytest.raises(CorpusFormatError, match="utt_0003"):
         sd.read_corpus(tmp_path / "corpus")
 
 
-def test_bad_csv_width_reports_line(tmp_path, small_corpus):
-    sd.write_corpus(small_corpus, tmp_path / "corpus")
-    f = tmp_path / "corpus" / "utt_0001" / "features.csv"
-    lines = f.read_text().splitlines()
-    lines[4] = "1.0,2.0"
-    f.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorpusFormatError, match="line 5"):
-        sd.read_corpus(tmp_path / "corpus")
+def _npy(arr: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, arr, allow_pickle=True)
+    return buf.getvalue()
+
+
+def _npz(arr: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, features=arr)
+    return buf.getvalue()
+
+
+def _with_value(arr: np.ndarray, value: float) -> bytes:
+    arr = arr.copy()
+    arr[2, 3] = value
+    return _npy(arr)
+
+
+def _claims_rows(arr: np.ndarray, rows: int) -> bytes:
+    buf = io.BytesIO()
+    header = {"descr": "<f8", "fortran_order": False, "shape": (rows, arr.shape[1])}
+    np.lib.format.write_array_header_1_0(buf, header)
+    return buf.getvalue() + arr.tobytes()
+
+
+BAD_FEATURE_FILES = {
+    "empty": lambda f: b"",
+    "truncated": lambda f: _npy(f)[:-8],
+    "header claims 2**40 rows": lambda f: _claims_rows(f, 2**40),
+    "garbage": lambda f: b"0.5,0.25,1.0\n" * 8,
+    "pickled object array": lambda f: _npy(f.astype(object)),
+    "npz archive": _npz,
+    "float32": lambda f: _npy(f.astype(np.float32)),
+    "int64": lambda f: _npy(f.astype(np.int64)),
+    "1-D": lambda f: _npy(f.ravel()),
+    "3-D": lambda f: _npy(f[None]),
+    "wrong width": lambda f: _npy(f[:, 1:]),
+    "zero rows": lambda f: _npy(f[:0]),
+    "one row short": lambda f: _npy(f[:-1]),
+    "nan": lambda f: _with_value(f, np.nan),
+    "inf": lambda f: _with_value(f, np.inf),
+}
+
+
+@pytest.mark.parametrize("make_bad", BAD_FEATURE_FILES.values(), ids=BAD_FEATURE_FILES.keys())
+def test_bad_feature_file_names_utterance(tmp_path, small_corpus, make_bad):
+    root = tmp_path / "corpus"
+    sd.write_corpus(small_corpus, root)
+    (root / "utt_0001" / "features.npy").write_bytes(make_bad(small_corpus.utterances[1].features))
+    with pytest.raises(CorpusFormatError, match=r"utterance utt_0001: .*features\.npy"):
+        sd.read_corpus(root)
+
+
+@pytest.mark.parametrize("fail_at", ["utterance", "rename"])
+def test_interrupted_write_leaves_no_manifest(tmp_path, small_corpus, monkeypatch, fail_at):
+    root = tmp_path / "corpus"
+    sd.write_corpus(small_corpus, root)  # a stale manifest the rewrite must remove first
+    real_dump = storage._dump_json
+    dumped = []
+
+    def dump_then_fail(path, obj):
+        if fail_at == "utterance" and len(dumped) == 6:  # after three utterances
+            raise OSError("disk full")
+        dumped.append(path)
+        real_dump(path, obj)
+
+    def fail_rename(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(storage, "_dump_json", dump_then_fail)
+    if fail_at == "rename":
+        monkeypatch.setattr(storage.os, "replace", fail_rename)
+    with pytest.raises(OSError, match="disk full"):
+        sd.write_corpus(small_corpus, root)
+    assert not [p.name for p in root.iterdir() if p.name.startswith("manifest")]
+    with pytest.raises(CorpusFormatError, match="missing manifest"):
+        sd.read_corpus(root)
 
 
 def test_malformed_manifest_reports_line(tmp_path):
