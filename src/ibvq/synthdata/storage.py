@@ -156,8 +156,6 @@ def _read_features(path: Path, channels: int, frames: int, utt_id: str) -> np.nd
         raise CorpusFormatError(f"{where} has dtype {features.dtype}, expected float64")
     if features.ndim != 2 or features.shape[1] != channels:
         raise CorpusFormatError(f"{where} has shape {features.shape}, expected (frames, {channels})")
-    if features.shape[0] == 0:
-        raise CorpusFormatError(f"empty {where}")
     if features.shape[0] != frames:
         raise CorpusFormatError(
             f"{where} has {features.shape[0]} rows but the alignment covers {frames} frames"

@@ -270,7 +270,7 @@ def test_interrupted_write_leaves_no_manifest(tmp_path, small_corpus, monkeypatc
     dumped = []
 
     def dump_then_fail(path, obj):
-        if fail_at == "utterance" and len(dumped) == 6:  # after three utterances
+        if len(dumped) == 6:  # after three utterances' alignment and spec files
             raise OSError("disk full")
         dumped.append(path)
         real_dump(path, obj)
@@ -278,8 +278,9 @@ def test_interrupted_write_leaves_no_manifest(tmp_path, small_corpus, monkeypatc
     def fail_rename(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(storage, "_dump_json", dump_then_fail)
-    if fail_at == "rename":
+    if fail_at == "utterance":
+        monkeypatch.setattr(storage, "_dump_json", dump_then_fail)
+    else:
         monkeypatch.setattr(storage.os, "replace", fail_rename)
     with pytest.raises(OSError, match="disk full"):
         sd.write_corpus(small_corpus, root)
