@@ -237,17 +237,17 @@ def _claims_rows(arr: np.ndarray, rows: int) -> bytes:
 BAD_FEATURE_FILES = {
     "empty": lambda f: b"",
     "truncated": lambda f: _npy(f)[:-8],
-    "header claims 2**40 rows": lambda f: _claims_rows(f, 2**40),
+    "header_claims_2pow40_rows": lambda f: _claims_rows(f, 2**40),
     "garbage": lambda f: b"0.5,0.25,1.0\n" * 8,
-    "pickled object array": lambda f: _npy(f.astype(object)),
-    "npz archive": _npz,
+    "pickled_object_array": lambda f: _npy(f.astype(object)),
+    "npz_archive": _npz,
     "float32": lambda f: _npy(f.astype(np.float32)),
     "int64": lambda f: _npy(f.astype(np.int64)),
-    "1-D": lambda f: _npy(f.ravel()),
-    "3-D": lambda f: _npy(f[None]),
-    "wrong width": lambda f: _npy(f[:, 1:]),
-    "zero rows": lambda f: _npy(f[:0]),
-    "one row short": lambda f: _npy(f[:-1]),
+    "1d": lambda f: _npy(f.ravel()),
+    "3d": lambda f: _npy(f[None]),
+    "wrong_width": lambda f: _npy(f[:, 1:]),
+    "zero_rows": lambda f: _npy(f[:0]),
+    "one_row_short": lambda f: _npy(f[:-1]),
     "nan": lambda f: _with_value(f, np.nan),
     "inf": lambda f: _with_value(f, np.inf),
 }
