@@ -25,7 +25,6 @@ from ibvq.mi import MineConfig, content_vector, mine_estimate
 from ibvq.predictor import PredictorConfig, evaluate_predictor, predict_codes, train_predictor
 from ibvq.quantizer import CapacityConfig, capacity
 from ibvq.synthdata import (
-    ENERGY_CHANNEL,
     TEMPLATE_START,
     Corpus,
     CorpusConfig,
@@ -124,14 +123,15 @@ def word_pitch_readout(features: np.ndarray, word_edges: np.ndarray) -> list[flo
 def phone_recovery_accuracy(
     output: np.ndarray, phone_ids, durations, templates: np.ndarray
 ) -> float:
-    """Fraction of frames whose template channels, energy-normalized, sit
-    nearest the template of the phone actually spoken there."""
+    """Fraction of frames whose template channels are most cosine-similar to
+    the template of the phone actually spoken there. Cosine ignores the
+    frame's scale, so the score does not depend on energy (prosody)."""
     durations = np.asarray(durations, dtype=np.int64)
     frame_phones = np.repeat(np.asarray(phone_ids, dtype=np.int64), durations)
-    energy = np.maximum(output[:, ENERGY_CHANNEL], 0.1)
-    observed = output[:, TEMPLATE_START:] / energy[:, None]
-    dists = ((observed[:, None, :] - templates[None, :, :]) ** 2).sum(axis=2)
-    return float(np.mean(dists.argmin(axis=1) == frame_phones))
+    # dividing by the frame's own norm would not change the argmax
+    unit_templates = templates / np.linalg.norm(templates, axis=1, keepdims=True)
+    scores = output[:, TEMPLATE_START:] @ unit_templates.T
+    return float(np.mean(scores.argmax(axis=1) == frame_phones))
 
 
 def reconstruction_eval(corpus: Corpus, models: AutoencoderModels, indices: list[int]) -> dict:

@@ -8,9 +8,9 @@ tracked, so the metrics are exact functions of the compared features.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from ibvq.errors import ShapeError
 from ibvq.synthdata.types import F0_CHANNEL, TEMPLATE_START, VOICING_CHANNEL
@@ -92,12 +92,24 @@ def ffe(ref: PitchTrack, hyp: PitchTrack, threshold: float = GPE_THRESHOLD) -> f
     return 100.0 * (_voicing_errors(ref, hyp) + errors) / t
 
 
+@lru_cache(maxsize=None)
+def dct_basis(n: int) -> np.ndarray:
+    """(n, n) orthonormal DCT-II basis, one coefficient per column:
+    entry (i, k) is sqrt(2/n) cos(pi (2i + 1) k / 2n), column 0 scaled to
+    1/sqrt(n). Read-only, since it is built once per width and shared."""
+    i = np.arange(n, dtype=np.float64)[:, None]
+    k = np.arange(n, dtype=np.float64)[None, :]
+    basis = np.sqrt(2.0 / n) * np.cos(np.pi * (2.0 * i + 1.0) * k / (2.0 * n))
+    basis[:, 0] = 1.0 / np.sqrt(n)
+    basis.flags.writeable = False
+    return basis
+
+
 def cepstra(features: np.ndarray) -> np.ndarray:
     """Orthonormal DCT of the template channels, per frame, coefficient 0
     dropped (it only carries the channel mean)."""
     tpl = np.asarray(features, dtype=np.float64)[:, TEMPLATE_START:]
-    coeffs = scipy.fft.dct(tpl, type=2, norm="ortho", axis=1)
-    return coeffs[:, 1:]
+    return (tpl @ dct_basis(tpl.shape[1]))[:, 1:]
 
 
 def mcd(ref_features: np.ndarray, hyp_features: np.ndarray) -> float:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 import ibvq.numcore as nc
 from ibvq.errors import (
@@ -54,12 +53,15 @@ class MineConfig:
 
 
 def dv_bound(t_joint, t_marginal) -> float:
-    """mean(T_joint) - ln(mean(exp(T_marginal))), log-sum-exp stabilized."""
+    """mean(T_joint) - ln(mean(exp(T_marginal))), with the largest marginal
+    statistic shifted out of the sum so that exp cannot overflow."""
     tj = np.asarray(t_joint, dtype=np.float64).reshape(-1)
     tm = np.asarray(t_marginal, dtype=np.float64).reshape(-1)
     if tj.size == 0 or tm.size == 0:
         raise ValidationError("dv_bound needs non-empty statistic sequences")
-    return float(tj.mean() - (logsumexp(tm) - np.log(tm.size)))
+    shift = tm.max()
+    log_sum_exp = np.log(np.sum(np.exp(tm - shift))) + shift
+    return float(tj.mean() - (log_sum_exp - np.log(tm.size)))
 
 
 def shuffle_marginal(xs, zs, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -31,6 +31,7 @@ from ibvq.synthdata.types import (
     Utterance,
     UtteranceSpec,
     WordToken,
+    edges_from_lengths,
     round_half_up,
 )
 
@@ -116,16 +117,16 @@ def _sample_word(
             d = round_half_up(
                 float(inventory.base_durations[p] + rng.normal(0.0, cfg.duration_jitter))
             )
-            durations.append(int(np.clip(d, 2, 8)))
+            durations.append(min(max(d, 2), 8))
     if rng.random() < cfg.tempo_flip_prob:
         others = [t for t in TEMPO_CHOICES if t != entry.preferred_tempo]
         tempo = float(rng.choice(others))
     else:
         tempo = entry.preferred_tempo
     prosody = ProsodyFactor(
-        pitch_mean=float(np.clip(rng.normal(entry.base_pitch, cfg.pitch_jitter), 80.0, 400.0)),
-        pitch_slope=float(np.clip(rng.normal(entry.base_slope, cfg.slope_jitter), -3.0, 3.0)),
-        energy=float(np.clip(rng.normal(entry.base_energy, cfg.energy_jitter), 0.5, 1.5)),
+        pitch_mean=min(max(rng.normal(entry.base_pitch, cfg.pitch_jitter), 80.0), 400.0),
+        pitch_slope=min(max(rng.normal(entry.base_slope, cfg.slope_jitter), -3.0), 3.0),
+        energy=min(max(rng.normal(entry.base_energy, cfg.energy_jitter), 0.5), 1.5),
         tempo=tempo,
     )
     return WordToken(
@@ -180,47 +181,39 @@ def render_features(
     """
     spec.validate(inventory.size)
     channels = TEMPLATE_START + inventory.template_channels
-    realized = spec.realized_durations()
-    total = sum(realized)
+    realized = np.asarray(spec.realized_durations(), dtype=np.int64)
+    total = int(realized.sum())
+    phone_edges = edges_from_lengths(realized)
+    syl_sizes = [len(s) for w in spec.words for s in w.syllables]
+    syl_edges = phone_edges[edges_from_lengths(syl_sizes)]
+    word_edges = syl_edges[edges_from_lengths([len(w.syllables) for w in spec.words])]
+    frame_phone = np.repeat(np.asarray(spec.phone_ids, dtype=np.int64), realized)
+    frame_word = np.repeat(np.arange(len(spec.words)), np.diff(word_edges))
+    prosody = np.array(
+        [(w.prosody.pitch_mean, w.prosody.pitch_slope, w.prosody.energy) for w in spec.words]
+    )
+    pitch_mean, pitch_slope, energy = prosody[frame_word].T
+
     feats = np.zeros((total, channels))
-    phone_edges, syl_edges, word_edges = [0], [0], [0]
-    t = 0
-    cursor = 0
-    clipped = False
-    for w in spec.words:
-        word_start = t
-        for syl in w.syllables:
-            for p in syl:
-                d = realized[cursor]
-                cursor += 1
-                rows = slice(t, t + d)
-                if inventory.voiced[p]:
-                    offsets = np.arange(t, t + d) - word_start
-                    f0 = w.prosody.pitch_mean + w.prosody.pitch_slope * offsets
-                    if f0.min() < F0_FLOOR_HZ or f0.max() > F0_CEIL_HZ:
-                        clipped = True
-                        f0 = np.clip(f0, F0_FLOOR_HZ, F0_CEIL_HZ)
-                    feats[rows, F0_CHANNEL] = f0_to_norm(f0)
-                    feats[rows, VOICING_CHANNEL] = 1.0
-                feats[rows, ENERGY_CHANNEL] = w.prosody.energy
-                feats[rows, TEMPLATE_START:] = inventory.templates[p] * w.prosody.energy
-                t += d
-                phone_edges.append(t)
-            syl_edges.append(t)
-        word_edges.append(t)
-    if clipped:
+    voiced = inventory.voiced[frame_phone]
+    offsets = (np.arange(total) - word_edges[frame_word])[voiced]
+    f0 = pitch_mean[voiced] + pitch_slope[voiced] * offsets
+    if f0.size and (f0.min() < F0_FLOOR_HZ or f0.max() > F0_CEIL_HZ):
         warnings.warn(
             f"{spec.utt_id}: pitch contour clamped to [{F0_FLOOR_HZ:.0f}, {F0_CEIL_HZ:.0f}] Hz",
             PitchRangeWarning,
             stacklevel=2,
         )
+        f0 = np.clip(f0, F0_FLOOR_HZ, F0_CEIL_HZ)
+    feats[voiced, F0_CHANNEL] = f0_to_norm(f0)
+    feats[voiced, VOICING_CHANNEL] = 1.0
+    feats[:, ENERGY_CHANNEL] = energy
+    feats[:, TEMPLATE_START:] = inventory.templates[frame_phone] * energy[:, None]
     if noise_sigma > 0:
         rng = np.random.default_rng(noise_seed)
         feats[:, 1:] += rng.normal(0.0, noise_sigma, size=(total, channels - 1))
     align = AlignmentHierarchy(
-        phone_edges=np.asarray(phone_edges, dtype=np.int64),
-        syllable_edges=np.asarray(syl_edges, dtype=np.int64),
-        word_edges=np.asarray(word_edges, dtype=np.int64),
+        phone_edges=phone_edges, syllable_edges=syl_edges, word_edges=word_edges
     )
     align.validate()
     return feats, align

@@ -12,7 +12,11 @@ earlier release must be regenerated with ``ibvq gen-data``.
 
 ``write_corpus`` writes the manifest last, through a temporary file renamed
 into place, so a directory whose writing was interrupted has no manifest and
-cannot be read as a corpus.
+cannot be read as a corpus. Writing over an existing corpus then removes the
+directories of utterances the old manifest lists and the new one does not,
+and any version-1 ``features.csv`` left in a reused directory; it deletes
+nothing the old manifest does not name, and nothing at all if the old
+manifest cannot be parsed.
 
 ``read_corpus`` reads either every utterance the manifest lists or only the
 utterances named by id. The manifest is validated in full either way, and
@@ -25,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -46,6 +51,7 @@ from ibvq.synthdata.types import (
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 2
 FEATURES_NAME = "features.npy"
+V1_FEATURES_NAME = "features.csv"
 
 
 def _dump_json(path: Path, obj) -> None:
@@ -94,6 +100,19 @@ def _spec_from_json(obj: dict, path: Path) -> UtteranceSpec:
         raise CorpusFormatError(f"bad utterance spec in {path}: {e}") from e
 
 
+def _listed_utterances(manifest_path: Path) -> list[str]:
+    """Ids of the utterance directories the manifest at ``manifest_path``
+    lists: plain names directly under the corpus root. Empty when there is
+    no manifest or it cannot be parsed."""
+    try:
+        listed = _load_json(manifest_path, "manifest")["utterances"]
+    except (ValueError, KeyError, TypeError):  # CorpusFormatError is a ValueError
+        return []
+    if not isinstance(listed, list):
+        return []
+    return [u for u in listed if isinstance(u, str) and u != ".." and Path(u).name == u != ""]
+
+
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -118,6 +137,7 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
         "utterances": [u.spec.utt_id for u in corpus.utterances],
     }
     manifest_path = root / MANIFEST_NAME
+    old_ids = _listed_utterances(manifest_path)
     manifest_path.unlink(missing_ok=True)
     for utt in corpus.utterances:
         utt_dir = root / utt.spec.utt_id
@@ -139,6 +159,13 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
         os.replace(tmp, manifest_path)
     finally:
         tmp.unlink(missing_ok=True)
+    new_ids = set(manifest["utterances"])
+    for utt_id in old_ids:
+        utt_dir = root / utt_id
+        if utt_id in new_ids:
+            (utt_dir / V1_FEATURES_NAME).unlink(missing_ok=True)
+        elif utt_dir.is_dir() and not utt_dir.is_symlink():
+            shutil.rmtree(utt_dir)
 
 
 def _read_features(path: Path, channels: int, frames: int, utt_id: str) -> np.ndarray:

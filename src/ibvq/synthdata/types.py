@@ -291,7 +291,8 @@ class PackedBatch:
     word_offsets: np.ndarray
 
 
-def _offsets(lengths) -> np.ndarray:
+def edges_from_lengths(lengths) -> np.ndarray:
+    """Segment edges [0, l0, l0 + l1, ...] of consecutive segments, as int64."""
     return np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
 
 
@@ -300,7 +301,7 @@ def pack_utterances(utterances) -> PackedBatch:
     if not utterances:
         raise ValidationError("cannot pack an empty batch")
     aligns = [u.alignment for u in utterances]
-    frame_off = _offsets([a.total_frames for a in aligns])
+    frame_off = edges_from_lengths([a.total_frames for a in aligns])
 
     def stacked(level: str) -> np.ndarray:
         parts = [getattr(a, level)[:-1] + f for a, f in zip(aligns, frame_off)]
@@ -316,8 +317,8 @@ def pack_utterances(utterances) -> PackedBatch:
         ),
         phone_ids=np.concatenate(phone_ids),
         frame_offsets=frame_off,
-        phone_offsets=_offsets([p.size for p in phone_ids]),
-        word_offsets=_offsets([a.n_words for a in aligns]),
+        phone_offsets=edges_from_lengths([p.size for p in phone_ids]),
+        word_offsets=edges_from_lengths([a.n_words for a in aligns]),
     )
 
 

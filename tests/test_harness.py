@@ -1,7 +1,10 @@
 import gc
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -42,7 +45,7 @@ from ibvq.harness.training import (
 )
 from ibvq.mi import MineConfig
 from ibvq.quantizer import CapacityConfig
-from ibvq.synthdata import CorpusConfig, build_corpus, pack_utterances
+from ibvq.synthdata import ENERGY_CHANNEL, CorpusConfig, build_corpus, pack_utterances
 
 TINY_TRAIN = nc.TrainConfig(learning_rate=3e-3, steps=30, seed=5, batch_size=4)
 
@@ -196,15 +199,22 @@ def test_word_pitch_readout_matches_truth(corpus):
             assert abs(value - word.prosody.pitch_mean) < 0.12 * word.prosody.pitch_mean
 
 
+def _phone_recovery(utt, output, templates):
+    durations = np.diff(utt.alignment.phone_edges)
+    return phone_recovery_accuracy(output, utt.spec.phone_ids, durations, templates)
+
+
 def test_phone_recovery_on_clean_features(corpus):
-    utt = corpus.utterances[1]
-    acc = phone_recovery_accuracy(
-        utt.features,
-        utt.spec.phone_ids,
-        np.diff(utt.alignment.phone_edges),
-        corpus.inventory.templates,
-    )
-    assert acc > 0.95  # rendered features are the templates plus small noise
+    for utt in corpus.utterances:
+        assert _phone_recovery(utt, utt.features, corpus.inventory.templates) == 1.0
+
+
+@pytest.mark.parametrize("energy", [0.0, 0.1, 3.0, -1.0])
+def test_phone_recovery_ignores_the_energy_channel(corpus, energy):
+    for utt in corpus.utterances:
+        output = utt.features.copy()
+        output[:, ENERGY_CHANNEL] = energy
+        assert _phone_recovery(utt, output, corpus.inventory.templates) == 1.0
 
 
 def test_corpus_codes_equal_per_utterance_codes(corpus, trained):
@@ -340,6 +350,19 @@ def cli_workspace(tmp_path_factory):
         == 0
     )
     return root, corpus_dir, ckpt
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = (
+        "import sys, ibvq.harness.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(experiments.__file__).parents[2])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_gen_data_deterministic(cli_workspace, tmp_path):

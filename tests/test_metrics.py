@@ -122,6 +122,14 @@ def test_length_mismatch_raises():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [1, 2, 13, 64])
+def test_dct_basis_is_orthonormal_dct_ii(n):
+    basis = mx.dct_basis(n)
+    npt.assert_allclose(basis.T @ basis, np.eye(n), rtol=0, atol=1e-12)
+    npt.assert_allclose(basis, hand_dct_matrix(n).T, rtol=0, atol=1e-12)
+    assert mx.dct_basis(n) is basis  # built once per width
+
+
 def test_mcd_identical_zero():
     rng = np.random.default_rng(0)
     feats = features_from([0.5] * 4, [1] * 4, [1] * 4, rng.uniform(0, 1, (4, 13)))

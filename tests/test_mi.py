@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -35,6 +37,27 @@ def test_dv_bound_stabilized_against_overflow():
     val = dv_bound([0.0], [1e4, 0.0])
     assert np.isfinite(val)
     assert abs(val - (0.0 - (1e4 - np.log(2)))) < 1.0  # ~ -9993.3, finite
+
+
+def test_dv_bound_shift_is_exact():
+    assert dv_bound([0.0], [1e4, 1e4]) == -1e4
+
+
+def fsum_dv_bound(t_joint, t_marginal):
+    shift = max(t_marginal)
+    log_mean_exp = shift + math.log(
+        math.fsum(math.exp(t - shift) for t in t_marginal) / len(t_marginal)
+    )
+    return math.fsum(t_joint) / len(t_joint) - log_mean_exp
+
+
+def test_dv_bound_matches_fsum_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        scale = float(rng.choice([0.1, 1.0, 5.0, 50.0]))
+        tj = rng.normal(1.0, scale, size=int(rng.integers(1, 300))).tolist()
+        tm = rng.normal(0.0, scale, size=int(rng.integers(1, 300))).tolist()
+        assert abs(dv_bound(tj, tm) - fsum_dv_bound(tj, tm)) < 1e-12
 
 
 def test_dv_bound_empty_rejected():

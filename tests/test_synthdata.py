@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,86 @@ def test_render_template_scaled_by_energy(tiny_inventory):
     feats, _ = sd.render_features(spec, inv, noise_seed=0, noise_sigma=0.0)
     npt.assert_allclose(feats[0, sd.TEMPLATE_START :], inv.templates[2] * 1.5, atol=1e-15)
     npt.assert_allclose(feats[:, sd.ENERGY_CHANNEL], 1.5, atol=1e-15)
+
+
+def reference_render(spec, inventory, noise_seed, noise_sigma):
+    """The phone-by-phone renderer that ``render_features`` replaced."""
+    channels = sd.TEMPLATE_START + inventory.template_channels
+    realized = spec.realized_durations()
+    total = sum(realized)
+    feats = np.zeros((total, channels))
+    phone_edges, syl_edges, word_edges = [0], [0], [0]
+    t = 0
+    cursor = 0
+    clipped = False
+    for w in spec.words:
+        word_start = t
+        for syl in w.syllables:
+            for p in syl:
+                d = realized[cursor]
+                cursor += 1
+                rows = slice(t, t + d)
+                if inventory.voiced[p]:
+                    offsets = np.arange(t, t + d) - word_start
+                    f0 = w.prosody.pitch_mean + w.prosody.pitch_slope * offsets
+                    if f0.min() < sd.F0_FLOOR_HZ or f0.max() > sd.F0_CEIL_HZ:
+                        clipped = True
+                        f0 = np.clip(f0, sd.F0_FLOOR_HZ, sd.F0_CEIL_HZ)
+                    feats[rows, sd.F0_CHANNEL] = sd.f0_to_norm(f0)
+                    feats[rows, sd.VOICING_CHANNEL] = 1.0
+                feats[rows, sd.ENERGY_CHANNEL] = w.prosody.energy
+                feats[rows, sd.TEMPLATE_START:] = inventory.templates[p] * w.prosody.energy
+                t += d
+                phone_edges.append(t)
+            syl_edges.append(t)
+        word_edges.append(t)
+    if clipped:
+        warnings.warn(
+            f"{spec.utt_id}: pitch contour clamped to "
+            f"[{sd.F0_FLOOR_HZ:.0f}, {sd.F0_CEIL_HZ:.0f}] Hz",
+            sd.PitchRangeWarning,
+        )
+    if noise_sigma > 0:
+        rng = np.random.default_rng(noise_seed)
+        feats[:, 1:] += rng.normal(0.0, noise_sigma, size=(total, channels - 1))
+    edges = [np.asarray(e, dtype=np.int64) for e in (phone_edges, syl_edges, word_edges)]
+    return feats, edges
+
+
+def _with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        sd.CorpusConfig(n_utterances=40, seed=0),
+        sd.CorpusConfig(n_utterances=40, seed=1),
+        sd.CorpusConfig(n_utterances=40, seed=7),
+        sd.CorpusConfig(n_utterances=40, seed=2, noise_sigma=0.0),
+        # wide slopes push long words out of [50, 500] Hz
+        sd.CorpusConfig(n_utterances=40, seed=5, slope_jitter=3.0),
+    ],
+    ids=["seed0", "seed1", "seed7", "noiseless", "clamped"],
+)
+def test_render_is_bit_identical_to_phone_loop(cfg):
+    corpus, got_warnings = _with_warnings(sd.build_corpus, cfg)
+    ref_warnings = []
+    for i, utt in enumerate(corpus.utterances):
+        args = (utt.spec, corpus.inventory, cfg.seed + i, cfg.noise_sigma)
+        (ref_feats, ref_edges), caught = _with_warnings(reference_render, *args)
+        ref_warnings += caught
+        assert utt.features.tobytes() == ref_feats.tobytes()
+        align = utt.alignment
+        for got, want in zip((align.phone_edges, align.syllable_edges, align.word_edges),
+                             ref_edges):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    assert got_warnings == ref_warnings
+    assert (len(ref_warnings) > 0) == (cfg.slope_jitter == 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +368,32 @@ def test_interrupted_write_leaves_no_manifest(tmp_path, small_corpus, monkeypatc
     assert not [p.name for p in root.iterdir() if p.name.startswith("manifest")]
     with pytest.raises(CorpusFormatError, match="missing manifest"):
         sd.read_corpus(root)
+
+
+def test_rewrite_removes_stale_utterances(tmp_path):
+    root = tmp_path / "corpus"
+    sd.write_corpus(sd.build_corpus(sd.CorpusConfig(n_utterances=200, seed=4)), root)
+    (root / "utt_0005" / "features.csv").write_text("0.5\n")  # left by a version-1 corpus
+    (root / "notes.txt").write_text("not part of the corpus\n")
+    small = sd.build_corpus(sd.CorpusConfig(n_utterances=20, seed=9))
+    sd.write_corpus(small, root)
+    ids = [u.spec.utt_id for u in small.utterances]
+    assert sorted(p.name for p in root.iterdir()) == sorted(ids + ["manifest.json", "notes.txt"])
+    assert not (root / "utt_0005" / "features.csv").exists()
+    assert sd.read_corpus(root) == small
+
+
+@pytest.mark.parametrize("manifest", ['{"utterances": ["utt_0001",', '{"utterances": ["../x"]}'])
+def test_rewrite_deletes_nothing_the_old_manifest_does_not_name(tmp_path, small_corpus,
+                                                                manifest):
+    root = tmp_path / "corpus"
+    sd.write_corpus(small_corpus, root)
+    (tmp_path / "x").mkdir()
+    (root / "manifest.json").write_text(manifest)
+    one = dataclasses.replace(small_corpus, utterances=small_corpus.utterances[:1])
+    sd.write_corpus(one, root)
+    assert (tmp_path / "x").is_dir()
+    assert len([p for p in root.iterdir() if p.is_dir()]) == len(small_corpus.utterances)
 
 
 def test_malformed_manifest_reports_line(tmp_path):
