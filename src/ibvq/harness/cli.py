@@ -185,10 +185,10 @@ def cmd_sweep(args) -> int:
 def cmd_mi(args) -> int:
     ckpt = Path(args.ckpt)
     models = load_models(ckpt)
-    corpus = read_corpus(args.corpus)
-    indices = list(range(len(corpus.utterances)))
     if not models.cap_cfg.enabled:
         raise ConfigError("the checkpoint has a disabled bottleneck: no codes to analyze")
+    corpus = read_corpus(args.corpus)
+    indices = list(range(len(corpus.utterances)))
     mine_cfg = MineConfig(steps=args.mine_steps, seed=args.seed)
     codes = corpus_codes(corpus, models, indices)
     plugin, mine = mi_analysis(corpus, models, indices, codes, mine_cfg)

@@ -606,6 +606,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets=None) -> Tensor:
     query attends only to the keys of its own sequence: the score matrix is
     block diagonal and is computed block by block. Without, every query
     attends to every key, and q may have another row count than k and v.
+
+    Each block keeps its unnormalised exponentials e = exp(s - rowmax(s))
+    and the output is (e v) / rowsum(e), so no L x L pass normalises. The
+    backward keeps the scaled queries, every block's e and the row
+    reciprocals; it needs no probabilities, because rowsum(dP * P) equals
+    rowsum(g * out) (Dao et al. 2022). Nothing is kept when no input needs a
+    gradient.
     """
     if q.cols != k.cols:
         raise ShapeError(f"query/key widths differ: {q.shape} vs {k.shape}")
@@ -619,37 +626,40 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets=None) -> Tensor:
         q_off = k_off = check_offsets(offsets, q.rows)
     blocks = list(zip(q_off[:-1], q_off[1:], k_off[:-1], k_off[1:]))
     scale = 1.0 / math.sqrt(q.cols)
+    qs = q.data * scale
     out_data = np.empty((q.rows, v.cols))
+    inv = np.empty((q.rows, 1))
     keep = _needs_grad(q, k, v)
-    probs = []
+    exps = []
     for qa, qb, ka, kb in blocks:
-        p = q.data[qa:qb] @ k.data[ka:kb].T
-        p *= scale
-        p -= p.max(axis=1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
-        out_data[qa:qb] = p @ v.data[ka:kb]
+        e = qs[qa:qb] @ k.data[ka:kb].T
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        np.divide(1.0, e.sum(axis=1, keepdims=True), out=inv[qa:qb])
+        np.multiply(e @ v.data[ka:kb], inv[qa:qb], out=out_data[qa:qb])
         if keep:
-            probs.append(p)
+            exps.append(e)
 
     def backward(g):
         dq = np.empty_like(q.data) if q.requires_grad else None
         dk = np.empty_like(k.data) if k.requires_grad else None
         dv = np.empty_like(v.data) if v.requires_grad else None
-        for (qa, qb, ka, kb), p in zip(blocks, probs):
-            gs = g[qa:qb]
+        gl = g * inv
+        delta = (g * out_data).sum(axis=1, keepdims=True) * inv
+        for (qa, qb, ka, kb), e in zip(blocks, exps):
             if dv is not None:
-                dv[ka:kb] = p.T @ gs
+                dv[ka:kb] = e.T @ gl[qa:qb]
             if dq is None and dk is None:
                 continue
-            ds = gs @ v.data[ka:kb].T
-            ds -= (ds * p).sum(axis=1, keepdims=True)
-            ds *= p
-            ds *= scale
+            ds = gl[qa:qb] @ v.data[ka:kb].T
+            ds -= delta[qa:qb]
+            ds *= e
             if dq is not None:
                 dq[qa:qb] = ds @ k.data[ka:kb]
             if dk is not None:
-                dk[ka:kb] = ds.T @ q.data[qa:qb]
+                dk[ka:kb] = ds.T @ qs[qa:qb]
+        if dq is not None:
+            dq *= scale
         for t, d in ((q, dq), (k, dk), (v, dv)):
             if d is not None:
                 t._accumulate(d)
@@ -666,6 +676,10 @@ def conv1d(
     to the neighbor at offset k - width//2. Every sequence of a packed ``x``
     is zero padded at both ends, so no output row reads another sequence's
     rows, and the output keeps the input's row count.
+
+    The output is a sum over taps of one product each, between a shifted
+    contiguous slice of the padded input and the tap's kernel block; no
+    windows matrix is built. The backward keeps only the padded input.
     """
     if width % 2 == 0 or width < 1:
         raise ConfigError(f"conv1d width must be odd and positive, got {width}")
@@ -680,27 +694,33 @@ def conv1d(
     t, c = x.shape
     n_seq = off.size - 1
     # h zero rows precede every sequence and follow the last one; row r of x
-    # sits at padded row pos[r], and output row r reads padded rows taps[r]
+    # sits at padded row pos[r]
     pos = np.arange(t) + h * (1 + np.repeat(np.arange(n_seq), np.diff(off)))
     padded_rows = t + h * (n_seq + 1)
     padded = np.zeros((padded_rows, c))
     padded[pos] = x.data
-    taps = pos[:, None] + np.arange(-h, h + 1)
-    windows = padded[taps].reshape(t, width * c)
-    out_data = windows @ kernel.data
+    # row i of `full` is the window starting at padded row i, so output row r
+    # is full[pos[r] - h]; rows of `full` centred on padding are never read
+    m = padded_rows - 2 * h
+    taps = [kernel.data[j * c : (j + 1) * c] for j in range(width)]
+    full = padded[:m] @ taps[0]
+    for j in range(1, width):
+        full += padded[j : j + m] @ taps[j]
+    out_data = full[pos - h]
     if bias is not None:
-        out_data = out_data + bias.data
+        out_data += bias.data
 
     def backward(g):
+        g_pad = np.zeros((m, kernel.cols))
+        g_pad[pos - h] = g
         if kernel.requires_grad:
-            kernel._accumulate(windows.T @ g)
+            kernel._accumulate(np.vstack([padded[j : j + m].T @ g_pad for j in range(width)]))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=0, keepdims=True))
         if x.requires_grad:
-            g_windows = g @ kernel.data.T
             acc = np.zeros((padded_rows, c))
             for j in range(width):
-                acc[taps[:, j]] += g_windows[:, j * c : (j + 1) * c]
+                acc[j : j + m] += g_pad @ taps[j].T
             x._accumulate(acc[pos])
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)

@@ -475,6 +475,12 @@ def test_cli_error_exit_codes(cli_workspace, tmp_path, capsys):
     rc = cli_main(["predict", "--ckpt", str(ckpt0), "--text", str(text),
                    "--out", str(tmp_path / "c.csv")])
     assert rc == 1
+    # so is MI analysis of K=0, refused before the corpus is read
+    capsys.readouterr()
+    rc = cli_main(["mi", "--ckpt", str(ckpt0), "--corpus", str(tmp_path / "no-corpus"),
+                   "--out", str(tmp_path / "mi.csv")])
+    assert rc == 1
+    assert "disabled bottleneck" in capsys.readouterr().err
     # a malformed config is a config error -> exit 1 with a message, no output
     malformed = [
         ("sweep", {"train": {"steps": 5, "bogus": 1}}),

@@ -15,6 +15,10 @@ from ibvq.errors import (
     ShapeError,
     TrainingError,
 )
+from ibvq.harness.training import train_autoencoder
+from ibvq.numcore.tensor import _child, check_offsets
+from ibvq.quantizer import CapacityConfig
+from ibvq.synthdata import CorpusConfig, build_corpus
 
 
 def rand(rng, r, c, lo=-1.0, hi=1.0):
@@ -775,6 +779,183 @@ def test_straight_through_zero_upstream():
     st = nc.straight_through(x, np.array([[5.0]]))
     nc.mul(nc.sum_all(st), 0.0).backward()
     npt.assert_array_equal(x.grad, [[0.0]])
+
+
+# ---------------------------------------------------------------------------
+# attention and conv1d against the bodies they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_attention(q, k, v, offsets=None):
+    """Per-block normalised softmax, kept as the reference for `nc.attention`."""
+    if offsets is None:
+        q_off, k_off = check_offsets(None, q.rows), check_offsets(None, k.rows)
+    else:
+        q_off = k_off = check_offsets(offsets, q.rows)
+    blocks = list(zip(q_off[:-1], q_off[1:], k_off[:-1], k_off[1:]))
+    scale = 1.0 / math.sqrt(q.cols)
+    out_data = np.empty((q.rows, v.cols))
+    probs = []
+    for qa, qb, ka, kb in blocks:
+        p = q.data[qa:qb] @ k.data[ka:kb].T
+        p *= scale
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        out_data[qa:qb] = p @ v.data[ka:kb]
+        probs.append(p)
+
+    def backward(g):
+        dq = np.empty_like(q.data) if q.requires_grad else None
+        dk = np.empty_like(k.data) if k.requires_grad else None
+        dv = np.empty_like(v.data) if v.requires_grad else None
+        for (qa, qb, ka, kb), p in zip(blocks, probs):
+            gs = g[qa:qb]
+            if dv is not None:
+                dv[ka:kb] = p.T @ gs
+            if dq is None and dk is None:
+                continue
+            ds = gs @ v.data[ka:kb].T
+            ds -= (ds * p).sum(axis=1, keepdims=True)
+            ds *= p
+            ds *= scale
+            if dq is not None:
+                dq[qa:qb] = ds @ k.data[ka:kb]
+            if dk is not None:
+                dk[ka:kb] = ds.T @ q.data[qa:qb]
+        for t, d in ((q, dq), (k, dk), (v, dv)):
+            if d is not None:
+                t._accumulate(d)
+
+    return _child(out_data, (q, k, v), backward)
+
+
+def reference_conv1d(x, kernel, bias=None, *, width, offsets=None):
+    """Gathered windows matrix, kept as the reference for `nc.conv1d`."""
+    off = check_offsets(offsets, x.rows)
+    h = width // 2
+    t, c = x.shape
+    n_seq = off.size - 1
+    pos = np.arange(t) + h * (1 + np.repeat(np.arange(n_seq), np.diff(off)))
+    padded_rows = t + h * (n_seq + 1)
+    padded = np.zeros((padded_rows, c))
+    padded[pos] = x.data
+    taps = pos[:, None] + np.arange(-h, h + 1)
+    windows = padded[taps].reshape(t, width * c)
+    out_data = windows @ kernel.data
+    if bias is not None:
+        out_data = out_data + bias.data
+
+    def backward(g):
+        if kernel.requires_grad:
+            kernel._accumulate(windows.T @ g)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            g_windows = g @ kernel.data.T
+            acc = np.zeros((padded_rows, c))
+            for j in range(width):
+                acc[taps[:, j]] += g_windows[:, j * c : (j + 1) * c]
+            x._accumulate(acc[pos])
+
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return _child(out_data, parents, backward)
+
+
+# lengths 1, 2, 5 and 40: a single row, sequences shorter than a width-5
+# kernel's reach, and one long block
+RAGGED = np.concatenate([[0], np.cumsum([1, 2, 5, 40])])
+
+
+def run_op(op, arrays, grads, kwargs, seed=0):
+    """Forward, then backward of a fixed random projection of the output;
+    returns the output, the gradients of the named inputs and the upstream
+    gradient the op received."""
+    inputs = [nc.tensor(a, requires_grad=name in grads) for name, a in arrays.items()]
+    out = op(*inputs, **kwargs)
+    weights = np.random.default_rng(seed).standard_normal(out.shape)
+    nc.sum_all(nc.mul(out, nc.constant(weights))).backward()
+    got = {name: t.grad for name, t in zip(arrays, inputs) if name in grads}
+    return out.data, got, out.grad
+
+
+def assert_op_matches_reference(op, reference, arrays, grads, kwargs):
+    out, got, _ = run_op(op, arrays, grads, kwargs)
+    ref_out, ref, _ = run_op(reference, arrays, grads, kwargs)
+    npt.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-15)
+    assert set(got) == set(grads)
+    for name in grads:
+        npt.assert_allclose(got[name], ref[name], rtol=1e-12, atol=1e-15, err_msg=name)
+
+
+ATTENTION_CASES = {
+    "packed": (RAGGED[-1], RAGGED[-1], RAGGED, "qkv"),
+    "packed-only-v": (RAGGED[-1], RAGGED[-1], RAGGED, "v"),
+    "packed-only-qk": (RAGGED[-1], RAGGED[-1], RAGGED, "qk"),
+    "cross": (7, 11, None, "qkv"),
+    "cross-only-v": (7, 11, None, "v"),
+    "cross-only-qk": (7, 11, None, "qk"),
+}
+
+
+@pytest.mark.parametrize("case", ATTENTION_CASES)
+def test_attention_equals_reference(case):
+    q_rows, k_rows, offsets, grads = ATTENTION_CASES[case]
+    rng = np.random.default_rng(11)
+    arrays = {"q": rng.standard_normal((q_rows, 6)), "k": rng.standard_normal((k_rows, 6)),
+              "v": rng.standard_normal((k_rows, 4))}
+    assert_op_matches_reference(nc.attention, reference_attention, arrays, grads,
+                                {"offsets": offsets})
+
+
+@pytest.mark.parametrize("width", [3, 5])
+@pytest.mark.parametrize("grads", [("x", "k", "b"), ("x",), ("k", "b")])
+@pytest.mark.parametrize("offsets", [RAGGED, None], ids=["packed", "one-sequence"])
+def test_conv1d_equals_reference(width, grads, offsets):
+    rng = np.random.default_rng(12)
+    arrays = {"x": rng.standard_normal((RAGGED[-1], 3)),
+              "k": rng.standard_normal((width * 3, 4)), "b": rng.standard_normal((1, 4))}
+    assert_op_matches_reference(nc.conv1d, reference_conv1d, arrays, grads,
+                                {"width": width, "offsets": offsets})
+
+
+@pytest.mark.parametrize("op", ["attention", "conv1d"])
+def test_attention_and_conv1d_leave_inputs_unchanged(op):
+    rng = np.random.default_rng(13)
+    if op == "attention":
+        arrays = {"q": rng.standard_normal((48, 6)), "k": rng.standard_normal((48, 6)),
+                  "v": rng.standard_normal((48, 4))}
+        kwargs = {"offsets": RAGGED}
+    else:
+        arrays = {"x": rng.standard_normal((48, 3)), "k": rng.standard_normal((15, 4)),
+                  "b": rng.standard_normal((1, 4))}
+        kwargs = {"width": 5, "offsets": RAGGED}
+    before = {name: a.tobytes() for name, a in arrays.items()}
+    _, _, upstream = run_op(getattr(nc, op), arrays, tuple(arrays), kwargs, seed=3)
+    # the op's upstream gradient is the output node's own `.grad`, which is
+    # exactly the projection weights: an in-place update would show here
+    weights = np.random.default_rng(3).standard_normal(upstream.shape)
+    assert upstream.tobytes() == weights.tobytes()
+    assert {name: a.tobytes() for name, a in arrays.items()} == before
+
+
+def test_training_loss_curve_equals_reference_ops(monkeypatch):
+    corpus = build_corpus(CorpusConfig(n_utterances=24, seed=31))
+    train_cfg = nc.TrainConfig(learning_rate=3e-3, steps=30, seed=5, batch_size=4)
+
+    def train():
+        return train_autoencoder(corpus, CapacityConfig(K=4, G=2), train_cfg, warmup_steps=10)
+
+    fused = train()
+    monkeypatch.setattr(nc, "attention", reference_attention)
+    monkeypatch.setattr(nc, "conv1d", reference_conv1d)
+    reference = train()
+    for got, want in zip(fused.loss_curve, reference.loss_curve, strict=True):
+        npt.assert_allclose([got.mse, got.codebook, got.commitment],
+                            [want.mse, want.codebook, want.commitment], rtol=1e-12,
+                            err_msg=f"step {got.step}")
+    for got, want in zip(fused.codes, reference.codes, strict=True):
+        npt.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
