@@ -1,12 +1,11 @@
 """Conditional decoder: phone content plus word-level prosody vectors back
-to a feature sequence, with length regulation and duration prediction.
+to a feature sequence, with length regulation.
 
 The pipeline mirrors a non-autoregressive synthesis stack: a text encoder
 produces phone-level features, the per-word prosody vector is broadcast to
 its phones and concatenated, a length regulator repeats phone rows by their
 frame durations, and a convolutional decoder emits the output channels.
-Ground-truth durations drive reconstruction and transfer; the duration
-predictor is exercised by its own pipeline.
+Ground-truth durations drive reconstruction and transfer.
 
 Training runs on packed batches: the phone and frame rows of several
 utterances stacked into single matrices, with offsets marking where each
@@ -41,7 +40,7 @@ from ibvq.quantizer import (
     lookup,
     quantize_batch,
 )
-from ibvq.synthdata.types import AlignmentHierarchy, PackedBatch, round_half_up
+from ibvq.synthdata.types import AlignmentHierarchy, PackedBatch
 
 
 @dataclass(frozen=True)
@@ -51,25 +50,27 @@ class DecoderConfig:
     phone_dim: int = 16
     prosody_dim: int = 8
     hidden: int = 24
-    duration_hidden: int = 16
     seed: int = 0
 
     def validate(self) -> None:
         if self.n_phones < 1:
             raise ConfigError("n_phones must be >= 1")
-        for name in ("channels", "phone_dim", "prosody_dim", "hidden", "duration_hidden"):
+        for name in ("channels", "phone_dim", "prosody_dim", "hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
 
 
 class DecoderModel:
+    """Text encoder, prosody fusion and frame decoder parameters, all
+    trained by the reconstruction loss."""
+
     def __init__(self, config: DecoderConfig):
         config.validate()
         self.config = config
         self.store = nc.ParamStore()
         rng = np.random.default_rng(config.seed)
         e, h, c = config.phone_dim, config.hidden, config.channels
-        d, dh = config.prosody_dim, config.duration_hidden
+        d = config.prosody_dim
         self.store.add("embed", nc.glorot_uniform(rng, config.n_phones, e))
         for name in ("tenc.wq", "tenc.wk", "tenc.wv"):
             self.store.add(name, nc.glorot_uniform(rng, e, e))
@@ -93,15 +94,6 @@ class DecoderModel:
         # conv stack then only has to model what content + prosody cannot
         # reach linearly
         self.store.add("sdec.skip.w", nc.glorot_uniform(rng, e + d, c))
-        self.store.add("dur.conv1.k", nc.glorot_uniform(rng, 3 * e, dh))
-        self.store.add("dur.conv1.b", np.zeros((1, dh)))
-        self.store.add("dur.conv2.k", nc.glorot_uniform(rng, 3 * dh, dh))
-        self.store.add("dur.conv2.b", np.zeros((1, dh)))
-        self.store.add("dur.out.w", nc.glorot_uniform(rng, dh, 1))
-        self.store.add("dur.out.b", np.zeros((1, 1)))
-
-    def duration_parameter_names(self) -> list[str]:
-        return [n for n in self.store.names() if n.startswith("dur.")]
 
 
 def encode_text(phone_ids, model: DecoderModel, offsets=None) -> nc.Tensor:
@@ -174,24 +166,6 @@ def decode_frames(frame_feats: nc.Tensor, model: DecoderModel, offsets=None) -> 
                                     offsets=offsets)))
     deep = nc.affine(h, p["sdec.out.w"], p["sdec.out.b"])
     return nc.add(deep, nc.matmul(frame_feats, p["sdec.skip.w"]))
-
-
-def duration_logits(phone_feats: nc.Tensor, model: DecoderModel, offsets=None) -> nc.Tensor:
-    """(P, 1) raw log-duration outputs of the duration head; ``offsets``
-    marks where each utterance of packed phone rows starts."""
-    p = model.store
-    offsets = nc.check_offsets(offsets, phone_feats.rows)
-    h = nc.relu(nc.conv1d(phone_feats, p["dur.conv1.k"], p["dur.conv1.b"], width=3,
-                          offsets=offsets))
-    h = nc.relu(nc.conv1d(h, p["dur.conv2.k"], p["dur.conv2.b"], width=3, offsets=offsets))
-    return nc.affine(h, p["dur.out.w"], p["dur.out.b"])
-
-
-def predict_durations(phone_feats: nc.Tensor, model: DecoderModel) -> np.ndarray:
-    """Per-phone frame counts: round(exp(raw)), clamped to >= 1."""
-    raw = duration_logits(phone_feats, model).data[:, 0]
-    frames = np.exp(np.clip(raw, -25.0, 25.0))
-    return np.maximum(np.vectorize(round_half_up)(frames), 1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +276,21 @@ def reconstruction_graph(
     cap_cfg: CapacityConfig,
     dec_model: DecoderModel,
     commitment_cost: float,
-    bypass_quantizer: bool = False,
 ) -> ReconstructionGraph:
     """Build the end-to-end training graph of a packed batch: one graph
     whatever the batch size, in which no utterance reads another's rows.
 
-    With ``bypass_quantizer`` the word vectors flow through unquantized and
-    both bottleneck losses are zero; the whole graph is then an ordinary
-    differentiable function, which is what the finite-difference gradient
-    checks exercise (the straight-through estimator is intentionally not the
-    derivative of the quantized forward pass).
+    An enabled bottleneck without a codebook yet (``codebook_param`` None,
+    the warm-up before the codebook is seeded) passes the word vectors
+    through unquantized, and both bottleneck losses are zero; the whole
+    graph is then an ordinary differentiable function, which is what the
+    finite-difference gradient checks exercise (the straight-through
+    estimator is intentionally not the derivative of the quantized forward
+    pass). A disabled bottleneck (K = 0) always feeds the decoder zeros, in
+    training as in evaluation.
     """
     word_feats = encode(batch.features, batch.alignment, enc_model, batch.frame_offsets)
-    if bypass_quantizer:
+    if cap_cfg.enabled and codebook_param is None:
         zero = nc.constant(np.zeros((1, 1)))
         bn = BottleneckOutput(
             quantized=word_feats, codes=None, codebook_loss=zero, commitment_loss=zero

@@ -3,21 +3,17 @@
 from ibvq.harness.training import (
     LossPoint,
     TrainedAutoencoder,
-    duration_mae,
     load_models,
     save_models,
     split_corpus,
     train_autoencoder,
-    train_duration_head,
 )
 
 __all__ = [
     "LossPoint",
     "TrainedAutoencoder",
-    "duration_mae",
     "load_models",
     "save_models",
     "split_corpus",
     "train_autoencoder",
-    "train_duration_head",
 ]

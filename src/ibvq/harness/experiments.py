@@ -324,6 +324,11 @@ def run_cell(
     trained = train_autoencoder(corpus, cap_cfg, train_cfg, train_indices=train_indices)
     models = trained.models
     cell.__dict__.update(reconstruction_eval(corpus, models, held_indices))
+    tr = run_transfer_experiment(
+        models, corpus, held_indices, n_pairs=cfg.transfer_pairs, seed=seed
+    )
+    cell.transfer_prosody_r = tr.prosody_similarity_r
+    cell.transfer_clearness = tr.content_clearness
     if cap_cfg.enabled:
         # training ended with the codes of its utterances; the held-out ones
         # are encoded here, once for every evaluation that needs them
@@ -332,22 +337,12 @@ def run_cell(
             corpus, models, train_indices + held_indices, trained.codes + held_codes, cfg.mine
         )
         cell.perplexity_mean = float(np.mean(trained.usage))
-        tr = run_transfer_experiment(
-            models, corpus, held_indices, n_pairs=cfg.transfer_pairs, seed=seed
-        )
-        cell.transfer_prosody_r = tr.prosody_similarity_r
-        cell.transfer_clearness = tr.content_clearness
         cell.predictor_accuracy, cell.predicted_codes_mse = predictor_experiment(
             models, corpus, train_indices, held_indices, trained.codes, held_codes,
             steps=cfg.predictor_steps, seed=seed,
         )
     else:
         cell.plugin_mi = 0.0  # no codes: the bottleneck transmits nothing
-        tr = run_transfer_experiment(
-            models, corpus, held_indices, n_pairs=cfg.transfer_pairs, seed=seed
-        )
-        cell.transfer_prosody_r = tr.prosody_similarity_r
-        cell.transfer_clearness = tr.content_clearness
     return cell, trained
 
 

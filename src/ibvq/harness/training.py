@@ -1,4 +1,4 @@
-"""Joint autoencoder training, duration-head training, and checkpointing."""
+"""Joint autoencoder training and checkpointing."""
 
 from __future__ import annotations
 
@@ -15,9 +15,6 @@ from ibvq.decoder import (
     AutoencoderModels,
     DecoderConfig,
     DecoderModel,
-    duration_logits,
-    encode_text,
-    predict_durations,
     prosody_codes,
     reconstruction_graph,
 )
@@ -86,7 +83,9 @@ def train_autoencoder(
     settles before its outputs seed the codebook (k-means++); afterwards,
     entries that received no assignments since the last check are reseeded
     from live word features every ``reseed_every`` steps. Both guards exist
-    to keep codebook usage from collapsing onto a few entries.
+    to keep codebook usage from collapsing onto a few entries. At K = 0
+    there is no warm-up: the decoder sees zero prosody vectors from the
+    first step, as it does in evaluation.
     """
     utts = corpus.utterances
     if train_indices is not None:
@@ -133,7 +132,6 @@ def train_autoencoder(
             pack_utterances([utts[i] for i in sampler.next()]),
             enc, codebook_param, cap_cfg, dec,
             commitment_cost=train_cfg.commitment_cost,
-            bypass_quantizer=codebook_param is None,
         )
         if graph.bottleneck.codes is not None:
             assign_counts += np.bincount(
@@ -186,47 +184,6 @@ def train_autoencoder(
     return TrainedAutoencoder(models=models, loss_curve=curve, usage=usage, codes=blocks)
 
 
-def train_duration_head(
-    corpus: Corpus,
-    dec: DecoderModel,
-    train_cfg: nc.TrainConfig,
-    train_indices: list[int] | None = None,
-) -> list[float]:
-    """Fit only the duration-head parameters against log ground-truth
-    durations (the text encoder is left as trained)."""
-    utts = corpus.utterances
-    if train_indices is not None:
-        utts = [corpus.utterances[i] for i in train_indices]
-    rng = np.random.default_rng(train_cfg.seed)
-    sampler = nc.BatchSampler(len(utts), train_cfg.batch_size, rng)
-    curve = []
-
-    def step_loss(step: int) -> nc.Tensor:
-        batch = pack_utterances([utts[i] for i in sampler.next()])
-        with dec.store.frozen():
-            feats = encode_text(batch.phone_ids, dec, batch.phone_offsets)
-        raw = duration_logits(feats, dec, batch.phone_offsets)
-        target = np.log(np.diff(batch.alignment.phone_edges).astype(np.float64))
-        loss = nc.mse(raw, target.reshape(-1, 1), batch.phone_offsets)
-        curve.append(loss.item())
-        return loss
-
-    nc.fit([dec.store], train_cfg.steps, step_loss, train_cfg.learning_rate)
-    return curve
-
-
-def duration_mae(corpus: Corpus, dec: DecoderModel, indices: list[int]) -> float:
-    """Mean absolute error in frames of predicted vs true durations."""
-    errors = []
-    for i in indices:
-        utt = corpus.utterances[i]
-        feats = encode_text(utt.spec.phone_ids, dec)
-        pred = predict_durations(feats, dec)
-        true = np.diff(utt.alignment.phone_edges)
-        errors.extend(np.abs(pred - true).tolist())
-    return float(np.mean(errors))
-
-
 # ---------------------------------------------------------------------------
 # model bundle checkpointing
 # ---------------------------------------------------------------------------
@@ -251,6 +208,18 @@ def save_models(path: str | Path, models: AutoencoderModels) -> None:
     (root / _META_NAME).write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
 
 
+def _config_from_meta(cls, fields, root: Path):
+    """``cls(**fields)``, refusing fields the config class does not have
+    (metadata written by a version with a different model)."""
+    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise CheckpointError(
+            f"checkpoint {root} sets {cls.__name__} fields this version does not have: "
+            f"{', '.join(unknown)}; retrain the model"
+        )
+    return cls(**fields)
+
+
 def load_models(path: str | Path) -> AutoencoderModels:
     root = Path(path)
     try:
@@ -260,8 +229,8 @@ def load_models(path: str | Path) -> AutoencoderModels:
     except json.JSONDecodeError as e:
         raise CheckpointError(f"malformed model metadata in {root}: {e}") from e
     try:
-        enc = EncoderModel(EncoderConfig(**meta["encoder"]))
-        dec = DecoderModel(DecoderConfig(**meta["decoder"]))
+        enc = EncoderModel(_config_from_meta(EncoderConfig, meta["encoder"], root))
+        dec = DecoderModel(_config_from_meta(DecoderConfig, meta["decoder"], root))
         cap_cfg = CapacityConfig(**meta["capacity"])
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"incomplete model metadata in {root}: {e}") from e
@@ -279,4 +248,6 @@ def load_models(path: str | Path) -> AutoencoderModels:
         if "cb.entries" not in params:
             raise CheckpointError(f"checkpoint {root} lacks codebook entries for K>0")
         codebook = Codebook(entries=params["cb.entries"], groups=cap_cfg.G)
+    elif "cb.entries" in params:
+        raise CheckpointError(f"checkpoint {root} holds codebook entries, but K=0")
     return AutoencoderModels(encoder=enc, decoder=dec, cap_cfg=cap_cfg, codebook=codebook)

@@ -13,10 +13,8 @@ from ibvq.decoder import (
     broadcast_prosody,
     decode_frames,
     decode_with_codes,
-    duration_logits,
     encode_text,
     length_regulate,
-    predict_durations,
     reconstruct,
     reconstruction_graph,
     transfer,
@@ -149,18 +147,6 @@ def test_decode_frames_wrong_width(dec):
         decode_frames(nc.constant(np.zeros((4, 3))), dec)
 
 
-def test_predict_durations_closed_forms(corpus):
-    dec = DecoderModel(DecoderConfig(n_phones=corpus.inventory.size, seed=7))
-    # zero the duration head so the raw output is exactly its bias
-    for name in dec.duration_parameter_names():
-        dec.store.params[name].data[:] = 0.0
-    feats = encode_text([0, 1, 2], dec)
-    npt.assert_array_equal(duration_logits(feats, dec).data, np.zeros((3, 1)))
-    npt.assert_array_equal(predict_durations(feats, dec), [1, 1, 1])  # exp(0) = 1
-    dec.store["dur.out.b"].data[:] = np.log(4.0)
-    npt.assert_array_equal(predict_durations(feats, dec), [4, 4, 4])  # exp(ln 4) = 4
-
-
 # ---------------------------------------------------------------------------
 # reconstruct / transfer
 # ---------------------------------------------------------------------------
@@ -265,8 +251,9 @@ def test_decode_with_codes_in_code_space(corpus):
 
 
 # ---------------------------------------------------------------------------
-# end-to-end gradients (quantizer bypassed: the straight-through backward is
-# deliberately not the derivative of the quantized forward)
+# end-to-end gradients (an enabled bottleneck before its codebook is seeded
+# passes word vectors through: the straight-through backward is deliberately
+# not the derivative of the quantized forward)
 # ---------------------------------------------------------------------------
 
 
@@ -275,8 +262,7 @@ def test_end_to_end_gradient_check():
     corpus = build_corpus(cfg)
     enc = EncoderModel(EncoderConfig(channels=6, acoustic_dim=4, groups=2, seed=1))
     dec = DecoderModel(
-        DecoderConfig(n_phones=4, channels=6, phone_dim=6, prosody_dim=4, hidden=6,
-                      duration_hidden=4, seed=2)
+        DecoderConfig(n_phones=4, channels=6, phone_dim=6, prosody_dim=4, hidden=6, seed=2)
     )
     names = ["attn.wq", "conv.k", "proj.w"]
     dec_names = ["embed", "tenc.conv.k", "fuse.w", "sdec.conv1.k", "sdec.out.w"]
@@ -291,8 +277,7 @@ def test_end_to_end_gradient_check():
         for n in dec_names:
             dec.store.params[n] = p[f"d.{n}"]
         graph = reconstruction_graph(
-            batch, enc, None, CapacityConfig(K=0, G=2), dec,
-            commitment_cost=0.25, bypass_quantizer=True,
+            batch, enc, None, CapacityConfig(K=4, G=2), dec, commitment_cost=0.25
         )
         return graph.loss
 

@@ -31,17 +31,16 @@ from ibvq.harness.experiments import (
     matched_pairs,
     phone_recovery_accuracy,
     read_sweep_csv,
+    reconstruction_eval,
     run_sweep,
     run_transfer_experiment,
     word_pitch_readout,
 )
 from ibvq.harness.training import (
-    duration_mae,
     load_models,
     save_models,
     split_corpus,
     train_autoencoder,
-    train_duration_head,
 )
 from ibvq.mi import MineConfig
 from ibvq.quantizer import CapacityConfig
@@ -95,6 +94,41 @@ def test_k0_quantizer_losses_identically_zero(corpus):
     res = train_autoencoder(corpus, CapacityConfig(K=0, G=2), TINY_TRAIN)
     assert all(p.codebook == 0.0 and p.commitment == 0.0 for p in res.loss_curve)
     assert res.models.codebook is None and res.usage is None
+
+
+K0_TRAIN = nc.TrainConfig(learning_rate=3e-3, steps=60, seed=5, batch_size=4)
+
+
+@pytest.fixture(scope="module")
+def trained_k0(corpus):
+    train_idx, _ = split_corpus(corpus)
+    return train_autoencoder(corpus, CapacityConfig(K=0, G=2), K0_TRAIN, train_indices=train_idx)
+
+
+def test_k0_heldout_mse_matches_training(corpus, trained_k0):
+    """K=0 is a text-only baseline: the decoder sees zero prosody vectors in
+    training as in evaluation, so held-out error tracks training error."""
+    _, held_idx = split_corpus(corpus)
+    train_mse = np.mean([p.mse for p in trained_k0.loss_curve[-20:]])
+    held_mse = reconstruction_eval(corpus, trained_k0.models, held_idx)["recon_mse"]
+    assert held_mse < 1.5 * train_mse
+
+
+def test_k0_loss_curve_independent_of_encoder(corpus, trained_k0):
+    train_idx, _ = split_corpus(corpus)
+    other = train_autoencoder(
+        corpus, CapacityConfig(K=0, G=2), K0_TRAIN, train_indices=train_idx,
+        enc_cfg=EncoderConfig(seed=9),
+    )
+    assert other.loss_curve == trained_k0.loss_curve
+
+
+def test_every_saved_parameter_is_trained(trained):
+    """Training past warm-up reaches every encoder and decoder parameter, so
+    a checkpoint holds no parameter that training never updates."""
+    for store in (trained.models.encoder.store, trained.models.decoder.store):
+        untrained = [n for n in store.names() if store.step_count(n) == 0]
+        assert untrained == []
 
 
 def test_divergence_reports_step(corpus):
@@ -171,19 +205,6 @@ def test_step_graph_freed_by_reference_counting(corpus):
         assert all(ref() is None for ref in inner)
     finally:
         gc.enable()
-
-
-def test_duration_head_trains(corpus, trained):
-    dec = trained.models.decoder
-    train_idx, held_idx = split_corpus(corpus)
-    before = duration_mae(corpus, dec, held_idx)
-    curve = train_duration_head(
-        corpus, dec, nc.TrainConfig(learning_rate=5e-3, steps=120, seed=2, batch_size=6),
-        train_indices=train_idx,
-    )
-    after = duration_mae(corpus, dec, held_idx)
-    assert curve[-1] < curve[0]
-    assert after < before
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +539,41 @@ def test_cli_rejects_checkpoint_missing_a_parameter(cli_workspace, tmp_path):
     rc = cli_main(["reconstruct", "--ckpt", str(broken), "--utt", "utt_0000",
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 1
+
+
+def test_cli_rejects_codebook_entries_in_a_k0_checkpoint(cli_workspace, tmp_path, capsys):
+    _, corpus_dir, ckpt = cli_workspace
+    ckpt0 = tmp_path / "ckpt0"
+    assert cli_main(["train", "--corpus", str(corpus_dir), "--K", "0", "--seed", "1",
+                     "--steps", "1", "--out", str(ckpt0)]) == 0
+    params = nc.load_params(ckpt0 / "params.ibvq")
+    params["cb.entries"] = nc.load_params(ckpt / "params.ibvq")["cb.entries"]
+    nc.save_params(ckpt0 / "params.ibvq", params)
+    capsys.readouterr()
+    assert cli_main(["reconstruct", "--ckpt", str(ckpt0), "--utt", "utt_0000",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "codebook entries" in err and "K=0" in err
+
+
+def test_cli_refuses_a_checkpoint_with_a_duration_head(cli_workspace, tmp_path, capsys):
+    _, _, ckpt = cli_workspace
+    old = tmp_path / "old"
+    shutil.copytree(ckpt, old)
+    # the layout written while the decoder carried a duration head
+    meta = json.loads((old / "meta.json").read_text())
+    meta["decoder"]["duration_hidden"] = 16
+    (old / "meta.json").write_text(json.dumps(meta))
+    params = nc.load_params(old / "params.ibvq")
+    shapes = {"conv1.k": (48, 16), "conv1.b": (1, 16), "conv2.k": (48, 16),
+              "conv2.b": (1, 16), "out.w": (16, 1), "out.b": (1, 1)}
+    params.update({f"dec.dur.{name}": np.zeros(shape) for name, shape in shapes.items()})
+    nc.save_params(old / "params.ibvq", params)
+    capsys.readouterr()
+    assert cli_main(["reconstruct", "--ckpt", str(old), "--utt", "utt_0000",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "duration_hidden" in err and "retrain" in err
 
 
 def test_cli_train_zero_steps(cli_workspace, tmp_path, capsys):
