@@ -264,7 +264,7 @@ class ReconstructionGraph:
 
     output: nc.Tensor
     bottleneck: BottleneckOutput
-    word_features: nc.Tensor
+    word_features: nc.Tensor | None  # None at K = 0, where the encoder is not run
     mse: nc.Tensor
     loss: nc.Tensor
 
@@ -287,18 +287,24 @@ def reconstruction_graph(
     finite-difference gradient checks exercise (the straight-through
     estimator is intentionally not the derivative of the quantized forward
     pass). A disabled bottleneck (K = 0) always feeds the decoder zeros, in
-    training as in evaluation.
+    training as in evaluation; no gradient could reach the encoder then, so
+    it is not run.
     """
-    word_feats = encode(batch.features, batch.alignment, enc_model, batch.frame_offsets)
-    if cap_cfg.enabled and codebook_param is None:
-        zero = nc.constant(np.zeros((1, 1)))
-        bn = BottleneckOutput(
-            quantized=word_feats, codes=None, codebook_loss=zero, commitment_loss=zero
-        )
+    if not cap_cfg.enabled:
+        word_feats = None
+        zeros = np.zeros((batch.alignment.n_words, enc_model.config.acoustic_dim))
+        bn = apply_bottleneck(nc.constant(zeros), None, cap_cfg)
     else:
-        bn = apply_bottleneck(
-            word_feats, codebook_param, cap_cfg, commitment_cost, batch.word_offsets
-        )
+        word_feats = encode(batch.features, batch.alignment, enc_model, batch.frame_offsets)
+        if codebook_param is None:
+            zero = nc.constant(np.zeros((1, 1)))
+            bn = BottleneckOutput(
+                quantized=word_feats, codes=None, codebook_loss=zero, commitment_loss=zero
+            )
+        else:
+            bn = apply_bottleneck(
+                word_feats, codebook_param, cap_cfg, commitment_cost, batch.word_offsets
+            )
     phone_feats = encode_text(batch.phone_ids, dec_model, batch.phone_offsets)
     fused = broadcast_prosody(bn.quantized, batch.alignment.phones_per_word(), phone_feats)
     frames = length_regulate(fused, np.diff(batch.alignment.phone_edges))

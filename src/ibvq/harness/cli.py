@@ -233,12 +233,20 @@ def cmd_predict(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = read_sweep_csv(Path(args.input) / "sweep.csv")
+    path = Path(args.input) / "sweep.csv"
+    rows = read_sweep_csv(path)
     if not rows:
         raise ValidationError(f"no sweep rows found under {args.input}")
     parsers = typing.get_type_hints(CellResult)  # field name -> int, float or str
-    cells = [CellResult(**{name: parse(row[name]) for name, parse in parsers.items()})
-             for row in rows]
+    columns = {}
+    for name, parse in parsers.items():
+        if name not in rows[0]:
+            raise ValidationError(f"{path} has no column {name!r}")
+        try:
+            columns[name] = [parse(row[name]) for row in rows]
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"{path}: bad value in column {name!r}: {e}") from e
+    cells = [CellResult(**dict(zip(columns, values))) for values in zip(*columns.values())]
     capacities = tuple(sorted({c.K for c in cells}))
     groups = cells[0].G
     cfg = ExperimentConfig(capacities=capacities, groups=groups)

@@ -143,7 +143,8 @@ def train_autoencoder(
             codebook=graph.bottleneck.codebook_loss.item(),
             commitment=graph.bottleneck.commitment_loss.item(),
         ))
-        word_features = graph.word_features.data
+        if graph.word_features is not None:
+            word_features = graph.word_features.data
         return graph.loss
 
     def learning_rate(step: int) -> float:

@@ -31,7 +31,6 @@ from ibvq.synthdata.types import (
     Utterance,
     UtteranceSpec,
     WordToken,
-    edges_from_lengths,
     round_half_up,
 )
 
@@ -181,14 +180,11 @@ def render_features(
     """
     spec.validate(inventory.size)
     channels = TEMPLATE_START + inventory.template_channels
-    realized = np.asarray(spec.realized_durations(), dtype=np.int64)
-    total = int(realized.sum())
-    phone_edges = edges_from_lengths(realized)
-    syl_sizes = [len(s) for w in spec.words for s in w.syllables]
-    syl_edges = phone_edges[edges_from_lengths(syl_sizes)]
-    word_edges = syl_edges[edges_from_lengths([len(w.syllables) for w in spec.words])]
-    frame_phone = np.repeat(np.asarray(spec.phone_ids, dtype=np.int64), realized)
-    frame_word = np.repeat(np.arange(len(spec.words)), np.diff(word_edges))
+    align = spec.alignment()
+    total = align.total_frames
+    frame_phone = np.repeat(np.asarray(spec.phone_ids, dtype=np.int64),
+                            np.diff(align.phone_edges))
+    frame_word = np.repeat(np.arange(len(spec.words)), np.diff(align.word_edges))
     prosody = np.array(
         [(w.prosody.pitch_mean, w.prosody.pitch_slope, w.prosody.energy) for w in spec.words]
     )
@@ -196,7 +192,7 @@ def render_features(
 
     feats = np.zeros((total, channels))
     voiced = inventory.voiced[frame_phone]
-    offsets = (np.arange(total) - word_edges[frame_word])[voiced]
+    offsets = (np.arange(total) - align.word_edges[frame_word])[voiced]
     f0 = pitch_mean[voiced] + pitch_slope[voiced] * offsets
     if f0.size and (f0.min() < F0_FLOOR_HZ or f0.max() > F0_CEIL_HZ):
         warnings.warn(
@@ -212,10 +208,6 @@ def render_features(
     if noise_sigma > 0:
         rng = np.random.default_rng(noise_seed)
         feats[:, 1:] += rng.normal(0.0, noise_sigma, size=(total, channels - 1))
-    align = AlignmentHierarchy(
-        phone_edges=phone_edges, syllable_edges=syl_edges, word_edges=word_edges
-    )
-    align.validate()
     return feats, align
 
 

@@ -1,27 +1,23 @@
-"""Corpus directory layout (manifest version 2)::
+"""Corpus directory layout (manifest version 3)::
 
-    manifest.json            config, inventory, lexicon, utterance ids
-    <utt_id>/features.npy    (frames, channels) little-endian float64, C order
-    <utt_id>/alignment.json  phone, syllable and word frame edges
-    <utt_id>/spec.json       words, syllables, durations and prosody factors
+    manifest.json   config, inventory, lexicon, utterance ids, and each
+                    utterance's frame_offsets and spec_offsets
+    features.npy    (frames, channels) little-endian float64, C order: the
+                    frames of every utterance, in manifest order
+    specs.jsonl     one key-sorted JSON utterance spec per line, in manifest order
 
-Features are stored as ``.npy`` binaries, so write followed by read
-reproduces the in-memory corpus bit for bit with no decimal formatting or
-parsing. A manifest of any other version is refused: a corpus written by an
-earlier release must be regenerated with ``ibvq gen-data``.
+Utterance i owns rows ``frame_offsets[i]:frame_offsets[i + 1]`` of the
+features and bytes ``spec_offsets[i]:spec_offsets[i + 1]`` of the specs. Its
+alignment is not stored but derived from its spec, as in rendering
+(:meth:`UtteranceSpec.alignment`). Write followed by read reproduces the
+in-memory corpus bit for bit. A manifest of another version is refused: such
+a corpus must be regenerated with ``ibvq gen-data`` into a new or empty
+directory.
 
-``write_corpus`` writes the manifest last, through a temporary file renamed
-into place, so a directory whose writing was interrupted has no manifest and
-cannot be read as a corpus. Writing over an existing corpus then removes the
-directories of utterances the old manifest lists and the new one does not,
-and any version-1 ``features.csv`` left in a reused directory; it deletes
-nothing the old manifest does not name, and nothing at all if the old
-manifest cannot be parsed.
-
-``read_corpus`` reads either every utterance the manifest lists or only the
-utterances named by id. The manifest is validated in full either way, and
-every utterance read passes the same checks, so a query about one utterance
-opens one ``features.npy`` instead of the whole corpus.
+``write_corpus`` removes the old manifest, replaces each data file by renaming
+a temporary file over it, and writes the manifest last the same way: an
+interrupted write leaves no manifest, so the directory cannot be read as a
+corpus, and a rewrite touches nothing but these three names.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import shutil
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -37,7 +32,6 @@ import numpy as np
 
 from ibvq.errors import CorpusFormatError, ValidationError
 from ibvq.synthdata.types import (
-    AlignmentHierarchy,
     Corpus,
     CorpusConfig,
     LexiconWord,
@@ -46,76 +40,63 @@ from ibvq.synthdata.types import (
     Utterance,
     UtteranceSpec,
     WordToken,
+    edges_from_lengths,
 )
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 FEATURES_NAME = "features.npy"
-V1_FEATURES_NAME = "features.csv"
+SPECS_NAME = "specs.jsonl"
 
 
-def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-
-
-def _load_json(path: Path, what: str):
+def _load_manifest(path: Path) -> dict:
     try:
-        text = path.read_text(encoding="utf-8")
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
-        raise CorpusFormatError(f"missing {what}: {path} ({e})") from e
-    try:
-        return json.loads(text)
+        raise CorpusFormatError(f"missing manifest: {path} ({e})") from e
     except json.JSONDecodeError as e:
-        raise CorpusFormatError(f"malformed {what} at {path}, line {e.lineno}: {e.msg}") from e
+        raise CorpusFormatError(f"malformed manifest at {path}, line {e.lineno}: {e.msg}") from e
+    version = manifest.get("version") if isinstance(manifest, dict) else None
+    if version != MANIFEST_VERSION:
+        raise CorpusFormatError(
+            f"manifest {path} has version {version!r}, expected {MANIFEST_VERSION}; "
+            "regenerate the corpus with `ibvq gen-data` into a new or empty directory"
+        )
+    return manifest
 
 
-def _spec_to_json(spec: UtteranceSpec) -> dict:
-    return {
-        "utt_id": spec.utt_id,
-        "words": [
-            {
-                "word_id": w.word_id,
-                "syllables": w.syllables,
-                "durations": w.durations,
-                "prosody": dataclasses.asdict(w.prosody),
-            }
-            for w in spec.words
-        ],
-    }
+def _spec_from_json(obj: dict) -> UtteranceSpec:
+    words = [
+        WordToken(
+            word_id=int(w["word_id"]),
+            syllables=[[int(p) for p in s] for s in w["syllables"]],
+            durations=[int(d) for d in w["durations"]],
+            prosody=ProsodyFactor(**w["prosody"]),
+        )
+        for w in obj["words"]
+    ]
+    return UtteranceSpec(utt_id=obj["utt_id"], words=words)
 
 
-def _spec_from_json(obj: dict, path: Path) -> UtteranceSpec:
+def _commit(path: Path, write) -> None:
+    """Write ``path`` by ``write(binary file)`` to a temporary file renamed over it."""
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        words = [
-            WordToken(
-                word_id=int(w["word_id"]),
-                syllables=[[int(p) for p in s] for s in w["syllables"]],
-                durations=[int(d) for d in w["durations"]],
-                prosody=ProsodyFactor(**w["prosody"]),
-            )
-            for w in obj["words"]
-        ]
-        return UtteranceSpec(utt_id=obj["utt_id"], words=words)
-    except (KeyError, TypeError, ValueError) as e:
-        raise CorpusFormatError(f"bad utterance spec in {path}: {e}") from e
-
-
-def _listed_utterances(manifest_path: Path) -> list[str]:
-    """Ids of the utterance directories the manifest at ``manifest_path``
-    lists: plain names directly under the corpus root. Empty when there is
-    no manifest or it cannot be parsed."""
-    try:
-        listed = _load_json(manifest_path, "manifest")["utterances"]
-    except (ValueError, KeyError, TypeError):  # CorpusFormatError is a ValueError
-        return []
-    if not isinstance(listed, list):
-        return []
-    return [u for u in listed if isinstance(u, str) and u != ".." and Path(u).name == u != ""]
+        with tmp.open("wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
+    utts = corpus.utterances
+    lines = [(json.dumps(dataclasses.asdict(u.spec), sort_keys=True) + "\n").encode() for u in utts]
+    features = np.concatenate(
+        [np.empty((0, corpus.config.channels))] + [u.features for u in utts], dtype="<f8"
+    )
     manifest = {
         "version": MANIFEST_VERSION,
         "config": dataclasses.asdict(corpus.config),
@@ -124,72 +105,60 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
             "templates": corpus.inventory.templates.tolist(),
             "base_durations": corpus.inventory.base_durations.tolist(),
         },
-        "lexicon": [
-            {
-                "syllables": [list(s) for s in w.syllables],
-                "base_pitch": w.base_pitch,
-                "base_slope": w.base_slope,
-                "base_energy": w.base_energy,
-                "preferred_tempo": w.preferred_tempo,
-            }
-            for w in corpus.lexicon
-        ],
-        "utterances": [u.spec.utt_id for u in corpus.utterances],
+        "lexicon": [dataclasses.asdict(w) for w in corpus.lexicon],
+        "utterances": [u.spec.utt_id for u in utts],
+        "frame_offsets": edges_from_lengths([len(u.features) for u in utts]).tolist(),
+        "spec_offsets": edges_from_lengths([len(line) for line in lines]).tolist(),
     }
+    manifest_text = json.dumps(manifest, sort_keys=True, indent=1) + "\n"
     manifest_path = root / MANIFEST_NAME
-    old_ids = _listed_utterances(manifest_path)
     manifest_path.unlink(missing_ok=True)
-    for utt in corpus.utterances:
-        utt_dir = root / utt.spec.utt_id
-        utt_dir.mkdir(exist_ok=True)
-        features = np.ascontiguousarray(utt.features, dtype="<f8")
-        np.save(utt_dir / FEATURES_NAME, features, allow_pickle=False)
-        _dump_json(
-            utt_dir / "alignment.json",
-            {
-                "phone_edges": utt.alignment.phone_edges.tolist(),
-                "syllable_edges": utt.alignment.syllable_edges.tolist(),
-                "word_edges": utt.alignment.word_edges.tolist(),
-            },
-        )
-        _dump_json(utt_dir / "spec.json", _spec_to_json(utt.spec))
-    tmp = root / f"{MANIFEST_NAME}.tmp"
-    try:
-        _dump_json(tmp, manifest)
-        os.replace(tmp, manifest_path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    new_ids = set(manifest["utterances"])
-    for utt_id in old_ids:
-        utt_dir = root / utt_id
-        if utt_id in new_ids:
-            (utt_dir / V1_FEATURES_NAME).unlink(missing_ok=True)
-        elif utt_dir.is_dir() and not utt_dir.is_symlink():
-            shutil.rmtree(utt_dir)
+    _commit(root / FEATURES_NAME, lambda fh: np.save(fh, features, allow_pickle=False))
+    _commit(root / SPECS_NAME, lambda fh: fh.writelines(lines))
+    _commit(manifest_path, lambda fh: fh.write(manifest_text.encode()))
 
 
-def _read_features(path: Path, channels: int, frames: int, utt_id: str) -> np.ndarray:
-    where = f"feature file for utterance {utt_id}: {path}"
+def _offsets(values, n: int) -> list[int]:
+    """``values`` as the n + 1 edges of n non-empty consecutive spans."""
+    edges = np.asarray(values)
+    ok = edges.dtype == np.int64 and edges.shape == (n + 1,)
+    if not (ok and edges[0] == 0 and (np.diff(edges) > 0).all()):
+        raise ValueError(f"offsets must be {n + 1} increasing integers from 0")
+    return edges.tolist()
+
+
+def _open_features(path: Path, channels: int, frames: int) -> np.ndarray:
+    """A read-only memory map of the feature file, its header checked."""
     try:
-        with path.open("rb") as fh:
-            features = np.lib.format.read_array(fh, allow_pickle=False)
-    except OSError as e:
-        raise CorpusFormatError(f"missing {where} ({e})") from e
-    except (ValueError, EOFError, MemoryError) as e:
-        # MemoryError: a header that claims more rows than the file holds
-        # fails its allocation before the short read is noticed
-        raise CorpusFormatError(f"unreadable {where} ({e})") from e
-    if features.dtype != np.float64:
-        raise CorpusFormatError(f"{where} has dtype {features.dtype}, expected float64")
-    if features.ndim != 2 or features.shape[1] != channels:
-        raise CorpusFormatError(f"{where} has shape {features.shape}, expected (frames, {channels})")
-    if features.shape[0] != frames:
+        features = np.lib.format.open_memmap(path, mode="r")
+    except FileNotFoundError as e:
+        raise CorpusFormatError(f"missing feature file {path} ({e})") from e
+    except (OSError, ValueError, EOFError) as e:
+        # a header that claims more rows than the file holds fails the mapping
+        raise CorpusFormatError(f"unreadable feature file {path} ({e})") from e
+    if features.dtype != np.dtype("<f8") or features.shape != (frames, channels):
         raise CorpusFormatError(
-            f"{where} has {features.shape[0]} rows but the alignment covers {frames} frames"
+            f"feature file {path} holds {features.dtype} {features.shape}, "
+            f"expected <f8 ({frames}, {channels}) by the manifest"
         )
-    if not np.isfinite(features).all():
-        raise CorpusFormatError(f"non-finite value in {where}")
     return features
+
+
+def _read_spec(fh, start: int, stop: int, utt_id: str, inventory_size: int,
+               path: Path) -> UtteranceSpec:
+    """The validated spec of ``utt_id`` at bytes ``start:stop`` of ``fh``."""
+    fh.seek(start)
+    line = fh.read(stop - start)
+    try:
+        if len(line) != stop - start or not line.endswith(b"\n"):
+            raise ValueError(f"expected one line at bytes {start}:{stop}")
+        spec = _spec_from_json(json.loads(line))
+        if spec.utt_id != utt_id:
+            raise ValueError(f"the line belongs to utterance {spec.utt_id!r}")
+        spec.validate(inventory_size)
+    except (KeyError, TypeError, ValueError) as e:  # ValidationError is a ValueError
+        raise CorpusFormatError(f"bad spec of utterance {utt_id} in {path}: {e}") from e
+    return spec
 
 
 def read_corpus(path: str | Path, utt_ids: Sequence[str] | None = None) -> Corpus:
@@ -198,19 +167,16 @@ def read_corpus(path: str | Path, utt_ids: Sequence[str] | None = None) -> Corpu
     Without ``utt_ids`` every utterance the manifest lists is read, in
     manifest order. With ``utt_ids`` only those utterances are read, in the
     order given and each once; an id the manifest does not list raises
-    ValidationError before any of its files is opened, so an id never names
-    a path outside the corpus's own entries. Each utterance read is checked
-    the same way: its spec, its alignment, and its features' dtype, shape,
-    finiteness and row count.
+    ValidationError before any data file is opened. The manifest and the
+    feature file's header are validated in full; each utterance read has its
+    spec line parsed and validated, the frame count its alignment gives
+    checked against its rows, and those rows, copied out of a read-only
+    memory map, checked for finiteness. A query thus parses and copies only
+    what it names.
     """
     root = Path(path)
-    manifest = _load_json(root / MANIFEST_NAME, "manifest")
-    version = manifest.get("version") if isinstance(manifest, dict) else None
-    if version != MANIFEST_VERSION:
-        raise CorpusFormatError(
-            f"manifest {root / MANIFEST_NAME} has version {version!r}, expected "
-            f"{MANIFEST_VERSION}; regenerate the corpus with `ibvq gen-data`"
-        )
+    manifest_path = root / MANIFEST_NAME
+    manifest = _load_manifest(manifest_path)
     try:
         config = CorpusConfig(**manifest["config"])
         inv = manifest["inventory"]
@@ -230,31 +196,42 @@ def read_corpus(path: str | Path, utt_ids: Sequence[str] | None = None) -> Corpu
             for w in manifest["lexicon"]
         ]
         listed = list(manifest["utterances"])
+        frame_offsets = _offsets(manifest["frame_offsets"], len(listed))
+        spec_offsets = _offsets(manifest["spec_offsets"], len(listed))
     except (KeyError, TypeError, ValueError) as e:
-        raise CorpusFormatError(f"manifest {root / MANIFEST_NAME} is incomplete: {e}") from e
+        raise CorpusFormatError(f"manifest {manifest_path} is incomplete: {e}") from e
     if utt_ids is None:
-        utt_ids = listed
+        order = range(len(listed))
     else:
-        utt_ids = list(dict.fromkeys(utt_ids))
-        for utt_id in utt_ids:
-            if utt_id not in listed:
+        index = {utt_id: i for i, utt_id in enumerate(listed)}
+        order = []
+        for utt_id in dict.fromkeys(utt_ids):
+            if utt_id not in index:
                 raise ValidationError(f"utterance {utt_id!r} not found in corpus")
+            order.append(index[utt_id])
+    features_path, specs_path = root / FEATURES_NAME, root / SPECS_NAME
+    features = _open_features(features_path, config.channels, frame_offsets[-1])
     utterances = []
-    for utt_id in utt_ids:
-        utt_dir = root / utt_id
-        spec = _spec_from_json(_load_json(utt_dir / "spec.json", "utterance spec"), utt_dir)
-        align_obj = _load_json(utt_dir / "alignment.json", "alignment")
-        try:
-            alignment = AlignmentHierarchy(
-                phone_edges=np.asarray(align_obj["phone_edges"], dtype=np.int64),
-                syllable_edges=np.asarray(align_obj["syllable_edges"], dtype=np.int64),
-                word_edges=np.asarray(align_obj["word_edges"], dtype=np.int64),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise CorpusFormatError(f"bad alignment in {utt_dir}: {e}") from e
-        alignment.validate()
-        features = _read_features(
-            utt_dir / FEATURES_NAME, config.channels, alignment.total_frames, utt_id
-        )
-        utterances.append(Utterance(spec=spec, features=features, alignment=alignment))
+    try:
+        fh = specs_path.open("rb")
+    except OSError as e:
+        raise CorpusFormatError(f"missing spec file {specs_path} ({e})") from e
+    with fh:
+        for i in order:
+            utt_id = listed[i]
+            spec = _read_spec(fh, spec_offsets[i], spec_offsets[i + 1], utt_id,
+                              inventory.size, specs_path)
+            alignment = spec.alignment()
+            start, stop = frame_offsets[i], frame_offsets[i + 1]
+            if alignment.total_frames != stop - start:
+                raise CorpusFormatError(
+                    f"manifest {manifest_path} gives utterance {utt_id} {stop - start} "
+                    f"frames, but its spec gives {alignment.total_frames}"
+                )
+            rows = np.array(features[start:stop])
+            if not np.isfinite(rows).all():
+                raise CorpusFormatError(
+                    f"non-finite value in the rows of utterance {utt_id} in {features_path}"
+                )
+            utterances.append(Utterance(spec=spec, features=rows, alignment=alignment))
     return Corpus(config=config, inventory=inventory, lexicon=lexicon, utterances=utterances)

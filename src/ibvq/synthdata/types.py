@@ -146,15 +146,23 @@ class UtteranceSpec:
             out.extend(round_half_up(d * w.prosody.tempo) for d in w.durations)
         return out
 
-    @property
-    def total_frames(self) -> int:
-        return sum(self.realized_durations())
-
     def validate(self, inventory_size: int) -> None:
         if not self.words:
             raise ValidationError(f"utterance {self.utt_id} has no words")
         for w in self.words:
             w.validate(inventory_size)
+
+    def alignment(self) -> AlignmentHierarchy:
+        """The exact frame segmentation of the rendered utterance, which
+        rendering and corpus reading both derive from the spec. It is valid
+        by construction when the spec is: every realized duration is >= 2."""
+        phone_edges = edges_from_lengths(self.realized_durations())
+        syl_sizes = [len(s) for w in self.words for s in w.syllables]
+        syl_edges = phone_edges[edges_from_lengths(syl_sizes)]
+        word_edges = syl_edges[edges_from_lengths([len(w.syllables) for w in self.words])]
+        return AlignmentHierarchy(
+            phone_edges=phone_edges, syllable_edges=syl_edges, word_edges=word_edges
+        )
 
 
 @dataclass

@@ -12,7 +12,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import ibvq.decoder as decoder_module
 import ibvq.harness.experiments as experiments
+import ibvq.harness.training as training_module
 import ibvq.numcore as nc
 from ibvq.decoder import (
     DecoderConfig,
@@ -121,6 +123,17 @@ def test_k0_loss_curve_independent_of_encoder(corpus, trained_k0):
         enc_cfg=EncoderConfig(seed=9),
     )
     assert other.loss_curve == trained_k0.loss_curve
+
+
+def test_k0_training_runs_no_encode(corpus, monkeypatch):
+    """At K=0 the decoder sees zeros and no gradient reaches the encoder, so
+    training never runs it."""
+    calls = []
+    monkeypatch.setattr(decoder_module, "encode", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(training_module, "encode", lambda *a, **k: calls.append(a))
+    train_autoencoder(corpus, CapacityConfig(K=0, G=2), nc.TrainConfig(steps=3, seed=5,
+                                                                        batch_size=4))
+    assert calls == []
 
 
 def test_every_saved_parameter_is_trained(trained):
@@ -390,9 +403,10 @@ def test_cli_gen_data_deterministic(cli_workspace, tmp_path):
     root, corpus_dir, _ = cli_workspace
     again = tmp_path / "corpus2"
     assert cli_main(["gen-data", "--config", str(root / "corpus.json"), "--out", str(again)]) == 0
-    a = (corpus_dir / "utt_0000" / "features.npy").read_bytes()
-    b = (again / "utt_0000" / "features.npy").read_bytes()
-    assert a == b
+    names = ["features.npy", "manifest.json", "specs.jsonl"]
+    assert sorted(p.name for p in again.iterdir()) == names
+    for name in names:
+        assert (corpus_dir / name).read_bytes() == (again / name).read_bytes()
 
 
 def test_cli_reconstruct_and_transfer(cli_workspace, tmp_path):
@@ -425,7 +439,12 @@ def test_cli_query_reads_only_the_named_utterances(cli_workspace, tmp_path):
                      "--out", str(expect)]) == 0
     damaged = tmp_path / "corpus"
     shutil.copytree(corpus_dir, damaged)
-    (damaged / "utt_0005" / "features.npy").unlink()
+    manifest = json.loads((damaged / "manifest.json").read_text())
+    first_row = manifest["frame_offsets"][manifest["utterances"].index("utt_0005")]
+    features = np.load(damaged / "features.npy", mmap_mode="r+")
+    features[first_row + 1, 3] = np.nan
+    features.flush()
+    del features
     out = tmp_path / "rec.csv"
     assert cli_main(["reconstruct", "--ckpt", str(ckpt), "--corpus", str(damaged),
                      "--utt", "utt_0003", "--out", str(out)]) == 0
@@ -441,13 +460,9 @@ def test_cli_refuses_a_version_1_corpus(cli_workspace, tmp_path, capsys):
     _, corpus_dir, _ = cli_workspace
     old = tmp_path / "corpus"
     shutil.copytree(corpus_dir, old)
-    # the layout written before manifest version 2: text feature files
     manifest = json.loads((old / "manifest.json").read_text())
     manifest["version"] = 1
     (old / "manifest.json").write_text(json.dumps(manifest))
-    for npy in old.glob("*/features.npy"):
-        np.savetxt(npy.with_suffix(".csv"), np.load(npy), fmt="%.17g", delimiter=",")
-        npy.unlink()
     capsys.readouterr()
     assert cli_main(["train", "--corpus", str(old), "--K", "4", "--seed", "1",
                      "--steps", "1", "--out", str(tmp_path / "ckpt")]) == 1
@@ -487,6 +502,23 @@ def test_cli_error_exit_codes(cli_workspace, tmp_path, capsys):
         capsys.readouterr()
         assert cli_main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+    # a sweep.csv with a missing column or a value of the wrong type: exit 1
+    # with a message naming the file and the column
+    sweep = tmp_path / "sweep"
+    sweep.mkdir()
+    row = dict.fromkeys(CELL_COLUMNS, "0.5") | {"K": "4", "G": "2", "seed": "1",
+                                                 "status": "ok", "error": ""}
+    bad_tables = [
+        ("K,G,seed\n4,2,1\n", "'capacity_nats'"),
+        (",".join(row) + "\n" + ",".join({**row, "recon_mse": "abc"}.values()) + "\n",
+         "'recon_mse'"),
+    ]
+    for text, column in bad_tables:
+        (sweep / "sweep.csv").write_text(text)
+        capsys.readouterr()
+        assert cli_main(["report", "--in", str(sweep), "--out", str(tmp_path / "tables")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sweep.csv" in err and column in err, err
     # K=0 prediction is a config error -> exit 1
     ckpt0 = tmp_path / "ckpt0"
     assert cli_main(["train", "--corpus", str(corpus_dir), "--K", "0", "--seed", "1",

@@ -1,7 +1,7 @@
 import dataclasses
 import io
+import json
 import math
-import shutil
 import warnings
 from pathlib import Path
 
@@ -276,17 +276,36 @@ def test_corpus_round_trip_is_bit_exact(tmp_path, small_corpus):
         assert got.features.tobytes() == want.features.tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3, 7])
+def test_default_corpus_round_trip_is_bit_exact(tmp_path, seed):
+    corpus = sd.build_corpus(sd.CorpusConfig(seed=seed))
+    sd.write_corpus(corpus, tmp_path / "corpus")
+    loaded = sd.read_corpus(tmp_path / "corpus")
+    assert len(loaded.utterances) == len(corpus.utterances)
+    for got, want in zip(loaded.utterances, corpus.utterances):
+        assert got.features.tobytes() == want.features.tobytes()
+        assert repr(got.spec) == repr(want.spec)
+        for level in ("phone_edges", "syllable_edges", "word_edges"):
+            a, b = getattr(got.alignment, level), getattr(want.alignment, level)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+CORPUS_FILES = ["features.npy", "manifest.json", "specs.jsonl"]
+
+
 def test_corpus_write_deterministic_bytes(tmp_path, small_corpus):
     sd.write_corpus(small_corpus, tmp_path / "c1")
     sd.write_corpus(small_corpus, tmp_path / "c2")
-    for rel in ("manifest.json", "utt_0000/features.npy", "utt_0000/spec.json"):
-        assert (tmp_path / "c1" / rel).read_bytes() == (tmp_path / "c2" / rel).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "c1").iterdir()) == CORPUS_FILES
+    for name in CORPUS_FILES:
+        assert (tmp_path / "c1" / name).read_bytes() == (tmp_path / "c2" / name).read_bytes()
 
 
-def test_missing_feature_file_names_utterance(tmp_path, small_corpus):
+@pytest.mark.parametrize("name", ["features.npy", "specs.jsonl"])
+def test_missing_data_file_names_the_file(tmp_path, small_corpus, name):
     sd.write_corpus(small_corpus, tmp_path / "corpus")
-    (tmp_path / "corpus" / "utt_0003" / "features.npy").unlink()
-    with pytest.raises(CorpusFormatError, match="utt_0003"):
+    (tmp_path / "corpus" / name).unlink()
+    with pytest.raises(CorpusFormatError, match=f"missing .*{name}"):
         sd.read_corpus(tmp_path / "corpus")
 
 
@@ -304,7 +323,7 @@ def _npz(arr: np.ndarray) -> bytes:
 
 def _with_value(arr: np.ndarray, value: float) -> bytes:
     arr = arr.copy()
-    arr[2, 3] = value
+    arr[-3, 3] = value  # a row of the last utterance
     return _npy(arr)
 
 
@@ -332,40 +351,138 @@ BAD_FEATURE_FILES = {
     "nan": lambda f: _with_value(f, np.nan),
     "inf": lambda f: _with_value(f, np.inf),
 }
+BAD_ROW_VALUES = ("nan", "inf")
 
 
-@pytest.mark.parametrize("make_bad", BAD_FEATURE_FILES.values(), ids=BAD_FEATURE_FILES.keys())
-def test_bad_feature_file_names_utterance(tmp_path, small_corpus, make_bad):
+@pytest.mark.parametrize("case", BAD_FEATURE_FILES)
+def test_bad_feature_file_names_utterance(tmp_path, small_corpus, case):
+    """A fault in the whole feature file names the file; a bad value names
+    the utterance whose rows hold it, and reading other utterances works."""
     root = tmp_path / "corpus"
     sd.write_corpus(small_corpus, root)
-    (root / "utt_0001" / "features.npy").write_bytes(make_bad(small_corpus.utterances[1].features))
-    with pytest.raises(CorpusFormatError, match=r"utterance utt_0001: .*features\.npy"):
+    features = np.load(root / "features.npy")
+    (root / "features.npy").write_bytes(BAD_FEATURE_FILES[case](features))
+    where = r"utterance utt_0029 in .*" if case in BAD_ROW_VALUES else r"feature file .*"
+    with pytest.raises(CorpusFormatError, match=where + r"features\.npy"):
+        sd.read_corpus(root)
+    if case in BAD_ROW_VALUES:
+        assert sd.read_corpus(root, ["utt_0000"]).utterances == small_corpus.utterances[:1]
+
+
+def _edit_manifest(root: Path, edit) -> None:
+    manifest = json.loads((root / "manifest.json").read_text())
+    edit(manifest)
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _edit_spec(root: Path, index: int, edit) -> None:
+    """Rewrite utterance ``index``'s spec line with ``edit`` applied to its
+    JSON object, moving the manifest's spec offsets to match."""
+    offsets = json.loads((root / "manifest.json").read_text())["spec_offsets"]
+    data = (root / "specs.jsonl").read_bytes()
+    lines = [data[a:b] for a, b in zip(offsets, offsets[1:])]
+    obj = json.loads(lines[index])
+    edit(obj)
+    lines[index] = (json.dumps(obj) + "\n").encode()
+    (root / "specs.jsonl").write_bytes(b"".join(lines))
+    new_offsets = np.cumsum([0] + [len(line) for line in lines]).tolist()
+    _edit_manifest(root, lambda m: m.update(spec_offsets=new_offsets))
+
+
+def _truncate_specs_in_line_3(root: Path) -> None:
+    start = json.loads((root / "manifest.json").read_text())["spec_offsets"][3]
+    data = (root / "specs.jsonl").read_bytes()
+    (root / "specs.jsonl").write_bytes(data[: start + 20])
+
+
+def _offsets_past_the_end(m: dict) -> None:
+    m["spec_offsets"][4:] = [o + 10**6 for o in m["spec_offsets"][4:]]
+
+
+BAD_SPECS = {
+    "truncated_line": _truncate_specs_in_line_3,
+    "other_utt_id": lambda root: _edit_spec(root, 3, lambda s: s.update(utt_id="utt_0004")),
+    "offsets_past_the_end": lambda root: _edit_manifest(root, _offsets_past_the_end),
+    "invalid_duration": lambda root: _edit_spec(
+        root, 3, lambda s: s["words"][0]["durations"].__setitem__(0, 9)
+    ),
+    "no_words": lambda root: _edit_spec(root, 3, lambda s: s.pop("words")),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SPECS)
+def test_bad_spec_line_names_utterance(tmp_path, small_corpus, case):
+    root = tmp_path / "corpus"
+    sd.write_corpus(small_corpus, root)
+    BAD_SPECS[case](root)
+    for utt_ids in (None, ["utt_0003"]):
+        with pytest.raises(CorpusFormatError, match=r"spec of utterance utt_0003 in .*specs"):
+            sd.read_corpus(root, utt_ids)
+    assert sd.read_corpus(root, ["utt_0001"]).utterances == small_corpus.utterances[1:2]
+
+
+def test_frame_offsets_disagreeing_with_spec_name_utterance(tmp_path, small_corpus):
+    root = tmp_path / "corpus"
+    sd.write_corpus(small_corpus, root)
+    _edit_manifest(root, lambda m: m["frame_offsets"].__setitem__(4, m["frame_offsets"][4] + 1))
+    with pytest.raises(CorpusFormatError, match=r"utterance utt_0003 \d+ frames, but its spec"):
         sd.read_corpus(root)
 
 
-@pytest.mark.parametrize("fail_at", ["utterance", "rename"])
+@pytest.mark.parametrize("offsets", [[], "0,1", [0, 1.5], [0, 5, 3]])
+def test_malformed_frame_offsets_are_refused(tmp_path, small_corpus, offsets):
+    root = tmp_path / "corpus"
+    sd.write_corpus(small_corpus, root)
+    _edit_manifest(root, lambda m: m.update(frame_offsets=offsets))
+    with pytest.raises(CorpusFormatError, match="manifest .* offsets"):
+        sd.read_corpus(root)
+
+
+def test_version_2_manifest_is_refused(tmp_path, small_corpus):
+    root = tmp_path / "corpus"
+    sd.write_corpus(small_corpus, root)
+    _edit_manifest(root, lambda m: m.update(version=2))
+    with pytest.raises(CorpusFormatError, match="version 2.*gen-data.* new or empty directory"):
+        sd.read_corpus(root)
+
+
+INTERRUPTIONS = {  # id -> (file whose commit fails, failing step)
+    "features": ("features.npy", "write"),
+    "features_rename": ("features.npy", "rename"),
+    "specs": ("specs.jsonl", "write"),
+    "specs_rename": ("specs.jsonl", "rename"),
+    "manifest": ("manifest.json", "write"),
+    "rename": ("manifest.json", "rename"),
+}
+
+
+@pytest.mark.parametrize("fail_at", INTERRUPTIONS)
 def test_interrupted_write_leaves_no_manifest(tmp_path, small_corpus, monkeypatch, fail_at):
     root = tmp_path / "corpus"
     sd.write_corpus(small_corpus, root)  # a stale manifest the rewrite must remove first
-    real_dump = storage._dump_json
-    dumped = []
+    name, step = INTERRUPTIONS[fail_at]
+    real_open, real_replace = Path.open, storage.os.replace
 
-    def dump_then_fail(path, obj):
-        if len(dumped) == 6:  # after three utterances' alignment and spec files
+    def open_then_fail(self, *args, **kwargs):
+        if self.name == name + ".tmp":
+            with real_open(self, "wb") as fh:
+                fh.write(b"partial")
             raise OSError("disk full")
-        dumped.append(path)
-        real_dump(path, obj)
+        return real_open(self, *args, **kwargs)
 
     def fail_rename(src, dst):
-        raise OSError("disk full")
+        if Path(dst).name == name:
+            raise OSError("disk full")
+        real_replace(src, dst)
 
-    if fail_at == "utterance":
-        monkeypatch.setattr(storage, "_dump_json", dump_then_fail)
+    if step == "write":
+        monkeypatch.setattr(Path, "open", open_then_fail)
     else:
         monkeypatch.setattr(storage.os, "replace", fail_rename)
     with pytest.raises(OSError, match="disk full"):
         sd.write_corpus(small_corpus, root)
-    assert not [p.name for p in root.iterdir() if p.name.startswith("manifest")]
+    monkeypatch.undo()
+    assert sorted(p.name for p in root.iterdir()) == ["features.npy", "specs.jsonl"]
     with pytest.raises(CorpusFormatError, match="missing manifest"):
         sd.read_corpus(root)
 
@@ -373,13 +490,13 @@ def test_interrupted_write_leaves_no_manifest(tmp_path, small_corpus, monkeypatc
 def test_rewrite_removes_stale_utterances(tmp_path):
     root = tmp_path / "corpus"
     sd.write_corpus(sd.build_corpus(sd.CorpusConfig(n_utterances=200, seed=4)), root)
-    (root / "utt_0005" / "features.csv").write_text("0.5\n")  # left by a version-1 corpus
     (root / "notes.txt").write_text("not part of the corpus\n")
+    (root / "drafts").mkdir()
+    (root / "drafts" / "x.txt").write_text("nor this\n")
     small = sd.build_corpus(sd.CorpusConfig(n_utterances=20, seed=9))
     sd.write_corpus(small, root)
-    ids = [u.spec.utt_id for u in small.utterances]
-    assert sorted(p.name for p in root.iterdir()) == sorted(ids + ["manifest.json", "notes.txt"])
-    assert not (root / "utt_0005" / "features.csv").exists()
+    assert sorted(p.name for p in root.iterdir()) == sorted(CORPUS_FILES + ["drafts", "notes.txt"])
+    assert (root / "drafts" / "x.txt").is_file()
     assert sd.read_corpus(root) == small
 
 
@@ -389,11 +506,12 @@ def test_rewrite_deletes_nothing_the_old_manifest_does_not_name(tmp_path, small_
     root = tmp_path / "corpus"
     sd.write_corpus(small_corpus, root)
     (tmp_path / "x").mkdir()
+    (root / "utt_0001").mkdir()  # a directory an earlier layout kept per utterance
     (root / "manifest.json").write_text(manifest)
     one = dataclasses.replace(small_corpus, utterances=small_corpus.utterances[:1])
     sd.write_corpus(one, root)
-    assert (tmp_path / "x").is_dir()
-    assert len([p for p in root.iterdir() if p.is_dir()]) == len(small_corpus.utterances)
+    assert (tmp_path / "x").is_dir() and (root / "utt_0001").is_dir()
+    assert sd.read_corpus(root) == one
 
 
 def test_malformed_manifest_reports_line(tmp_path):
@@ -419,8 +537,6 @@ def test_read_unlisted_utterance_opens_nothing_but_the_manifest(tmp_path, small_
                                                                 monkeypatch, bad):
     root = tmp_path / "corpus"
     sd.write_corpus(small_corpus, root)
-    # a well-formed utterance directory just outside the corpus, reachable as "../x"
-    shutil.copytree(root / "utt_0000", tmp_path / "x")
     opened = []
     real_open = Path.open
 
