@@ -27,7 +27,6 @@ from ibvq.harness.experiments import (
     ExperimentConfig,
     SweepReport,
     CellResult,
-    corpus_codes,
     mi_analysis,
     run_sweep,
     write_capacity_table_csv,
@@ -35,7 +34,13 @@ from ibvq.harness.experiments import (
     write_sweep_csv,
     read_sweep_csv,
 )
-from ibvq.harness.training import load_models, save_models, split_corpus, train_autoencoder
+from ibvq.harness.training import (
+    corpus_codes,
+    load_models,
+    save_models,
+    split_corpus,
+    train_autoencoder,
+)
 from ibvq.mi import MineConfig
 from ibvq.predictor import PredictorConfig, predict_codes, train_predictor
 from ibvq.quantizer import CapacityConfig, save_codes

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import ibvq.numcore as nc
-from ibvq.decoder import AutoencoderModels, decode_with_codes, prosody_codes, reconstruct, transfer
+from ibvq.decoder import AutoencoderModels, decode_with_codes, reconstruct, transfer
 from ibvq.errors import ConfigError, ValidationError
 from ibvq.metrics import compare, extract_pitch
 from ibvq.mi import MineConfig, content_vector, mine_estimate
@@ -30,9 +30,13 @@ from ibvq.synthdata import (
     CorpusConfig,
     merge_symbols,
     oracle_mi_discrete,
-    pack_utterances,
 )
-from ibvq.harness.training import TrainedAutoencoder, split_corpus, train_autoencoder
+from ibvq.harness.training import (
+    TrainedAutoencoder,
+    corpus_codes,
+    split_corpus,
+    train_autoencoder,
+)
 
 DEFAULT_CAPACITY_GRID = (0, 2, 4, 8, 16, 32, 64)
 
@@ -152,14 +156,6 @@ def reconstruction_eval(corpus: Corpus, models: AutoencoderModels, indices: list
         "ffe": float(np.mean(ffes)),
         "mcd": float(np.mean(mcds)),
     }
-
-
-def corpus_codes(corpus: Corpus, models: AutoencoderModels, indices: list[int]) -> list[np.ndarray]:
-    """Per-utterance (W, G) code blocks from the trained reference encoder,
-    from one packed forward pass over the utterances."""
-    batch = pack_utterances([corpus.utterances[i] for i in indices])
-    codes = prosody_codes(batch.features, batch.alignment, models, batch.frame_offsets)
-    return np.split(codes, batch.word_offsets[1:-1])
 
 
 def mi_analysis(

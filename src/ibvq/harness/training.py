@@ -19,7 +19,7 @@ from ibvq.decoder import (
     reconstruction_graph,
 )
 from ibvq.encoder import EncoderConfig, EncoderModel, encode
-from ibvq.errors import CheckpointError, ConfigError, ShapeError
+from ibvq.errors import CheckpointError, ConfigError, ShapeError, ValidationError
 from ibvq.quantizer import (
     CapacityConfig,
     Codebook,
@@ -47,8 +47,36 @@ class TrainedAutoencoder:
     loss_curve: list[LossPoint]
     usage: "np.ndarray | None"  # (G,) final code perplexity per group
     # (W, G) code block of each training utterance, in training order, from
-    # the final usage pass; None when the bottleneck is off
+    # the trained encoder; None when the bottleneck is off
     codes: "list[np.ndarray] | None" = None
+
+
+# Utterances per packed pass of `corpus_codes`: twice the default training
+# batch, so a pass's intermediates stay below one training step's graph
+# whatever the number of utterances encoded.
+CODES_PASS_UTTERANCES = 16
+
+
+def corpus_codes(corpus: Corpus, models: AutoencoderModels, indices: list[int]) -> list[np.ndarray]:
+    """Per-utterance (W, G) code blocks of the utterances ``indices``, in that
+    order, from the trained reference encoder.
+
+    The utterances are encoded in frozen packed passes of at most
+    CODES_PASS_UTTERANCES each. One pass over every utterance would need
+    memory for all of their intermediates at once (about 30 MiB for 180
+    utterances, more than a training step's graph); bounded passes cap that
+    at a constant, and each utterance's codes are those of a pass over it
+    alone (to rounding: see `numcore.tensor` on packed batches).
+    """
+    if not indices:
+        raise ValidationError("no utterances to encode")
+    blocks = []
+    for start in range(0, len(indices), CODES_PASS_UTTERANCES):
+        chunk = indices[start : start + CODES_PASS_UTTERANCES]
+        batch = pack_utterances([corpus.utterances[i] for i in chunk])
+        codes = prosody_codes(batch.features, batch.alignment, models, batch.frame_offsets)
+        blocks.extend(np.split(codes, batch.word_offsets[1:-1]))
+    return blocks
 
 
 def split_corpus(corpus: Corpus, holdout_fraction: float = 0.1) -> tuple[list[int], list[int]]:
@@ -87,9 +115,9 @@ def train_autoencoder(
     there is no warm-up: the decoder sees zero prosody vectors from the
     first step, as it does in evaluation.
     """
-    utts = corpus.utterances
-    if train_indices is not None:
-        utts = [corpus.utterances[i] for i in train_indices]
+    if train_indices is None:
+        train_indices = list(range(len(corpus.utterances)))
+    utts = [corpus.utterances[i] for i in train_indices]
     if not utts:
         raise ConfigError("no utterances to train on")
     channels = corpus.config.channels
@@ -178,10 +206,8 @@ def train_autoencoder(
     models = AutoencoderModels(encoder=enc, decoder=dec, cap_cfg=cap_cfg, codebook=codebook)
     usage = blocks = None
     if cap_cfg.enabled:
-        batch = pack_utterances(utts)
-        codes = prosody_codes(batch.features, batch.alignment, models, batch.frame_offsets)
-        usage = usage_stats(codes, cap_cfg).perplexity
-        blocks = np.split(codes, batch.word_offsets[1:-1])
+        blocks = corpus_codes(corpus, models, train_indices)
+        usage = usage_stats(np.concatenate(blocks), cap_cfg).perplexity
     return TrainedAutoencoder(models=models, loss_curve=curve, usage=usage, codes=blocks)
 
 

@@ -290,6 +290,11 @@ def fit(
     by store, only the parameters the loss reached; ``lr`` is a rate or a
     function of the step index, and ``on_step(step)`` runs after the
     update. A non-finite loss raises TrainingError naming the step.
+
+    The loop drops its reference to a step's loss right after backward, so
+    unless ``step_loss`` keeps one, reference counting frees the step's
+    graph, with its activations, before ``on_step`` runs and before the next
+    step's graph is built.
     """
     for step in range(steps):
         loss = step_loss(step)
@@ -298,6 +303,7 @@ def fit(
         for store in stores:
             store.zero_grad()
         loss.backward()
+        del loss
         rate = lr(step) if callable(lr) else lr
         for store in stores:
             adam_step(store, store.grads(), rate)

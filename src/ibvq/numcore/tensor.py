@@ -3,8 +3,11 @@
 Every value is a `Tensor` wrapping a ``(rows, cols)`` numpy array. Operations
 build a computation graph; calling :meth:`Tensor.backward` on a 1x1 scalar
 runs reverse-mode accumulation into ``.grad`` of every leaf that was created
-with ``requires_grad=True``. Everything is float64 and deterministic: the
-same inputs produce bit-identical outputs.
+with ``requires_grad=True``. Only leaves keep ``.grad``: an interior node's
+gradient is dropped as soon as its backward function has passed it on, so a
+graph after backward holds its activations but no gradient of its own.
+Everything is float64 and deterministic: the same inputs produce
+bit-identical outputs.
 
 A node's backward function receives the upstream gradient as its argument
 and refers only to the node's inputs, never to the node itself. A graph
@@ -100,7 +103,12 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Reverse-mode pass from this 1x1 scalar through the graph."""
+        """Reverse-mode pass from this 1x1 scalar through the graph.
+
+        Leaves that require a gradient accumulate it in ``.grad``. Every
+        interior node's ``.grad`` is None afterwards: it is released as soon
+        as the node's backward function has propagated it.
+        """
         if self.data.shape != (1, 1):
             raise ShapeError(f"backward() needs a scalar output, got {self.shape}")
         topo: list[Tensor] = []
@@ -122,6 +130,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -145,8 +145,9 @@ def _open_features(path: Path, channels: int, frames: int) -> np.ndarray:
 
 
 def _read_spec(fh, start: int, stop: int, utt_id: str, inventory_size: int,
-               path: Path) -> UtteranceSpec:
-    """The validated spec of ``utt_id`` at bytes ``start:stop`` of ``fh``."""
+               lexicon: Sequence[LexiconWord], path: Path) -> UtteranceSpec:
+    """The validated spec of ``utt_id`` at bytes ``start:stop`` of ``fh``:
+    each word's id names a lexicon entry whose syllables it spells."""
     fh.seek(start)
     line = fh.read(stop - start)
     try:
@@ -156,6 +157,11 @@ def _read_spec(fh, start: int, stop: int, utt_id: str, inventory_size: int,
         if spec.utt_id != utt_id:
             raise ValueError(f"the line belongs to utterance {spec.utt_id!r}")
         spec.validate(inventory_size)
+        for w in spec.words:
+            if not 0 <= w.word_id < len(lexicon):
+                raise ValueError(f"word id {w.word_id} outside vocabulary [0, {len(lexicon)})")
+            if tuple(map(tuple, w.syllables)) != lexicon[w.word_id].syllables:
+                raise ValueError(f"word {w.word_id} is not spelled as in the lexicon")
     except (KeyError, TypeError, ValueError) as e:  # ValidationError is a ValueError
         raise CorpusFormatError(f"bad spec of utterance {utt_id} in {path}: {e}") from e
     return spec
@@ -195,6 +201,8 @@ def read_corpus(path: str | Path, utt_ids: Sequence[str] | None = None) -> Corpu
             )
             for w in manifest["lexicon"]
         ]
+        if len(lexicon) != config.word_vocab:
+            raise ValueError(f"{len(lexicon)} lexicon words for word_vocab {config.word_vocab}")
         listed = list(manifest["utterances"])
         frame_offsets = _offsets(manifest["frame_offsets"], len(listed))
         spec_offsets = _offsets(manifest["spec_offsets"], len(listed))
@@ -220,7 +228,7 @@ def read_corpus(path: str | Path, utt_ids: Sequence[str] | None = None) -> Corpu
         for i in order:
             utt_id = listed[i]
             spec = _read_spec(fh, spec_offsets[i], spec_offsets[i + 1], utt_id,
-                              inventory.size, specs_path)
+                              inventory.size, lexicon, specs_path)
             alignment = spec.alignment()
             start, stop = frame_offsets[i], frame_offsets[i + 1]
             if alignment.total_frames != stop - start:

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -29,7 +30,6 @@ from ibvq.harness.cli import main as cli_main
 from ibvq.harness.experiments import (
     CELL_COLUMNS,
     ExperimentConfig,
-    corpus_codes,
     matched_pairs,
     phone_recovery_accuracy,
     read_sweep_csv,
@@ -39,6 +39,8 @@ from ibvq.harness.experiments import (
     word_pitch_readout,
 )
 from ibvq.harness.training import (
+    CODES_PASS_UTTERANCES,
+    corpus_codes,
     load_models,
     save_models,
     split_corpus,
@@ -258,6 +260,25 @@ def test_corpus_codes_equal_per_utterance_codes(corpus, trained):
     assert len(packed) == len(indices)
     for block, utt in zip(packed, corpus.utterances):
         npt.assert_array_equal(block, prosody_codes(utt.features, utt.alignment, models))
+
+
+def test_corpus_codes_peak_memory_bounded_by_one_pass(corpus, trained):
+    """Encoding 48 utterances costs no more memory at its peak than
+    encoding 16, up to the spread of utterance lengths: the passes are
+    bounded, not one pack of everything."""
+    assert CODES_PASS_UTTERANCES == 16
+
+    def peak(indices):
+        tracemalloc.start()
+        try:
+            corpus_codes(corpus, trained.models, indices)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    everything = list(range(len(corpus.utterances))) * 2
+    peak(everything[:16])  # fill lazily built caches first
+    assert peak(everything) <= 1.5 * peak(everything[:16])
 
 
 def test_training_keeps_the_codes_of_its_utterances(corpus, trained):

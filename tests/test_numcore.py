@@ -1,5 +1,7 @@
 import ast
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +428,25 @@ def test_fit_non_finite_loss_raises_naming_the_step():
     with pytest.raises(TrainingError, match="step 2"):
         nc.fit([store], 5, loss, 0.1)
     assert store.step_count("w") == 2  # the diverged step made no update
+
+
+def test_fit_frees_each_step_graph_before_the_next():
+    store = quadratic_store()
+    previous = []
+
+    def step_loss(step):
+        if previous:
+            assert previous[-1]() is None, f"step {step - 1}'s loss is still alive"
+        loss = nc.sqnorm(nc.mul(store["w"], 2.0))
+        previous.append(weakref.ref(loss))
+        return loss
+
+    gc.disable()  # reference counting alone must free the graph
+    try:
+        nc.fit([store], 3, step_loss, 0.1)
+    finally:
+        gc.enable()
+    assert len(previous) == 3
 
 
 def test_batch_sampler_visits_every_index_once_per_epoch():
@@ -870,13 +891,21 @@ RAGGED = np.concatenate([[0], np.cumsum([1, 2, 5, 40])])
 def run_op(op, arrays, grads, kwargs, seed=0):
     """Forward, then backward of a fixed random projection of the output;
     returns the output, the gradients of the named inputs and the upstream
-    gradient the op received."""
+    gradient the op received, as its backward function left it."""
     inputs = [nc.tensor(a, requires_grad=name in grads) for name, a in arrays.items()]
     out = op(*inputs, **kwargs)
+    upstream = []
+    op_backward = out._backward
+
+    def capture(g):
+        upstream.append(g)
+        op_backward(g)
+
+    out._backward = capture
     weights = np.random.default_rng(seed).standard_normal(out.shape)
     nc.sum_all(nc.mul(out, nc.constant(weights))).backward()
     got = {name: t.grad for name, t in zip(arrays, inputs) if name in grads}
-    return out.data, got, out.grad
+    return out.data, got, upstream[0]
 
 
 def assert_op_matches_reference(op, reference, arrays, grads, kwargs):
@@ -932,11 +961,40 @@ def test_attention_and_conv1d_leave_inputs_unchanged(op):
         kwargs = {"width": 5, "offsets": RAGGED}
     before = {name: a.tobytes() for name, a in arrays.items()}
     _, _, upstream = run_op(getattr(nc, op), arrays, tuple(arrays), kwargs, seed=3)
-    # the op's upstream gradient is the output node's own `.grad`, which is
-    # exactly the projection weights: an in-place update would show here
+    # the op's upstream gradient is exactly the projection weights, and
+    # `run_op` returns the array the op received: an in-place update would
+    # show here
     weights = np.random.default_rng(3).standard_normal(upstream.shape)
     assert upstream.tobytes() == weights.tobytes()
     assert {name: a.tobytes() for name, a in arrays.items()} == before
+
+
+def graph_nodes(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_leaves_gradients_only_on_leaves():
+    rng = np.random.default_rng(14)
+    x = nc.tensor(rng.standard_normal((48, 6)), requires_grad=True)
+    kernel = nc.tensor(rng.standard_normal((18, 6)), requires_grad=True)
+    gain = nc.tensor(np.ones((1, 6)), requires_grad=True)
+    bias = nc.tensor(np.zeros((1, 6)), requires_grad=True)
+    h = nc.layer_norm(nc.conv1d(x, kernel, width=3, offsets=RAGGED), gain, bias)
+    out = nc.attention(h, h, x, offsets=RAGGED)
+    loss = nc.mse(out, rng.standard_normal((48, 6)), offsets=RAGGED)
+    loss.backward()
+    nodes = graph_nodes(loss)
+    interior = [n for n in nodes if n._backward is not None]
+    assert len(interior) == 4 and all(n.grad is None for n in interior)
+    for leaf in (x, kernel, gain, bias):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
 
 
 def test_training_loss_curve_equals_reference_ops(monkeypatch):

@@ -399,6 +399,11 @@ def _offsets_past_the_end(m: dict) -> None:
     m["spec_offsets"][4:] = [o + 10**6 for o in m["spec_offsets"][4:]]
 
 
+def _swap_first_phone(spec: dict) -> None:
+    syllable = spec["words"][0]["syllables"][0]
+    syllable[0] ^= 1  # another phone of the 24-phone inventory
+
+
 BAD_SPECS = {
     "truncated_line": _truncate_specs_in_line_3,
     "other_utt_id": lambda root: _edit_spec(root, 3, lambda s: s.update(utt_id="utt_0004")),
@@ -407,6 +412,10 @@ BAD_SPECS = {
         root, 3, lambda s: s["words"][0]["durations"].__setitem__(0, 9)
     ),
     "no_words": lambda root: _edit_spec(root, 3, lambda s: s.pop("words")),
+    "word_outside_vocabulary": lambda root: _edit_spec(
+        root, 3, lambda s: s["words"][0].update(word_id=99)
+    ),
+    "word_not_spelled_as_in_lexicon": lambda root: _edit_spec(root, 3, _swap_first_phone),
 }
 
 
@@ -426,6 +435,15 @@ def test_frame_offsets_disagreeing_with_spec_name_utterance(tmp_path, small_corp
     sd.write_corpus(small_corpus, root)
     _edit_manifest(root, lambda m: m["frame_offsets"].__setitem__(4, m["frame_offsets"][4] + 1))
     with pytest.raises(CorpusFormatError, match=r"utterance utt_0003 \d+ frames, but its spec"):
+        sd.read_corpus(root)
+
+
+@pytest.mark.parametrize("words", [49, 51])
+def test_lexicon_not_matching_the_vocabulary_is_refused(tmp_path, small_corpus, words):
+    root = tmp_path / "corpus"
+    sd.write_corpus(small_corpus, root)
+    _edit_manifest(root, lambda m: m.update(lexicon=(m["lexicon"] * 2)[:words]))
+    with pytest.raises(CorpusFormatError, match=f"{words} lexicon words for word_vocab 50"):
         sd.read_corpus(root)
 
 
