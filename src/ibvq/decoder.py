@@ -7,14 +7,15 @@ its phones and concatenated, a length regulator repeats phone rows by their
 frame durations, and a convolutional decoder emits the output channels.
 Ground-truth durations drive reconstruction and transfer.
 
-Training runs on packed batches: the phone and frame rows of several
+Every entry point takes a packed batch: the phone and frame rows of several
 utterances stacked into single matrices, with offsets marking where each
-utterance starts, so a training step is one graph. The text encoder and the
-frame decoder take those offsets and never mix utterances; broadcasting and
-length regulation are row-wise already. Reconstruction and transfer of one
-utterance are the batch of one. Evaluation (`prosody_codes`, which also
-takes a packed batch, and `decode_with_codes`, hence `reconstruct` and
-`transfer`) runs with the parameters frozen, so it records no graph.
+utterance starts; one utterance is ``pack_utterances([utt])``. The text
+encoder and the frame decoder take those offsets and never mix utterances;
+broadcasting and length regulation are row-wise already. Training
+(`reconstruction_graph`) and evaluation (`decode_with_codes`, hence
+`reconstruct` and `transfer`) decode through the same `decode`. Evaluation,
+`prosody_codes` included, runs with the parameters frozen, so it records no
+graph.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ibvq.quantizer import (
     lookup,
     quantize_batch,
 )
-from ibvq.synthdata.types import AlignmentHierarchy, PackedBatch
+from ibvq.synthdata.types import PackedBatch
 
 
 @dataclass(frozen=True)
@@ -187,70 +188,71 @@ class AutoencoderModels:
             raise ConfigError("enabled bottleneck requires a codebook")
 
 
-def prosody_codes(
-    features, align: AlignmentHierarchy, models: AutoencoderModels, offsets=None
-) -> np.ndarray | None:
-    """Discrete codes (W, G) of one utterance, or of the utterances packed in
-    ``features`` whose frame rows start at ``offsets``, in word order; None
+def prosody_codes(batch: PackedBatch, models: AutoencoderModels) -> np.ndarray | None:
+    """Discrete codes (W, G) of every word of ``batch``, in word order; None
     when the bottleneck is off. A forward pass only: it records no graph."""
     if not models.cap_cfg.enabled:
         return None
     with models.encoder.store.frozen():
-        word_feats = encode(features, align, models.encoder, offsets)
+        word_feats = encode(batch.features, batch.alignment, models.encoder, batch.frame_offsets)
     codes, _, _ = quantize_batch(word_feats.data, models.codebook)
     return codes
 
 
+def decode(word_vectors: nc.Tensor, batch: PackedBatch, dec_model: DecoderModel) -> nc.Tensor:
+    """The frames of ``batch`` from one prosody vector per word and the
+    batch's phones and ground-truth durations: text encoder, prosody
+    broadcast, length regulation, frame decoder."""
+    phone_feats = encode_text(batch.phone_ids, dec_model, batch.phone_offsets)
+    fused = broadcast_prosody(word_vectors, batch.alignment.phones_per_word(), phone_feats)
+    frames = length_regulate(fused, np.diff(batch.alignment.phone_edges))
+    return decode_frames(frames, dec_model, batch.frame_offsets)
+
+
 def decode_with_codes(
-    codes: np.ndarray | None,
-    phone_ids,
-    durations,
-    phones_per_word,
-    models: AutoencoderModels,
+    codes: np.ndarray | None, batch: PackedBatch, models: AutoencoderModels
 ) -> np.ndarray:
-    """Generate features from discrete prosody codes plus target content
-    (a forward pass only: it records no graph)."""
-    counts = np.asarray(phones_per_word, dtype=np.int64).reshape(-1)
+    """The frames of ``batch`` decoded from one code row per word (zero
+    prosody vectors when ``codes`` is None); a forward pass only: it records
+    no graph."""
+    n_words = batch.alignment.n_words
     if codes is None:
-        word_vecs = np.zeros((counts.size, models.decoder.config.prosody_dim))
+        word_vecs = np.zeros((n_words, models.decoder.config.prosody_dim))
     else:
         codes = np.asarray(codes, dtype=np.int64)
-        if codes.shape[0] != counts.size:
-            raise ValidationError(
-                f"{codes.shape[0]} code rows for {counts.size} words"
-            )
+        if codes.shape[0] != n_words:
+            raise ValidationError(f"{codes.shape[0]} code rows for {n_words} words")
         word_vecs = lookup(codes, models.codebook)
     with models.decoder.store.frozen():
-        phone_feats = encode_text(phone_ids, models.decoder)
-        fused = broadcast_prosody(nc.constant(word_vecs), counts, phone_feats)
-        frames = length_regulate(fused, durations)
-        return decode_frames(frames, models.decoder).data
+        return decode(nc.constant(word_vecs), batch, models.decoder).data
 
 
-def reconstruct(features, align: AlignmentHierarchy, phone_ids, models: AutoencoderModels) -> np.ndarray:
-    """Encode -> quantize -> decode with ground-truth durations; output has
-    the same frame count as the input."""
-    codes = prosody_codes(features, align, models)
-    durations = np.diff(align.phone_edges)
-    return decode_with_codes(codes, phone_ids, durations, align.phones_per_word(), models)
+def reconstruct(batch: PackedBatch, models: AutoencoderModels) -> np.ndarray:
+    """Encode -> quantize -> decode with ground-truth durations; the output
+    has the batch's frame rows."""
+    return decode_with_codes(prosody_codes(batch, models), batch, models)
 
 
 def transfer(
-    ref_features,
-    ref_align: AlignmentHierarchy,
-    target_phone_ids,
-    target_durations,
-    target_phones_per_word,
-    models: AutoencoderModels,
+    ref_batch: PackedBatch, target_batch: PackedBatch, models: AutoencoderModels
 ) -> np.ndarray:
-    """Drive target content with the reference's prosody codes (word-aligned)."""
-    counts = np.asarray(target_phones_per_word, dtype=np.int64).reshape(-1)
-    if counts.size != ref_align.n_words:
+    """Drive each target utterance's content with the prosody codes of the
+    reference utterance in the same place of ``ref_batch`` (word-aligned);
+    the output has the target batch's frame rows."""
+    ref_words = np.diff(ref_batch.word_offsets)
+    target_words = np.diff(target_batch.word_offsets)
+    if ref_words.size != target_words.size:
         raise ValidationError(
-            f"word counts differ: reference has {ref_align.n_words}, target has {counts.size}"
+            f"{ref_words.size} reference utterances for {target_words.size} targets"
         )
-    codes = prosody_codes(ref_features, ref_align, models)
-    return decode_with_codes(codes, target_phone_ids, target_durations, counts, models)
+    mismatched = np.flatnonzero(ref_words != target_words)
+    if mismatched.size:
+        b = mismatched[0]
+        raise ValidationError(
+            f"word counts differ in pair {b}: reference has {ref_words[b]}, "
+            f"target has {target_words[b]}"
+        )
+    return decode_with_codes(prosody_codes(ref_batch, models), target_batch, models)
 
 
 @dataclass
@@ -305,10 +307,7 @@ def reconstruction_graph(
             bn = apply_bottleneck(
                 word_feats, codebook_param, cap_cfg, commitment_cost, batch.word_offsets
             )
-    phone_feats = encode_text(batch.phone_ids, dec_model, batch.phone_offsets)
-    fused = broadcast_prosody(bn.quantized, batch.alignment.phones_per_word(), phone_feats)
-    frames = length_regulate(fused, np.diff(batch.alignment.phone_edges))
-    out = decode_frames(frames, dec_model, batch.frame_offsets)
+    out = decode(bn.quantized, batch, dec_model)
     mse = nc.mse(out, batch.features, batch.frame_offsets)
     loss = nc.add(nc.add(mse, bn.codebook_loss), bn.commitment_loss)
     return ReconstructionGraph(

@@ -43,8 +43,14 @@ from ibvq.harness.training import (
 )
 from ibvq.mi import MineConfig
 from ibvq.predictor import PredictorConfig, predict_codes, train_predictor
-from ibvq.quantizer import CapacityConfig, save_codes
-from ibvq.synthdata import CorpusConfig, build_corpus, read_corpus, write_corpus
+from ibvq.quantizer import CapacityConfig, capacity, save_codes
+from ibvq.synthdata import (
+    CorpusConfig,
+    build_corpus,
+    pack_utterances,
+    read_corpus,
+    write_corpus,
+)
 
 _FLOAT_FMT = "%.17g"
 
@@ -132,7 +138,7 @@ def cmd_reconstruct(args) -> int:
     ckpt = Path(args.ckpt)
     models = load_models(ckpt)
     (utt,) = _corpus_for_ckpt(args, ckpt, [args.utt]).utterances
-    out = reconstruct(utt.features, utt.alignment, utt.spec.phone_ids, models)
+    out = reconstruct(pack_utterances([utt]), models)
     np.savetxt(args.out, out, fmt=_FLOAT_FMT, delimiter=",")
     print(f"reconstructed {args.utt}: {out.shape[0]} frames -> {args.out}")
     return 0
@@ -143,14 +149,7 @@ def cmd_transfer(args) -> int:
     models = load_models(ckpt)
     utts = _corpus_for_ckpt(args, ckpt, [args.ref, args.target]).utterances
     ref, tgt = utts[0], utts[-1]  # one utterance when --ref and --target are the same
-    out = transfer(
-        ref.features,
-        ref.alignment,
-        tgt.spec.phone_ids,
-        np.diff(tgt.alignment.phone_edges),
-        tgt.alignment.phones_per_word(),
-        models,
-    )
+    out = transfer(pack_utterances([ref]), pack_utterances([tgt]), models)
     np.savetxt(args.out, out, fmt=_FLOAT_FMT, delimiter=",")
     print(f"transferred prosody of {args.ref} onto {args.target} -> {args.out}")
     return 0
@@ -197,8 +196,6 @@ def cmd_mi(args) -> int:
     mine_cfg = MineConfig(steps=args.mine_steps, seed=args.seed)
     codes = corpus_codes(corpus, models, indices)
     plugin, mine = mi_analysis(corpus, models, indices, codes, mine_cfg)
-    from ibvq.quantizer import capacity
-
     with Path(args.out).open("w") as fh:
         fh.write("capacity_nats,mine_estimate,plugin_oracle\n")
         fh.write(f"{capacity(models.cap_cfg)!r},{mine!r},{plugin!r}\n")

@@ -30,10 +30,12 @@ from ibvq.synthdata import (
     CorpusConfig,
     merge_symbols,
     oracle_mi_discrete,
+    pack_utterances,
 )
 from ibvq.harness.training import (
     TrainedAutoencoder,
     corpus_codes,
+    in_passes,
     split_corpus,
     train_autoencoder,
 )
@@ -139,16 +141,20 @@ def phone_recovery_accuracy(
 
 
 def reconstruction_eval(corpus: Corpus, models: AutoencoderModels, indices: list[int]) -> dict:
+    """Seed-free reconstruction metrics of the utterances ``indices``, each
+    reconstructed in a packed pass and scored on its own frames."""
     mses, vdes, gpes, ffes, mcds = [], [], [], [], []
-    for i in indices:
-        utt = corpus.utterances[i]
-        out = reconstruct(utt.features, utt.alignment, utt.spec.phone_ids, models)
-        mses.append(float(np.mean((out - utt.features) ** 2)))
-        rep = compare(utt.features, out)
-        vdes.append(rep.vde)
-        gpes.append(rep.gpe)
-        ffes.append(rep.ffe)
-        mcds.append(rep.mcd)
+    for chunk in in_passes(indices):
+        utts = [corpus.utterances[i] for i in chunk]
+        batch = pack_utterances(utts)
+        outs = np.split(reconstruct(batch, models), batch.frame_offsets[1:-1])
+        for utt, out in zip(utts, outs):
+            mses.append(float(np.mean((out - utt.features) ** 2)))
+            rep = compare(utt.features, out)
+            vdes.append(rep.vde)
+            gpes.append(rep.gpe)
+            ffes.append(rep.ffe)
+            mcds.append(rep.mcd)
     return {
         "recon_mse": float(np.mean(mses)),
         "vde": float(np.mean(vdes)),
@@ -228,28 +234,23 @@ def run_transfer_experiment(
     """
     pairs = matched_pairs(corpus, indices, n_pairs, seed)
     pitch_out, pitch_ref, clearness = [], [], []
-    for ref_i, tgt_i in pairs:
-        ref = corpus.utterances[ref_i]
-        tgt = corpus.utterances[tgt_i]
-        durations = np.diff(tgt.alignment.phone_edges)
-        out = transfer(
-            ref.features,
-            ref.alignment,
-            tgt.spec.phone_ids,
-            durations,
-            tgt.alignment.phones_per_word(),
-            models,
-        )
-        readout = word_pitch_readout(out, tgt.alignment.word_edges)
-        for w, value in enumerate(readout):
-            if not math.isnan(value):
-                pitch_out.append(value)
-                pitch_ref.append(ref.spec.words[w].prosody.pitch_mean)
-        clearness.append(
-            phone_recovery_accuracy(
-                out, tgt.spec.phone_ids, durations, corpus.inventory.templates
+    for chunk in in_passes(pairs):
+        refs = [corpus.utterances[r] for r, _ in chunk]
+        tgts = [corpus.utterances[t] for _, t in chunk]
+        tgt_batch = pack_utterances(tgts)
+        out_rows = transfer(pack_utterances(refs), tgt_batch, models)
+        for ref, tgt, out in zip(refs, tgts, np.split(out_rows, tgt_batch.frame_offsets[1:-1])):
+            readout = word_pitch_readout(out, tgt.alignment.word_edges)
+            for w, value in enumerate(readout):
+                if not math.isnan(value):
+                    pitch_out.append(value)
+                    pitch_ref.append(ref.spec.words[w].prosody.pitch_mean)
+            clearness.append(
+                phone_recovery_accuracy(
+                    out, tgt.spec.phone_ids, np.diff(tgt.alignment.phone_edges),
+                    corpus.inventory.templates,
+                )
             )
-        )
     if len(pitch_out) >= 3 and np.std(pitch_out) > 1e-9:
         r = float(np.corrcoef(pitch_out, pitch_ref)[0, 1])
     else:
@@ -287,17 +288,13 @@ def predictor_experiment(
     held_texts = [corpus.utterances[i].spec.word_ids for i in held_indices]
     report = evaluate_predictor(model, held_texts, held_codes)
     mses = []
-    for i in held_indices:
-        utt = corpus.utterances[i]
-        predicted = predict_codes(utt.spec.word_ids, model)
-        out = decode_with_codes(
-            predicted,
-            utt.spec.phone_ids,
-            np.diff(utt.alignment.phone_edges),
-            utt.alignment.phones_per_word(),
-            models,
-        )
-        mses.append(float(np.mean((out - utt.features) ** 2)))
+    for chunk in in_passes(held_indices):
+        utts = [corpus.utterances[i] for i in chunk]
+        batch = pack_utterances(utts)
+        predicted = np.vstack([predict_codes(u.spec.word_ids, model) for u in utts])
+        outs = np.split(decode_with_codes(predicted, batch, models), batch.frame_offsets[1:-1])
+        for utt, out in zip(utts, outs):
+            mses.append(float(np.mean((out - utt.features) ** 2)))
     return float(report.accuracy.mean()), float(np.mean(mses))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,31 +52,35 @@ class TrainedAutoencoder:
     codes: "list[np.ndarray] | None" = None
 
 
-# Utterances per packed pass of `corpus_codes`: twice the default training
-# batch, so a pass's intermediates stay below one training step's graph
-# whatever the number of utterances encoded.
-CODES_PASS_UTTERANCES = 16
+# Utterances (or transfer pairs) per packed evaluation pass: twice the
+# default training batch, so a pass's intermediates stay below one training
+# step's graph whatever the number of utterances evaluated.
+PASS_UTTERANCES = 16
+
+
+def in_passes(items: list) -> Iterator[list]:
+    """``items`` in consecutive chunks of at most PASS_UTTERANCES.
+
+    Evaluation packs each chunk into one frozen pass. One pass over every
+    utterance would need memory for all of their intermediates at once
+    (about 30 MiB to encode 180 utterances, more than a training step's
+    graph); bounded passes cap that at a constant, and each utterance's
+    outputs are those of a pass over it alone (to rounding: see
+    `numcore.tensor` on packed batches).
+    """
+    for start in range(0, len(items), PASS_UTTERANCES):
+        yield items[start : start + PASS_UTTERANCES]
 
 
 def corpus_codes(corpus: Corpus, models: AutoencoderModels, indices: list[int]) -> list[np.ndarray]:
     """Per-utterance (W, G) code blocks of the utterances ``indices``, in that
-    order, from the trained reference encoder.
-
-    The utterances are encoded in frozen packed passes of at most
-    CODES_PASS_UTTERANCES each. One pass over every utterance would need
-    memory for all of their intermediates at once (about 30 MiB for 180
-    utterances, more than a training step's graph); bounded passes cap that
-    at a constant, and each utterance's codes are those of a pass over it
-    alone (to rounding: see `numcore.tensor` on packed batches).
-    """
+    order, from the trained reference encoder, encoded in bounded passes."""
     if not indices:
         raise ValidationError("no utterances to encode")
     blocks = []
-    for start in range(0, len(indices), CODES_PASS_UTTERANCES):
-        chunk = indices[start : start + CODES_PASS_UTTERANCES]
+    for chunk in in_passes(indices):
         batch = pack_utterances([corpus.utterances[i] for i in chunk])
-        codes = prosody_codes(batch.features, batch.alignment, models, batch.frame_offsets)
-        blocks.extend(np.split(codes, batch.word_offsets[1:-1]))
+        blocks.extend(np.split(prosody_codes(batch, models), batch.word_offsets[1:-1]))
     return blocks
 
 

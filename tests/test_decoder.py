@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import ibvq.harness.training as training_module
 import ibvq.numcore as nc
 from ibvq.decoder import (
     AutoencoderModels,
@@ -152,10 +153,14 @@ def test_decode_frames_wrong_width(dec):
 # ---------------------------------------------------------------------------
 
 
+def one(utt):
+    return pack_utterances([utt])
+
+
 def test_reconstruct_preserves_length(corpus):
     models = make_models(corpus, k=4)
     for utt in corpus.utterances[:3]:
-        out = reconstruct(utt.features, utt.alignment, utt.spec.phone_ids, models)
+        out = reconstruct(one(utt), models)
         assert out.shape == utt.features.shape
 
 
@@ -164,26 +169,19 @@ def test_reconstruct_k0_ignores_prosody(corpus):
     different prosody decode to exactly the same output."""
     models = make_models(corpus, k=0)
     utt = corpus.utterances[0]
-    other = utt.features.copy()
-    other[:, 0] *= 0.5  # perturb the prosody channels only
-    other[:, 2] += 0.3
-    a = reconstruct(utt.features, utt.alignment, utt.spec.phone_ids, models)
-    b = reconstruct(other, utt.alignment, utt.spec.phone_ids, models)
+    other = one(utt)
+    other.features[:, 0] *= 0.5  # perturb the prosody channels only
+    other.features[:, 2] += 0.3
+    a = reconstruct(one(utt), models)
+    b = reconstruct(other, models)
     npt.assert_array_equal(a, b)
 
 
 def test_transfer_degenerate_equals_reconstruct(corpus):
     models = make_models(corpus, k=8)
     utt = corpus.utterances[1]
-    rec = reconstruct(utt.features, utt.alignment, utt.spec.phone_ids, models)
-    tra = transfer(
-        utt.features,
-        utt.alignment,
-        utt.spec.phone_ids,
-        np.diff(utt.alignment.phone_edges),
-        utt.alignment.phones_per_word(),
-        models,
-    )
+    rec = reconstruct(one(utt), models)
+    tra = transfer(one(utt), one(utt), models)
     npt.assert_array_equal(rec, tra)
 
 
@@ -191,8 +189,7 @@ def test_reconstruct_records_no_graph(corpus, monkeypatch):
     # the package's `tensor` function shadows its module of the same name
     tensor_module = importlib.import_module("ibvq.numcore.tensor")
     models = make_models(corpus, k=8)
-    utt = corpus.utterances[3]
-    args = (utt.features, utt.alignment, utt.spec.phone_ids, models)
+    batch = one(corpus.utterances[3])
 
     @contextmanager
     def not_frozen(store):
@@ -200,7 +197,7 @@ def test_reconstruct_records_no_graph(corpus, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(nc.ParamStore, "frozen", not_frozen)
-        recorded = reconstruct(*args)  # parameters require gradients throughout
+        recorded = reconstruct(batch, models)  # parameters require gradients throughout
 
     child, nodes = tensor_module._child, []
 
@@ -209,7 +206,7 @@ def test_reconstruct_records_no_graph(corpus, monkeypatch):
         return nodes[-1]
 
     monkeypatch.setattr(tensor_module, "_child", recording_child)
-    out = reconstruct(*args)
+    out = reconstruct(batch, models)
     assert nodes and not any(n.requires_grad for n in nodes)
     npt.assert_array_equal(out, recorded)
     assert all(p.requires_grad for s in (models.encoder.store, models.decoder.store)
@@ -225,29 +222,56 @@ def test_transfer_word_count_mismatch(corpus):
             target = cand
             break
     assert target is not None
+    with pytest.raises(ValidationError, match="word counts differ"):
+        transfer(one(ref), one(target), models)
+    # checked per pair: equal word totals over a batch do not hide a mismatch
+    with pytest.raises(ValidationError, match="pair 0"):
+        transfer(pack_utterances([ref, target]), pack_utterances([target, ref]), models)
     with pytest.raises(ValidationError):
-        transfer(
-            ref.features,
-            ref.alignment,
-            target.spec.phone_ids,
-            np.diff(target.alignment.phone_edges),
-            target.alignment.phones_per_word(),
-            models,
-        )
+        transfer(pack_utterances([ref, ref]), one(ref), models)
 
 
 def test_decode_with_codes_in_code_space(corpus):
     models = make_models(corpus, k=8)
     utt = corpus.utterances[2]
     codes = np.zeros((utt.alignment.n_words, 2), dtype=np.int64)
-    out = decode_with_codes(
-        codes,
-        utt.spec.phone_ids,
-        np.diff(utt.alignment.phone_edges),
-        utt.alignment.phones_per_word(),
-        models,
-    )
+    out = decode_with_codes(codes, one(utt), models)
     assert out.shape == utt.features.shape
+    with pytest.raises(ValidationError):
+        decode_with_codes(codes[1:], one(utt), models)
+
+
+def test_packed_passes_equal_batches_of_one():
+    """Utterances packed into evaluation passes, one pass full and the next
+    not, give bit for bit what each gives as a batch of one, through every
+    decoder entry point."""
+    corpus = build_corpus(CorpusConfig(n_utterances=training_module.PASS_UTTERANCES + 4, seed=22))
+    models = make_models(corpus, k=8)
+    utts = corpus.utterances
+    # each utterance's transfer target: the next one with its word count, or itself
+    targets = [
+        next((t for t in utts[i + 1:] if t.alignment.n_words == u.alignment.n_words), u)
+        for i, u in enumerate(utts)
+    ]
+    assert any(t is not u for u, t in zip(utts, targets))
+    rng = np.random.default_rng(4)
+    codes = [rng.integers(0, 8, size=(u.alignment.n_words, 2)) for u in utts]
+    passes = list(training_module.in_passes(list(range(len(utts)))))
+    assert [len(p) for p in passes] == [training_module.PASS_UTTERANCES, 4]
+    for chunk in passes:
+        batch = pack_utterances([utts[i] for i in chunk])
+        target_batch = pack_utterances([targets[i] for i in chunk])
+        packed_codes = np.vstack([codes[i] for i in chunk])
+        for out, rows, alone in (
+            (reconstruct(batch, models), batch.frame_offsets,
+             lambda i: reconstruct(one(utts[i]), models)),
+            (transfer(batch, target_batch, models), target_batch.frame_offsets,
+             lambda i: transfer(one(utts[i]), one(targets[i]), models)),
+            (decode_with_codes(packed_codes, batch, models), batch.frame_offsets,
+             lambda i: decode_with_codes(codes[i], one(utts[i]), models)),
+        ):
+            for i, part in zip(chunk, np.split(out, rows[1:-1])):
+                assert part.tobytes() == alone(i).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from ibvq.harness.experiments import (
     word_pitch_readout,
 )
 from ibvq.harness.training import (
-    CODES_PASS_UTTERANCES,
+    PASS_UTTERANCES,
     corpus_codes,
     load_models,
     save_models,
@@ -157,8 +157,8 @@ def test_model_checkpoint_round_trip(tmp_path, corpus, trained):
     save_models(tmp_path / "ckpt", trained.models)
     loaded = load_models(tmp_path / "ckpt")
     utt = corpus.utterances[0]
-    a = reconstruct(utt.features, utt.alignment, utt.spec.phone_ids, trained.models)
-    b = reconstruct(utt.features, utt.alignment, utt.spec.phone_ids, loaded)
+    a = reconstruct(pack_utterances([utt]), trained.models)
+    b = reconstruct(pack_utterances([utt]), loaded)
     npt.assert_array_equal(a, b)
 
 
@@ -259,26 +259,27 @@ def test_corpus_codes_equal_per_utterance_codes(corpus, trained):
     packed = corpus_codes(corpus, models, indices)
     assert len(packed) == len(indices)
     for block, utt in zip(packed, corpus.utterances):
-        npt.assert_array_equal(block, prosody_codes(utt.features, utt.alignment, models))
+        npt.assert_array_equal(block, prosody_codes(pack_utterances([utt]), models))
 
 
 def test_corpus_codes_peak_memory_bounded_by_one_pass(corpus, trained):
-    """Encoding 48 utterances costs no more memory at its peak than
-    encoding 16, up to the spread of utterance lengths: the passes are
+    """Encoding, or reconstructing, 48 utterances costs no more memory at
+    its peak than 16, up to the spread of utterance lengths: the passes are
     bounded, not one pack of everything."""
-    assert CODES_PASS_UTTERANCES == 16
+    assert PASS_UTTERANCES == 16
 
-    def peak(indices):
+    def peak(evaluate, indices):
         tracemalloc.start()
         try:
-            corpus_codes(corpus, trained.models, indices)
+            evaluate(corpus, trained.models, indices)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     everything = list(range(len(corpus.utterances))) * 2
-    peak(everything[:16])  # fill lazily built caches first
-    assert peak(everything) <= 1.5 * peak(everything[:16])
+    for evaluate in (corpus_codes, reconstruction_eval):
+        peak(evaluate, everything[:16])  # fill lazily built caches first
+        assert peak(evaluate, everything) <= 1.5 * peak(evaluate, everything[:16]), evaluate
 
 
 def test_training_keeps_the_codes_of_its_utterances(corpus, trained):
