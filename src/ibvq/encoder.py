@@ -1,11 +1,9 @@
-"""Reference encoder: frame-level feature extraction plus hierarchical
-pooling down to word-level acoustic vectors.
+"""Reference encoder: frame-level feature extraction, then mean pooling of
+each word's frames into one word-level acoustic vector.
 
 One self-attention block and one convolution block (each with a residual
 connection and layer norm) stand in for a deeper feed-forward transformer
-stack: global context plus local filtering at desk scale. Pooling is
-frame-weighted at every level, so the word vector equals the plain mean
-over the word's frames regardless of the intermediate phone/syllable path.
+stack: global context plus local filtering at desk scale.
 
 Every function takes a packed batch: the frames of several utterances
 stacked row-wise, with ``offsets`` marking where each utterance starts
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import ibvq.numcore as nc
-from ibvq.errors import AlignmentError, ConfigError, ShapeError
+from ibvq.errors import ConfigError, ShapeError
 from ibvq.synthdata.types import AlignmentHierarchy
 
 CONV_WIDTH = 3
@@ -100,39 +98,14 @@ def extract_frame_features(x, model: EncoderModel, offsets=None) -> nc.Tensor:
     return nc.affine(h, p["proj.w"], p["proj.b"])
 
 
-def _edges_in_parent(child_edges: np.ndarray, parent_edges: np.ndarray) -> np.ndarray:
-    # child edges are a subset of parent edges; express them as parent indices
-    idx = np.searchsorted(parent_edges, child_edges)
-    if not np.array_equal(parent_edges[idx], child_edges):
-        raise AlignmentError("segment edges are not nested")
-    return idx
-
-
-def pool_hierarchy(frames: nc.Tensor, align: AlignmentHierarchy) -> dict[str, nc.Tensor]:
-    """Average frame features up the phone -> syllable -> word hierarchy.
-
-    Each level averages over its constituent frames (children weighted by
-    their frame counts), which makes the hierarchy associative: the word row
-    equals the direct mean over the word's frames. For a packed batch,
-    ``align`` is the batch's stacked hierarchy and the rows of every level
-    come out in utterance order.
-    """
-    align.validate()
-    if align.total_frames != frames.rows:
-        raise AlignmentError(
-            f"alignment covers {align.total_frames} frames, features have {frames.rows}"
-        )
-    phones = nc.segment_mean(frames, align.phone_edges)
-    phone_frames = np.diff(align.phone_edges).astype(np.float64)
-    syl_edges = _edges_in_parent(align.syllable_edges, align.phone_edges)
-    syllables = nc.segment_mean(phones, syl_edges, weights=phone_frames)
-    syl_frames = np.diff(align.syllable_edges).astype(np.float64)
-    word_edges = _edges_in_parent(align.word_edges, align.syllable_edges)
-    words = nc.segment_mean(syllables, word_edges, weights=syl_frames)
-    return {"phone": phones, "syllable": syllables, "word": words}
+def pool_hierarchy(frames: nc.Tensor, align: AlignmentHierarchy) -> nc.Tensor:
+    """Word rows (W, D): the mean of each word's frames. For a packed batch,
+    ``align`` is the batch's stacked alignment and the rows come out in
+    utterance order."""
+    return nc.segment_mean(frames, align.word_edges)
 
 
 def encode(x, align: AlignmentHierarchy, model: EncoderModel, offsets=None) -> nc.Tensor:
     """Word-level acoustic features (W, D) of the utterances packed in ``x``,
     whose frame rows start at ``offsets``, over their stacked alignment."""
-    return pool_hierarchy(extract_frame_features(x, model, offsets), align)["word"]
+    return pool_hierarchy(extract_frame_features(x, model, offsets), align)

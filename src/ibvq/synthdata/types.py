@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ibvq.errors import AlignmentError, ConfigError, ValidationError
+from ibvq.errors import ConfigError, ValidationError
 
 F0_CHANNEL = 0
 VOICING_CHANNEL = 1
@@ -157,20 +157,16 @@ class UtteranceSpec:
         rendering and corpus reading both derive from the spec. It is valid
         by construction when the spec is: every realized duration is >= 2."""
         phone_edges = edges_from_lengths(self.realized_durations())
-        syl_sizes = [len(s) for w in self.words for s in w.syllables]
-        syl_edges = phone_edges[edges_from_lengths(syl_sizes)]
-        word_edges = syl_edges[edges_from_lengths([len(w.syllables) for w in self.words])]
-        return AlignmentHierarchy(
-            phone_edges=phone_edges, syllable_edges=syl_edges, word_edges=word_edges
-        )
+        word_edges = phone_edges[edges_from_lengths(self.phones_per_word())]
+        return AlignmentHierarchy(phone_edges=phone_edges, word_edges=word_edges)
 
 
 @dataclass
 class AlignmentHierarchy:
-    """Nested frame segmentation: word edges refine to syllables to phones."""
+    """Frame segmentation into phones and words: every word edge is a phone
+    edge."""
 
     phone_edges: np.ndarray     # (n_phones + 1,) int
-    syllable_edges: np.ndarray  # (n_syllables + 1,) int
     word_edges: np.ndarray      # (n_words + 1,) int
 
     @property
@@ -181,27 +177,6 @@ class AlignmentHierarchy:
     def n_words(self) -> int:
         return int(self.word_edges.size - 1)
 
-    def validate(self) -> None:
-        for name, edges in (
-            ("phone", self.phone_edges),
-            ("syllable", self.syllable_edges),
-            ("word", self.word_edges),
-        ):
-            if edges.ndim != 1 or edges.size < 2:
-                raise AlignmentError(f"{name} edges must have at least two entries")
-            if edges[0] != 0:
-                raise AlignmentError(f"{name} edges must start at 0")
-            if np.any(np.diff(edges) <= 0):
-                raise AlignmentError(f"{name} edges must be strictly increasing")
-            if edges[-1] != self.total_frames:
-                raise AlignmentError(f"{name} edges must end at {self.total_frames}")
-        phone_set = set(self.phone_edges.tolist())
-        syl_set = set(self.syllable_edges.tolist())
-        if not syl_set.issubset(phone_set):
-            raise AlignmentError("syllable edges must be a subset of phone edges")
-        if not set(self.word_edges.tolist()).issubset(syl_set):
-            raise AlignmentError("word edges must be a subset of syllable edges")
-
     def phones_per_word(self) -> np.ndarray:
         starts = self.phone_edges[:-1]
         return np.diff(np.searchsorted(starts, self.word_edges))
@@ -210,7 +185,6 @@ class AlignmentHierarchy:
         return (
             isinstance(other, AlignmentHierarchy)
             and np.array_equal(self.phone_edges, other.phone_edges)
-            and np.array_equal(self.syllable_edges, other.syllable_edges)
             and np.array_equal(self.word_edges, other.word_edges)
         )
 
@@ -320,7 +294,6 @@ def pack_utterances(utterances) -> PackedBatch:
         features=np.vstack([u.features for u in utterances]),
         alignment=AlignmentHierarchy(
             phone_edges=stacked("phone_edges"),
-            syllable_edges=stacked("syllable_edges"),
             word_edges=stacked("word_edges"),
         ),
         phone_ids=np.concatenate(phone_ids),

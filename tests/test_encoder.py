@@ -8,10 +8,9 @@ from ibvq.errors import AlignmentError, ConfigError, ShapeError
 from ibvq.synthdata import AlignmentHierarchy, CorpusConfig, build_corpus
 
 
-def align_from_edges(phone, syllable, word):
+def align_from_edges(phone, word):
     return AlignmentHierarchy(
         phone_edges=np.asarray(phone, dtype=np.int64),
-        syllable_edges=np.asarray(syllable, dtype=np.int64),
         word_edges=np.asarray(word, dtype=np.int64),
     )
 
@@ -46,28 +45,23 @@ def test_frame_permutation_changes_outputs(model):
 
 def test_pool_single_segment_mean():
     frames = nc.constant(np.array([[1.0], [3.0]]))
-    align = align_from_edges([0, 2], [0, 2], [0, 2])
-    pooled = pool_hierarchy(frames, align)
-    for level in ("phone", "syllable", "word"):
-        npt.assert_allclose(pooled[level].data, [[2.0]])
+    align = align_from_edges([0, 2], [0, 2])
+    npt.assert_allclose(pool_hierarchy(frames, align).data, [[2.0]])
 
 
 def test_pool_balanced_mean():
     a, b = np.full((2, 3), 1.0), np.full((2, 3), 5.0)
     frames = nc.constant(np.vstack([a, b]))
-    align = align_from_edges([0, 2, 4], [0, 2, 4], [0, 4])
-    pooled = pool_hierarchy(frames, align)
-    npt.assert_allclose(pooled["word"].data, np.full((1, 3), 3.0))
+    align = align_from_edges([0, 2, 4], [0, 4])
+    npt.assert_allclose(pool_hierarchy(frames, align).data, np.full((1, 3), 3.0))
 
 
 def test_pool_frame_weighted_mean():
     # phones of 1 and 3 frames, all-ones vs all-fives: word mean is
     # frame-weighted, (1 + 5 + 5 + 5) / 4 = 4
     frames = nc.constant(np.array([[1.0], [5.0], [5.0], [5.0]]))
-    align = align_from_edges([0, 1, 4], [0, 1, 4], [0, 4])
-    pooled = pool_hierarchy(frames, align)
-    npt.assert_allclose(pooled["word"].data, [[4.0]])
-    npt.assert_allclose(pooled["phone"].data, [[1.0], [5.0]])
+    align = align_from_edges([0, 1, 4], [0, 4])
+    npt.assert_allclose(pool_hierarchy(frames, align).data, [[4.0]])
 
 
 def test_pool_hierarchy_equals_direct_frame_mean():
@@ -77,12 +71,12 @@ def test_pool_hierarchy_equals_direct_frame_mean():
         frames = nc.constant(rng.normal(size=(utt.alignment.total_frames, 8)))
         pooled = pool_hierarchy(frames, utt.alignment)
         direct = nc.segment_mean(frames, utt.alignment.word_edges)
-        npt.assert_allclose(pooled["word"].data, direct.data, atol=1e-12)
+        npt.assert_array_equal(pooled.data, direct.data)
 
 
 def test_pool_boundary_beyond_frames(model):
     frames = nc.constant(np.zeros((3, 8)))
-    align = align_from_edges([0, 4], [0, 4], [0, 4])
+    align = align_from_edges([0, 4], [0, 4])
     with pytest.raises(AlignmentError):
         pool_hierarchy(frames, align)
 
@@ -107,7 +101,7 @@ def test_encode_gradients():
     model = EncoderModel(EncoderConfig(channels=5, acoustic_dim=4, groups=2, seed=9))
     rng = np.random.default_rng(2)
     x = rng.normal(size=(5, 5))
-    align = align_from_edges([0, 2, 5], [0, 2, 5], [0, 5])
+    align = align_from_edges([0, 2, 5], [0, 5])
 
     param_names = ["attn.wq", "attn.wv", "conv.k", "proj.w", "attn.ln_g"]
     point = {name: model.store[name].data.copy() for name in param_names}

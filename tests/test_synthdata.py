@@ -137,7 +137,7 @@ def reference_render(spec, inventory, noise_seed, noise_sigma):
     realized = spec.realized_durations()
     total = sum(realized)
     feats = np.zeros((total, channels))
-    phone_edges, syl_edges, word_edges = [0], [0], [0]
+    phone_edges, word_edges = [0], [0]
     t = 0
     cursor = 0
     clipped = False
@@ -160,7 +160,6 @@ def reference_render(spec, inventory, noise_seed, noise_sigma):
                 feats[rows, sd.TEMPLATE_START:] = inventory.templates[p] * w.prosody.energy
                 t += d
                 phone_edges.append(t)
-            syl_edges.append(t)
         word_edges.append(t)
     if clipped:
         warnings.warn(
@@ -171,7 +170,7 @@ def reference_render(spec, inventory, noise_seed, noise_sigma):
     if noise_sigma > 0:
         rng = np.random.default_rng(noise_seed)
         feats[:, 1:] += rng.normal(0.0, noise_sigma, size=(total, channels - 1))
-    edges = [np.asarray(e, dtype=np.int64) for e in (phone_edges, syl_edges, word_edges)]
+    edges = [np.asarray(e, dtype=np.int64) for e in (phone_edges, word_edges)]
     return feats, edges
 
 
@@ -203,8 +202,7 @@ def test_render_is_bit_identical_to_phone_loop(cfg):
         ref_warnings += caught
         assert utt.features.tobytes() == ref_feats.tobytes()
         align = utt.alignment
-        for got, want in zip((align.phone_edges, align.syllable_edges, align.word_edges),
-                             ref_edges):
+        for got, want in zip((align.phone_edges, align.word_edges), ref_edges):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
     assert got_warnings == ref_warnings
@@ -218,7 +216,10 @@ def test_render_is_bit_identical_to_phone_loop(cfg):
 
 def test_alignment_nesting_holds_corpus_wide(small_corpus):
     for utt in small_corpus.utterances:
-        utt.alignment.validate()  # raises on any nesting violation
+        phone_edges, word_edges = utt.alignment.phone_edges, utt.alignment.word_edges
+        assert phone_edges[0] == 0 and (np.diff(phone_edges) > 0).all()
+        assert set(word_edges.tolist()) <= set(phone_edges.tolist())
+        assert word_edges[0] == 0 and word_edges[-1] == phone_edges[-1]
         assert utt.alignment.total_frames == utt.features.shape[0]
         npt.assert_array_equal(
             utt.alignment.phones_per_word(), utt.spec.phones_per_word()
@@ -285,7 +286,7 @@ def test_default_corpus_round_trip_is_bit_exact(tmp_path, seed):
     for got, want in zip(loaded.utterances, corpus.utterances):
         assert got.features.tobytes() == want.features.tobytes()
         assert repr(got.spec) == repr(want.spec)
-        for level in ("phone_edges", "syllable_edges", "word_edges"):
+        for level in ("phone_edges", "word_edges"):
             a, b = getattr(got.alignment, level), getattr(want.alignment, level)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
