@@ -21,6 +21,7 @@ from ibvq.decoder import (
 )
 from ibvq.encoder import EncoderConfig, EncoderModel, encode
 from ibvq.errors import CheckpointError, ConfigError, ShapeError, ValidationError
+from ibvq.numcore.checkpoint import write_atomic
 from ibvq.quantizer import (
     CapacityConfig,
     Codebook,
@@ -225,6 +226,8 @@ _PARAMS_NAME = "params.ibvq"
 
 
 def save_models(path: str | Path, models: AutoencoderModels) -> None:
+    """Write the bundle's parameters, then its metadata, under ``path``; a
+    write that fails leaves the file it was replacing as it was."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     merged = {f"enc.{k}": v for k, v in models.encoder.store.export().items()}
@@ -237,7 +240,8 @@ def save_models(path: str | Path, models: AutoencoderModels) -> None:
         "decoder": dataclasses.asdict(models.decoder.config),
         "capacity": {"K": models.cap_cfg.K, "G": models.cap_cfg.G},
     }
-    (root / _META_NAME).write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    meta_text = json.dumps(meta, sort_keys=True, indent=1) + "\n"
+    write_atomic(root / _META_NAME, lambda fh: fh.write(meta_text.encode()))
 
 
 def _config_from_meta(cls, fields, root: Path):

@@ -3,10 +3,14 @@
 Layout: magic ``IBVQ``, u32 version, u32 record count, then per record a
 u32 name length, the UTF-8 name, u32 rows, u32 cols, and the row-major
 float64 payload. Everything little-endian.
+
+Files are written through `write_atomic`: an interrupted write leaves the
+previous file in place.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -17,6 +21,17 @@ from ibvq.numcore.tensor import Array
 
 MAGIC = b"IBVQ"
 VERSION = 1
+
+
+def write_atomic(path: Path, write) -> None:
+    """Write ``path`` by ``write(binary file)`` to a temporary file renamed over it."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_params(path: str | Path, params: dict[str, Array]) -> None:
@@ -31,7 +46,7 @@ def save_params(path: str | Path, params: dict[str, Array]) -> None:
         chunks.append(encoded)
         chunks.append(struct.pack("<II", arr.shape[0], arr.shape[1]))
         chunks.append(arr.tobytes())
-    path.write_bytes(b"".join(chunks))
+    write_atomic(path, lambda fh: fh.write(b"".join(chunks)))
 
 
 def load_params(path: str | Path) -> dict[str, Array]:

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
 from ibvq.errors import CorpusFormatError, ValidationError
+from ibvq.numcore.checkpoint import write_atomic
 from ibvq.synthdata.types import (
     Corpus,
     CorpusConfig,
@@ -78,17 +78,6 @@ def _spec_from_json(obj: dict) -> UtteranceSpec:
     return UtteranceSpec(utt_id=obj["utt_id"], words=words)
 
 
-def _commit(path: Path, write) -> None:
-    """Write ``path`` by ``write(binary file)`` to a temporary file renamed over it."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("wb") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -113,9 +102,9 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     manifest_text = json.dumps(manifest, sort_keys=True, indent=1) + "\n"
     manifest_path = root / MANIFEST_NAME
     manifest_path.unlink(missing_ok=True)
-    _commit(root / FEATURES_NAME, lambda fh: np.save(fh, features, allow_pickle=False))
-    _commit(root / SPECS_NAME, lambda fh: fh.writelines(lines))
-    _commit(manifest_path, lambda fh: fh.write(manifest_text.encode()))
+    write_atomic(root / FEATURES_NAME, lambda fh: np.save(fh, features, allow_pickle=False))
+    write_atomic(root / SPECS_NAME, lambda fh: fh.writelines(lines))
+    write_atomic(manifest_path, lambda fh: fh.write(manifest_text.encode()))
 
 
 def _offsets(values, n: int) -> list[int]:

@@ -261,7 +261,7 @@ class PackedBatch:
 
     Utterance b owns frame rows ``frame_offsets[b]:frame_offsets[b + 1]``,
     phone rows ``phone_offsets[b]:...`` and word rows ``word_offsets[b]:...``
-    (each offsets array has B + 1 entries). ``alignment`` is the hierarchy of
+    (each offsets array has B + 1 entries). ``alignment`` is the alignment of
     the stacked frames: every utterance's edges shifted by its first frame.
     """
 

@@ -162,6 +162,40 @@ def test_model_checkpoint_round_trip(tmp_path, corpus, trained):
     npt.assert_array_equal(a, b)
 
 
+def test_failed_checkpoint_write_keeps_the_old_checkpoint(tmp_path, corpus, trained, monkeypatch):
+    """A save that fails midway, as on a full disk, leaves the previous
+    checkpoint's files, and what loads from them, unchanged."""
+    ckpt = tmp_path / "ckpt"
+    save_models(ckpt, trained.models)
+    before = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+    changed = load_models(ckpt)
+    changed.decoder.store["embed"].data += 1.0
+    real_open = Path.open
+
+    class DiskFull:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(Path, "open", lambda self, *a, **k: DiskFull(real_open(self, *a, **k)))
+    with pytest.raises(OSError, match="No space"):
+        save_models(ckpt, changed)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == before
+    batch = pack_utterances([corpus.utterances[0]])
+    npt.assert_array_equal(reconstruct(batch, load_models(ckpt)),
+                           reconstruct(batch, trained.models))
+
+
 # ---------------------------------------------------------------------------
 # the training-step graph
 # ---------------------------------------------------------------------------

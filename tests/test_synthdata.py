@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 import ibvq.synthdata as sd
 from ibvq.errors import ConfigError, CorpusFormatError, ShapeError, ValidationError
-from ibvq.synthdata import storage
 
 
 @pytest.fixture(scope="module")
@@ -480,7 +480,7 @@ def test_interrupted_write_leaves_no_manifest(tmp_path, small_corpus, monkeypatc
     root = tmp_path / "corpus"
     sd.write_corpus(small_corpus, root)  # a stale manifest the rewrite must remove first
     name, step = INTERRUPTIONS[fail_at]
-    real_open, real_replace = Path.open, storage.os.replace
+    real_open, real_replace = Path.open, os.replace
 
     def open_then_fail(self, *args, **kwargs):
         if self.name == name + ".tmp":
@@ -497,7 +497,7 @@ def test_interrupted_write_leaves_no_manifest(tmp_path, small_corpus, monkeypatc
     if step == "write":
         monkeypatch.setattr(Path, "open", open_then_fail)
     else:
-        monkeypatch.setattr(storage.os, "replace", fail_rename)
+        monkeypatch.setattr(os, "replace", fail_rename)
     with pytest.raises(OSError, match="disk full"):
         sd.write_corpus(small_corpus, root)
     monkeypatch.undo()
