@@ -215,13 +215,9 @@ def decode_with_codes(
     """The frames of ``batch`` decoded from one code row per word (zero
     prosody vectors when ``codes`` is None); a forward pass only: it records
     no graph."""
-    n_words = batch.alignment.n_words
     if codes is None:
-        word_vecs = np.zeros((n_words, models.decoder.config.prosody_dim))
+        word_vecs = np.zeros((batch.alignment.n_words, models.decoder.config.prosody_dim))
     else:
-        codes = np.asarray(codes, dtype=np.int64)
-        if codes.shape[0] != n_words:
-            raise ValidationError(f"{codes.shape[0]} code rows for {n_words} words")
         word_vecs = lookup(codes, models.codebook)
     with models.decoder.store.frozen():
         return decode(nc.constant(word_vecs), batch, models.decoder).data
@@ -241,16 +237,10 @@ def transfer(
     the output has the target batch's frame rows."""
     ref_words = np.diff(ref_batch.word_offsets)
     target_words = np.diff(target_batch.word_offsets)
-    if ref_words.size != target_words.size:
+    if not np.array_equal(ref_words, target_words):
         raise ValidationError(
-            f"{ref_words.size} reference utterances for {target_words.size} targets"
-        )
-    mismatched = np.flatnonzero(ref_words != target_words)
-    if mismatched.size:
-        b = mismatched[0]
-        raise ValidationError(
-            f"word counts differ in pair {b}: reference has {ref_words[b]}, "
-            f"target has {target_words[b]}"
+            f"word counts differ: reference utterances have {ref_words.tolist()}, "
+            f"targets have {target_words.tolist()}"
         )
     return decode_with_codes(prosody_codes(ref_batch, models), target_batch, models)
 

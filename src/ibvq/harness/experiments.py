@@ -141,7 +141,7 @@ def phone_recovery_accuracy(
 
 
 def reconstruction_eval(corpus: Corpus, models: AutoencoderModels, indices: list[int]) -> dict:
-    """Seed-free reconstruction metrics of the utterances ``indices``, each
+    """Mean reconstruction metrics of the utterances ``indices``, each
     reconstructed in a packed pass and scored on its own frames."""
     mses, vdes, gpes, ffes, mcds = [], [], [], [], []
     for chunk in in_passes(indices):
