@@ -24,6 +24,7 @@ from ibvq.errors import (
     ValidationError,
 )
 from ibvq.harness.experiments import (
+    MI_CURVE_COLUMNS,
     ExperimentConfig,
     SweepReport,
     CellResult,
@@ -197,7 +198,7 @@ def cmd_mi(args) -> int:
     codes = corpus_codes(corpus, models, indices)
     plugin, mine = mi_analysis(corpus, models, indices, codes, mine_cfg)
     with Path(args.out).open("w") as fh:
-        fh.write("capacity_nats,mine_estimate,plugin_oracle\n")
+        fh.write(",".join(MI_CURVE_COLUMNS) + "\n")
         fh.write(f"{capacity(models.cap_cfg)!r},{mine!r},{plugin!r}\n")
     print(f"MI analysis -> {args.out} (plugin {plugin:.3f}, mine {mine:.3f} nats)")
     return 0

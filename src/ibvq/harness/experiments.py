@@ -22,7 +22,13 @@ from ibvq.decoder import AutoencoderModels, decode_with_codes, reconstruct, tran
 from ibvq.errors import ConfigError, ValidationError
 from ibvq.metrics import compare, extract_pitch
 from ibvq.mi import MineConfig, content_vector, mine_estimate
-from ibvq.predictor import PredictorConfig, evaluate_predictor, predict_codes, train_predictor
+from ibvq.predictor import (
+    PredictorConfig,
+    evaluate_predictor,
+    pack_sentences,
+    predict_codes,
+    train_predictor,
+)
 from ibvq.quantizer import CapacityConfig, capacity
 from ibvq.synthdata import (
     TEMPLATE_START,
@@ -97,12 +103,6 @@ CELL_COLUMNS = [f.name for f in dataclasses.fields(CellResult)]
 class SweepReport:
     config: ExperimentConfig
     cells: list[CellResult]
-
-    def cell(self, k: int, seed: int) -> CellResult:
-        for c in self.cells:
-            if c.K == k and c.seed == seed:
-                return c
-        raise KeyError(f"no sweep cell for K={k}, seed={seed}")
 
     def mean_over_seeds(self, k: int, attr: str) -> float:
         vals = [getattr(c, attr) for c in self.cells if c.K == k and c.status == "ok"]
@@ -274,7 +274,8 @@ def predictor_experiment(
 ) -> tuple[float, float]:
     """Train the text-to-prosody predictor on the encoder's code blocks of
     the training utterances and measure held-out accuracy against
-    ``held_codes`` plus the feature MSE of decoding its predictions."""
+    ``held_codes`` plus the feature MSE of decoding its predictions. The
+    held-out codes are predicted in one packed pass."""
     texts = [corpus.utterances[i].spec.word_ids for i in train_indices]
     cfg = PredictorConfig(
         word_vocab=corpus.config.word_vocab,
@@ -285,17 +286,20 @@ def predictor_experiment(
     model = train_predictor(
         texts, train_codes, cfg, nc.TrainConfig(learning_rate=5e-3, steps=steps, seed=seed)
     )
-    held_texts = [corpus.utterances[i].spec.word_ids for i in held_indices]
-    report = evaluate_predictor(model, held_texts, held_codes)
+    ids, offsets = pack_sentences([corpus.utterances[i].spec.word_ids for i in held_indices])
+    predicted = predict_codes(ids, model, offsets)
+    accuracy = evaluate_predictor(predicted, held_codes)
     mses = []
-    for chunk in in_passes(held_indices):
-        utts = [corpus.utterances[i] for i in chunk]
+    for chunk in in_passes(list(zip(held_indices, np.split(predicted, offsets[1:-1])))):
+        utts = [corpus.utterances[i] for i, _ in chunk]
         batch = pack_utterances(utts)
-        predicted = np.vstack([predict_codes(u.spec.word_ids, model) for u in utts])
-        outs = np.split(decode_with_codes(predicted, batch, models), batch.frame_offsets[1:-1])
+        outs = np.split(
+            decode_with_codes(np.vstack([block for _, block in chunk]), batch, models),
+            batch.frame_offsets[1:-1],
+        )
         for utt, out in zip(utts, outs):
             mses.append(float(np.mean((out - utt.features) ** 2)))
-    return float(report.accuracy.mean()), float(np.mean(mses))
+    return float(accuracy.mean()), float(np.mean(mses))
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +407,17 @@ def read_sweep_csv(path: str | Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
+# the columns of `write_mi_curve_csv` and of `ibvq mi`'s output
+MI_CURVE_COLUMNS = ["capacity_nats", "mine_estimate", "plugin_oracle"]
+
+
 def write_mi_curve_csv(path: str | Path, report: SweepReport) -> None:
     """Capacity vs. MI estimates, one row per capacity (seed-averaged)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["capacity_nats", "mine_estimate", "plugin_oracle"])
+        writer.writerow(MI_CURVE_COLUMNS)
         for k in report.config.capacities:
             cap = capacity(CapacityConfig(K=k, G=report.config.groups))
             writer.writerow(

@@ -227,18 +227,24 @@ _PARAMS_NAME = "params.ibvq"
 
 def save_models(path: str | Path, models: AutoencoderModels) -> None:
     """Write the bundle's parameters, then its metadata, under ``path``; a
-    write that fails leaves the file it was replacing as it was."""
+    write that fails leaves the file it was replacing as it was.
+
+    The metadata records the sha256 digest of the parameter bytes, so a
+    save interrupted between the two files leaves a bundle that
+    `load_models` refuses instead of pairing new parameters with old
+    metadata."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     merged = {f"enc.{k}": v for k, v in models.encoder.store.export().items()}
     merged.update({f"dec.{k}": v for k, v in models.decoder.store.export().items()})
     if models.codebook is not None:
         merged["cb.entries"] = models.codebook.entries.copy()
-    nc.save_params(root / _PARAMS_NAME, merged)
+    digest = nc.save_params(root / _PARAMS_NAME, merged)
     meta = {
         "encoder": dataclasses.asdict(models.encoder.config),
         "decoder": dataclasses.asdict(models.decoder.config),
         "capacity": {"K": models.cap_cfg.K, "G": models.cap_cfg.G},
+        "params_sha256": digest,
     }
     meta_text = json.dumps(meta, sort_keys=True, indent=1) + "\n"
     write_atomic(root / _META_NAME, lambda fh: fh.write(meta_text.encode()))
@@ -270,7 +276,12 @@ def load_models(path: str | Path) -> AutoencoderModels:
         cap_cfg = CapacityConfig(**meta["capacity"])
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"incomplete model metadata in {root}: {e}") from e
-    params = nc.load_params(root / _PARAMS_NAME)
+    if "params_sha256" not in meta:
+        raise CheckpointError(
+            f"checkpoint {root} records no digest of its parameters (saved by an "
+            "earlier version); retrain the model"
+        )
+    params = nc.load_params(root / _PARAMS_NAME, sha256=meta["params_sha256"])
     stray = sorted(k for k in params if not k.startswith(("enc.", "dec.")) and k != "cb.entries")
     if stray:
         raise CheckpointError(f"checkpoint {root} holds unknown parameters: {stray}")

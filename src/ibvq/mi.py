@@ -64,18 +64,15 @@ def dv_bound(t_joint, t_marginal) -> float:
     return float(tj.mean() - (log_sum_exp - np.log(tm.size)))
 
 
-def shuffle_marginal(xs, zs, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Permute the z column by a seeded derangement-biased shuffle.
+def shuffle_marginal(zs, seed: int) -> np.ndarray:
+    """The rows of ``zs`` permuted by a seeded derangement-biased shuffle.
 
-    Permutations are redrawn until none of the pairs keeps its partner (up
-    to a bounded number of tries), so the result approximates a sample from
-    the product of marginals even for small n.
+    Permutations are redrawn until no row keeps its place (up to a bounded
+    number of tries), so pairing the result with the unshuffled x rows
+    approximates a sample from the product of marginals even for small n.
     """
-    xs = np.asarray(xs)
     zs = np.asarray(zs)
-    if xs.shape[0] != zs.shape[0]:
-        raise ShapeError(f"pair counts differ: {xs.shape[0]} vs {zs.shape[0]}")
-    n = xs.shape[0]
+    n = zs.shape[0]
     if n < 2:
         raise ValidationError("need at least 2 pairs to shuffle a marginal")
     rng = np.random.default_rng(seed)
@@ -86,7 +83,7 @@ def shuffle_marginal(xs, zs, seed: int) -> tuple[np.ndarray, np.ndarray]:
         perm = rng.permutation(n)
     else:
         perm = np.roll(np.arange(n), 1)
-    return xs, zs[perm]
+    return zs[perm]
 
 
 def content_vector(phone_ids, embedding_table: np.ndarray) -> np.ndarray:
@@ -190,7 +187,7 @@ def mine_estimate(xs, zs, cfg: MineConfig | None = None) -> float:
     # several independent derangements keep the Monte-Carlo noise of the
     # log-partition term well below the estimator's tolerance
     z_eval_margs = [
-        shuffle_marginal(xs, zs, seed=cfg.seed + 1 + r)[1]
+        shuffle_marginal(zs, seed=cfg.seed + 1 + r)
         for r in range(cfg.eval_derangements)
     ]
     # each row's codes followed by its codes under every derangement

@@ -5,7 +5,9 @@ u32 name length, the UTF-8 name, u32 rows, u32 cols, and the row-major
 float64 payload. Everything little-endian.
 
 Files are written through `write_atomic`: an interrupted write leaves the
-previous file in place.
+previous file in place. `save_params` returns the sha256 digest of the bytes
+it wrote, and `load_params` refuses a file whose bytes do not have the
+digest it is given, so a caller can tell its file from another save's.
 """
 
 from __future__ import annotations
@@ -34,7 +36,17 @@ def write_atomic(path: Path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def save_params(path: str | Path, params: dict[str, Array]) -> None:
+def _sha256(blob: bytes) -> str:
+    # hashlib loads OpenSSL (about 4 ms): paid on first use, not by every
+    # import of the package
+    import hashlib
+
+    return hashlib.sha256(blob).hexdigest()
+
+
+def save_params(path: str | Path, params: dict[str, Array]) -> str:
+    """Write ``params`` to ``path``; returns the sha256 hex digest of the
+    bytes written."""
     path = Path(path)
     chunks = [MAGIC, struct.pack("<II", VERSION, len(params))]
     for name, arr in params.items():
@@ -46,15 +58,24 @@ def save_params(path: str | Path, params: dict[str, Array]) -> None:
         chunks.append(encoded)
         chunks.append(struct.pack("<II", arr.shape[0], arr.shape[1]))
         chunks.append(arr.tobytes())
-    write_atomic(path, lambda fh: fh.write(b"".join(chunks)))
+    blob = b"".join(chunks)
+    write_atomic(path, lambda fh: fh.write(blob))
+    return _sha256(blob)
 
 
-def load_params(path: str | Path) -> dict[str, Array]:
+def load_params(path: str | Path, sha256: str | None = None) -> dict[str, Array]:
+    """The named matrices in ``path``; with ``sha256``, the file's bytes
+    must have that hex digest."""
     path = Path(path)
     try:
         blob = path.read_bytes()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
+    if sha256 is not None and _sha256(blob) != sha256:
+        raise CheckpointError(
+            f"{path} does not have the sha256 digest recorded for it: it was replaced "
+            "after that save, or the save was interrupted"
+        )
     view = memoryview(blob)
     if len(view) < 12 or bytes(view[:4]) != MAGIC:
         raise CheckpointError(f"{path} is not a parameter checkpoint (bad magic)")

@@ -135,24 +135,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
     """Create a leaf tensor; validates finiteness of external data."""
@@ -196,9 +178,7 @@ def _broadcast_ok(a: Tensor, b: Tensor) -> None:
             raise ShapeError(f"shapes {a.shape} and {b.shape} do not broadcast")
 
 
-def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        b = constant(np.full((1, 1), float(b)))
+def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_ok(a, b)
     out_data = a.data + b.data
 
@@ -452,36 +432,22 @@ def _check_edges(edges: Array, total_rows: int) -> None:
         raise AlignmentError("edges must be strictly increasing")
 
 
-def segment_mean(x: Tensor, edges, weights=None) -> Tensor:
-    """Weighted mean of row segments.
+def segment_mean(x: Tensor, edges) -> Tensor:
+    """Mean of row segments (average pooling).
 
     ``edges`` has S+1 entries delimiting S half-open segments over the rows
-    of ``x``; segment s is the (weighted) mean of its member rows. Weights
-    default to 1 per row, which makes this plain average pooling.
+    of ``x``; segment s is the mean of its member rows.
     """
     edges = np.asarray(edges, dtype=np.int64)
     _check_edges(edges, x.rows)
-    if weights is None:
-        w = np.ones(x.rows)
-    else:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if w.size != x.rows:
-            raise ShapeError(f"weights length {w.size} != rows {x.rows}")
-        if np.any(w <= 0):
-            raise ValidationError("segment weights must be positive")
-    n_seg = edges.size - 1
-    seg_w = np.add.reduceat(w, edges[:-1])
-    sums = np.add.reduceat(x.data * w[:, None], edges[:-1], axis=0)
-    out_data = sums / seg_w[:, None]
+    lengths = np.diff(edges)
+    out_data = np.add.reduceat(x.data, edges[:-1], axis=0) / lengths[:, None]
 
     def backward(g):
         if x.requires_grad:
-            g_per_row = np.repeat(g / seg_w[:, None], np.diff(edges), axis=0)
-            x._accumulate(g_per_row * w[:, None])
+            x._accumulate(np.repeat(g / lengths[:, None], lengths, axis=0))
 
-    out = _child(out_data, (x,), backward)
-    assert out.rows == n_seg
-    return out
+    return _child(out_data, (x,), backward)
 
 
 def repeat_rows(x: Tensor, counts) -> Tensor:

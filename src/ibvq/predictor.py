@@ -100,10 +100,12 @@ def head_logits(word_ids, model: PredictorModel, offsets=None) -> list[nc.Tensor
     ]
 
 
-def predict_codes(word_ids, model: PredictorModel) -> np.ndarray:
-    """(W, G) argmax codes; deterministic, ties to the lowest index."""
+def predict_codes(word_ids, model: PredictorModel, offsets=None) -> np.ndarray:
+    """(W, G) argmax codes of the words of one sentence, or of packed
+    sentences whose words start at ``offsets``; deterministic, ties to the
+    lowest index."""
     with model.store.frozen():
-        logits = head_logits(word_ids, model)
+        logits = head_logits(word_ids, model, offsets)
     return np.stack([lg.data.argmax(axis=1) for lg in logits], axis=1)
 
 
@@ -159,29 +161,11 @@ def train_predictor(
     return model
 
 
-@dataclass
-class PredictorReport:
-    accuracy: np.ndarray    # (G,) top-1 accuracy per head
-    perplexity: np.ndarray  # (G,) exp(mean cross-entropy) per head
-    n_words: int
-
-
-def evaluate_predictor(model: PredictorModel, texts: list, codes: list) -> PredictorReport:
-    """Held-out classification quality of the code heads, from one packed
-    forward pass over every sentence; both figures average over words."""
-    cfg = model.config
-    _validate_pairs(texts, codes, cfg)
-    ids, offsets = pack_sentences(texts)
+def evaluate_predictor(predicted: np.ndarray, codes: list) -> np.ndarray:
+    """(G,) top-1 accuracy of each code head over the words of held-out
+    sentences: ``predicted`` is `predict_codes`' (W, G) output for the
+    sentences packed in order, ``codes`` their (W, G) reference blocks."""
     targets = np.vstack([np.asarray(c, dtype=np.int64) for c in codes])
-    with model.store.frozen():
-        logits = head_logits(ids, model, offsets)
-        # without offsets the cross-entropy is the mean over all words
-        nll = np.array([nc.cross_entropy(lg, targets[:, g]).item()
-                        for g, lg in enumerate(logits)])
-    correct = np.array([np.sum(lg.data.argmax(axis=1) == targets[:, g])
-                        for g, lg in enumerate(logits)])
-    return PredictorReport(
-        accuracy=correct / ids.size,
-        perplexity=np.exp(nll),
-        n_words=int(ids.size),
-    )
+    if targets.shape != predicted.shape:
+        raise ShapeError(f"predicted codes {predicted.shape} vs reference codes {targets.shape}")
+    return np.mean(predicted == targets, axis=0)

@@ -95,20 +95,17 @@ def quantize_batch(x: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray,
 
 
 def lookup(codes, cb: Codebook) -> np.ndarray:
-    """Concatenate codebook entries for integer codes; inverse of
-    quantize_batch's code assignment (lookup(codes) == quantized)."""
+    """The (W, G * entry dim) rows of codebook entries for (W, G) integer
+    codes; inverse of quantize_batch's code assignment (lookup(codes) ==
+    quantized)."""
     idx = np.asarray(codes, dtype=np.int64)
-    squeeze = idx.ndim == 1
-    if squeeze:
-        idx = idx.reshape(1, -1)
-    if idx.shape[1] != cb.groups:
-        raise ShapeError(f"codes have {idx.shape[1]} groups, codebook has {cb.groups}")
+    if idx.ndim != 2 or idx.shape[1] != cb.groups:
+        raise ShapeError(f"codes shaped {idx.shape} are not (words, {cb.groups} groups)")
     if idx.size and (idx.min() < 0 or idx.max() >= cb.size):
         raise CodeRangeError(
             f"code index out of range [0, {cb.size}): {int(idx.min())}..{int(idx.max())}"
         )
-    out = cb.entries[idx].reshape(idx.shape[0], cb.dim)
-    return out[0] if squeeze else out
+    return cb.entries[idx].reshape(idx.shape[0], cb.dim)
 
 
 @dataclass

@@ -137,6 +137,10 @@ def _sample_word(
 
 
 def _generate(cfg: CorpusConfig) -> tuple[PhoneInventory, list[LexiconWord], list[UtteranceSpec]]:
+    """Draw the inventory, lexicon and utterance specs; deterministic given
+    cfg.seed. Word identities follow Zipf-like frequencies so repeated words
+    give the content/prosody mutual-information analysis realistic
+    repetition."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     inventory = make_inventory(cfg, rng)
@@ -154,15 +158,6 @@ def _generate(cfg: CorpusConfig) -> tuple[PhoneInventory, list[LexiconWord], lis
         spec.validate(inventory.size)
         specs.append(spec)
     return inventory, lexicon, specs
-
-
-def sample_corpus(cfg: CorpusConfig) -> list[UtteranceSpec]:
-    """Draw utterance specs; deterministic given cfg.seed.
-
-    Word identities follow Zipf-like frequencies so repeated words give the
-    content/prosody mutual-information analysis realistic repetition.
-    """
-    return _generate(cfg)[2]
 
 
 def render_features(

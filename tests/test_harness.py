@@ -196,6 +196,35 @@ def test_failed_checkpoint_write_keeps_the_old_checkpoint(tmp_path, corpus, trai
                            reconstruct(batch, trained.models))
 
 
+def test_torn_checkpoint_is_refused(tmp_path, trained, monkeypatch):
+    """A save interrupted between its two renames leaves new parameters
+    beside the old metadata, whose parameter digest no longer matches: the
+    bundle is refused. So is a bundle saved before the digest was kept."""
+    ckpt = tmp_path / "ckpt"
+    save_models(ckpt, trained.models)
+    changed = load_models(ckpt)
+    changed.decoder.store["embed"].data += 1.0
+    real_replace = os.replace
+
+    def crash_before_meta(src, dst):
+        if Path(dst).name == "meta.json":
+            raise OSError("killed before the metadata rename")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_before_meta)
+    with pytest.raises(OSError, match="killed"):
+        save_models(ckpt, changed)
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match="sha256"):
+        load_models(ckpt)
+
+    meta = json.loads((ckpt / "meta.json").read_text())
+    del meta["params_sha256"]
+    (ckpt / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(CheckpointError, match="retrain"):
+        load_models(ckpt)
+
+
 # ---------------------------------------------------------------------------
 # the training-step graph
 # ---------------------------------------------------------------------------
@@ -405,7 +434,7 @@ def test_sweep_all_cells_ok(tiny_sweep):
 
 def test_sweep_k0_row_semantics(tiny_sweep):
     _, report, _ = tiny_sweep
-    cell = report.cell(0, 1)
+    (cell,) = [c for c in report.cells if c.K == 0 and c.seed == 1]
     assert cell.capacity_nats == 0.0
     assert cell.plugin_mi == 0.0
     assert math.isnan(cell.predictor_accuracy)
@@ -612,6 +641,13 @@ def test_cli_error_exit_codes(cli_workspace, tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def save_bundle_params(root, params):
+    """Replace a bundle's parameters and record their digest in its metadata."""
+    meta = json.loads((root / "meta.json").read_text())
+    meta["params_sha256"] = nc.save_params(root / "params.ibvq", params)
+    (root / "meta.json").write_text(json.dumps(meta))
+
+
 def test_cli_rejects_checkpoint_missing_a_parameter(cli_workspace, tmp_path):
     root, corpus_dir, ckpt = cli_workspace
     broken = tmp_path / "broken"
@@ -621,7 +657,7 @@ def test_cli_rejects_checkpoint_missing_a_parameter(cli_workspace, tmp_path):
     params = nc.load_params(ckpt / "params.ibvq")
     dropped = next(k for k in params if k.startswith("dec."))
     del params[dropped]
-    nc.save_params(broken / "params.ibvq", params)
+    save_bundle_params(broken, params)
     with pytest.raises(CheckpointError, match=dropped[4:]):
         load_models(broken)
     rc = cli_main(["reconstruct", "--ckpt", str(broken), "--utt", "utt_0000",
@@ -636,7 +672,7 @@ def test_cli_rejects_codebook_entries_in_a_k0_checkpoint(cli_workspace, tmp_path
                      "--steps", "1", "--out", str(ckpt0)]) == 0
     params = nc.load_params(ckpt0 / "params.ibvq")
     params["cb.entries"] = nc.load_params(ckpt / "params.ibvq")["cb.entries"]
-    nc.save_params(ckpt0 / "params.ibvq", params)
+    save_bundle_params(ckpt0, params)
     capsys.readouterr()
     assert cli_main(["reconstruct", "--ckpt", str(ckpt0), "--utt", "utt_0000",
                      "--out", str(tmp_path / "x.csv")]) == 1

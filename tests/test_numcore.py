@@ -650,15 +650,6 @@ def test_grad_concat_cols():
     )
 
 
-def test_grad_segment_mean_weighted():
-    edges = [0, 2, 5]
-    weights = np.array([1.0, 3.0, 2.0, 1.0, 5.0])
-    check(
-        lambda p: nc.sqnorm(nc.segment_mean(p["x"], edges, weights)),
-        {"x": rand(RNG, 5, 3)},
-    )
-
-
 def test_grad_repeat_rows():
     counts = [2, 1, 3]
     check(lambda p: nc.sqnorm(nc.repeat_rows(p["x"], counts)), {"x": rand(RNG, 3, 4)})

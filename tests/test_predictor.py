@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import ibvq.numcore as nc
-from ibvq.errors import ConfigError, VocabularyError
+from ibvq.errors import ConfigError, ShapeError, VocabularyError
 from ibvq.predictor import (
     PredictorConfig,
     PredictorModel,
@@ -27,6 +27,11 @@ def deterministic_dataset(vocab=12, k=8, g=2, sentences=60, seed=0):
     return texts, codes, mapping
 
 
+def held_out_accuracy(model, texts, codes):
+    ids, offsets = pack_sentences(texts)
+    return evaluate_predictor(predict_codes(ids, model, offsets), codes)
+
+
 def test_k0_is_config_error():
     with pytest.raises(ConfigError):
         PredictorConfig(word_vocab=10, K=0).validate()
@@ -37,9 +42,7 @@ def test_overfit_deterministic_mapping_reaches_full_accuracy():
     cfg = PredictorConfig(word_vocab=12, K=8, seed=3)
     model = train_predictor(texts, codes, cfg,
                             nc.TrainConfig(learning_rate=5e-3, steps=500, seed=3))
-    report = evaluate_predictor(model, texts, codes)
-    npt.assert_allclose(report.accuracy, 1.0)
-    assert np.all(report.perplexity < 1.2)
+    npt.assert_allclose(held_out_accuracy(model, texts, codes), 1.0)
 
 
 def test_training_deterministic_under_seed():
@@ -84,20 +87,18 @@ def test_evaluate_perfect_and_chance_levels():
     cfg = PredictorConfig(word_vocab=8, K=16, seed=9)
     model = train_predictor(texts, codes, cfg,
                             nc.TrainConfig(learning_rate=5e-3, steps=500, seed=9))
-    report = evaluate_predictor(model, texts, codes)
-    npt.assert_allclose(report.accuracy, 1.0)
+    npt.assert_allclose(held_out_accuracy(model, texts, codes), 1.0)
 
     # a uniform predictor (all logits zero) against random codes sits at
-    # chance: accuracy ~1/16, perplexity exactly 16
+    # chance: accuracy ~1/16
     rng = np.random.default_rng(11)
     rand_codes = [rng.integers(0, 16, size=(len(t), 2)) for t in texts]
     uniform = PredictorModel(cfg)
     for g in range(2):
         uniform.store[f"head{g}.w"].data[:] = 0.0
         uniform.store[f"head{g}.b"].data[:] = 0.0
-    chance = evaluate_predictor(uniform, texts, rand_codes)
-    assert np.all(np.abs(chance.accuracy - 1 / 16) < 0.05)
-    npt.assert_allclose(chance.perplexity, 16.0, atol=1e-9)
+    chance = held_out_accuracy(uniform, texts, rand_codes)
+    assert np.all(np.abs(chance - 1 / 16) < 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +182,14 @@ def test_step_graph_size_independent_of_batch(monkeypatch):
 def test_evaluate_matches_per_sentence_logits():
     texts, codes, _ = deterministic_dataset(sentences=12, seed=5)
     model = PredictorModel(PredictorConfig(word_vocab=12, K=8, seed=8))
-    report = evaluate_predictor(model, texts, codes)
+    ids, offsets = pack_sentences(texts)
+    packed = predict_codes(ids, model, offsets)
+    npt.assert_array_equal(packed, np.vstack([predict_codes(t, model) for t in texts]))
+    accuracy = evaluate_predictor(packed, codes)
     logits = [head_logits(t, model) for t in texts]
     for g in range(2):
         lg = np.vstack([ls[g].data for ls in logits])
         target = np.concatenate([c[:, g] for c in codes])
-        assert report.accuracy[g] == np.mean(lg.argmax(axis=1) == target)
-        shifted = lg - lg.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        nll = -logp[np.arange(target.size), target].mean()
-        npt.assert_allclose(report.perplexity[g], np.exp(nll), rtol=1e-12)
-    assert report.n_words == sum(len(t) for t in texts)
+        assert accuracy[g] == np.mean(lg.argmax(axis=1) == target)
+    with pytest.raises(ShapeError):
+        evaluate_predictor(packed[:-1], codes)

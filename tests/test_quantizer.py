@@ -74,7 +74,9 @@ def test_quantize_dimension_mismatch():
 
 def test_lookup_hand_case_and_round_trip():
     cb = two_entry_codebook()
-    npt.assert_array_equal(qz.lookup([0, 1], cb), [0.0, 0.0, 1.0, 1.0])
+    npt.assert_array_equal(qz.lookup([[0, 1]], cb), [[0.0, 0.0, 1.0, 1.0]])
+    with pytest.raises(ShapeError):
+        qz.lookup([0, 1], cb)  # one code row is still (1, G)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(100, 4))
     codes, q, _ = qz.quantize_batch(x, cb)
@@ -83,7 +85,7 @@ def test_lookup_hand_case_and_round_trip():
 
 def test_lookup_out_of_range():
     with pytest.raises(CodeRangeError):
-        qz.lookup([0, 2], two_entry_codebook())
+        qz.lookup([[0, 2]], two_entry_codebook())
 
 
 def test_nearest_neighbor_matches_brute_force():
