@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +25,11 @@ from ibvq.errors import (
 from ibvq.harness.experiments import (
     MI_CURVE_COLUMNS,
     ExperimentConfig,
-    SweepReport,
-    CellResult,
     mi_analysis,
+    read_cells,
     run_sweep,
-    write_capacity_table_csv,
-    write_mi_curve_csv,
-    write_sweep_csv,
-    read_sweep_csv,
+    write_csv,
+    write_tables,
 )
 from ibvq.harness.training import (
     corpus_codes,
@@ -44,7 +40,8 @@ from ibvq.harness.training import (
 )
 from ibvq.mi import MineConfig
 from ibvq.predictor import PredictorConfig, predict_codes, train_predictor
-from ibvq.quantizer import CapacityConfig, capacity, save_codes
+from ibvq.numcore.checkpoint import write_atomic
+from ibvq.quantizer import CapacityConfig, capacity
 from ibvq.synthdata import (
     CorpusConfig,
     build_corpus,
@@ -54,6 +51,11 @@ from ibvq.synthdata import (
 )
 
 _FLOAT_FMT = "%.17g"
+
+
+def _save_rows(path: str, rows: np.ndarray, fmt: str) -> None:
+    """``rows`` as comma-separated text in ``fmt``, written through `write_atomic`."""
+    write_atomic(Path(path), lambda fh: np.savetxt(fh, rows, fmt=fmt, delimiter=","))
 
 
 def _read_json(path: str | None) -> dict:
@@ -118,14 +120,12 @@ def cmd_train(args) -> int:
     trained = train_autoencoder(corpus, cap_cfg, train_cfg, train_indices=train_idx)
     out = Path(args.out)
     save_models(out, trained.models)
-    (out / "corpus_path.txt").write_text(str(Path(args.corpus).resolve()) + "\n")
-    curve_path = out / "loss_curve.csv"
-    with curve_path.open("w") as fh:
-        fh.write("step,total,mse,codebook,commitment\n")
-        for p in trained.loss_curve:
-            fh.write(
-                f"{p.step},{p.total!r},{p.mse!r},{p.codebook!r},{p.commitment!r}\n"
-            )
+    pointer = (str(Path(args.corpus).resolve()) + "\n").encode()
+    write_atomic(out / "corpus_path.txt", lambda fh: fh.write(pointer))
+    write_csv(
+        out / "loss_curve.csv", ["step", "total", "mse", "codebook", "commitment"],
+        [[p.step, p.total, p.mse, p.codebook, p.commitment] for p in trained.loss_curve],
+    )
     summary = f"trained K={args.K} G={args.G} seed={args.seed}"
     if trained.loss_curve:
         summary += f": final loss {trained.loss_curve[-1].total:.6f}"
@@ -140,7 +140,7 @@ def cmd_reconstruct(args) -> int:
     models = load_models(ckpt)
     (utt,) = _corpus_for_ckpt(args, ckpt, [args.utt]).utterances
     out = reconstruct(pack_utterances([utt]), models)
-    np.savetxt(args.out, out, fmt=_FLOAT_FMT, delimiter=",")
+    _save_rows(args.out, out, _FLOAT_FMT)
     print(f"reconstructed {args.utt}: {out.shape[0]} frames -> {args.out}")
     return 0
 
@@ -151,7 +151,7 @@ def cmd_transfer(args) -> int:
     utts = _corpus_for_ckpt(args, ckpt, [args.ref, args.target]).utterances
     ref, tgt = utts[0], utts[-1]  # one utterance when --ref and --target are the same
     out = transfer(pack_utterances([ref]), pack_utterances([tgt]), models)
-    np.savetxt(args.out, out, fmt=_FLOAT_FMT, delimiter=",")
+    _save_rows(args.out, out, _FLOAT_FMT)
     print(f"transferred prosody of {args.ref} onto {args.target} -> {args.out}")
     return 0
 
@@ -177,11 +177,9 @@ def _experiment_config_from_json(path: str | None, seed: int | None) -> Experime
 
 def cmd_sweep(args) -> int:
     cfg = _experiment_config_from_json(args.config, args.seed)
-    out = Path(args.out)
-    report = run_sweep(cfg, out_dir=out)
-    write_capacity_table_csv(out / "capacity_table.csv", report)
-    failed = [c for c in report.cells if c.status != "ok"]
-    print(f"sweep complete: {len(report.cells)} cells, {len(failed)} failed -> {out}")
+    cells = run_sweep(cfg, args.out)
+    failed = [c for c in cells if c.status != "ok"]
+    print(f"sweep complete: {len(cells)} cells, {len(failed)} failed -> {args.out}")
     for cell in failed:
         print(f"  failed K={cell.K} seed={cell.seed}: {cell.error}", file=sys.stderr)
     return 0
@@ -197,9 +195,7 @@ def cmd_mi(args) -> int:
     mine_cfg = MineConfig(steps=args.mine_steps, seed=args.seed)
     codes = corpus_codes(corpus, models, indices)
     plugin, mine = mi_analysis(corpus, models, indices, codes, mine_cfg)
-    with Path(args.out).open("w") as fh:
-        fh.write(",".join(MI_CURVE_COLUMNS) + "\n")
-        fh.write(f"{capacity(models.cap_cfg)!r},{mine!r},{plugin!r}\n")
+    write_csv(args.out, MI_CURVE_COLUMNS, [[capacity(models.cap_cfg), mine, plugin]])
     print(f"MI analysis -> {args.out} (plugin {plugin:.3f}, mine {mine:.3f} nats)")
     return 0
 
@@ -230,36 +226,14 @@ def cmd_predict(args) -> int:
         nc.TrainConfig(learning_rate=5e-3, steps=args.predictor_steps, seed=args.seed),
     )
     predicted = predict_codes(words, predictor)
-    save_codes(args.out, predicted)
+    _save_rows(args.out, predicted, "%d")
     print(f"predicted codes for {len(words)} words -> {args.out}")
     return 0
 
 
 def cmd_report(args) -> int:
-    path = Path(args.input) / "sweep.csv"
-    rows = read_sweep_csv(path)
-    if not rows:
-        raise ValidationError(f"no sweep rows found under {args.input}")
-    parsers = typing.get_type_hints(CellResult)  # field name -> int, float or str
-    columns = {}
-    for name, parse in parsers.items():
-        if name not in rows[0]:
-            raise ValidationError(f"{path} has no column {name!r}")
-        try:
-            columns[name] = [parse(row[name]) for row in rows]
-        except (TypeError, ValueError) as e:
-            raise ValidationError(f"{path}: bad value in column {name!r}: {e}") from e
-    cells = [CellResult(**dict(zip(columns, values))) for values in zip(*columns.values())]
-    capacities = tuple(sorted({c.K for c in cells}))
-    groups = cells[0].G
-    cfg = ExperimentConfig(capacities=capacities, groups=groups)
-    report = SweepReport(config=cfg, cells=cells)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_capacity_table_csv(out / "capacity_table.csv", report)
-    write_mi_curve_csv(out / "mi_curve.csv", report)
-    write_sweep_csv(out / "sweep.csv", report)
-    print(f"report tables -> {out}")
+    write_tables(args.out, read_cells(Path(args.input) / "sweep.csv"))
+    print(f"report tables -> {args.out}")
     return 0
 
 

@@ -1,16 +1,19 @@
 """Experiment drivers: capacity sweeps, transfer analysis, prediction
-pipelines, and the CSV reports they produce.
+pipelines, and the CSV tables they produce.
 
 A sweep trains one model per (dictionary size, seed) cell on a shared
 corpus and evaluates reconstruction metrics, code usage, mutual-information
 estimates, cross-text transfer proxies, and the text-to-prosody predictor.
 Each cell is independent: a failure marks the cell and the sweep continues.
+The sweep's tables are built from its cells alone and rewritten after every
+cell, so `ibvq report` on a sweep directory writes the same bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +24,7 @@ import ibvq.numcore as nc
 from ibvq.decoder import AutoencoderModels, decode_with_codes, reconstruct, transfer
 from ibvq.errors import ConfigError, ValidationError
 from ibvq.metrics import compare, extract_pitch
+from ibvq.numcore.checkpoint import write_atomic
 from ibvq.mi import MineConfig, content_vector, mine_estimate
 from ibvq.predictor import (
     PredictorConfig,
@@ -34,12 +38,12 @@ from ibvq.synthdata import (
     TEMPLATE_START,
     Corpus,
     CorpusConfig,
+    build_corpus,
     merge_symbols,
     oracle_mi_discrete,
     pack_utterances,
 )
 from ibvq.harness.training import (
-    TrainedAutoencoder,
     corpus_codes,
     in_passes,
     split_corpus,
@@ -70,11 +74,14 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ConfigError("holdout_fraction must lie in (0, 1)")
+        for k in self.capacities:
+            CapacityConfig(K=k, G=self.groups)  # raises on a bad K or G
 
 
 @dataclass
 class CellResult:
-    """One sweep cell; metric fields are NaN when not applicable or failed."""
+    """One sweep cell; a metric field is NaN when it does not apply or was
+    not reached (a failed cell keeps what it measured before the failure)."""
 
     K: int
     G: int
@@ -97,17 +104,6 @@ class CellResult:
 
 
 CELL_COLUMNS = [f.name for f in dataclasses.fields(CellResult)]
-
-
-@dataclass
-class SweepReport:
-    config: ExperimentConfig
-    cells: list[CellResult]
-
-    def mean_over_seeds(self, k: int, attr: str) -> float:
-        vals = [getattr(c, attr) for c in self.cells if c.K == k and c.status == "ok"]
-        vals = [v for v in vals if not math.isnan(v)]
-        return float(np.mean(vals)) if vals else math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -308,21 +304,20 @@ def predictor_experiment(
 
 
 def run_cell(
+    cell: CellResult,
     corpus: Corpus,
-    k: int,
-    seed: int,
     cfg: ExperimentConfig,
     train_indices: list[int],
     held_indices: list[int],
-) -> tuple[CellResult, TrainedAutoencoder | None]:
-    cap_cfg = CapacityConfig(K=k, G=cfg.groups)
-    cell = CellResult(K=k, G=cfg.groups, seed=seed, capacity_nats=capacity(cap_cfg))
-    train_cfg = dataclasses.replace(cfg.train, seed=seed)
+) -> None:
+    """Train the model of ``cell`` and fill in its metric fields."""
+    cap_cfg = CapacityConfig(K=cell.K, G=cell.G)
+    train_cfg = dataclasses.replace(cfg.train, seed=cell.seed)
     trained = train_autoencoder(corpus, cap_cfg, train_cfg, train_indices=train_indices)
     models = trained.models
     cell.__dict__.update(reconstruction_eval(corpus, models, held_indices))
     tr = run_transfer_experiment(
-        models, corpus, held_indices, n_pairs=cfg.transfer_pairs, seed=seed
+        models, corpus, held_indices, n_pairs=cfg.transfer_pairs, seed=cell.seed
     )
     cell.transfer_prosody_r = tr.prosody_similarity_r
     cell.transfer_clearness = tr.content_clearness
@@ -336,53 +331,41 @@ def run_cell(
         cell.perplexity_mean = float(np.mean(trained.usage))
         cell.predictor_accuracy, cell.predicted_codes_mse = predictor_experiment(
             models, corpus, train_indices, held_indices, trained.codes, held_codes,
-            steps=cfg.predictor_steps, seed=seed,
+            steps=cfg.predictor_steps, seed=cell.seed,
         )
     else:
         cell.plugin_mi = 0.0  # no codes: the bottleneck transmits nothing
-    return cell, trained
 
 
-def run_sweep(
-    cfg: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    corpus: Corpus | None = None,
-) -> SweepReport:
-    """Train and evaluate one model per (capacity, seed) cell.
+def run_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[CellResult]:
+    """Train and evaluate one model per (capacity, seed) cell, rewriting the
+    tables under ``out_dir`` after every cell.
 
     A cell failure is recorded in its row (status/error) without aborting
     the others. Every row carries the full column set either way.
     """
-    from ibvq.synthdata import build_corpus  # local: avoids cycle at import time
-
     cfg.validate()
-    if corpus is None:
-        corpus = build_corpus(cfg.corpus)
+    corpus = build_corpus(cfg.corpus)
     train_indices, held_indices = split_corpus(corpus, cfg.holdout_fraction)
     cells = []
     for k in cfg.capacities:
         for seed in cfg.seeds:
+            cell = CellResult(
+                K=k, G=cfg.groups, seed=seed,
+                capacity_nats=capacity(CapacityConfig(K=k, G=cfg.groups)),
+            )
             try:
-                cell, _ = run_cell(corpus, k, seed, cfg, train_indices, held_indices)
+                run_cell(cell, corpus, cfg, train_indices, held_indices)
             except Exception as e:  # noqa: BLE001 - cell isolation is the contract
-                cell = CellResult(
-                    K=k,
-                    G=cfg.groups,
-                    seed=seed,
-                    capacity_nats=capacity(CapacityConfig(K=k, G=cfg.groups)),
-                    status="failed",
-                    error=f"{type(e).__name__}: {e}",
-                )
+                cell.status = "failed"
+                cell.error = f"{type(e).__name__}: {e}"
             cells.append(cell)
-    report = SweepReport(config=cfg, cells=cells)
-    if out_dir is not None:
-        write_sweep_csv(Path(out_dir) / "sweep.csv", report)
-        write_mi_curve_csv(Path(out_dir) / "mi_curve.csv", report)
-    return report
+            write_tables(out_dir, cells)
+    return cells
 
 
 # ---------------------------------------------------------------------------
-# reports
+# tables
 # ---------------------------------------------------------------------------
 
 
@@ -392,53 +375,62 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_sweep_csv(path: str | Path, report: SweepReport) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CELL_COLUMNS)
-        for cell in report.cells:
-            writer.writerow([_fmt(getattr(cell, col)) for col in CELL_COLUMNS])
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write ``rows`` under ``header`` as CSV through `write_atomic`: floats
+    as ``repr`` (or ``nan``), lines ended by "\\n"."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(value) for value in row] for row in rows)
+    data = text.getvalue().encode()
+    write_atomic(Path(path), lambda fh: fh.write(data))
 
 
-def read_sweep_csv(path: str | Path) -> list[dict]:
+_PARSERS = {"int": int, "float": float, "str": str}  # by CellResult field annotation
+
+
+def read_cells(path: str | Path) -> list[CellResult]:
+    """The cells of a ``sweep.csv`` written by `write_tables`."""
     with Path(path).open(newline="") as fh:
-        return list(csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        raise ValidationError(f"no sweep rows found in {path}")
+    columns = {}
+    for f in dataclasses.fields(CellResult):
+        if f.name not in rows[0]:
+            raise ValidationError(f"{path} has no column {f.name!r}")
+        try:
+            columns[f.name] = [_PARSERS[f.type](row[f.name]) for row in rows]
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"{path}: bad value in column {f.name!r}: {e}") from e
+    return [CellResult(**dict(zip(columns, values))) for values in zip(*columns.values())]
 
 
-# the columns of `write_mi_curve_csv` and of `ibvq mi`'s output
+# the columns of mi_curve.csv and of `ibvq mi`'s output
 MI_CURVE_COLUMNS = ["capacity_nats", "mine_estimate", "plugin_oracle"]
+CAPACITY_METRICS = ["recon_mse", "vde", "gpe", "ffe", "mcd", "transfer_prosody_r", "transfer_clearness"]
 
 
-def write_mi_curve_csv(path: str | Path, report: SweepReport) -> None:
-    """Capacity vs. MI estimates, one row per capacity (seed-averaged)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MI_CURVE_COLUMNS)
-        for k in report.config.capacities:
-            cap = capacity(CapacityConfig(K=k, G=report.config.groups))
-            writer.writerow(
-                [
-                    _fmt(cap),
-                    _fmt(report.mean_over_seeds(k, "mine_mi")),
-                    _fmt(report.mean_over_seeds(k, "plugin_mi")),
-                ]
-            )
+def write_tables(out_dir: str | Path, cells: list[CellResult]) -> None:
+    """Write ``sweep.csv`` (one row per cell), and ``mi_curve.csv`` and
+    ``capacity_table.csv`` (one row per K, in order of first appearance;
+    each metric the mean over the K's ``ok`` cells, NaN skipped)."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / "sweep.csv", CELL_COLUMNS,
+              [[getattr(cell, col) for col in CELL_COLUMNS] for cell in cells])
+    by_k: dict[int, list[CellResult]] = {}
+    for cell in cells:
+        by_k.setdefault(cell.K, []).append(cell)
 
+    def mean(group: list[CellResult], attr: str) -> float:
+        vals = [getattr(c, attr) for c in group if c.status == "ok"]
+        vals = [v for v in vals if not math.isnan(v)]
+        return float(np.mean(vals)) if vals else math.nan
 
-def write_capacity_table_csv(path: str | Path, report: SweepReport) -> None:
-    """Seed-averaged reconstruction metrics per capacity row."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    cols = ["recon_mse", "vde", "gpe", "ffe", "mcd", "transfer_prosody_r", "transfer_clearness"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["K", "capacity_nats"] + cols)
-        for k in report.config.capacities:
-            cap = capacity(CapacityConfig(K=k, G=report.config.groups))
-            writer.writerow(
-                [str(k), _fmt(cap)] + [_fmt(report.mean_over_seeds(k, c)) for c in cols]
-            )
+    write_csv(out / "mi_curve.csv", MI_CURVE_COLUMNS,
+              [[g[0].capacity_nats, mean(g, "mine_mi"), mean(g, "plugin_mi")]
+               for g in by_k.values()])
+    write_csv(out / "capacity_table.csv", ["K", "capacity_nats"] + CAPACITY_METRICS,
+              [[k, g[0].capacity_nats] + [mean(g, m) for m in CAPACITY_METRICS]
+               for k, g in by_k.items()])

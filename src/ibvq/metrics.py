@@ -50,48 +50,6 @@ def extract_pitch(features: np.ndarray) -> PitchTrack:
     return PitchTrack(voiced=voiced, f0=f0)
 
 
-def _check_lengths(ref: PitchTrack, hyp: PitchTrack) -> int:
-    if len(ref) != len(hyp):
-        raise ShapeError(f"track lengths differ: {len(ref)} vs {len(hyp)}")
-    return len(ref)
-
-
-def _voicing_errors(ref: PitchTrack, hyp: PitchTrack) -> int:
-    return int(np.sum(ref.voiced != hyp.voiced))
-
-
-def _gross_errors(ref: PitchTrack, hyp: PitchTrack, threshold: float) -> tuple[int, int]:
-    both = ref.voiced & hyp.voiced
-    n_both = int(both.sum())
-    if n_both == 0:
-        return 0, 0
-    dev = np.abs(hyp.f0[both] - ref.f0[both])
-    return int(np.sum(dev > threshold * ref.f0[both])), n_both
-
-
-def vde(ref: PitchTrack, hyp: PitchTrack) -> float:
-    """Percent of frames whose voicing decision differs."""
-    t = _check_lengths(ref, hyp)
-    return 100.0 * _voicing_errors(ref, hyp) / t
-
-
-def gpe(ref: PitchTrack, hyp: PitchTrack, threshold: float = GPE_THRESHOLD) -> float:
-    """Percent of both-voiced frames whose F0 deviates by more than the
-    threshold fraction of the reference; 0 when no frame is both-voiced."""
-    _check_lengths(ref, hyp)
-    errors, n_both = _gross_errors(ref, hyp, threshold)
-    if n_both == 0:
-        return 0.0
-    return 100.0 * errors / n_both
-
-
-def ffe(ref: PitchTrack, hyp: PitchTrack, threshold: float = GPE_THRESHOLD) -> float:
-    """Percent of all frames with either a voicing error or a gross pitch error."""
-    t = _check_lengths(ref, hyp)
-    errors, _ = _gross_errors(ref, hyp, threshold)
-    return 100.0 * (_voicing_errors(ref, hyp) + errors) / t
-
-
 @lru_cache(maxsize=None)
 def dct_basis(n: int) -> np.ndarray:
     """(n, n) orthonormal DCT-II basis, one coefficient per column:
@@ -126,12 +84,22 @@ def mcd(ref_features: np.ndarray, hyp_features: np.ndarray) -> float:
 
 
 def compare(ref_features: np.ndarray, hyp_features: np.ndarray) -> MetricReport:
-    """All four metrics plus the exact frame counts behind each denominator."""
+    """All four metrics plus the exact frame counts behind each denominator.
+
+    VDE is the percent of frames whose voicing decision differs. GPE is the
+    percent of both-voiced frames whose F0 deviates from the reference by
+    more than ``GPE_THRESHOLD`` of it; 0 when no frame is voiced in both.
+    FFE is the percent of all frames with either error.
+    """
     ref = extract_pitch(ref_features)
     hyp = extract_pitch(hyp_features)
-    t = _check_lengths(ref, hyp)
-    v_err = _voicing_errors(ref, hyp)
-    g_err, n_both = _gross_errors(ref, hyp, GPE_THRESHOLD)
+    if len(ref) != len(hyp):
+        raise ShapeError(f"track lengths differ: {len(ref)} vs {len(hyp)}")
+    t = len(ref)
+    v_err = int(np.sum(ref.voiced != hyp.voiced))
+    both = ref.voiced & hyp.voiced
+    n_both = int(both.sum())
+    g_err = int(np.sum(np.abs(hyp.f0[both] - ref.f0[both]) > GPE_THRESHOLD * ref.f0[both]))
     return MetricReport(
         vde=100.0 * v_err / t,
         gpe=100.0 * g_err / n_both if n_both else 0.0,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -227,16 +226,3 @@ def init_codebook_from_features(
     sub = feats.reshape(-1, feats.shape[1] // cfg.G)
     rng = np.random.default_rng(seed)
     return Codebook(entries=kmeans_pp_seeds(sub, cfg.K, rng), groups=cfg.G)
-
-
-# ---------------------------------------------------------------------------
-# code serialization
-# ---------------------------------------------------------------------------
-
-
-def save_codes(path: str | Path, codes: np.ndarray) -> None:
-    """One row per word, G integer columns."""
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.ndim != 2:
-        raise ShapeError(f"codes must be (n, G), got {codes.shape}")
-    np.savetxt(path, codes, fmt="%d", delimiter=",")

@@ -25,18 +25,21 @@ from ibvq.decoder import (
     reconstruction_graph,
 )
 from ibvq.encoder import EncoderConfig, EncoderModel
-from ibvq.errors import CheckpointError, TrainingError
+from ibvq.errors import CheckpointError, ConfigError, TrainingError
+import ibvq.harness.cli as cli_module
 from ibvq.harness.cli import main as cli_main
 from ibvq.harness.experiments import (
     CELL_COLUMNS,
+    CellResult,
     ExperimentConfig,
     matched_pairs,
     phone_recovery_accuracy,
-    read_sweep_csv,
+    read_cells,
     reconstruction_eval,
     run_sweep,
     run_transfer_experiment,
     word_pitch_readout,
+    write_tables,
 )
 from ibvq.harness.training import (
     PASS_UTTERANCES,
@@ -47,6 +50,7 @@ from ibvq.harness.training import (
     train_autoencoder,
 )
 from ibvq.mi import MineConfig
+from ibvq.predictor import predict_codes
 from ibvq.quantizer import CapacityConfig
 from ibvq.synthdata import ENERGY_CHANNEL, CorpusConfig, build_corpus, pack_utterances
 
@@ -380,11 +384,12 @@ def test_matched_pairs_props(corpus):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def tiny_sweep(tmp_path_factory):
-    out = tmp_path_factory.mktemp("sweep")
-    cfg = ExperimentConfig(
-        capacities=(0, 4),
+TABLES = ("sweep.csv", "mi_curve.csv", "capacity_table.csv")
+
+
+def tiny_sweep_config(**overrides) -> ExperimentConfig:
+    fields = dict(
+        capacities=(4, 0),  # not sorted: the tables keep the grid order
         corpus=CorpusConfig(n_utterances=20, seed=8),
         train=nc.TrainConfig(learning_rate=3e-3, steps=25, seed=0, batch_size=4),
         seeds=(1,),
@@ -395,8 +400,14 @@ def tiny_sweep(tmp_path_factory):
         predictor_steps=30,
         mine=None,
     )
-    report = run_sweep(cfg, out_dir=out)
-    return cfg, report, out
+    return ExperimentConfig(**{**fields, **overrides})
+
+
+@pytest.fixture(scope="module")
+def tiny_sweep(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep")
+    cfg = tiny_sweep_config()
+    return cfg, run_sweep(cfg, out), out
 
 
 def test_sweep_outputs_byte_identical_between_runs(tmp_path):
@@ -411,30 +422,31 @@ def test_sweep_outputs_byte_identical_between_runs(tmp_path):
         predictor_steps=10,
         mine=MineConfig(steps=30, hidden=8, batch_size=64, eval_every=10, seed=4),
     )
-    first = run_sweep(cfg, out_dir=tmp_path / "a")
-    run_sweep(cfg, out_dir=tmp_path / "b")
-    assert first.cells[0].status == "ok", first.cells[0].error
-    assert math.isfinite(first.cells[0].mine_mi)
-    for name in ("sweep.csv", "mi_curve.csv"):
+    (first,) = run_sweep(cfg, tmp_path / "a")
+    run_sweep(cfg, tmp_path / "b")
+    assert first.status == "ok", first.error
+    assert math.isfinite(first.mine_mi)
+    for name in TABLES:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_sweep_row_count_and_schema(tiny_sweep):
-    cfg, report, out = tiny_sweep
-    assert len(report.cells) == len(cfg.capacities) * len(cfg.seeds)
-    rows = read_sweep_csv(out / "sweep.csv")
-    assert len(rows) == len(report.cells)
-    assert list(rows[0].keys()) == CELL_COLUMNS
+    cfg, cells, out = tiny_sweep
+    assert len(cells) == len(cfg.capacities) * len(cfg.seeds)
+    text = (out / "sweep.csv").read_text()
+    assert text.splitlines()[0].split(",") == CELL_COLUMNS
+    # repr: NaN fields compare equal, and repr round-trips floats exactly
+    assert [repr(c) for c in read_cells(out / "sweep.csv")] == [repr(c) for c in cells]
 
 
 def test_sweep_all_cells_ok(tiny_sweep):
-    _, report, _ = tiny_sweep
-    assert all(c.status == "ok" for c in report.cells), [c.error for c in report.cells]
+    _, cells, _ = tiny_sweep
+    assert all(c.status == "ok" for c in cells), [c.error for c in cells]
 
 
 def test_sweep_k0_row_semantics(tiny_sweep):
-    _, report, _ = tiny_sweep
-    (cell,) = [c for c in report.cells if c.K == 0 and c.seed == 1]
+    _, cells, _ = tiny_sweep
+    (cell,) = [c for c in cells if c.K == 0 and c.seed == 1]
     assert cell.capacity_nats == 0.0
     assert cell.plugin_mi == 0.0
     assert math.isnan(cell.predictor_accuracy)
@@ -444,8 +456,65 @@ def test_report_cli_round_trip(tiny_sweep, tmp_path):
     _, _, out = tiny_sweep
     rc = cli_main(["report", "--in", str(out), "--out", str(tmp_path / "tables")])
     assert rc == 0
-    assert (tmp_path / "tables" / "capacity_table.csv").is_file()
-    assert (tmp_path / "tables" / "mi_curve.csv").is_file()
+    for name in TABLES:
+        assert (tmp_path / "tables" / name).read_bytes() == (out / name).read_bytes(), name
+    first_column = [line.split(",")[0] for line in (out / "mi_curve.csv").read_text().splitlines()]
+    assert first_column == ["capacity_nats", repr(2 * math.log(4)), "0.0"]
+
+
+def test_tables_round_trip_through_read_cells(tmp_path):
+    nan = math.nan
+    cells = [
+        CellResult(K=8, G=2, seed=1, capacity_nats=2 * math.log(8), recon_mse=0.25, mine_mi=nan),
+        CellResult(K=8, G=2, seed=2, capacity_nats=2 * math.log(8), recon_mse=0.5, mine_mi=1.5),
+        CellResult(K=8, G=2, seed=3, capacity_nats=2 * math.log(8), recon_mse=9.0,
+                   status="failed", error='ValueError: a, "quoted"\nsecond line'),
+        CellResult(K=0, G=2, seed=1, capacity_nats=0.0, recon_mse=0.125, plugin_mi=0.0),
+    ]
+    write_tables(tmp_path / "a", cells)
+    assert read_cells(tmp_path / "a" / "sweep.csv")[2].error == cells[2].error
+    write_tables(tmp_path / "b", read_cells(tmp_path / "a" / "sweep.csv"))
+    for name in TABLES:
+        data = (tmp_path / "a" / name).read_bytes()
+        assert data == (tmp_path / "b" / name).read_bytes(), name
+        assert b"\r" not in data
+    # one row per K in order of first appearance; means over ok cells, NaN skipped
+    table = (tmp_path / "a" / "capacity_table.csv").read_text().splitlines()
+    assert [row.split(",")[:3] for row in table[1:]] == [
+        ["8", repr(2 * math.log(8)), repr(0.375)], ["0", "0.0", repr(0.125)],
+    ]
+    mi_curve = (tmp_path / "a" / "mi_curve.csv").read_text().splitlines()
+    assert mi_curve[1:] == [f"{2 * math.log(8)!r},1.5,nan", "0.0,nan,0.0"]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_interrupted_sweep_keeps_finished_cells(tmp_path, monkeypatch):
+    real = experiments.train_autoencoder
+    calls = []
+
+    def train_then_interrupt(*args, **kwargs):
+        calls.append(args[1].K)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train_autoencoder", train_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(tiny_sweep_config(capacities=(0, 4)), tmp_path)
+    assert calls == [0, 4]
+    (cell,) = read_cells(tmp_path / "sweep.csv")
+    assert (cell.K, cell.status) == (0, "ok")
+    assert len((tmp_path / "capacity_table.csv").read_text().splitlines()) == 2
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_sweep_refuses_a_bad_k_before_training(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "train_autoencoder", lambda *a, **k: calls.append(a))
+    with pytest.raises(ConfigError):
+        run_sweep(tiny_sweep_config(capacities=(4, -1)), tmp_path / "out")
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +625,28 @@ def test_cli_refuses_a_version_1_corpus(cli_workspace, tmp_path, capsys):
     assert "version 1" in err and "ibvq gen-data" in err
 
 
-def test_cli_predict_codes(cli_workspace, tmp_path):
+def test_cli_predict_codes(cli_workspace, tmp_path, monkeypatch):
     root, corpus_dir, ckpt = cli_workspace
+    predicted = []
+
+    def keep(*args, **kwargs):
+        predicted.append(predict_codes(*args, **kwargs))
+        return predicted[-1]
+
+    monkeypatch.setattr(cli_module, "predict_codes", keep)
     text = tmp_path / "words.txt"
     text.write_text("0 1 2\n")
     out = tmp_path / "codes.csv"
     rc = cli_main(["predict", "--ckpt", str(ckpt), "--text", str(text),
                    "--predictor-steps", "20", "--out", str(out)])
     assert rc == 0
-    codes = np.loadtxt(out, delimiter=",", dtype=int, ndmin=2)
+    # one line of G comma-separated integers per word, read back exactly
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3
+    assert all(len(line.split(",")) == 2 and all(v.isdigit() for v in line.split(","))
+               for line in lines), lines
+    codes = np.loadtxt(out, delimiter=",", dtype=np.int64, ndmin=2)
+    npt.assert_array_equal(codes, predicted[0])
     assert codes.shape == (3, 2)
     assert np.all((codes >= 0) & (codes < 4))
 
@@ -627,6 +709,8 @@ def test_cli_error_exit_codes(cli_workspace, tmp_path, capsys):
         ("sweep", {"train": None}),
         ("sweep", {"capacitiez": [4]}),
         ("sweep", {"seeds": 5}),
+        ("sweep", {"capacities": [4, -1]}),
+        ("sweep", {"groups": 0}),
         ("sweep", [1, 2]),
         ("gen-data", [1, 2]),
         ("gen-data", {"n_utts": 3}),

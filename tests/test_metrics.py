@@ -9,10 +9,6 @@ import ibvq.synthdata as sd
 from ibvq.errors import ShapeError
 
 
-def track(voiced, f0):
-    return mx.PitchTrack(voiced=np.asarray(voiced, dtype=bool), f0=np.asarray(f0, dtype=float))
-
-
 def features_from(f0_norm, voicing, energy, templates):
     t = len(f0_norm)
     out = np.zeros((t, 3 + templates.shape[1]))
@@ -21,6 +17,15 @@ def features_from(f0_norm, voicing, energy, templates):
     out[:, 2] = energy
     out[:, 3:] = templates
     return out
+
+
+def track(voiced, f0):
+    """Features whose pitch track is ``voiced`` and ``f0`` (Hz; ignored on
+    unvoiced frames), with unit energy and zero template channels."""
+    voiced = np.asarray(voiced, dtype=bool)
+    norm = np.where(voiced, sd.f0_to_norm(np.where(voiced, f0, 50.0)), 0.0)
+    return features_from(norm, voiced.astype(float), np.ones(voiced.size),
+                         np.zeros((voiced.size, 13)))
 
 
 def hand_dct_matrix(n):
@@ -71,50 +76,61 @@ def test_extract_pitch_floor():
 
 
 # ---------------------------------------------------------------------------
-# vde / gpe / ffe
+# VDE / GPE / FFE from compare's shared counts
 # ---------------------------------------------------------------------------
 
 
 def test_vde_identical_zero():
     a = track([1, 0, 1, 1], [100, 0, 150, 200])
-    assert mx.vde(a, a) == 0.0
+    assert mx.compare(a, a).vde == 0.0
 
 
 def test_vde_one_of_four():
     ref = track([1, 0, 1, 1], [100, 0, 150, 200])
     hyp = track([1, 1, 1, 1], [100, 90, 150, 200])
-    assert mx.vde(ref, hyp) == 25.0
+    rep = mx.compare(ref, hyp)
+    assert rep.vde == 25.0
+    assert (rep.voicing_error_frames, rep.total_frames) == (1, 4)
 
 
 def test_vde_all_flipped():
     ref = track([1, 0], [100, 0])
     hyp = track([0, 1], [0, 100])
-    assert mx.vde(ref, hyp) == 100.0
+    assert mx.compare(ref, hyp).vde == 100.0
 
 
 def test_gpe_threshold_cases():
     ref = track([1], [100.0])
-    assert mx.gpe(ref, track([1], [130.0])) == 100.0  # 30% > 20%
-    assert mx.gpe(ref, track([1], [110.0])) == 0.0    # 10% <= 20%
-    assert mx.gpe(ref, track([1], [120.0])) == 0.0    # boundary is not an error
+    assert mx.compare(ref, track([1], [130.0])).gpe == 100.0  # 30% > 20%
+    assert mx.compare(ref, track([1], [110.0])).gpe == 0.0    # 10% <= 20%
+    # 120 Hz and 96 Hz come back from the F0 channel exactly, so the
+    # deviation equals the threshold: the boundary is not an error
+    ref, hyp = track([1], [120.0]), track([1], [96.0])
+    assert mx.extract_pitch(ref).f0[0] == 120.0 and mx.extract_pitch(hyp).f0[0] == 96.0
+    assert abs(96.0 - 120.0) == mx.GPE_THRESHOLD * 120.0
+    assert mx.compare(ref, hyp).gpe == 0.0
 
 
 def test_gpe_no_both_voiced_is_zero():
     ref = track([1, 0], [100, 0])
     hyp = track([0, 1], [0, 100])
-    assert mx.gpe(ref, hyp) == 0.0
+    rep = mx.compare(ref, hyp)
+    assert rep.gpe == 0.0
+    assert (rep.both_voiced_frames, rep.gross_error_frames) == (0, 0)
 
 
 def test_ffe_hand_count():
     # T = 4: one voicing mismatch + one gross error -> 50%
     ref = track([1, 1, 1, 0], [100, 100, 100, 0])
     hyp = track([1, 1, 0, 0], [100, 130, 0, 0])
-    assert mx.ffe(ref, hyp) == 50.0
+    rep = mx.compare(ref, hyp)
+    assert rep.ffe == 50.0
+    assert (rep.voicing_error_frames, rep.gross_error_frames) == (1, 1)
 
 
 def test_length_mismatch_raises():
     with pytest.raises(ShapeError):
-        mx.vde(track([1], [100]), track([1, 1], [100, 100]))
+        mx.compare(track([1], [100]), track([1, 1], [100, 100]))
 
 
 # ---------------------------------------------------------------------------

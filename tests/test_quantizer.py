@@ -294,7 +294,7 @@ def test_quantization_error_non_increasing_in_k():
 
 
 # ---------------------------------------------------------------------------
-# codebook initialization and code files
+# codebook initialization
 # ---------------------------------------------------------------------------
 
 
@@ -306,10 +306,3 @@ def test_init_codebook_from_features_shapes():
     with pytest.raises(ConfigError):
         qz.init_codebook_from_features(feats, qz.CapacityConfig(K=0, G=2))
 
-
-def test_codes_csv_round_trip(tmp_path):
-    codes = np.array([[0, 15], [3, 2], [7, 7]])
-    path = tmp_path / "codes.csv"
-    qz.save_codes(path, codes)
-    npt.assert_array_equal(np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2), codes)
-    assert path.read_text().splitlines()[0] == "0,15"
