@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError("holdout_fraction must lie in (0, 1)")
         for k in self.capacities:
             CapacityConfig(K=k, G=self.groups)  # raises on a bad K or G
+        if self.mine is not None:
+            self.mine.validate()
 
 
 @dataclass

@@ -17,6 +17,7 @@ projects the data once for the joint rows and all of its derangements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,10 @@ class MineConfig:
     def validate(self) -> None:
         if self.steps < 1 or self.batch_size < 2 or self.hidden < 1:
             raise ConfigError("steps >= 1, batch_size >= 2, hidden >= 1 required")
+        if self.eval_every < 1 or self.code_embed_dim < 1:
+            raise ConfigError("eval_every >= 1 and code_embed_dim >= 1 required")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.eval_derangements < 1:
             raise ConfigError("eval_derangements must be >= 1")
         if not 0.0 <= self.ema_decay < 1.0 or not 0.0 <= self.eval_smoothing < 1.0:

@@ -15,7 +15,15 @@ The sequence layers (`attention`, `conv1d`, `mse`, `cross_entropy`,
 `positional`) take optional ``offsets`` marking where each sequence of a
 packed batch starts, so one graph over stacked sequences computes what a
 graph per sequence would; see `ibvq.numcore.tensor`.
+
+On glibc, importing this package tells the allocator to keep freed heap
+memory in the process (`_keep_freed_heap`), so that each training step
+reuses the pages the previous step's graph released instead of faulting
+them in again.
 """
+
+import ctypes
+import os
 
 from ibvq.numcore.checkpoint import load_params, save_params
 from ibvq.numcore.gradcheck import grad_check
@@ -59,6 +67,37 @@ from ibvq.numcore.tensor import (
     transpose,
     unfold_rows,
 )
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Serve every desk-scale array from the heap and keep freed heap memory.
+
+    By default glibc maps blocks over 128 KiB separately and unmaps them on
+    free, and trims the heap top back to the OS, so a step that frees its
+    graph hands its pages back and the next step faults them in again. This
+    raises the mmap threshold to glibc's 64-bit maximum (32 MiB) and the trim
+    threshold to 256 MiB. Elsewhere than glibc, or where ``mallopt`` is
+    missing, it does nothing; a refused setting is ignored.
+    """
+    try:
+        # what platform.libc_ver() reads on glibc, without its fallback of
+        # scanning the interpreter's binary elsewhere
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+_keep_freed_heap()
 
 __all__ = [
     "Array",

@@ -9,6 +9,7 @@ it computes exactly what the update written parameter by parameter does.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -36,15 +37,15 @@ class TrainConfig:
     commitment_cost: float = 0.25
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.commitment_cost < 0:
+        if not (math.isfinite(self.commitment_cost) and self.commitment_cost >= 0):
             raise ConfigError(
-                f"commitment_cost must be >= 0, got {self.commitment_cost}"
+                f"commitment_cost must be finite and >= 0, got {self.commitment_cost}"
             )
 
 

@@ -153,7 +153,7 @@ def test_every_saved_parameter_is_trained(trained):
 def test_divergence_reports_step(corpus):
     # a learning rate this large drives activations to overflow within steps
     bad = nc.TrainConfig(learning_rate=1e160, steps=60, seed=5, batch_size=4)
-    with pytest.raises(TrainingError, match="step"):
+    with pytest.raises(TrainingError, match="step"), pytest.warns(RuntimeWarning):
         train_autoencoder(corpus, CapacityConfig(K=4, G=2), bad, warmup_steps=5)
 
 
@@ -517,6 +517,19 @@ def test_sweep_refuses_a_bad_k_before_training(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_refuses_a_mine_setting_that_cannot_run_before_training(
+    tmp_path, monkeypatch, capsys
+):
+    calls = []
+    monkeypatch.setattr(experiments, "train_autoencoder", lambda *a, **k: calls.append(a))
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"capacities": [4], "mine": {"eval_every": 0}}))
+    assert cli_main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "eval_every" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI end-to-end on a tiny corpus
 # ---------------------------------------------------------------------------
@@ -723,6 +736,15 @@ def test_cli_error_exit_codes(cli_workspace, tmp_path, capsys):
         assert rc == 1, (command, data)
         assert capsys.readouterr().err.startswith("error: "), (command, data)
         assert not (tmp_path / "out").exists()
+
+
+def test_cli_train_refuses_a_non_finite_learning_rate(cli_workspace, tmp_path, capsys):
+    _, corpus_dir, _ = cli_workspace
+    rc = cli_main(["train", "--corpus", str(corpus_dir), "--K", "4", "--learning-rate", "nan",
+                   "--steps", "5", "--out", str(tmp_path / "ckpt")])
+    assert rc == 1
+    assert "learning_rate must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "ckpt").exists()
 
 
 def save_bundle_params(root, params):

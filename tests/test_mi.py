@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 import ibvq.numcore as nc
-from ibvq.errors import ShapeError, ValidationError, VocabularyError
+from ibvq.errors import ConfigError, ShapeError, ValidationError, VocabularyError
 from ibvq.mi import (
     MineConfig,
     MineModel,
@@ -129,6 +130,20 @@ def test_content_vector_unknown_phone():
 def test_mine_requires_enough_samples():
     with pytest.raises(ValidationError):
         mine_estimate(np.zeros((50, 1)), np.zeros((50, 1)), FAST)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eval_every", 0),
+    ("code_embed_dim", 0),
+    ("learning_rate", -1.0),
+    ("learning_rate", 0.0),
+    ("learning_rate", math.nan),
+    ("learning_rate", math.inf),
+])
+def test_mine_refuses_settings_that_cannot_run(field, value):
+    cfg = dataclasses.replace(FAST, **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        mine_estimate(np.zeros((200, 1)), np.zeros((200, 1), dtype=np.int64), cfg)
 
 
 def test_mine_length_mismatch():

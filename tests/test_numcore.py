@@ -1,6 +1,10 @@
 import ast
+import ctypes
 import gc
 import math
+import os
+import platform
+import resource
 import weakref
 from pathlib import Path
 
@@ -505,6 +509,11 @@ def test_train_config_validation():
         nc.TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         nc.TrainConfig(commitment_cost=-1.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            nc.TrainConfig(learning_rate=value)
+        with pytest.raises(ConfigError, match="finite"):
+            nc.TrainConfig(commitment_cost=value)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,6 +1014,36 @@ def test_training_loss_curve_equals_reference_ops(monkeypatch):
                             err_msg=f"step {got.step}")
     for got, want in zip(fused.codes, reference.codes, strict=True):
         npt.assert_array_equal(got, want)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap settings apply to glibc's allocator only")
+def test_training_steps_reuse_freed_heap_pages():
+    """Once the heap is warm, a step runs in the pages the previous step's
+    graph released: without the allocator settings made at import, every
+    step faults in several hundred pages again."""
+    corpus = build_corpus(CorpusConfig())
+    train_cfg = nc.TrainConfig(steps=20, seed=1, batch_size=8)
+
+    def train():
+        train_autoencoder(corpus, CapacityConfig(K=16, G=2), train_cfg, warmup_steps=5)
+
+    train()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 20 * train_cfg.steps, f"{faults} minor page faults in {train_cfg.steps} steps"
+
+
+def test_heap_settings_do_nothing_without_glibc(monkeypatch):
+    monkeypatch.setattr(os, "confstr", lambda name: None)  # as on musl
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: pytest.fail("looked up mallopt"))
+    nc._keep_freed_heap()
+
+
+def test_heap_settings_do_nothing_without_mallopt(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a libc without mallopt
+    nc._keep_freed_heap()
 
 
 # ---------------------------------------------------------------------------
