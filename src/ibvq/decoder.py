@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import ibvq.numcore as nc
-from ibvq.encoder import EncoderModel, encode
+from ibvq.encoder import EncoderConfig, EncoderModel, encode
 from ibvq.errors import (
     AlignmentError,
     ConfigError,
@@ -36,8 +36,8 @@ from ibvq.errors import (
 from ibvq.quantizer import (
     BottleneckOutput,
     CapacityConfig,
-    Codebook,
     apply_bottleneck,
+    codebook_store,
     lookup,
     quantize_batch,
 )
@@ -176,16 +176,22 @@ def decode_frames(frame_feats: nc.Tensor, model: DecoderModel, offsets=None) -> 
 
 @dataclass
 class AutoencoderModels:
-    """A trained triple: reference encoder, bottleneck codebook, decoder."""
+    """A model bundle: reference encoder, bottleneck codebook, decoder, whose
+    parameter stores `stores` names by their checkpoint prefixes."""
 
     encoder: EncoderModel
     decoder: DecoderModel
     cap_cfg: CapacityConfig
-    codebook: Codebook | None  # None iff the bottleneck is disabled
+    codebook: nc.ParamStore
 
-    def __post_init__(self):
-        if self.cap_cfg.enabled and self.codebook is None:
-            raise ConfigError("enabled bottleneck requires a codebook")
+    @classmethod
+    def build(cls, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, cap_cfg: CapacityConfig):
+        """A new bundle: initialised encoder and decoder, zero codebook."""
+        codebook = codebook_store(cap_cfg, enc_cfg.acoustic_dim)
+        return cls(EncoderModel(enc_cfg), DecoderModel(dec_cfg), cap_cfg, codebook)
+
+    def stores(self) -> dict[str, nc.ParamStore]:
+        return {"enc": self.encoder.store, "dec": self.decoder.store, "cb": self.codebook}
 
 
 def prosody_codes(batch: PackedBatch, models: AutoencoderModels) -> np.ndarray | None:
@@ -195,8 +201,7 @@ def prosody_codes(batch: PackedBatch, models: AutoencoderModels) -> np.ndarray |
         return None
     with models.encoder.store.frozen():
         word_feats = encode(batch.features, batch.alignment, models.encoder, batch.frame_offsets)
-    codes, _, _ = quantize_batch(word_feats.data, models.codebook)
-    return codes
+    return quantize_batch(word_feats.data, models.codebook["entries"].data, models.cap_cfg.G)[0]
 
 
 def decode(word_vectors: nc.Tensor, batch: PackedBatch, dec_model: DecoderModel) -> nc.Tensor:
@@ -218,7 +223,7 @@ def decode_with_codes(
     if codes is None:
         word_vecs = np.zeros((batch.alignment.n_words, models.decoder.config.prosody_dim))
     else:
-        word_vecs = lookup(codes, models.codebook)
+        word_vecs = lookup(codes, models.codebook["entries"].data, models.cap_cfg.G)
     with models.decoder.store.frozen():
         return decode(nc.constant(word_vecs), batch, models.decoder).data
 
@@ -262,42 +267,33 @@ class ReconstructionGraph:
 
 
 def reconstruction_graph(
-    batch: PackedBatch,
-    enc_model: EncoderModel,
-    codebook_param: nc.Tensor | None,
-    cap_cfg: CapacityConfig,
-    dec_model: DecoderModel,
-    commitment_cost: float,
+    batch: PackedBatch, models: AutoencoderModels, commitment_cost: float, quantize: bool = True
 ) -> ReconstructionGraph:
     """Build the end-to-end training graph of a packed batch: one graph
     whatever the batch size, in which no utterance reads another's rows.
 
-    An enabled bottleneck without a codebook yet (``codebook_param`` None,
-    the warm-up before the codebook is seeded) passes the word vectors
-    through unquantized, and both bottleneck losses are zero; the whole
-    graph is then an ordinary differentiable function, which is what the
-    finite-difference gradient checks exercise (the straight-through
-    estimator is intentionally not the derivative of the quantized forward
-    pass). A disabled bottleneck (K = 0) always feeds the decoder zeros, in
-    training as in evaluation; no gradient could reach the encoder then, so
-    it is not run.
+    Unless ``quantize``, the word vectors pass through unquantized and both
+    bottleneck losses are zero: training's warm-up, before the codebook is
+    seeded. The whole graph is then an ordinary differentiable function,
+    which is what the finite-difference gradient checks exercise (the
+    straight-through estimator is intentionally not the derivative of the
+    quantized forward pass). A disabled bottleneck (K = 0) passes zeros
+    through, in training as in evaluation; no gradient could reach the
+    encoder then, so it is not run.
     """
-    if not cap_cfg.enabled:
-        word_feats = None
-        zeros = np.zeros((batch.alignment.n_words, enc_model.config.acoustic_dim))
-        bn = apply_bottleneck(nc.constant(zeros), None, cap_cfg)
+    cap_cfg, enc = models.cap_cfg, models.encoder
+    if cap_cfg.enabled:
+        word_feats = vectors = encode(batch.features, batch.alignment, enc, batch.frame_offsets)
     else:
-        word_feats = encode(batch.features, batch.alignment, enc_model, batch.frame_offsets)
-        if codebook_param is None:
-            zero = nc.constant(np.zeros((1, 1)))
-            bn = BottleneckOutput(
-                quantized=word_feats, codes=None, codebook_loss=zero, commitment_loss=zero
-            )
-        else:
-            bn = apply_bottleneck(
-                word_feats, codebook_param, cap_cfg, commitment_cost, batch.word_offsets
-            )
-    out = decode(bn.quantized, batch, dec_model)
+        word_feats = None
+        vectors = nc.constant(np.zeros((batch.alignment.n_words, enc.config.acoustic_dim)))
+    if quantize and cap_cfg.enabled:
+        bn = apply_bottleneck(vectors, models.codebook["entries"], cap_cfg, commitment_cost,
+                              batch.word_offsets)
+    else:
+        zero = nc.constant(np.zeros((1, 1)))
+        bn = BottleneckOutput(quantized=vectors, codes=None, codebook_loss=zero, commitment_loss=zero)
+    out = decode(bn.quantized, batch, models.decoder)
     mse = nc.mse(out, batch.features, batch.frame_offsets)
     loss = nc.add(nc.add(mse, bn.codebook_loss), bn.commitment_loss)
     return ReconstructionGraph(

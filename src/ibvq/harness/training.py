@@ -12,22 +12,11 @@ from pathlib import Path
 import numpy as np
 
 import ibvq.numcore as nc
-from ibvq.decoder import (
-    AutoencoderModels,
-    DecoderConfig,
-    DecoderModel,
-    prosody_codes,
-    reconstruction_graph,
-)
-from ibvq.encoder import EncoderConfig, EncoderModel, encode
-from ibvq.errors import CheckpointError, ConfigError, ShapeError, ValidationError
+from ibvq.decoder import AutoencoderModels, DecoderConfig, prosody_codes, reconstruction_graph
+from ibvq.encoder import EncoderConfig, encode
+from ibvq.errors import CheckpointError, ConfigError, NumericError, ShapeError, ValidationError
 from ibvq.numcore.checkpoint import write_atomic
-from ibvq.quantizer import (
-    CapacityConfig,
-    Codebook,
-    init_codebook_from_features,
-    usage_stats,
-)
+from ibvq.quantizer import CapacityConfig, DeadCodes, init_codebook_from_features, usage_stats
 from ibvq.synthdata.types import Corpus, pack_utterances
 
 
@@ -136,49 +125,43 @@ def train_autoencoder(
         prosody_dim=enc_cfg.acoustic_dim,
         seed=train_cfg.seed + 1,
     )
-    enc = EncoderModel(enc_cfg)
-    dec = DecoderModel(dec_cfg)
+    models = AutoencoderModels.build(enc_cfg, dec_cfg, cap_cfg)
+    enc = models.encoder
 
     rng = np.random.default_rng(train_cfg.seed)
     sampler = nc.BatchSampler(len(utts), train_cfg.batch_size, rng)
 
     warmup = min(warmup_steps, max(train_cfg.steps - 1, 0)) if cap_cfg.enabled else 0
-    cb_store = nc.ParamStore()
-    codebook_param = None
-    assign_counts = np.zeros(cap_cfg.K, dtype=np.int64) if cap_cfg.enabled else None
+    codebook_param = None  # the seeded codebook entries; None before seeding
+    dead_codes = DeadCodes(cap_cfg)
 
     def seed_codebook() -> nc.Tensor:
         seed_idx = rng.permutation(len(utts))[: max(train_cfg.batch_size, 64)]
         batch = pack_utterances([utts[i] for i in seed_idx])
         with enc.store.frozen():
             seed_feats = encode(batch.features, batch.alignment, enc, batch.frame_offsets)
-        cb0 = init_codebook_from_features(seed_feats.data, cap_cfg, seed=train_cfg.seed)
-        return cb_store.add("entries", cb0.entries)
+        entries = models.codebook["entries"]
+        entries.data[...] = init_codebook_from_features(seed_feats.data, cap_cfg, train_cfg.seed)
+        return entries
 
     curve: list[LossPoint] = []
-    word_features = None  # the current step's encoder outputs, for reseeding
 
     def step_loss(step: int) -> nc.Tensor:
-        nonlocal codebook_param, word_features, assign_counts
+        nonlocal codebook_param
         if cap_cfg.enabled and codebook_param is None and step >= warmup:
             codebook_param = seed_codebook()
         graph = reconstruction_graph(
-            pack_utterances([utts[i] for i in sampler.next()]),
-            enc, codebook_param, cap_cfg, dec,
-            commitment_cost=train_cfg.commitment_cost,
+            pack_utterances([utts[i] for i in sampler.next()]), models,
+            train_cfg.commitment_cost, quantize=codebook_param is not None,
         )
         if graph.bottleneck.codes is not None:
-            assign_counts += np.bincount(
-                graph.bottleneck.codes.reshape(-1), minlength=cap_cfg.K
-            )
+            dead_codes.count(graph.bottleneck.codes, graph.word_features.data)
         curve.append(LossPoint(
             step=step,
             mse=graph.mse.item(),
             codebook=graph.bottleneck.codebook_loss.item(),
             commitment=graph.bottleneck.commitment_loss.item(),
         ))
-        if graph.word_features is not None:
-            word_features = graph.word_features.data
         return graph.loss
 
     def learning_rate(step: int) -> float:
@@ -192,26 +175,15 @@ def train_autoencoder(
             and reseed_every > 0
             and (step + 1 - warmup) % reseed_every == 0
         ):
-            dead = assign_counts == 0
-            if dead.any():
-                pool = word_features.reshape(-1, codebook_param.cols)
-                pick = rng.integers(0, pool.shape[0], size=int(dead.sum()))
-                codebook_param.data[dead] = pool[pick] + rng.normal(
-                    0.0, 1e-3, size=(int(dead.sum()), codebook_param.cols)
-                )
-            assign_counts[:] = 0
+            dead_codes.reseed(codebook_param.data, rng)
 
-    nc.fit([enc.store, dec.store, cb_store], train_cfg.steps, step_loss, learning_rate,
+    nc.fit(list(models.stores().values()), train_cfg.steps, step_loss, learning_rate,
            on_step=reseed_dead_codes)
 
-    codebook = None
-    if cap_cfg.enabled:
-        if codebook_param is None:  # steps == 0: still produce a usable bundle
-            codebook_param = seed_codebook()
-        codebook = Codebook(entries=codebook_param.data.copy(), groups=cap_cfg.G)
-    models = AutoencoderModels(encoder=enc, decoder=dec, cap_cfg=cap_cfg, codebook=codebook)
     usage = blocks = None
     if cap_cfg.enabled:
+        if codebook_param is None:  # steps == 0: still produce a usable bundle
+            seed_codebook()
         blocks = corpus_codes(corpus, models, train_indices)
         usage = usage_stats(np.concatenate(blocks), cap_cfg).perplexity
     return TrainedAutoencoder(models=models, loss_curve=curve, usage=usage, codes=blocks)
@@ -235,10 +207,8 @@ def save_models(path: str | Path, models: AutoencoderModels) -> None:
     metadata."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    merged = {f"enc.{k}": v for k, v in models.encoder.store.export().items()}
-    merged.update({f"dec.{k}": v for k, v in models.decoder.store.export().items()})
-    if models.codebook is not None:
-        merged["cb.entries"] = models.codebook.entries.copy()
+    stores = models.stores().items()
+    merged = {f"{p}.{name}": v for p, store in stores for name, v in store.export().items()}
     digest = nc.save_params(root / _PARAMS_NAME, merged)
     meta = {
         "encoder": dataclasses.asdict(models.encoder.config),
@@ -263,6 +233,8 @@ def _config_from_meta(cls, fields, root: Path):
 
 
 def load_models(path: str | Path) -> AutoencoderModels:
+    """The bundle saved under ``path``: the file must hold every parameter of
+    its stores, finite and shaped as the metadata says, and no other."""
     root = Path(path)
     try:
         meta = json.loads((root / _META_NAME).read_text())
@@ -271,9 +243,11 @@ def load_models(path: str | Path) -> AutoencoderModels:
     except json.JSONDecodeError as e:
         raise CheckpointError(f"malformed model metadata in {root}: {e}") from e
     try:
-        enc = EncoderModel(_config_from_meta(EncoderConfig, meta["encoder"], root))
-        dec = DecoderModel(_config_from_meta(DecoderConfig, meta["decoder"], root))
-        cap_cfg = CapacityConfig(**meta["capacity"])
+        models = AutoencoderModels.build(
+            _config_from_meta(EncoderConfig, meta["encoder"], root),
+            _config_from_meta(DecoderConfig, meta["decoder"], root),
+            CapacityConfig(**meta["capacity"]),
+        )
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"incomplete model metadata in {root}: {e}") from e
     if "params_sha256" not in meta:
@@ -282,19 +256,16 @@ def load_models(path: str | Path) -> AutoencoderModels:
             "earlier version); retrain the model"
         )
     params = nc.load_params(root / _PARAMS_NAME, sha256=meta["params_sha256"])
-    stray = sorted(k for k in params if not k.startswith(("enc.", "dec.")) and k != "cb.entries")
-    if stray:
-        raise CheckpointError(f"checkpoint {root} holds unknown parameters: {stray}")
+    cap = models.cap_cfg
     try:
-        enc.store.load({k[4:]: v for k, v in params.items() if k.startswith("enc.")})
-        dec.store.load({k[4:]: v for k, v in params.items() if k.startswith("dec.")})
-    except (ConfigError, ShapeError) as e:
-        raise CheckpointError(f"checkpoint {root} does not match its metadata: {e}") from e
-    codebook = None
-    if cap_cfg.enabled:
-        if "cb.entries" not in params:
-            raise CheckpointError(f"checkpoint {root} lacks codebook entries for K>0")
-        codebook = Codebook(entries=params["cb.entries"], groups=cap_cfg.G)
-    elif "cb.entries" in params:
-        raise CheckpointError(f"checkpoint {root} holds codebook entries, but K=0")
-    return AutoencoderModels(encoder=enc, decoder=dec, cap_cfg=cap_cfg, codebook=codebook)
+        for prefix, store in models.stores().items():
+            mine = [key for key in params if key.startswith(f"{prefix}.")]
+            store.load({key[len(prefix) + 1:]: params.pop(key) for key in mine})
+    except (ConfigError, ShapeError, NumericError) as e:
+        raise CheckpointError(
+            f"checkpoint {root} does not match its metadata (K={cap.K}, G={cap.G}) in its "
+            f"{prefix!r} parameters: {e}"
+        ) from e
+    if params:
+        raise CheckpointError(f"checkpoint {root} holds unknown parameters: {sorted(params)}")
+    return models

@@ -129,7 +129,8 @@ class ParamStore:
 
     def load(self, arrays: dict[str, Array]) -> None:
         """Overwrite every parameter's values in place; the names and shapes
-        must match exactly, and nothing changes unless they all do."""
+        must match exactly, the values be finite, and nothing changes unless
+        they all do."""
         unknown = sorted(set(arrays) - set(self.params))
         if unknown:
             raise ConfigError(f"unknown parameters in checkpoint: {unknown}")
@@ -141,6 +142,8 @@ class ParamStore:
             shape = self.params[name].data.shape
             if arr.shape != shape:
                 raise ShapeError(f"parameter {name!r} shape {arr.shape} != expected {shape}")
+            if not np.isfinite(arr).all():
+                raise NumericError(f"parameter {name!r} has non-finite values")
         self._layout()
         self._reclaim(sorted(arrays))
         for name, arr in arrays.items():

@@ -1,9 +1,11 @@
-"""Grouped vector-quantization bottleneck with exact, controllable capacity.
+"""Grouped vector-quantization bottleneck with controllable capacity.
 
 A D-dimensional vector is split into G contiguous sub-vectors, each encoded
 independently as the index of its nearest entry in one shared codebook of K
-entries living in R^(D/G). The bottleneck therefore transmits exactly
-G * ln K nats; K = 0 disables it (zero vector out, no codes).
+entries living in R^(D/G). The bottleneck therefore transmits at most
+G * ln K nats, less when a group uses fewer entries (at K = 2 a probe found
+0 nats: ROADMAP.md, item 2); K = 0 disables it (no codebook, no codes).
+Only this module knows the codebook's layout.
 """
 
 from __future__ import annotations
@@ -44,67 +46,51 @@ def capacity(cfg: CapacityConfig) -> float:
     return cfg.G * math.log(cfg.K)
 
 
-@dataclass
-class Codebook:
-    """K x (D/G) entries shared across all G groups."""
-
-    entries: np.ndarray
-    groups: int
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.float64)
-        if self.entries.ndim != 2 or self.entries.shape[0] < 1:
-            raise ConfigError(f"codebook entries must be a K x dim matrix, got {self.entries.shape}")
-        if self.groups < 1:
-            raise ConfigError(f"groups must be >= 1, got {self.groups}")
-        if not np.all(np.isfinite(self.entries)):
-            raise ConfigError("codebook entries must be finite")
-
-    @property
-    def size(self) -> int:
-        return int(self.entries.shape[0])
-
-    @property
-    def sub_dim(self) -> int:
-        return int(self.entries.shape[1])
-
-    @property
-    def dim(self) -> int:
-        return self.groups * self.sub_dim
+def codebook_store(cfg: CapacityConfig, dim: int) -> nc.ParamStore:
+    """The codebook's parameters for word vectors of ``dim`` values: one,
+    ``entries`` (K x dim/G, zeros until seeded), when K > 0, none at K = 0."""
+    store = nc.ParamStore()
+    if cfg.enabled:
+        store.add("entries", np.zeros((cfg.K, dim // cfg.G)))
+    return store
 
 
-def quantize_batch(x: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize rows of (n, D) against the shared codebook.
+def quantize_batch(
+    x: np.ndarray, entries: np.ndarray, groups: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quantize rows of (n, D) against the K x (D/G) codebook ``entries``
+    shared by the ``groups`` groups.
 
     Returns (codes, quantized, sq_dists): integer codes (n, G), the
     concatenated nearest entries (n, D), and squared L2 distances to every
     entry (n, G, K). Ties go to the lowest index (argmin semantics).
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != cb.dim:
+    sub_dim = entries.shape[1]
+    if x.ndim != 2 or x.shape[1] != groups * sub_dim:
         raise ShapeError(
-            f"rows {x.shape} are not (n, groups * entry dim = {cb.groups} * {cb.sub_dim})"
+            f"rows {x.shape} are not (n, groups * entry dim = {groups} * {sub_dim})"
         )
-    grouped = x.reshape(x.shape[0], cb.groups, cb.sub_dim)
-    diff = grouped[:, :, None, :] - cb.entries[None, None, :, :]
+    grouped = x.reshape(x.shape[0], groups, sub_dim)
+    diff = grouped[:, :, None, :] - entries[None, None, :, :]
     sq = np.einsum("ngkd,ngkd->ngk", diff, diff)
     codes = sq.argmin(axis=2)
-    quantized = cb.entries[codes].reshape(x.shape[0], cb.dim)
+    quantized = entries[codes].reshape(x.shape[0], x.shape[1])
     return codes, quantized, sq
 
 
-def lookup(codes, cb: Codebook) -> np.ndarray:
-    """The (W, G * entry dim) rows of codebook entries for (W, G) integer
+def lookup(codes, entries: np.ndarray, groups: int) -> np.ndarray:
+    """The (W, G * entry dim) rows of codebook ``entries`` for (W, G) integer
     codes; inverse of quantize_batch's code assignment (lookup(codes) ==
     quantized)."""
     idx = np.asarray(codes, dtype=np.int64)
-    if idx.ndim != 2 or idx.shape[1] != cb.groups:
-        raise ShapeError(f"codes shaped {idx.shape} are not (words, {cb.groups} groups)")
-    if idx.size and (idx.min() < 0 or idx.max() >= cb.size):
+    if idx.ndim != 2 or idx.shape[1] != groups:
+        raise ShapeError(f"codes shaped {idx.shape} are not (words, {groups} groups)")
+    if idx.size and (idx.min() < 0 or idx.max() >= len(entries)):
         raise CodeRangeError(
-            f"code index out of range [0, {cb.size}): {int(idx.min())}..{int(idx.max())}"
+            f"code index out of range [0, {len(entries)}): {int(idx.min())}..{int(idx.max())}"
         )
-    return cb.entries[idx].reshape(idx.shape[0], cb.dim)
+    return entries[idx].reshape(idx.shape[0], groups * entries.shape[1])
 
 
 @dataclass
@@ -117,7 +103,7 @@ class BottleneckOutput:
 
 def apply_bottleneck(
     x: nc.Tensor,
-    codebook_param: nc.Tensor | None,
+    codebook_param: nc.Tensor,
     cfg: CapacityConfig,
     commitment_cost: float = DEFAULT_COMMITMENT_COST,
     offsets=None,
@@ -129,24 +115,9 @@ def apply_bottleneck(
     loss only. Each loss is a mean over an utterance's n x D entries, so it
     sits on the same scale as a mean-squared reconstruction loss; for rows
     packed from several utterances (``offsets`` marks where each starts) the
-    per-utterance means are averaged. With K = 0 the output is the zero
-    matrix, there are no codes, and both losses are exactly 0.
+    per-utterance means are averaged.
     """
-    n = x.rows
-    if not cfg.enabled:
-        zero = nc.constant(np.zeros((1, 1)))
-        return BottleneckOutput(
-            quantized=nc.constant(np.zeros((n, x.cols))),
-            codes=None,
-            codebook_loss=zero,
-            commitment_loss=zero,
-        )
-    if codebook_param is None:
-        raise ConfigError("enabled bottleneck needs a codebook parameter")
-    if x.cols % cfg.G != 0:
-        raise ShapeError(f"dim {x.cols} not divisible by G={cfg.G}")
-    cb = Codebook(entries=codebook_param.data, groups=cfg.G)
-    codes, q_values, _ = quantize_batch(x.data, cb)
+    codes, q_values, _ = quantize_batch(x.data, codebook_param.data, cfg.G)
     # codebook pulls toward frozen encoder outputs
     codebook_loss = nc.mse(nc.gather_rows(codebook_param, codes), x.data, offsets)
     # encoder commits to the frozen selected entries
@@ -168,12 +139,10 @@ class UsageStats:
 def usage_stats(codes: np.ndarray, cfg: CapacityConfig) -> UsageStats:
     """Per-group code histograms and perplexities over a dataset."""
     codes = np.asarray(codes, dtype=np.int64)
-    if codes.ndim == 1:
-        codes = codes.reshape(-1, 1)
     if codes.size == 0:
         raise ValidationError("usage_stats needs at least one code")
-    if codes.shape[1] != cfg.G:
-        raise ShapeError(f"codes have {codes.shape[1]} groups, config says {cfg.G}")
+    if codes.ndim != 2 or codes.shape[1] != cfg.G:
+        raise ShapeError(f"codes shaped {codes.shape} are not (n, {cfg.G} groups)")
     hist = np.zeros((cfg.G, cfg.K), dtype=np.int64)
     perp = np.zeros(cfg.G)
     n = codes.shape[0]
@@ -189,12 +158,22 @@ def usage_stats(codes: np.ndarray, cfg: CapacityConfig) -> UsageStats:
 # ---------------------------------------------------------------------------
 
 
-def kmeans_pp_seeds(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Deterministic k-means++ seeding; resamples with jitter if data is short."""
-    data = np.asarray(data, dtype=np.float64)
-    n = data.shape[0]
+def init_codebook_from_features(
+    word_features: np.ndarray, cfg: CapacityConfig, seed: int = 0
+) -> np.ndarray:
+    """K x (D/G) codebook entries seeded from encoder outputs by
+    deterministic k-means++ over their group sub-vectors, to reduce early
+    collapse; too few sub-vectors are resampled with jitter."""
+    if not cfg.enabled:
+        raise ConfigError("cannot initialize a disabled bottleneck")
+    feats = np.asarray(word_features, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[1] % cfg.G != 0:
+        raise ShapeError(f"word features {feats.shape} not groupable by G={cfg.G}")
+    data = feats.reshape(-1, feats.shape[1] // cfg.G)
+    n, k = data.shape[0], cfg.K
     if n == 0:
         raise ValidationError("cannot seed a codebook from no data")
+    rng = np.random.default_rng(seed)
     if n < k:
         extra = data[rng.integers(0, n, size=k - n)]
         extra = extra + rng.normal(0.0, 1e-3, size=extra.shape)
@@ -213,16 +192,27 @@ def kmeans_pp_seeds(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
-def init_codebook_from_features(
-    word_features: np.ndarray, cfg: CapacityConfig, seed: int = 0
-) -> Codebook:
-    """Seed codebook entries from encoder outputs (k-means++ over group
-    sub-vectors) to reduce early collapse."""
-    if not cfg.enabled:
-        raise ConfigError("cannot initialize a disabled bottleneck")
-    feats = np.asarray(word_features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[1] % cfg.G != 0:
-        raise ShapeError(f"word features {feats.shape} not groupable by G={cfg.G}")
-    sub = feats.reshape(-1, feats.shape[1] // cfg.G)
-    rng = np.random.default_rng(seed)
-    return Codebook(entries=kmeans_pp_seeds(sub, cfg.K, rng), groups=cfg.G)
+class DeadCodes:
+    """Picks per codebook entry since the last check, and the reseed of the
+    entries that got none (training's guard against codebook collapse)."""
+
+    def __init__(self, cfg: CapacityConfig):
+        self.counts = np.zeros(cfg.K, dtype=np.int64)
+        self.word_features = None
+
+    def count(self, codes: np.ndarray, word_features: np.ndarray) -> None:
+        """Add a step's (n, G) codes; its (n, D) word features are the ones
+        to reseed from."""
+        self.counts += np.bincount(codes.reshape(-1), minlength=self.counts.size)
+        self.word_features = word_features
+
+    def reseed(self, entries: np.ndarray, rng: np.random.Generator) -> None:
+        """Move each entry that got no pick onto a random group sub-vector of
+        the last word features counted, plus N(0, 1e-3) noise, in place, and
+        start a new count."""
+        dead = self.counts == 0
+        if dead.any():
+            pool = self.word_features.reshape(-1, entries.shape[1])
+            pick = rng.integers(0, pool.shape[0], size=int(dead.sum()))
+            entries[dead] = pool[pick] + rng.normal(0.0, 1e-3, size=(pick.size, entries.shape[1]))
+        self.counts[:] = 0

@@ -22,7 +22,7 @@ from ibvq.decoder import (
 )
 from ibvq.encoder import EncoderConfig, EncoderModel
 from ibvq.errors import AlignmentError, ShapeError, ValidationError, VocabularyError
-from ibvq.quantizer import CapacityConfig, Codebook
+from ibvq.quantizer import CapacityConfig, codebook_store
 from ibvq.synthdata import CorpusConfig, build_corpus, pack_utterances
 
 
@@ -37,14 +37,14 @@ def dec(corpus):
 
 
 def make_models(corpus, k, seed=0):
-    enc = EncoderModel(EncoderConfig(seed=seed))
-    dec = DecoderModel(DecoderConfig(n_phones=corpus.inventory.size, seed=seed + 1))
-    cap = CapacityConfig(K=k, G=2)
-    cb = None
+    models = AutoencoderModels.build(
+        EncoderConfig(seed=seed),
+        DecoderConfig(n_phones=corpus.inventory.size, seed=seed + 1),
+        CapacityConfig(K=k, G=2),
+    )
     if k > 0:
-        rng = np.random.default_rng(seed + 2)
-        cb = Codebook(entries=rng.normal(size=(k, 4)), groups=2)
-    return AutoencoderModels(encoder=enc, decoder=dec, cap_cfg=cap, codebook=cb)
+        models.codebook["entries"].data[...] = np.random.default_rng(seed + 2).normal(size=(k, 4))
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,21 @@ def test_reconstruct_k0_ignores_prosody(corpus):
     npt.assert_array_equal(a, b)
 
 
+def test_k0_graph_feeds_zeros_with_zero_losses(corpus):
+    """A disabled bottleneck passes zero word vectors to the decoder, has no
+    codes, and adds exactly 0 to the loss; the encoder is not run."""
+    models = make_models(corpus, k=0)
+    assert models.codebook.names() == []
+    batch = one(corpus.utterances[0])
+    graph = reconstruction_graph(batch, models, commitment_cost=0.25)
+    bn = graph.bottleneck
+    npt.assert_array_equal(bn.quantized.data, np.zeros((batch.alignment.n_words, 8)))
+    assert bn.codes is None and graph.word_features is None
+    assert bn.codebook_loss.item() == 0.0 and bn.commitment_loss.item() == 0.0
+    assert graph.loss.item() == graph.mse.item()
+    npt.assert_array_equal(graph.output.data, reconstruct(batch, models))
+
+
 def test_transfer_degenerate_equals_reconstruct(corpus):
     models = make_models(corpus, k=8)
     utt = corpus.utterances[1]
@@ -294,15 +309,15 @@ def test_end_to_end_gradient_check():
     point.update({f"d.{n}": dec.store[n].data.copy() for n in dec_names})
 
     batch = pack_utterances(corpus.utterances)
+    cap = CapacityConfig(K=4, G=2)
+    models = AutoencoderModels(enc, dec, cap, codebook_store(cap, 4))
 
     def loss(p):
         for n in names:
             enc.store.params[n] = p[f"e.{n}"]
         for n in dec_names:
             dec.store.params[n] = p[f"d.{n}"]
-        graph = reconstruction_graph(
-            batch, enc, None, CapacityConfig(K=4, G=2), dec, commitment_cost=0.25
-        )
+        graph = reconstruction_graph(batch, models, commitment_cost=0.25, quantize=False)
         return graph.loss
 
     err = nc.grad_check(loss, point, eps=1e-5)
@@ -315,28 +330,24 @@ def test_end_to_end_gradient_check():
 
 
 def trainable(corpus, k=4, seed=3):
-    """Encoder, decoder and a codebook parameter, as a training step uses them."""
+    """A bundle and its stores, as a training step uses them."""
     models = make_models(corpus, k, seed)
-    cb = nc.ParamStore()
-    param = cb.add("entries", models.codebook.entries)
-    return models, [models.encoder.store, models.decoder.store, cb], param
+    return models, list(models.stores().values())
 
 
-def step_graph(batch, models, param):
-    return reconstruction_graph(
-        batch, models.encoder, param, models.cap_cfg, models.decoder, commitment_cost=0.25
-    )
+def step_graph(batch, models):
+    return reconstruction_graph(batch, models, commitment_cost=0.25)
 
 
 def test_packed_loss_and_gradients_equal_per_utterance_graphs(corpus):
     utts = corpus.utterances[:5]
     assert len({u.alignment.total_frames for u in utts}) == len(utts)  # mixed lengths
-    models, stores, param = trainable(corpus)
+    models, stores = trainable(corpus)
 
     def run(batch):
         for store in stores:
             store.zero_grad()
-        graph = step_graph(batch, models, param)
+        graph = step_graph(batch, models)
         graph.loss.backward()
         grads = {(i, n): g.copy() for i, s in enumerate(stores) for n, g in s.grads().items()}
         return graph, grads
@@ -353,7 +364,7 @@ def test_packed_loss_and_gradients_equal_per_utterance_graphs(corpus):
 
 
 def test_packed_utterances_do_not_see_each_other(corpus):
-    models, _, param = trainable(corpus)
+    models, _ = trainable(corpus)
     utts = corpus.utterances[:3]
     batch = pack_utterances(utts)
     changed = pack_utterances(utts)
@@ -361,7 +372,7 @@ def test_packed_utterances_do_not_see_each_other(corpus):
     changed.features[middle] += np.random.default_rng(9).normal(
         size=changed.features[middle].shape
     )
-    a, b = step_graph(batch, models, param), step_graph(changed, models, param)
+    a, b = step_graph(batch, models), step_graph(changed, models)
     assert not np.array_equal(a.output.data[middle], b.output.data[middle])
     for i in (0, 2):
         # the encoder's word vectors, before quantization can hide a change

@@ -18,13 +18,13 @@ import ibvq.harness.experiments as experiments
 import ibvq.harness.training as training_module
 import ibvq.numcore as nc
 from ibvq.decoder import (
+    AutoencoderModels,
     DecoderConfig,
-    DecoderModel,
     prosody_codes,
     reconstruct,
     reconstruction_graph,
 )
-from ibvq.encoder import EncoderConfig, EncoderModel
+from ibvq.encoder import EncoderConfig
 from ibvq.errors import CheckpointError, ConfigError, TrainingError
 import ibvq.harness.cli as cli_module
 from ibvq.harness.cli import main as cli_main
@@ -86,7 +86,7 @@ def test_training_deterministic(corpus):
         npt.assert_array_equal(
             r1.models.encoder.store[name].data, r2.models.encoder.store[name].data
         )
-    npt.assert_array_equal(r1.models.codebook.entries, r2.models.codebook.entries)
+    npt.assert_array_equal(r1.models.codebook["entries"].data, r2.models.codebook["entries"].data)
 
 
 def test_loss_decomposition_every_step(trained):
@@ -101,7 +101,7 @@ def test_loss_decreases(trained):
 def test_k0_quantizer_losses_identically_zero(corpus):
     res = train_autoencoder(corpus, CapacityConfig(K=0, G=2), TINY_TRAIN)
     assert all(p.codebook == 0.0 and p.commitment == 0.0 for p in res.loss_curve)
-    assert res.models.codebook is None and res.usage is None
+    assert res.models.codebook.names() == [] and res.usage is None
 
 
 K0_TRAIN = nc.TrainConfig(learning_rate=3e-3, steps=60, seed=5, batch_size=4)
@@ -157,13 +157,21 @@ def test_divergence_reports_step(corpus):
         train_autoencoder(corpus, CapacityConfig(K=4, G=2), bad, warmup_steps=5)
 
 
-def test_model_checkpoint_round_trip(tmp_path, corpus, trained):
-    save_models(tmp_path / "ckpt", trained.models)
-    loaded = load_models(tmp_path / "ckpt")
-    utt = corpus.utterances[0]
-    a = reconstruct(pack_utterances([utt]), trained.models)
-    b = reconstruct(pack_utterances([utt]), loaded)
-    npt.assert_array_equal(a, b)
+def test_model_checkpoint_round_trip(tmp_path, corpus, trained, trained_k0):
+    """At K=4 and at K=0, save -> load -> save writes the same files, byte
+    for byte, and the loaded bundle reconstructs as the trained one."""
+    batch = pack_utterances([corpus.utterances[0]])
+    for res, codebook in ((trained, ["cb.entries"]), (trained_k0, [])):
+        k = res.models.cap_cfg.K
+        first, second = tmp_path / f"k{k}_first", tmp_path / f"k{k}_second"
+        save_models(first, res.models)
+        loaded = load_models(first)
+        save_models(second, loaded)
+        for name in ("params.ibvq", "meta.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        params = nc.load_params(first / "params.ibvq")
+        assert [p for p in params if p.startswith("cb.")] == codebook
+        npt.assert_array_equal(reconstruct(batch, loaded), reconstruct(batch, res.models))
 
 
 def test_failed_checkpoint_write_keeps_the_old_checkpoint(tmp_path, corpus, trained, monkeypatch):
@@ -236,11 +244,14 @@ def test_torn_checkpoint_is_refused(tmp_path, trained, monkeypatch):
 
 def step_graph(corpus, batch_size):
     """The graph of one quantized training step on the first utterances."""
-    enc = EncoderModel(EncoderConfig(seed=0))
-    dec = DecoderModel(DecoderConfig(n_phones=corpus.inventory.size, seed=1))
-    codebook = nc.ParamStore().add("entries", np.random.default_rng(2).normal(size=(4, 4)))
+    models = AutoencoderModels.build(
+        EncoderConfig(seed=0),
+        DecoderConfig(n_phones=corpus.inventory.size, seed=1),
+        CapacityConfig(K=4, G=2),
+    )
+    models.codebook["entries"].data[...] = np.random.default_rng(2).normal(size=(4, 4))
     batch = pack_utterances(corpus.utterances[:batch_size])
-    return reconstruction_graph(batch, enc, codebook, CapacityConfig(K=4, G=2), dec, 0.25)
+    return reconstruction_graph(batch, models, 0.25)
 
 
 def count_nodes(root) -> int:
@@ -783,7 +794,45 @@ def test_cli_rejects_codebook_entries_in_a_k0_checkpoint(cli_workspace, tmp_path
     assert cli_main(["reconstruct", "--ckpt", str(ckpt0), "--utt", "utt_0000",
                      "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "codebook entries" in err and "K=0" in err
+    assert err.startswith("error: ") and "(K=0, G=2) in its 'cb' parameters: unknown " in err
+    assert "['entries']" in err
+
+
+def test_cli_refuses_codebook_entries_of_another_k(cli_workspace, tmp_path, capsys):
+    """A codebook with more rows than the metadata's K is refused on load,
+    before any code could index past K."""
+    _, _, ckpt = cli_workspace
+    wrong = tmp_path / "wrong"
+    shutil.copytree(ckpt, wrong)
+    params = nc.load_params(wrong / "params.ibvq")
+    params["cb.entries"] = np.vstack([params["cb.entries"], params["cb.entries"]])
+    save_bundle_params(wrong, params)
+    with pytest.raises(CheckpointError, match=r"\(K=4, G=2\) in its 'cb' parameters: "
+                       r"parameter 'entries' shape \(8, 4\) != expected \(4, 4\)"):
+        load_models(wrong)
+    capsys.readouterr()
+    assert cli_main(["reconstruct", "--ckpt", str(wrong), "--utt", "utt_0000",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+    assert "'entries' shape (8, 4)" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["dec.embed", "cb.entries"])
+def test_cli_refuses_non_finite_parameters(cli_workspace, tmp_path, capsys, name):
+    prefix, param = name.split(".")
+    _, _, ckpt = cli_workspace
+    bad = tmp_path / "bad"
+    shutil.copytree(ckpt, bad)
+    params = nc.load_params(bad / "params.ibvq")
+    params[name][0, 0] = np.nan
+    save_bundle_params(bad, params)
+    capsys.readouterr()
+    assert cli_main(["reconstruct", "--ckpt", str(bad), "--utt", "utt_0000",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"in its '{prefix}' parameters: " in err
+    assert f"'{param}' has non-finite values" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_refuses_a_checkpoint_with_a_duration_head(cli_workspace, tmp_path, capsys):

@@ -354,6 +354,26 @@ def test_load_step_export_match_reference():
     npt.assert_array_equal(store["a"].data, ref.values["a"])
 
 
+def test_load_refuses_bad_arrays_and_changes_nothing():
+    """A missing, extra, misshapen or non-finite array is refused, by name,
+    and no parameter changes."""
+    rng = np.random.default_rng(35)
+    store, ref = reference_store(rng)
+    good = {n: rand(rng, *store[n].shape) for n in store.names()}
+    nan = dict(good, b=np.full(store["b"].shape, np.nan))
+    inf = dict(good, d=np.full(store["d"].shape, -np.inf))
+    for arrays, error, name in (
+        ({n: v for n, v in good.items() if n != "a"}, ConfigError, "missing.*'a'"),
+        (dict(good, zz=np.ones((1, 1))), ConfigError, "unknown.*'zz'"),
+        (dict(good, a=np.ones((2, 3))), ShapeError, "'a' shape"),
+        (nan, NumericError, "'b' has non-finite"),
+        (inf, NumericError, "'d' has non-finite"),
+    ):
+        with pytest.raises(error, match=name):
+            store.load(arrays)
+        assert_matches_reference(store, ref)
+
+
 def test_rebound_parameter_keeps_being_updated():
     """A tensor put in place of a parameter through ``params[name] = t`` is
     updated by later steps, from its own values and the name's moments."""

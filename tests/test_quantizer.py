@@ -11,7 +11,7 @@ from ibvq.errors import CodeRangeError, ConfigError, ShapeError
 
 
 def two_entry_codebook():
-    return qz.Codebook(entries=np.array([[0.0, 0.0], [1.0, 1.0]]), groups=2)
+    return np.array([[0.0, 0.0], [1.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def test_capacity_config_validation():
 
 def test_quantize_hand_case():
     cb = two_entry_codebook()
-    codes, q, sq = qz.quantize_batch(np.array([[0.1, -0.1, 0.9, 1.2]]), cb)
+    codes, q, sq = qz.quantize_batch(np.array([[0.1, -0.1, 0.9, 1.2]]), cb, 2)
     npt.assert_array_equal(codes, [[0, 1]])
     npt.assert_array_equal(q, [[0.0, 0.0, 1.0, 1.0]])
     assert sq.shape == (1, 2, 2)
@@ -56,47 +56,47 @@ def test_quantize_hand_case():
 def test_quantize_fixed_point():
     cb = two_entry_codebook()
     x = np.array([[1.0, 1.0, 0.0, 0.0]])
-    codes, q, sq = qz.quantize_batch(x, cb)
+    codes, q, sq = qz.quantize_batch(x, cb, 2)
     npt.assert_array_equal(q, x)
     assert sq[0, 0, codes[0, 0]] == 0.0 and sq[0, 1, codes[0, 1]] == 0.0
 
 
 def test_quantize_tie_goes_to_lowest_index():
     cb = two_entry_codebook()
-    codes, _, _ = qz.quantize_batch(np.array([[0.5, 0.5, 0.5, 0.5]]), cb)
+    codes, _, _ = qz.quantize_batch(np.array([[0.5, 0.5, 0.5, 0.5]]), cb, 2)
     npt.assert_array_equal(codes, [[0, 0]])
 
 
 def test_quantize_dimension_mismatch():
     with pytest.raises(ShapeError):
-        qz.quantize_batch(np.array([[1.0, 2.0, 3.0]]), two_entry_codebook())
+        qz.quantize_batch(np.array([[1.0, 2.0, 3.0]]), two_entry_codebook(), 2)
 
 
 def test_lookup_hand_case_and_round_trip():
     cb = two_entry_codebook()
-    npt.assert_array_equal(qz.lookup([[0, 1]], cb), [[0.0, 0.0, 1.0, 1.0]])
+    npt.assert_array_equal(qz.lookup([[0, 1]], cb, 2), [[0.0, 0.0, 1.0, 1.0]])
     with pytest.raises(ShapeError):
-        qz.lookup([0, 1], cb)  # one code row is still (1, G)
+        qz.lookup([0, 1], cb, 2)  # one code row is still (1, G)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(100, 4))
-    codes, q, _ = qz.quantize_batch(x, cb)
-    npt.assert_array_equal(qz.lookup(codes, cb), q)
+    codes, q, _ = qz.quantize_batch(x, cb, 2)
+    npt.assert_array_equal(qz.lookup(codes, cb, 2), q)
 
 
 def test_lookup_out_of_range():
     with pytest.raises(CodeRangeError):
-        qz.lookup([[0, 2]], two_entry_codebook())
+        qz.lookup([[0, 2]], two_entry_codebook(), 2)
 
 
 def test_nearest_neighbor_matches_brute_force():
     rng = np.random.default_rng(4)
-    cb = qz.Codebook(entries=rng.normal(size=(16, 4)), groups=2)
+    cb = rng.normal(size=(16, 4))
     x = rng.normal(size=(200, 8))
-    codes, q, sq = qz.quantize_batch(x, cb)
+    codes, q, sq = qz.quantize_batch(x, cb, 2)
     for i in range(x.shape[0]):
         for g in range(2):
             sub = x[i, g * 4 : (g + 1) * 4]
-            dists = [float(np.sum((sub - e) ** 2)) for e in cb.entries]
+            dists = [float(np.sum((sub - e) ** 2)) for e in cb]
             assert codes[i, g] == int(np.argmin(dists))
             assert sq[i, g, codes[i, g]] <= min(dists) + 1e-15
 
@@ -115,7 +115,7 @@ LOSS_ROWS_MEAN_SQ = (1.0 + 0.0 + 0.0625 + 0.5) / 8
 
 
 def bottleneck_losses(x, commitment_cost):
-    cbp = nc.tensor(two_entry_codebook().entries)
+    cbp = nc.tensor(two_entry_codebook())
     out = qz.apply_bottleneck(
         nc.tensor(x), cbp, qz.CapacityConfig(K=2, G=2), commitment_cost=commitment_cost
     )
@@ -181,7 +181,7 @@ def test_bottleneck_codebook_loss_finite_difference():
     x_data = rng.normal(size=(6, 4))
     entries = rng.normal(size=(4, 2))
 
-    codes, _, _ = qz.quantize_batch(x_data, qz.Codebook(entries=entries, groups=2))
+    codes, _, _ = qz.quantize_batch(x_data, entries, 2)
 
     def loss(p):
         gathered = nc.concat_cols(
@@ -213,15 +213,6 @@ def test_bottleneck_codebook_loss_equals_per_group_gathers(groups):
     ref_loss.backward()
     assert out.codebook_loss.item() == ref_loss.item()
     npt.assert_array_equal(cbp.grad, ref.grad)
-
-
-def test_bottleneck_disabled():
-    x = nc.tensor(np.ones((3, 4)), requires_grad=True)
-    out = qz.apply_bottleneck(x, None, qz.CapacityConfig(K=0, G=2))
-    npt.assert_array_equal(out.quantized.data, np.zeros((3, 4)))
-    assert out.codes is None
-    assert out.codebook_loss.item() == 0.0
-    assert out.commitment_loss.item() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +259,7 @@ def test_plugin_mi_of_codes_never_exceeds_capacity():
     for k in (2, 4, 16):
         cfg = qz.CapacityConfig(K=k, G=2)
         cb = qz.init_codebook_from_features(x, cfg, seed=0)
-        codes, _, _ = qz.quantize_batch(x, cb)
+        codes, _, _ = qz.quantize_batch(x, cb, 2)
         mi = sd.oracle_mi_discrete(sd.merge_symbols(codes), labels)
         assert mi <= qz.capacity(cfg) + 1e-9
 
@@ -284,8 +275,8 @@ def test_quantization_error_non_increasing_in_k():
             x = rng.normal(size=(300, 8))
             cb = qz.init_codebook_from_features(x, qz.CapacityConfig(K=k, G=2), seed=seed)
             largest = qz.init_codebook_from_features(x, qz.CapacityConfig(K=16, G=2), seed=seed)
-            npt.assert_array_equal(cb.entries, largest.entries[:k])
-            _, q, _ = qz.quantize_batch(x, cb)
+            npt.assert_array_equal(cb, largest[:k])
+            _, q, _ = qz.quantize_batch(x, cb, 2)
             per_seed.append(float(np.mean((x - q) ** 2)))
         distortions[k] = np.mean(per_seed)
     ks = sorted(distortions)
@@ -302,7 +293,48 @@ def test_init_codebook_from_features_shapes():
     rng = np.random.default_rng(8)
     feats = rng.normal(size=(40, 8))
     cb = qz.init_codebook_from_features(feats, qz.CapacityConfig(K=16, G=2), seed=1)
-    assert cb.entries.shape == (16, 4)
+    assert cb.shape == (16, 4)
     with pytest.raises(ConfigError):
         qz.init_codebook_from_features(feats, qz.CapacityConfig(K=0, G=2))
 
+
+
+def test_codebook_store_holds_entries_only_when_enabled():
+    store = qz.codebook_store(qz.CapacityConfig(K=4, G=2), 8)
+    assert store.names() == ["entries"]
+    npt.assert_array_equal(store["entries"].data, np.zeros((4, 4)))
+    assert qz.codebook_store(qz.CapacityConfig(K=0, G=2), 8).names() == []
+
+
+# ---------------------------------------------------------------------------
+# dead-code reseeding
+# ---------------------------------------------------------------------------
+
+
+def test_dead_codes_reseed_moves_only_unpicked_entries():
+    dead = qz.DeadCodes(qz.CapacityConfig(K=4, G=2))
+    dead.count(np.array([[0, 0]]), np.zeros((1, 4)))
+    feats = np.array([[10.0, 11.0, 12.0, 13.0], [14.0, 15.0, 16.0, 17.0]])
+    dead.count(np.array([[0, 2], [2, 2]]), feats)  # the last step's features are reseeded from
+    npt.assert_array_equal(dead.counts, [3, 0, 3, 0])
+    entries = np.arange(8.0).reshape(4, 2)
+    before = entries.copy()
+    dead.reseed(entries, np.random.default_rng(5))
+    npt.assert_array_equal(entries[[0, 2]], before[[0, 2]])
+    # the draws: which group sub-vectors, then their jitter
+    rng = np.random.default_rng(5)
+    pick = rng.integers(0, 4, size=2)
+    want = feats.reshape(-1, 2)[pick] + rng.normal(0.0, 1e-3, size=(2, 2))
+    npt.assert_array_equal(entries[[1, 3]], want)
+    npt.assert_array_equal(dead.counts, [0, 0, 0, 0])
+
+
+def test_dead_codes_reseed_draws_nothing_when_every_entry_was_picked():
+    dead = qz.DeadCodes(qz.CapacityConfig(K=2, G=2))
+    dead.count(np.array([[0, 1]]), np.zeros((1, 4)))
+    entries = np.ones((2, 2))
+    rng = np.random.default_rng(5)
+    dead.reseed(entries, rng)
+    npt.assert_array_equal(entries, np.ones((2, 2)))
+    assert rng.integers(0, 1000) == np.random.default_rng(5).integers(0, 1000)
+    npt.assert_array_equal(dead.counts, [0, 0])
