@@ -68,33 +68,33 @@ class DecoderModel:
     def __init__(self, config: DecoderConfig):
         config.validate()
         self.config = config
-        self.store = nc.ParamStore()
         rng = np.random.default_rng(config.seed)
         e, h, c = config.phone_dim, config.hidden, config.channels
         d = config.prosody_dim
-        self.store.add("embed", nc.glorot_uniform(rng, config.n_phones, e))
+        p = {"embed": nc.glorot_uniform(rng, config.n_phones, e)}
         for name in ("tenc.wq", "tenc.wk", "tenc.wv"):
-            self.store.add(name, nc.glorot_uniform(rng, e, e))
+            p[name] = nc.glorot_uniform(rng, e, e)
         # residual-branch outputs start small (near-identity stream)
-        self.store.add("tenc.wo", 0.1 * nc.glorot_uniform(rng, e, e))
-        self.store.add("tenc.ln1_g", np.ones((1, e)))
-        self.store.add("tenc.ln1_b", np.zeros((1, e)))
-        self.store.add("tenc.conv.k", 0.1 * nc.glorot_uniform(rng, 3 * e, e))
-        self.store.add("tenc.conv.b", np.zeros((1, e)))
-        self.store.add("tenc.ln2_g", np.ones((1, e)))
-        self.store.add("tenc.ln2_b", np.zeros((1, e)))
-        self.store.add("fuse.w", nc.glorot_uniform(rng, e + d, h))
-        self.store.add("fuse.b", np.zeros((1, h)))
-        self.store.add("sdec.conv1.k", 0.1 * nc.glorot_uniform(rng, 5 * h, h))
-        self.store.add("sdec.conv1.b", np.zeros((1, h)))
-        self.store.add("sdec.conv2.k", 0.1 * nc.glorot_uniform(rng, 3 * h, h))
-        self.store.add("sdec.conv2.b", np.zeros((1, h)))
-        self.store.add("sdec.out.w", nc.glorot_uniform(rng, h, c))
-        self.store.add("sdec.out.b", np.zeros((1, c)))
+        p["tenc.wo"] = 0.1 * nc.glorot_uniform(rng, e, e)
+        p["tenc.ln1_g"] = np.ones((1, e))
+        p["tenc.ln1_b"] = np.zeros((1, e))
+        p["tenc.conv.k"] = 0.1 * nc.glorot_uniform(rng, 3 * e, e)
+        p["tenc.conv.b"] = np.zeros((1, e))
+        p["tenc.ln2_g"] = np.ones((1, e))
+        p["tenc.ln2_b"] = np.zeros((1, e))
+        p["fuse.w"] = nc.glorot_uniform(rng, e + d, h)
+        p["fuse.b"] = np.zeros((1, h))
+        p["sdec.conv1.k"] = 0.1 * nc.glorot_uniform(rng, 5 * h, h)
+        p["sdec.conv1.b"] = np.zeros((1, h))
+        p["sdec.conv2.k"] = 0.1 * nc.glorot_uniform(rng, 3 * h, h)
+        p["sdec.conv2.b"] = np.zeros((1, h))
+        p["sdec.out.w"] = nc.glorot_uniform(rng, h, c)
+        p["sdec.out.b"] = np.zeros((1, c))
         # linear shortcut from the fused inputs to the output channels; the
         # conv stack then only has to model what content + prosody cannot
         # reach linearly
-        self.store.add("sdec.skip.w", nc.glorot_uniform(rng, e + d, c))
+        p["sdec.skip.w"] = nc.glorot_uniform(rng, e + d, c)
+        self.store = nc.ParamStore(p)
 
 
 def encode_text(phone_ids, model: DecoderModel, offsets=None) -> nc.Tensor:

@@ -46,21 +46,20 @@ class EncoderModel:
     def __init__(self, config: EncoderConfig):
         config.validate()
         self.config = config
-        self.store = nc.ParamStore()
         rng = np.random.default_rng(config.seed)
         c, d = config.channels, config.acoustic_dim
-        for name in ("attn.wq", "attn.wk", "attn.wv"):
-            self.store.add(name, nc.glorot_uniform(rng, c, c))
+        p = {name: nc.glorot_uniform(rng, c, c) for name in ("attn.wq", "attn.wk", "attn.wv")}
         # residual-branch outputs start small so the stream is near-identity
-        self.store.add("attn.wo", 0.1 * nc.glorot_uniform(rng, c, c))
-        self.store.add("attn.ln_g", np.ones((1, c)))
-        self.store.add("attn.ln_b", np.zeros((1, c)))
-        self.store.add("conv.k", 0.1 * nc.glorot_uniform(rng, CONV_WIDTH * c, c))
-        self.store.add("conv.b", np.zeros((1, c)))
-        self.store.add("conv.ln_g", np.ones((1, c)))
-        self.store.add("conv.ln_b", np.zeros((1, c)))
-        self.store.add("proj.w", nc.glorot_uniform(rng, c, d))
-        self.store.add("proj.b", np.zeros((1, d)))
+        p["attn.wo"] = 0.1 * nc.glorot_uniform(rng, c, c)
+        p["attn.ln_g"] = np.ones((1, c))
+        p["attn.ln_b"] = np.zeros((1, c))
+        p["conv.k"] = 0.1 * nc.glorot_uniform(rng, CONV_WIDTH * c, c)
+        p["conv.b"] = np.zeros((1, c))
+        p["conv.ln_g"] = np.ones((1, c))
+        p["conv.ln_b"] = np.zeros((1, c))
+        p["proj.w"] = nc.glorot_uniform(rng, c, d)
+        p["proj.b"] = np.zeros((1, d))
+        self.store = nc.ParamStore(p)
 
 
 def extract_frame_features(x, model: EncoderModel, offsets=None) -> nc.Tensor:

@@ -22,6 +22,7 @@ import numpy as np
 
 import ibvq.numcore as nc
 from ibvq.decoder import AutoencoderModels, decode_with_codes, reconstruct, transfer
+from ibvq.encoder import EncoderConfig
 from ibvq.errors import ConfigError, ValidationError
 from ibvq.metrics import compare, extract_pitch
 from ibvq.numcore.checkpoint import write_atomic
@@ -76,6 +77,10 @@ class ExperimentConfig:
             raise ConfigError("holdout_fraction must lie in (0, 1)")
         for k in self.capacities:
             CapacityConfig(K=k, G=self.groups)  # raises on a bad K or G
+        # the encoder every cell trains; raises when G does not divide its output
+        EncoderConfig(channels=self.corpus.channels, groups=self.groups).validate()
+        if self.corpus.n_utterances < 2:
+            raise ConfigError("a sweep needs n_utterances >= 2, to hold some out for evaluation")
         if self.mine is not None:
             self.mine.validate()
 

@@ -113,19 +113,17 @@ class MineModel:
         cfg.validate()
         self.cfg = cfg
         self.discrete = n_symbols > 0
-        self.store = nc.ParamStore()
         rng = np.random.default_rng(cfg.seed)
         z_repr = cfg.code_embed_dim * z_dim if self.discrete else z_dim
+        p = {}
         if self.discrete:
-            self.store.add(
-                "embed", 0.1 * rng.standard_normal((n_symbols * z_dim, cfg.code_embed_dim))
-            )
+            p["embed"] = 0.1 * rng.standard_normal((n_symbols * z_dim, cfg.code_embed_dim))
         w1 = nc.glorot_uniform(rng, x_dim + z_repr, cfg.hidden)
-        self.store.add("w1x", w1[:x_dim])
-        self.store.add("w1z", w1[x_dim:])
-        self.store.add("b1", np.zeros((1, cfg.hidden)))
-        self.store.add("w2", nc.glorot_uniform(rng, cfg.hidden, 1))
-        self.store.add("b2", np.zeros((1, 1)))
+        p["w1x"], p["w1z"] = w1[:x_dim], w1[x_dim:]
+        p["b1"] = np.zeros((1, cfg.hidden))
+        p["w2"] = nc.glorot_uniform(rng, cfg.hidden, 1)
+        p["b2"] = np.zeros((1, 1))
+        self.store = nc.ParamStore(p)
         self.n_symbols = n_symbols
         self.z_dim = z_dim
 

@@ -7,9 +7,11 @@ checker, and a binary checkpoint format.
 
 Layers are few, large graph nodes: `affine` is one node with its own
 backward, and `gather_rows` takes a ``(rows, G)`` index matrix to read G
-table rows per output row in one node. A `ParamStore` keeps its parameters
-and their Adam moments as views into one flat buffer, so `adam_step` updates
-a whole store with a few vectorised numpy calls.
+table rows per output row in one node. A `ParamStore` is built once with
+all its parameters, keeps them and their Adam moments as views into one
+flat buffer, and counts its Adam steps once; `adam_step` takes a gradient
+for every parameter of the store and updates it with a few vectorised
+numpy calls.
 
 The sequence layers (`attention`, `conv1d`, `mse`, `cross_entropy`,
 `positional`) take optional ``offsets`` marking where each sequence of a

@@ -1,9 +1,10 @@
 """Named parameter storage, the adaptive-moment optimizer and the one
 training loop every model in the package is fitted with.
 
-A store's parameter values, Adam moments and step counts live in flat
-arrays; each parameter tensor is a view of its slice. One Adam step is a few
-vectorised numpy calls per run of adjacent parameters the loss reached, and
+A store is built once with all its parameters. Their values and Adam
+moments live in one flat array, each parameter tensor a view of its slice,
+and the store counts its steps once. One Adam step takes a gradient for
+every parameter and is a few vectorised numpy calls over the whole buffer;
 it computes exactly what the update written parameter by parameter does.
 """
 
@@ -56,33 +57,27 @@ def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Array:
 
 
 class ParamStore:
-    """Named parameter matrices plus per-parameter optimizer state.
+    """Named parameter matrices plus their Adam state, complete when built.
 
-    The values of every parameter and its two adaptive moments live in one
-    flat ``(3, total)`` buffer per store, laid out in sorted name order, and
-    the step counts in one array: each parameter tensor holds a reshaped
-    view of its row-0 slice, so `adam_step` updates a whole store with a few
-    vectorised numpy calls. The layout is (re)built when it is first needed
-    after `add`. A parameter whose tensor or array was rebound (``params[name]
-    = t``) is taken back into its place, with its values and its optimizer
-    state, by the next step or load.
+    ``ParamStore(arrays)`` takes every parameter at once; ``params`` and
+    `export` keep the order of ``arrays``. The values of every parameter and
+    its two adaptive moments live in one flat ``(3, total)`` buffer, laid
+    out once in sorted name order, and each parameter tensor holds a
+    reshaped view of its row-0 slice. ``steps`` counts the Adam updates of
+    the whole store: `adam_step` moves every parameter or none.
     """
 
-    def __init__(self):
-        self.params: dict[str, Tensor] = {}
-        self._flat = np.zeros((3, 0))
-        self._steps = np.zeros(0, dtype=np.int64)
-        self._sizes = np.zeros(0, dtype=np.int64)
-        self._slots: dict[str, tuple[int, int, int]] = {}  # name -> (index, start, stop)
-        self._views: dict[str, Array] = {}
-        self._runs: dict[tuple[str, ...], list[tuple[int, int, int, int]]] = {}
-
-    def add(self, name: str, data) -> Tensor:
-        if name in self.params:
-            raise ConfigError(f"parameter {name!r} already registered")
-        p = tensor(data, requires_grad=True)
-        self.params[name] = p
-        return p
+    def __init__(self, arrays: dict[str, Array]):
+        self.params = {name: tensor(data, requires_grad=True) for name, data in arrays.items()}
+        self.steps = 0
+        self._flat = np.zeros((3, sum(p.data.size for p in self.params.values())))
+        start = 0
+        for name in sorted(self.params):
+            p = self.params[name]
+            stop = start + p.data.size
+            self._flat[0, start:stop] = p.data.ravel()
+            p.data = self._flat[0, start:stop].reshape(p.data.shape)
+            start = stop
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
@@ -92,10 +87,6 @@ class ParamStore:
 
     def names(self) -> list[str]:
         return list(self.params)
-
-    def step_count(self, name: str) -> int:
-        self._layout()
-        return int(self._steps[self._slots[name][0]])
 
     def grads(self) -> dict[str, Array]:
         """The accumulated gradients of the parameters the last backward
@@ -144,121 +135,57 @@ class ParamStore:
                 raise ShapeError(f"parameter {name!r} shape {arr.shape} != expected {shape}")
             if not np.isfinite(arr).all():
                 raise NumericError(f"parameter {name!r} has non-finite values")
-        self._layout()
-        self._reclaim(sorted(arrays))
         for name, arr in arrays.items():
-            self._views[name][...] = arr
-
-    def _layout(self) -> None:
-        """Move every parameter registered since the last layout into the
-        flat buffer, keeping the values and state of the others."""
-        if len(self._slots) == len(self.params):
-            return
-        self._reclaim(sorted(self._slots))
-        names = sorted(self.params)
-        sizes = np.array([self.params[n].data.size for n in names], dtype=np.int64)
-        stops = np.cumsum(sizes)
-        flat = np.zeros((3, int(stops[-1])))
-        steps = np.zeros(len(names), dtype=np.int64)
-        slots, views = {}, {}
-        for i, (name, stop) in enumerate(zip(names, stops.tolist())):
-            p = self.params[name]
-            start = stop - p.data.size
-            flat[0, start:stop] = p.data.ravel()
-            if name in self._slots:
-                j, a, b = self._slots[name]
-                flat[1:, start:stop] = self._flat[1:, a:b]
-                steps[i] = self._steps[j]
-            views[name] = p.data = flat[0, start:stop].reshape(p.data.shape)
-            slots[name] = (i, start, stop)
-        self._flat, self._steps, self._sizes = flat, steps, sizes
-        self._slots, self._views, self._runs = slots, views, {}
-
-    def _reclaim(self, names) -> None:
-        """Copy the values of every rebound parameter among ``names`` into
-        its place in the buffer and point its tensor back at that place."""
-        for name in names:
-            p = self.params[name]
-            view = self._views[name]
-            if p.data is not view:
-                if p.data.shape != view.shape:
-                    raise ShapeError(
-                        f"parameter {name!r} was rebound with shape {p.data.shape}, "
-                        f"registered as {view.shape}"
-                    )
-                view[...] = p.data
-                p.data = view
-
-    def _runs_of(self, names: tuple[str, ...]) -> list[tuple[int, int, int, int]]:
-        """The sorted ``names`` as maximal runs of adjacent parameters:
-        (first index, end index, first element, end element) per run."""
-        runs = self._runs.get(names)
-        if runs is None:
-            runs = []
-            for name in names:
-                i, a, b = self._slots[name]
-                if runs and runs[-1][1] == i:
-                    runs[-1] = (runs[-1][0], i + 1, runs[-1][2], b)
-                else:
-                    runs.append((i, i + 1, a, b))
-            self._runs[names] = runs
-        return runs
+            self.params[name].data[...] = arr
 
 
 def adam_step(store: ParamStore, grads: dict[str, Array], lr: float) -> ParamStore:
-    """One adaptive-moment update with bias correction, in place.
+    """One adaptive-moment update with bias correction of the whole store,
+    in place.
 
-    Only the parameters named in ``grads`` move, and only their moments and
-    step counts change. Every name, shape and value is checked before
-    anything is written, so a failed step leaves the store as it was: an
-    unknown name raises ConfigError, a wrong shape ShapeError, and a
+    ``grads`` holds a gradient for every parameter, or none (then nothing
+    changes). Every name, shape and value is checked before anything is
+    written, so a failed step leaves the store as it was: an unknown or a
+    missing name raises ConfigError, a wrong shape ShapeError, and a
     non-finite gradient NumericError naming the first such parameter in
     sorted order.
     """
-    names = tuple(sorted(grads))
-    if not names:
+    if not grads:
         return store
-    store._layout()
+    unknown = sorted(set(grads) - set(store.params))
+    if unknown:
+        raise ConfigError(f"gradients for unknown parameters: {unknown}")
+    missing = sorted(set(store.params) - set(grads))
+    if missing:
+        raise ConfigError(f"no gradient for parameters {missing}: a step updates a whole store")
+    names = sorted(grads)
     arrays = []
     for name in names:
-        view = store._views.get(name)
-        if view is None:
-            raise ConfigError(f"gradient for unknown parameter {name!r}")
         g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != view.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter {name!r} shape {view.shape}")
+        shape = store.params[name].data.shape
+        if g.shape != shape:
+            raise ShapeError(f"gradient shape {g.shape} != parameter {name!r} shape {shape}")
         arrays.append(g)
-    g_flat = np.concatenate(arrays, axis=None)
-    if not np.isfinite(g_flat).all():
-        bad = next(name for name, g in zip(names, arrays) if not np.isfinite(g).all())
+    g = np.concatenate(arrays, axis=None)
+    if not np.isfinite(g).all():
+        bad = next(name for name, a in zip(names, arrays) if not np.isfinite(a).all())
         raise NumericError(f"non-finite gradient for parameter {bad!r}")
-    store._reclaim(names)
-    pos = 0
-    for first, end, a, b in store._runs_of(names):
-        g = g_flat[pos : pos + b - a]
-        pos += b - a
-        steps = store._steps[first:end]
-        steps += 1
-        # rows m and v: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
-        moments = store._flat[1:, a:b]
-        moments *= _BETAS
-        new = _ONE_MINUS_BETAS * g
-        new[1] *= g
-        moments += new
-        # each parameter's bias corrections, as Python floats like a scalar
-        # update's, repeated over its entries
-        t = steps.tolist()
-        corrections = np.array(
-            [[1.0 - ADAM_BETA1**s for s in t], [1.0 - ADAM_BETA2**s for s in t]]
-        )
-        corrections = np.repeat(corrections, store._sizes[first:end], axis=1)
-        m_hat, v_hat = np.divide(moments, corrections, out=new)
-        # p -= lr m_hat / (sqrt(v_hat) + eps), in place
-        np.sqrt(v_hat, out=v_hat)
-        v_hat += ADAM_EPS
-        m_hat *= lr
-        m_hat /= v_hat
-        store._flat[0, a:b] -= m_hat
+    store.steps += 1
+    t = store.steps
+    # rows m and v: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
+    moments = store._flat[1:]
+    moments *= _BETAS
+    new = _ONE_MINUS_BETAS * g
+    new[1] *= g
+    moments += new
+    corrections = np.array([[1.0 - ADAM_BETA1**t], [1.0 - ADAM_BETA2**t]])
+    m_hat, v_hat = np.divide(moments, corrections, out=new)
+    # p -= lr m_hat / (sqrt(v_hat) + eps), in place
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += ADAM_EPS
+    m_hat *= lr
+    m_hat /= v_hat
+    store._flat[0] -= m_hat
     return store
 
 
@@ -290,10 +217,12 @@ def fit(
 ) -> None:
     """Minimize ``step_loss(step)`` for ``steps`` Adam steps.
 
-    Each step builds the loss graph, back-propagates it and updates, store
-    by store, only the parameters the loss reached; ``lr`` is a rate or a
-    function of the step index, and ``on_step(step)`` runs after the
-    update. A non-finite loss raises TrainingError naming the step.
+    Each step builds the loss graph, back-propagates it and updates each
+    store the loss reached, as a whole: a store it did not reach keeps its
+    values and step count, and one it reached only in part makes
+    `adam_step` raise ConfigError. ``lr`` is a rate or a function of the
+    step index, and ``on_step(step)`` runs after the update. A non-finite
+    loss raises TrainingError naming the step.
 
     The loop drops its reference to a step's loss right after backward, so
     unless ``step_loss`` keeps one, reference counting frees the step's

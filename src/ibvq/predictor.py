@@ -47,19 +47,19 @@ class PredictorModel:
     def __init__(self, config: PredictorConfig):
         config.validate()
         self.config = config
-        self.store = nc.ParamStore()
         rng = np.random.default_rng(config.seed)
         e, h = config.embed_dim, config.hidden
-        self.store.add("embed", nc.glorot_uniform(rng, config.word_vocab, e))
-        self.store.add("ctx.w", nc.glorot_uniform(rng, 3 * e, h))
-        self.store.add("ctx.b", np.zeros((1, h)))
+        p = {"embed": nc.glorot_uniform(rng, config.word_vocab, e),
+             "ctx.w": nc.glorot_uniform(rng, 3 * e, h),
+             "ctx.b": np.zeros((1, h))}
         for name in ("attn.wq", "attn.wk", "attn.wv", "attn.wo"):
-            self.store.add(name, nc.glorot_uniform(rng, h, h))
-        self.store.add("attn.ln_g", np.ones((1, h)))
-        self.store.add("attn.ln_b", np.zeros((1, h)))
+            p[name] = nc.glorot_uniform(rng, h, h)
+        p["attn.ln_g"] = np.ones((1, h))
+        p["attn.ln_b"] = np.zeros((1, h))
         for g in range(config.G):
-            self.store.add(f"head{g}.w", nc.glorot_uniform(rng, h, config.K))
-            self.store.add(f"head{g}.b", np.zeros((1, config.K)))
+            p[f"head{g}.w"] = nc.glorot_uniform(rng, h, config.K)
+            p[f"head{g}.b"] = np.zeros((1, config.K))
+        self.store = nc.ParamStore(p)
 
 
 def _check_words(word_ids, vocab: int) -> np.ndarray:

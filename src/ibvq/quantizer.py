@@ -49,10 +49,7 @@ def capacity(cfg: CapacityConfig) -> float:
 def codebook_store(cfg: CapacityConfig, dim: int) -> nc.ParamStore:
     """The codebook's parameters for word vectors of ``dim`` values: one,
     ``entries`` (K x dim/G, zeros until seeded), when K > 0, none at K = 0."""
-    store = nc.ParamStore()
-    if cfg.enabled:
-        store.add("entries", np.zeros((cfg.K, dim // cfg.G)))
-    return store
+    return nc.ParamStore({"entries": np.zeros((cfg.K, dim // cfg.G))} if cfg.enabled else {})
 
 
 def quantize_batch(

@@ -305,8 +305,9 @@ def test_end_to_end_gradient_check():
     )
     names = ["attn.wq", "conv.k", "proj.w"]
     dec_names = ["embed", "tenc.conv.k", "fuse.w", "sdec.conv1.k", "sdec.out.w"]
-    point = {f"e.{n}": enc.store[n].data.copy() for n in names}
-    point.update({f"d.{n}": dec.store[n].data.copy() for n in dec_names})
+    originals = ({n: enc.store[n] for n in names}, {n: dec.store[n] for n in dec_names})
+    point = {f"e.{n}": p.data.copy() for n, p in originals[0].items()}
+    point.update({f"d.{n}": p.data.copy() for n, p in originals[1].items()})
 
     batch = pack_utterances(corpus.utterances)
     cap = CapacityConfig(K=4, G=2)
@@ -320,7 +321,11 @@ def test_end_to_end_gradient_check():
         graph = reconstruction_graph(batch, models, commitment_cost=0.25, quantize=False)
         return graph.loss
 
-    err = nc.grad_check(loss, point, eps=1e-5)
+    try:
+        err = nc.grad_check(loss, point, eps=1e-5)
+    finally:
+        enc.store.params.update(originals[0])
+        dec.store.params.update(originals[1])
     assert err < 1e-4
 
 

@@ -104,7 +104,8 @@ def test_encode_gradients():
     align = align_from_edges([0, 2, 5], [0, 5])
 
     param_names = ["attn.wq", "attn.wv", "conv.k", "proj.w", "attn.ln_g"]
-    point = {name: model.store[name].data.copy() for name in param_names}
+    originals = {name: model.store[name] for name in param_names}
+    point = {name: p.data.copy() for name, p in originals.items()}
 
     def loss(p):
         for name in param_names:
@@ -114,6 +115,6 @@ def test_encode_gradients():
     try:
         err = nc.grad_check(loss, point, eps=1e-5)
     finally:
-        for name in param_names:
-            model.store.params[name] = nc.tensor(point[name], requires_grad=True)
+        model.store.params.update(originals)
     assert err < 1e-4
+    assert all(model.store[name] is p for name, p in originals.items())

@@ -143,11 +143,11 @@ def test_k0_training_runs_no_encode(corpus, monkeypatch):
 
 
 def test_every_saved_parameter_is_trained(trained):
-    """Training past warm-up reaches every encoder and decoder parameter, so
-    a checkpoint holds no parameter that training never updates."""
-    for store in (trained.models.encoder.store, trained.models.decoder.store):
-        untrained = [n for n in store.names() if store.step_count(n) == 0]
-        assert untrained == []
+    """Training past warm-up steps every store of the bundle, and a step
+    updates a whole store, so a checkpoint holds no parameter that training
+    never updates."""
+    assert {prefix: store.steps > 0 for prefix, store in trained.models.stores().items()} == {
+        "enc": True, "dec": True, "cb": True}
 
 
 def test_divergence_reports_step(corpus):
@@ -172,6 +172,24 @@ def test_model_checkpoint_round_trip(tmp_path, corpus, trained, trained_k0):
         params = nc.load_params(first / "params.ibvq")
         assert [p for p in params if p.startswith("cb.")] == codebook
         npt.assert_array_equal(reconstruct(batch, loaded), reconstruct(batch, res.models))
+
+
+def test_checkpoint_keeps_the_declared_parameter_order(tmp_path, trained):
+    """`params.ibvq` lists the parameters store by store in the order the
+    models declare them, not sorted (the list was recorded from a K=4 save
+    before the stores were laid out in one buffer at build)."""
+    save_models(tmp_path, trained.models)
+    assert list(nc.load_params(tmp_path / "params.ibvq")) == [
+        "enc.attn.wq", "enc.attn.wk", "enc.attn.wv", "enc.attn.wo", "enc.attn.ln_g",
+        "enc.attn.ln_b", "enc.conv.k", "enc.conv.b", "enc.conv.ln_g", "enc.conv.ln_b",
+        "enc.proj.w", "enc.proj.b",
+        "dec.embed", "dec.tenc.wq", "dec.tenc.wk", "dec.tenc.wv", "dec.tenc.wo",
+        "dec.tenc.ln1_g", "dec.tenc.ln1_b", "dec.tenc.conv.k", "dec.tenc.conv.b",
+        "dec.tenc.ln2_g", "dec.tenc.ln2_b", "dec.fuse.w", "dec.fuse.b", "dec.sdec.conv1.k",
+        "dec.sdec.conv1.b", "dec.sdec.conv2.k", "dec.sdec.conv2.b", "dec.sdec.out.w",
+        "dec.sdec.out.b", "dec.sdec.skip.w",
+        "cb.entries",
+    ]
 
 
 def test_failed_checkpoint_write_keeps_the_old_checkpoint(tmp_path, corpus, trained, monkeypatch):
@@ -539,6 +557,23 @@ def test_sweep_refuses_a_mine_setting_that_cannot_run_before_training(
     assert "eval_every" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"groups": 3}, "divisible by groups 3"),
+    ({"corpus": {"n_utterances": 1}}, "n_utterances >= 2"),
+], ids=["groups", "n_utterances"])
+def test_sweep_refuses_a_config_no_cell_can_run(tmp_path, monkeypatch, capsys, section, message):
+    """A group count that does not divide the encoder's output, or a corpus
+    too small to hold an utterance out, fails the command, not every cell."""
+    calls = []
+    monkeypatch.setattr(experiments, "train_autoencoder", lambda *a, **k: calls.append(a))
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"capacities": [4], **section}))
+    assert cli_main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 # ---------------------------------------------------------------------------
