@@ -2,7 +2,8 @@
 
 Every command takes explicit seeds and writes deterministic artifacts: the
 same invocation produces bit-identical output files. Exit codes: 0 success,
-1 validation/configuration or file-system error, 2 numeric/training failure.
+1 validation/configuration or file-system error, 2 numeric/training failure
+or a sweep in which a cell failed.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def cmd_sweep(args) -> int:
     print(f"sweep complete: {len(cells)} cells, {len(failed)} failed -> {args.out}")
     for cell in failed:
         print(f"  failed K={cell.K} seed={cell.seed}: {cell.error}", file=sys.stderr)
-    return 0
+    return 2 if failed else 0
 
 
 def cmd_mi(args) -> int:

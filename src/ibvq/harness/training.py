@@ -42,21 +42,22 @@ class TrainedAutoencoder:
     codes: "list[np.ndarray] | None" = None
 
 
-# Utterances (or transfer pairs) per packed evaluation pass: twice the
-# default training batch, so a pass's intermediates stay below one training
-# step's graph whatever the number of utterances evaluated.
+# Utterances (or transfer pairs) per packed frozen pass: twice the default
+# training batch, so a pass's intermediates stay below one training step's
+# graph whatever the number of utterances encoded or decoded.
 PASS_UTTERANCES = 16
 
 
 def in_passes(items: list) -> Iterator[list]:
     """``items`` in consecutive chunks of at most PASS_UTTERANCES.
 
-    Evaluation packs each chunk into one frozen pass. One pass over every
-    utterance would need memory for all of their intermediates at once
-    (about 30 MiB to encode 180 utterances, more than a training step's
-    graph); bounded passes cap that at a constant, and each utterance's
-    outputs are those of a pass over it alone (to rounding: see
-    `numcore.tensor` on packed batches).
+    Codebook seeding and evaluation pack each chunk into one frozen pass.
+    One pass over every utterance would need memory for all of their
+    intermediates at once (about 30 MiB to encode 180 utterances, and the 64
+    utterances that seed the codebook outweigh a training step's graph);
+    bounded passes cap that at a constant, and each utterance's outputs are
+    those of a pass over it alone (to rounding: see `numcore.tensor` on
+    packed batches).
     """
     for start in range(0, len(items), PASS_UTTERANCES):
         yield items[start : start + PASS_UTTERANCES]
@@ -137,11 +138,15 @@ def train_autoencoder(
 
     def seed_codebook() -> nc.Tensor:
         seed_idx = rng.permutation(len(utts))[: max(train_cfg.batch_size, 64)]
-        batch = pack_utterances([utts[i] for i in seed_idx])
+        seed_feats = []
         with enc.store.frozen():
-            seed_feats = encode(batch.features, batch.alignment, enc, batch.frame_offsets)
+            for chunk in in_passes(seed_idx.tolist()):
+                batch = pack_utterances([utts[i] for i in chunk])
+                seed_feats.append(
+                    encode(batch.features, batch.alignment, enc, batch.frame_offsets).data)
         entries = models.codebook["entries"]
-        entries.data[...] = init_codebook_from_features(seed_feats.data, cap_cfg, train_cfg.seed)
+        entries.data[...] = init_codebook_from_features(
+            np.vstack(seed_feats), cap_cfg, train_cfg.seed)
         return entries
 
     curve: list[LossPoint] = []

@@ -13,6 +13,12 @@ flat buffer, and counts its Adam steps once; `adam_step` takes a gradient
 for every parameter of the store and updates it with a few vectorised
 numpy calls.
 
+A graph keeps only what its backward functions read: each node holds its
+parents' nodes, never their tensors, so an intermediate no backward reads
+is freed as soon as the model code drops it, and backward releases each
+node's saved arrays as soon as the node's backward has run. A graph is
+therefore back-propagated once; see `ibvq.numcore.tensor`.
+
 The sequence layers (`attention`, `conv1d`, `mse`, `cross_entropy`,
 `positional`) take optional ``offsets`` marking where each sequence of a
 packed batch starts, so one graph over stacked sequences computes what a

@@ -1,18 +1,28 @@
 """Reverse-mode differentiable operations on 2-D float64 matrices.
 
-Every value is a `Tensor` wrapping a ``(rows, cols)`` numpy array. Operations
-build a computation graph; calling :meth:`Tensor.backward` on a 1x1 scalar
-runs reverse-mode accumulation into ``.grad`` of every leaf that was created
-with ``requires_grad=True``. Only leaves keep ``.grad``: an interior node's
-gradient is dropped as soon as its backward function has passed it on, so a
-graph after backward holds its activations but no gradient of its own.
+Every value is a `Tensor`: a ``(rows, cols)`` numpy array (``data``) and
+the graph `Node` it was computed by. Operations build a graph of nodes;
+calling :meth:`Tensor.backward` on a 1x1 scalar runs reverse-mode
+accumulation into ``.grad`` of every leaf that was created with
+``requires_grad=True``. Only leaves keep ``.grad``: an interior node's
+gradient is dropped as soon as its backward function has passed it on.
 Everything is float64 and deterministic: the same inputs produce
 bit-identical outputs.
 
-A node's backward function receives the upstream gradient as its argument
-and refers only to the node's inputs, never to the node itself. A graph
-therefore holds no reference cycle, and reference counting frees it as soon
-as its loss tensor is dropped, without waiting for the cycle collector.
+A node holds its parents' nodes and a backward function, and that function
+holds exactly the arrays it reads (an `affine` its input and weight, a
+`relu` a boolean mask, an `add` two shapes), never a tensor. The graph
+therefore does not keep a value alive: an intermediate no backward reads
+is freed as soon as the model code drops its tensor, while the loss lives.
+As backward runs, it releases each node's function, and with it the
+node's saved arrays, right after calling it, and marks the node spent, so
+a graph can be back-propagated once; a second backward that reaches a
+spent node raises ValidationError.
+
+A node refers to its parents and a backward function refers only to its
+parents' nodes, never to its own node or to a tensor, so a graph holds no
+reference cycle, and reference counting frees it as soon as its loss
+tensor is dropped, without waiting for the cycle collector.
 
 The operation set is intentionally small: exactly the layers the models in
 this package need (affine, scaled dot-product attention, same-padded 1-D
@@ -60,23 +70,80 @@ def _as_matrix(data) -> Array:
     return arr
 
 
-class Tensor:
-    """A 2-D float64 matrix node in the computation graph."""
+_SPENT = (
+    "this graph has already been back-propagated, and its nodes have released "
+    "what their backward functions read; build the graph again for another backward"
+)
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
+
+def _spent(g: Array) -> None:
+    """The backward function of a node whose backward has run."""
+    raise ValidationError(_SPENT)
+
+
+class Node:
+    """The graph side of a tensor: its gradient, whether it needs one, its
+    parents' nodes and its backward function.
+
+    A leaf has no parents and no backward function. After an interior
+    node's backward has run, its function is `_spent`.
+    """
+
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "__weakref__")
+
+    def __init__(
+        self,
+        requires_grad: bool = False,
+        parents: tuple[Node, ...] = (),
+        backward: Callable[[Array], None] | None = None,
+    ):
+        self.grad: Array | None = None
+        self.requires_grad = requires_grad
+        self._parents = parents
+        self._backward = backward
+
+    def _accumulate(self, g: Array) -> None:
+        # copy on first contribution: g may alias another node's buffer
+        if self.grad is None:
+            self.grad = np.array(g)
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """A 2-D float64 matrix and its node in the computation graph."""
+
+    __slots__ = ("data", "_node", "__weakref__")
 
     def __init__(
         self,
         data,
         requires_grad: bool = False,
-        _parents: tuple = (),
+        _parents: tuple[Node, ...] = (),
         _backward: Callable[[Array], None] | None = None,
     ):
         self.data = _as_matrix(data)
-        self.grad: Array | None = None
-        self.requires_grad = requires_grad
-        self._parents = _parents
-        self._backward = _backward
+        self._node = Node(requires_grad, _parents, _backward)
+
+    @property
+    def grad(self) -> Array | None:
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, value: Array | None) -> None:
+        self._node.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        self._node.requires_grad = value
+
+    @property
+    def _parents(self) -> tuple[Node, ...]:
+        return self._node._parents
 
     @property
     def rows(self) -> int:
@@ -95,25 +162,21 @@ class Tensor:
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.data[0, 0])
 
-    def _accumulate(self, g: Array) -> None:
-        # copy on first contribution: g may alias another node's buffer
-        if self.grad is None:
-            self.grad = np.array(g)
-        else:
-            self.grad += g
-
     def backward(self) -> None:
         """Reverse-mode pass from this 1x1 scalar through the graph.
 
         Leaves that require a gradient accumulate it in ``.grad``. Every
-        interior node's ``.grad`` is None afterwards: it is released as soon
-        as the node's backward function has propagated it.
+        interior node's ``.grad`` is None afterwards, and its backward
+        function, with the arrays it saved, is released as soon as it has
+        run; the node is then spent. A graph that reaches a spent node
+        raises ValidationError before any gradient moves.
         """
         if self.data.shape != (1, 1):
             raise ShapeError(f"backward() needs a scalar output, got {self.shape}")
-        topo: list[Tensor] = []
+        root = self._node
+        topo: list[Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -121,15 +184,21 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _spent:
+                raise ValidationError(_SPENT)
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones((1, 1))
+        root.grad = np.ones((1, 1))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            backward = node._backward
+            if backward is None:
+                continue
+            node._backward = _spent
+            if node.grad is not None:
+                backward(node.grad)
                 node.grad = None
 
     def __repr__(self) -> str:
@@ -149,11 +218,7 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-def _needs_grad(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
-
-
-def _child(data: Array, parents: tuple, backward: Callable[[Array], None]) -> Tensor:
+def _child(data: Array, parents: tuple[Node, ...], backward: Callable[[Array], None]) -> Tensor:
     if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
     return Tensor(data)
@@ -181,64 +246,73 @@ def _broadcast_ok(a: Tensor, b: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_ok(a, b)
     out_data = a.data + b.data
+    an, bn = a._node, b._node
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        if an.requires_grad:
+            an._accumulate(_unbroadcast(g, a_shape))
+        if bn.requires_grad:
+            bn._accumulate(_unbroadcast(g, b_shape))
 
-    return _child(out_data, (a, b), backward)
+    return _child(out_data, (an, bn), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_ok(a, b)
     out_data = a.data - b.data
+    an, bn = a._node, b._node
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
+        if an.requires_grad:
+            an._accumulate(_unbroadcast(g, a_shape))
+        if bn.requires_grad:
+            bn._accumulate(_unbroadcast(-g, b_shape))
 
-    return _child(out_data, (a, b), backward)
+    return _child(out_data, (an, bn), backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
+    an = a._node
     if not isinstance(b, Tensor):
         s = float(b)
         out_data = a.data * s
 
         def backward_scalar(g):
-            if a.requires_grad:
-                a._accumulate(g * s)
+            if an.requires_grad:
+                an._accumulate(g * s)
 
-        return _child(out_data, (a,), backward_scalar)
+        return _child(out_data, (an,), backward_scalar)
 
     _broadcast_ok(a, b)
-    out_data = a.data * b.data
+    bn = b._node
+    a_data, b_data = a.data, b.data
+    out_data = a_data * b_data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if an.requires_grad:
+            an._accumulate(_unbroadcast(g * b_data, a_data.shape))
+        if bn.requires_grad:
+            bn._accumulate(_unbroadcast(g * a_data, b_data.shape))
 
-    return _child(out_data, (a, b), backward)
+    return _child(out_data, (an, bn), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
+    an, bn = a._node, b._node
+    a_data, b_data = a.data, b.data
+    out_data = a_data @ b_data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+        if an.requires_grad:
+            an._accumulate(g @ b_data.T)
+        if bn.requires_grad:
+            bn._accumulate(a_data.T @ g)
 
-    return _child(out_data, (a, b), backward)
+    return _child(out_data, (an, bn), backward)
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -248,93 +322,109 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"affine dimensions differ: x {x.shape} vs W {weight.shape}")
     if bias is not None and bias.shape != (1, weight.cols):
         raise ShapeError(f"bias must be 1x{weight.cols}, got {bias.shape}")
-    out_data = x.data @ weight.data
+    xn, wn = x._node, weight._node
+    bn = None if bias is None else bias._node
+    x_data, w_data = x.data, weight.data
+    out_data = x_data @ w_data
     if bias is not None:
         out_data += bias.data
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g @ weight.data.T)
-        if weight.requires_grad:
-            weight._accumulate(x.data.T @ g)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=0, keepdims=True))
+        if xn.requires_grad:
+            xn._accumulate(g @ w_data.T)
+        if wn.requires_grad:
+            wn._accumulate(x_data.T @ g)
+        if bn is not None and bn.requires_grad:
+            bn._accumulate(g.sum(axis=0, keepdims=True))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    parents = (xn, wn) if bn is None else (xn, wn, bn)
     return _child(out_data, parents, backward)
 
 
 def transpose(a: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.T)
+    an = a._node
 
-    return _child(a.data.T.copy(), (a,), backward)
+    def backward(g):
+        if an.requires_grad:
+            an._accumulate(g.T)
+
+    return _child(a.data.T.copy(), (an,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(a, 0); its backward keeps a boolean mask of the positive entries,
+    made only when the input needs a gradient."""
     out_data = np.maximum(a.data, 0.0)
+    an = a._node
+    if not an.requires_grad:
+        return Tensor(out_data)
+    mask = out_data > 0.0
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (out_data > 0.0))
+        if an.requires_grad:
+            an._accumulate(g * mask)
 
-    return _child(out_data, (a,), backward)
+    return _child(out_data, (an,), backward)
 
 
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
+    an = a._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data)
+        if an.requires_grad:
+            an._accumulate(g * out_data)
 
-    return _child(out_data, (a,), backward)
+    return _child(out_data, (an,), backward)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=1, keepdims=True)
+    an = a._node
 
     def backward(g):
-        if a.requires_grad:
+        if an.requires_grad:
             dot = (g * y).sum(axis=1, keepdims=True)
-            a._accumulate(y * (g - dot))
+            an._accumulate(y * (g - dot))
 
-    return _child(y, (a,), backward)
+    return _child(y, (an,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out_data = np.array([[a.data.sum()]])
+    an, shape = a._node, a.data.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.data, g[0, 0]))
+        if an.requires_grad:
+            an._accumulate(np.full(shape, g[0, 0]))
 
-    return _child(out_data, (a,), backward)
+    return _child(out_data, (an,), backward)
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
     out_data = np.array([[a.data.mean()]])
+    an, shape = a._node, a.data.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.data, g[0, 0] / n))
+        if an.requires_grad:
+            an._accumulate(np.full(shape, g[0, 0] / n))
 
-    return _child(out_data, (a,), backward)
+    return _child(out_data, (an,), backward)
 
 
 def sqnorm(a: Tensor) -> Tensor:
     """Sum of squared entries as a 1x1 tensor."""
-    out_data = np.array([[float(np.sum(a.data * a.data))]])
+    an, a_data = a._node, a.data
+    out_data = np.array([[float(np.sum(a_data * a_data))]])
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(2.0 * g[0, 0] * a.data)
+        if an.requires_grad:
+            an._accumulate(2.0 * g[0, 0] * a_data)
 
-    return _child(out_data, (a,), backward)
+    return _child(out_data, (an,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -342,26 +432,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         raise ShapeError(
             f"layer_norm gain/bias must be 1x{x.cols}, got {gain.shape}/{bias.shape}"
         )
+    xn, gn, bn = x._node, gain._node, bias._node
+    gain_data = gain.data
     mu = x.data.mean(axis=1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    out_data = xhat * gain_data + bias.data
+    n = x.cols
 
     def backward(g):
-        n = x.cols
-        if x.requires_grad:
-            dxhat = g * gain.data
+        if xn.requires_grad:
+            dxhat = g * gain_data
             term = n * dxhat - dxhat.sum(axis=1, keepdims=True)
             term -= xhat * (dxhat * xhat).sum(axis=1, keepdims=True)
-            x._accumulate(inv / n * term)
-        if gain.requires_grad:
-            gain._accumulate((g * xhat).sum(axis=0, keepdims=True))
-        if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0, keepdims=True))
+            xn._accumulate(inv / n * term)
+        if gn.requires_grad:
+            gn._accumulate((g * xhat).sum(axis=0, keepdims=True))
+        if bn.requires_grad:
+            bn._accumulate(g.sum(axis=0, keepdims=True))
 
-    return _child(out_data, (x, gain, bias), backward)
+    return _child(out_data, (xn, gn, bn), backward)
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
@@ -382,23 +474,24 @@ def gather_rows(table: Tensor, indices) -> Tensor:
             f"gather index out of range [0, {table.rows}): {int(idx.min())}..{int(idx.max())}"
         )
     n, groups = idx.shape
-    out_data = table.data[idx].reshape(n, groups * table.cols)
+    tn = table._node
+    rows, cols = table.data.shape
+    out_data = table.data[idx].reshape(n, groups * cols)
 
     def backward(g):
-        if table.requires_grad:
+        if tn.requires_grad:
             # one bincount over flat (group, row, col) positions adds each
             # group's rows of g in index order, exactly as np.add.at(acc, idx,
             # g) would; the groups are then added in order, as G gathers
             # accumulate into one table
-            rows, cols = table.data.shape
             bins = (np.arange(groups) * rows + idx)[:, :, None] * cols + np.arange(cols)
             acc = np.bincount(bins.ravel(), weights=g.ravel(), minlength=groups * rows * cols)
             acc = acc.reshape(groups, rows, cols)
             for j in range(1, groups):
                 acc[0] += acc[j]
-            table._accumulate(acc[0])
+            tn._accumulate(acc[0])
 
-    return _child(out_data, (table,), backward)
+    return _child(out_data, (tn,), backward)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -408,17 +501,18 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     for p in parts:
         if p.rows != rows:
             raise ShapeError("concat_cols parts must share the row count")
+    nodes = tuple(p._node for p in parts)
     widths = [p.cols for p in parts]
     out_data = np.hstack([p.data for p in parts])
 
     def backward(g):
         start = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                p._accumulate(g[:, start : start + w])
+        for pn, w in zip(nodes, widths):
+            if pn.requires_grad:
+                pn._accumulate(g[:, start : start + w])
             start += w
 
-    return _child(out_data, tuple(parts), backward)
+    return _child(out_data, nodes, backward)
 
 
 def _check_edges(edges: Array, total_rows: int) -> None:
@@ -442,12 +536,13 @@ def segment_mean(x: Tensor, edges) -> Tensor:
     _check_edges(edges, x.rows)
     lengths = np.diff(edges)
     out_data = np.add.reduceat(x.data, edges[:-1], axis=0) / lengths[:, None]
+    xn = x._node
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(np.repeat(g / lengths[:, None], lengths, axis=0))
+        if xn.requires_grad:
+            xn._accumulate(np.repeat(g / lengths[:, None], lengths, axis=0))
 
-    return _child(out_data, (x,), backward)
+    return _child(out_data, (xn,), backward)
 
 
 def repeat_rows(x: Tensor, counts) -> Tensor:
@@ -458,12 +553,13 @@ def repeat_rows(x: Tensor, counts) -> Tensor:
         raise ValidationError("repeat counts must all be >= 1")
     out_data = np.repeat(x.data, counts, axis=0)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    xn = x._node
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(np.add.reduceat(g, starts, axis=0))
+        if xn.requires_grad:
+            xn._accumulate(np.add.reduceat(g, starts, axis=0))
 
-    return _child(out_data, (x,), backward)
+    return _child(out_data, (xn,), backward)
 
 
 def unfold_rows(x: Tensor, width: int) -> Tensor:
@@ -481,15 +577,16 @@ def unfold_rows(x: Tensor, width: int) -> Tensor:
     padded[h : h + t] = x.data
     blocks = [padded[k : k + t] for k in range(width)]
     out_data = np.hstack(blocks)
+    xn = x._node
 
     def backward(g):
-        if x.requires_grad:
+        if xn.requires_grad:
             acc = np.zeros((t + 2 * h, c))
             for k in range(width):
                 acc[k : k + t] += g[:, k * c : (k + 1) * c]
-            x._accumulate(acc[h : h + t])
+            xn._accumulate(acc[h : h + t])
 
-    return _child(out_data, (x,), backward)
+    return _child(out_data, (xn,), backward)
 
 
 def straight_through(x: Tensor, values: Array) -> Tensor:
@@ -497,12 +594,13 @@ def straight_through(x: Tensor, values: Array) -> Tensor:
     values = _as_matrix(values)
     if values.shape != x.data.shape:
         raise ShapeError(f"straight_through value shape {values.shape} != {x.shape}")
+    xn = x._node
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g)
+        if xn.requires_grad:
+            xn._accumulate(g)
 
-    return _child(values.copy(), (x,), backward)
+    return _child(values.copy(), (xn,), backward)
 
 
 def cross_entropy(logits: Tensor, targets, offsets=None) -> Tensor:
@@ -528,17 +626,18 @@ def cross_entropy(logits: Tensor, targets, offsets=None) -> Tensor:
     for a, b in zip(off[:-1], off[1:]):
         total += nll[a:b].mean()
     out_data = np.array([[total * seq_scale]])
+    ln = logits._node
 
     def backward(g):
-        if logits.requires_grad:
+        if ln.requires_grad:
             probs = np.exp(shifted)
             probs /= probs.sum(axis=1, keepdims=True)
             probs[np.arange(n), idx] -= 1.0
             # per row: upstream / (sequences * rows of the row's sequence)
             coef = (g[0, 0] * seq_scale) / lengths.astype(np.float64)
-            logits._accumulate(np.repeat(coef, lengths)[:, None] * probs)
+            ln._accumulate(np.repeat(coef, lengths)[:, None] * probs)
 
-    return _child(out_data, (logits,), backward)
+    return _child(out_data, (ln,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +683,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets=None) -> Tensor:
 
     Each block keeps its unnormalised exponentials e = exp(s - rowmax(s))
     and the output is (e v) / rowsum(e), so no L x L pass normalises. The
-    backward keeps the scaled queries, every block's e and the row
-    reciprocals; it needs no probabilities, because rowsum(dP * P) equals
-    rowsum(g * out) (Dao et al. 2022). Nothing is kept when no input needs a
-    gradient.
+    backward keeps the scaled queries, the keys and values, every block's e,
+    the row reciprocals and the output; it needs no probabilities, because
+    rowsum(dP * P) equals rowsum(g * out) (Dao et al. 2022). No block's e is
+    kept when no input needs a gradient.
     """
     if q.cols != k.cols:
         raise ShapeError(f"query/key widths differ: {q.shape} vs {k.shape}")
@@ -600,25 +699,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets=None) -> Tensor:
             raise ShapeError(f"packed attention needs one key per query: {q.shape} vs {k.shape}")
         q_off = k_off = check_offsets(offsets, q.rows)
     blocks = list(zip(q_off[:-1], q_off[1:], k_off[:-1], k_off[1:]))
+    qn, kn, vn = q._node, k._node, v._node
+    k_data, v_data = k.data, v.data
     scale = 1.0 / math.sqrt(q.cols)
     qs = q.data * scale
     out_data = np.empty((q.rows, v.cols))
     inv = np.empty((q.rows, 1))
-    keep = _needs_grad(q, k, v)
+    keep = qn.requires_grad or kn.requires_grad or vn.requires_grad
     exps = []
     for qa, qb, ka, kb in blocks:
-        e = qs[qa:qb] @ k.data[ka:kb].T
+        e = qs[qa:qb] @ k_data[ka:kb].T
         e -= e.max(axis=1, keepdims=True)
         np.exp(e, out=e)
         np.divide(1.0, e.sum(axis=1, keepdims=True), out=inv[qa:qb])
-        np.multiply(e @ v.data[ka:kb], inv[qa:qb], out=out_data[qa:qb])
+        np.multiply(e @ v_data[ka:kb], inv[qa:qb], out=out_data[qa:qb])
         if keep:
             exps.append(e)
 
     def backward(g):
-        dq = np.empty_like(q.data) if q.requires_grad else None
-        dk = np.empty_like(k.data) if k.requires_grad else None
-        dv = np.empty_like(v.data) if v.requires_grad else None
+        dq = np.empty_like(qs) if qn.requires_grad else None
+        dk = np.empty_like(k_data) if kn.requires_grad else None
+        dv = np.empty_like(v_data) if vn.requires_grad else None
         gl = g * inv
         delta = (g * out_data).sum(axis=1, keepdims=True) * inv
         for (qa, qb, ka, kb), e in zip(blocks, exps):
@@ -626,20 +727,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets=None) -> Tensor:
                 dv[ka:kb] = e.T @ gl[qa:qb]
             if dq is None and dk is None:
                 continue
-            ds = gl[qa:qb] @ v.data[ka:kb].T
+            ds = gl[qa:qb] @ v_data[ka:kb].T
             ds -= delta[qa:qb]
             ds *= e
             if dq is not None:
-                dq[qa:qb] = ds @ k.data[ka:kb]
+                dq[qa:qb] = ds @ k_data[ka:kb]
             if dk is not None:
                 dk[ka:kb] = ds.T @ qs[qa:qb]
         if dq is not None:
             dq *= scale
-        for t, d in ((q, dq), (k, dk), (v, dv)):
+        for node, d in ((qn, dq), (kn, dk), (vn, dv)):
             if d is not None:
-                t._accumulate(d)
+                node._accumulate(d)
 
-    return _child(out_data, (q, k, v), backward)
+    return _child(out_data, (qn, kn, vn), backward)
 
 
 def conv1d(
@@ -668,6 +769,8 @@ def conv1d(
     h = width // 2
     t, c = x.shape
     n_seq = off.size - 1
+    xn, kn = x._node, kernel._node
+    bn = None if bias is None else bias._node
     # h zero rows precede every sequence and follow the last one; row r of x
     # sits at padded row pos[r]
     pos = np.arange(t) + h * (1 + np.repeat(np.arange(n_seq), np.diff(off)))
@@ -677,6 +780,7 @@ def conv1d(
     # row i of `full` is the window starting at padded row i, so output row r
     # is full[pos[r] - h]; rows of `full` centred on padding are never read
     m = padded_rows - 2 * h
+    out_cols = kernel.cols
     taps = [kernel.data[j * c : (j + 1) * c] for j in range(width)]
     full = padded[:m] @ taps[0]
     for j in range(1, width):
@@ -686,19 +790,19 @@ def conv1d(
         out_data += bias.data
 
     def backward(g):
-        g_pad = np.zeros((m, kernel.cols))
+        g_pad = np.zeros((m, out_cols))
         g_pad[pos - h] = g
-        if kernel.requires_grad:
-            kernel._accumulate(np.vstack([padded[j : j + m].T @ g_pad for j in range(width)]))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=0, keepdims=True))
-        if x.requires_grad:
+        if kn.requires_grad:
+            kn._accumulate(np.vstack([padded[j : j + m].T @ g_pad for j in range(width)]))
+        if bn is not None and bn.requires_grad:
+            bn._accumulate(g.sum(axis=0, keepdims=True))
+        if xn.requires_grad:
             acc = np.zeros((padded_rows, c))
             for j in range(width):
                 acc[j : j + m] += g_pad @ taps[j].T
-            x._accumulate(acc[pos])
+            xn._accumulate(acc[pos])
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    parents = (xn, kn) if bn is None else (xn, kn, bn)
     return _child(out_data, parents, backward)
 
 
@@ -721,14 +825,15 @@ def mse(pred: Tensor, target, offsets=None) -> Tensor:
     for a, b in zip(off[:-1], off[1:]):
         total += sq[a:b].mean()
     out_data = np.array([[total * seq_scale]])
+    pn, cols = pred._node, pred.cols
 
     def backward(g):
-        if pred.requires_grad:
+        if pn.requires_grad:
             # per row: 2 * upstream / (sequences * entries of the row's sequence)
-            coef = (g[0, 0] * seq_scale) / (lengths * pred.cols).astype(np.float64)
-            pred._accumulate(2.0 * np.repeat(coef, lengths)[:, None] * diff)
+            coef = (g[0, 0] * seq_scale) / (lengths * cols).astype(np.float64)
+            pn._accumulate(2.0 * np.repeat(coef, lengths)[:, None] * diff)
 
-    return _child(out_data, (pred,), backward)
+    return _child(out_data, (pn,), backward)
 
 
 def sinusoid_table(length: int, dim: int) -> Array:

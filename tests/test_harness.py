@@ -49,8 +49,8 @@ from ibvq.harness.training import (
     split_corpus,
     train_autoencoder,
 )
-from ibvq.mi import MineConfig
-from ibvq.predictor import predict_codes
+from ibvq.mi import MineConfig, mine_estimate
+from ibvq.predictor import PredictorConfig, predict_codes, train_predictor
 from ibvq.quantizer import CapacityConfig
 from ibvq.synthdata import ENERGY_CHANNEL, CorpusConfig, build_corpus, pack_utterances
 
@@ -304,18 +304,115 @@ def test_step_graph_size_independent_of_batch(corpus, monkeypatch):
 
 
 def test_step_graph_freed_by_reference_counting(corpus):
+    """A step's values are freed once the caller drops them, while the loss
+    lives; the loss's nodes are freed with the loss. Reference counting does
+    both: no backward function holds a tensor, and the graph has no cycle."""
     gc.disable()
     try:
         graph = step_graph(corpus, 4)
-        graph.loss.backward()
-        inner = [weakref.ref(graph.word_features), weakref.ref(graph.output)]
+        values = [weakref.ref(graph.word_features), weakref.ref(graph.output)]
+        nodes = [weakref.ref(graph.word_features._node), weakref.ref(graph.output._node)]
         loss = graph.loss
         del graph
-        assert all(ref() is not None for ref in inner)  # the loss still holds them
+        assert all(ref() is None for ref in values)
+        assert all(ref() is not None for ref in nodes)  # the loss still holds them
+        loss.backward()
         del loss
-        assert all(ref() is None for ref in inner)
+        assert all(ref() is None for ref in nodes)
     finally:
         gc.enable()
+
+
+def test_step_graph_keeps_only_what_backward_reads(corpus, monkeypatch):
+    """Dropping a step's graph before backward frees the values no backward
+    reads: the decoder output and the encoder's attention residual sum. The
+    conv residual sum stays, since the output projection's backward reads
+    it."""
+    sums = []
+    add = nc.add
+
+    def recording_add(a, b):
+        out = add(a, b)
+        sums.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(nc, "add", recording_add)
+    graph = step_graph(corpus, 4)
+    # the encoder runs first: its sums are the positional input, the
+    # attention residual and the conv residual
+    attention_residual, conv_residual = sums[1], sums[2]
+    output = weakref.ref(graph.output.data)
+    loss = graph.loss
+    del graph
+    assert output() is None and attention_residual() is None
+    assert conv_residual() is not None
+    loss.backward()
+
+
+def backward_functions_holding_tensors(root) -> list[str]:
+    """The backward functions in the graph of ``root`` whose closures hold a
+    tensor, directly or inside a tuple or list."""
+    held, seen, stack = [], set(), [root._node]
+    while stack:
+        node = stack.pop()
+        fn = node._backward
+        items = [cell.cell_contents for cell in getattr(fn, "__closure__", None) or ()]
+        while items:
+            item = items.pop()
+            if isinstance(item, nc.Tensor):
+                held.append(fn.__qualname__)
+                break
+            if isinstance(item, (tuple, list)):
+                items.extend(item)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return held
+
+
+def test_no_backward_function_holds_a_tensor(corpus, monkeypatch):
+    """A backward function that held a tensor would keep its value alive
+    until the loss is dropped, whether backward reads it or not. Checked on
+    the graphs of a warm-up and a quantized training step, a MINE step and
+    a predictor step."""
+    held = []  # per graph back-propagated
+    backward = nc.Tensor.backward
+
+    def checking_backward(loss):
+        held.append(backward_functions_holding_tensors(loss))
+        backward(loss)
+
+    monkeypatch.setattr(nc.Tensor, "backward", checking_backward)
+    train_autoencoder(corpus, CapacityConfig(K=4, G=2),
+                      nc.TrainConfig(steps=2, seed=5, batch_size=4), warmup_steps=1)
+    rng = np.random.default_rng(3)
+    mine_estimate(rng.standard_normal((100, 3)), rng.integers(0, 4, size=(100, 2)),
+                  MineConfig(steps=1, batch_size=32, eval_derangements=1))
+    texts = [u.spec.word_ids for u in corpus.utterances]
+    codes = [rng.integers(0, 4, size=(len(t), 2)) for t in texts]
+    train_predictor(texts, codes, PredictorConfig(word_vocab=corpus.config.word_vocab, K=4),
+                    nc.TrainConfig(steps=1, seed=1, batch_size=4))
+    assert held == [[], [], [], []]
+
+
+def test_codebook_seeding_packs_bounded_passes(corpus, monkeypatch):
+    """Training never packs more than PASS_UTTERANCES utterances: codebook
+    seeding encodes its seed utterances (all 24 here) in bounded passes, as
+    the final codes are."""
+    sizes = []
+    pack = training_module.pack_utterances
+
+    def recording_pack(utts):
+        sizes.append(len(utts))
+        return pack(utts)
+
+    monkeypatch.setattr(training_module, "pack_utterances", recording_pack)
+    train_autoencoder(corpus, CapacityConfig(K=4, G=2),
+                      nc.TrainConfig(steps=2, seed=5, batch_size=4), warmup_steps=1)
+    # warm-up batch, seeding passes, quantized batch, final-code passes
+    assert sizes == [4, PASS_UTTERANCES, 24 - PASS_UTTERANCES, 4,
+                     PASS_UTTERANCES, 24 - PASS_UTTERANCES]
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +671,30 @@ def test_sweep_refuses_a_config_no_cell_can_run(tmp_path, monkeypatch, capsys, s
     assert message in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_sweep_exits_2_when_a_cell_fails(tmp_path, monkeypatch, capsys):
+    """A failed cell stays isolated (every table is written, the other cell
+    runs) and is listed on stderr, and the command then exits 2."""
+    real = experiments.train_autoencoder
+
+    def fail_at_k4(*args, **kwargs):
+        if args[1].K == 4:
+            raise TrainingError("loss diverged (non-finite) at step 3")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train_autoencoder", fail_at_k4)
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "capacities": [4, 0], "seeds": [1], "corpus": {"n_utterances": 20, "seed": 8},
+        "train": {"steps": 5, "batch_size": 4}, "holdout_fraction": 0.3,
+        "transfer_pairs": 6, "predictor_steps": 5, "mine": None,
+    }))
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+    assert [(c.K, c.status) for c in read_cells(out / "sweep.csv")] == [(4, "failed"), (0, "ok")]
+    assert all((out / name).exists() for name in TABLES)
+    assert "failed K=4 seed=1: TrainingError: loss diverged" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

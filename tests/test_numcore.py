@@ -20,9 +20,10 @@ from ibvq.errors import (
     NumericError,
     ShapeError,
     TrainingError,
+    ValidationError,
 )
 from ibvq.harness.training import train_autoencoder
-from ibvq.numcore.tensor import _child, check_offsets
+from ibvq.numcore.tensor import _child, _spent, check_offsets
 from ibvq.quantizer import CapacityConfig
 from ibvq.synthdata import CorpusConfig, build_corpus
 
@@ -78,7 +79,8 @@ def test_affine_one_node_equals_matmul_add(with_bias):
 
     y1, t1 = run(True)
     y2, t2 = run(False)
-    assert y1._parents == ((t1["x"], t1["w"], t1["b"]) if with_bias else (t1["x"], t1["w"]))
+    inputs = (t1["x"], t1["w"], t1["b"]) if with_bias else (t1["x"], t1["w"])
+    assert y1._parents == tuple(t._node for t in inputs)
     npt.assert_array_equal(y1.data, y2.data)
     for name in ("x", "w", "b") if with_bias else ("x", "w"):
         npt.assert_array_equal(t1[name].grad, t2[name].grad)
@@ -824,41 +826,43 @@ def reference_attention(q, k, v, offsets=None):
     else:
         q_off = k_off = check_offsets(offsets, q.rows)
     blocks = list(zip(q_off[:-1], q_off[1:], k_off[:-1], k_off[1:]))
+    qn, kn, vn = q._node, k._node, v._node
+    q_data, k_data, v_data = q.data, k.data, v.data
     scale = 1.0 / math.sqrt(q.cols)
     out_data = np.empty((q.rows, v.cols))
     probs = []
     for qa, qb, ka, kb in blocks:
-        p = q.data[qa:qb] @ k.data[ka:kb].T
+        p = q_data[qa:qb] @ k_data[ka:kb].T
         p *= scale
         p -= p.max(axis=1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
-        out_data[qa:qb] = p @ v.data[ka:kb]
+        out_data[qa:qb] = p @ v_data[ka:kb]
         probs.append(p)
 
     def backward(g):
-        dq = np.empty_like(q.data) if q.requires_grad else None
-        dk = np.empty_like(k.data) if k.requires_grad else None
-        dv = np.empty_like(v.data) if v.requires_grad else None
+        dq = np.empty_like(q_data) if qn.requires_grad else None
+        dk = np.empty_like(k_data) if kn.requires_grad else None
+        dv = np.empty_like(v_data) if vn.requires_grad else None
         for (qa, qb, ka, kb), p in zip(blocks, probs):
             gs = g[qa:qb]
             if dv is not None:
                 dv[ka:kb] = p.T @ gs
             if dq is None and dk is None:
                 continue
-            ds = gs @ v.data[ka:kb].T
+            ds = gs @ v_data[ka:kb].T
             ds -= (ds * p).sum(axis=1, keepdims=True)
             ds *= p
             ds *= scale
             if dq is not None:
-                dq[qa:qb] = ds @ k.data[ka:kb]
+                dq[qa:qb] = ds @ k_data[ka:kb]
             if dk is not None:
-                dk[ka:kb] = ds.T @ q.data[qa:qb]
-        for t, d in ((q, dq), (k, dk), (v, dv)):
+                dk[ka:kb] = ds.T @ q_data[qa:qb]
+        for node, d in ((qn, dq), (kn, dk), (vn, dv)):
             if d is not None:
-                t._accumulate(d)
+                node._accumulate(d)
 
-    return _child(out_data, (q, k, v), backward)
+    return _child(out_data, (qn, kn, vn), backward)
 
 
 def reference_conv1d(x, kernel, bias=None, *, width, offsets=None):
@@ -873,23 +877,26 @@ def reference_conv1d(x, kernel, bias=None, *, width, offsets=None):
     padded[pos] = x.data
     taps = pos[:, None] + np.arange(-h, h + 1)
     windows = padded[taps].reshape(t, width * c)
-    out_data = windows @ kernel.data
+    kernel_data = kernel.data
+    out_data = windows @ kernel_data
     if bias is not None:
         out_data = out_data + bias.data
+    xn, kn = x._node, kernel._node
+    bn = None if bias is None else bias._node
 
     def backward(g):
-        if kernel.requires_grad:
-            kernel._accumulate(windows.T @ g)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=0, keepdims=True))
-        if x.requires_grad:
-            g_windows = g @ kernel.data.T
+        if kn.requires_grad:
+            kn._accumulate(windows.T @ g)
+        if bn is not None and bn.requires_grad:
+            bn._accumulate(g.sum(axis=0, keepdims=True))
+        if xn.requires_grad:
+            g_windows = g @ kernel_data.T
             acc = np.zeros((padded_rows, c))
             for j in range(width):
                 acc[taps[:, j]] += g_windows[:, j * c : (j + 1) * c]
-            x._accumulate(acc[pos])
+            xn._accumulate(acc[pos])
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    parents = (xn, kn) if bn is None else (xn, kn, bn)
     return _child(out_data, parents, backward)
 
 
@@ -898,22 +905,44 @@ def reference_conv1d(x, kernel, bias=None, *, width, offsets=None):
 RAGGED = np.concatenate([[0], np.cumsum([1, 2, 5, 40])])
 
 
+def saved_arrays(fn):
+    """The arrays a backward function's closure holds, in lists and tuples
+    too."""
+    found, stack = [], [c.cell_contents for c in fn.__closure__ or ()]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return found
+
+
 def run_op(op, arrays, grads, kwargs, seed=0):
     """Forward, then backward of a fixed random projection of the output;
     returns the output, the gradients of the named inputs and the upstream
-    gradient the op received, as its backward function left it."""
+    gradient the op received, as its backward function left it.
+
+    Backward must also leave the op's node spent and release every array its
+    backward function saved, other than the inputs' and the output's own."""
     inputs = [nc.tensor(a, requires_grad=name in grads) for name, a in arrays.items()]
     out = op(*inputs, **kwargs)
     upstream = []
-    op_backward = out._backward
+    node = out._node
+    held = [t.data for t in inputs] + [out.data]
+    saved = [weakref.ref(a) for a in saved_arrays(node._backward)
+             if not any(a is h for h in held)]
 
-    def capture(g):
+    def capture(g, op_backward=node._backward):
         upstream.append(g)
         op_backward(g)
 
-    out._backward = capture
+    node._backward = capture
+    del capture  # the node holds the op's backward function alone
     weights = np.random.default_rng(seed).standard_normal(out.shape)
     nc.sum_all(nc.mul(out, nc.constant(weights))).backward()
+    assert node._backward is _spent
+    assert saved and all(ref() is None for ref in saved)
     got = {name: t.grad for name, t in zip(arrays, inputs) if name in grads}
     return out.data, got, upstream[0]
 
@@ -999,12 +1028,46 @@ def test_backward_leaves_gradients_only_on_leaves():
     h = nc.layer_norm(nc.conv1d(x, kernel, width=3, offsets=RAGGED), gain, bias)
     out = nc.attention(h, h, x, offsets=RAGGED)
     loss = nc.mse(out, rng.standard_normal((48, 6)), offsets=RAGGED)
-    loss.backward()
     nodes = graph_nodes(loss)
-    interior = [n for n in nodes if n._backward is not None]
+    interior = [n for n in nodes if n._parents]
+    loss.backward()
     assert len(interior) == 4 and all(n.grad is None for n in interior)
     for leaf in (x, kernel, gain, bias):
         assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+
+
+def test_backward_releases_the_arrays_attention_saved():
+    """The graph holds what a node's backward reads until that backward has
+    run, and not after, though the loss lives on."""
+    rng = np.random.default_rng(15)
+    x = nc.tensor(rng.standard_normal((48, 6)), requires_grad=True)
+    w = nc.tensor(rng.standard_normal((6, 6)), requires_grad=True)
+    q = nc.affine(x, w)
+    out = nc.attention(q, q, x, offsets=RAGGED)
+    # the exponentials of the one 40-row block
+    (block,) = [weakref.ref(a) for a in saved_arrays(out._node._backward) if a.shape == (40, 40)]
+    loss = nc.mse(out, np.zeros((48, 6)), offsets=RAGGED)
+    del q, out
+    assert block() is not None
+    loss.backward()
+    assert block() is None
+
+
+def test_a_spent_graph_refuses_a_second_backward():
+    """Backward releases what each node saved, so a graph back-propagates
+    once: a second pass over it, or over a new graph that reaches one of its
+    nodes, raises before any gradient moves."""
+    x = nc.tensor([[1.0, 2.0]], requires_grad=True)
+    w = nc.tensor([[3.0], [4.0]], requires_grad=True)
+    h = nc.affine(x, w)
+    loss = nc.sqnorm(h)
+    loss.backward()
+    first = x.grad.copy()
+    with pytest.raises(ValidationError, match="already been back-propagated"):
+        loss.backward()
+    with pytest.raises(ValidationError, match="already been back-propagated"):
+        nc.add(nc.sum_all(x), nc.sum_all(h)).backward()
+    npt.assert_array_equal(x.grad, first)
 
 
 def test_training_loss_curve_equals_reference_ops(monkeypatch):
