@@ -26,6 +26,7 @@ from ibvq.errors import (
 from ibvq.harness.experiments import (
     MI_CURVE_COLUMNS,
     ExperimentConfig,
+    fit_predictor,
     mi_analysis,
     read_cells,
     run_sweep,
@@ -40,7 +41,7 @@ from ibvq.harness.training import (
     train_autoencoder,
 )
 from ibvq.mi import MineConfig
-from ibvq.predictor import PredictorConfig, predict_codes, train_predictor
+from ibvq.predictor import predict_codes
 from ibvq.numcore.checkpoint import write_atomic
 from ibvq.quantizer import CapacityConfig, capacity
 from ibvq.synthdata import (
@@ -214,18 +215,8 @@ def cmd_predict(args) -> int:
     except ValueError as e:
         raise ValidationError(f"text file must hold integer word ids: {e}") from e
     train_idx, _ = split_corpus(corpus)
-    texts = [corpus.utterances[i].spec.word_ids for i in train_idx]
     codes = corpus_codes(corpus, models, train_idx)
-    pred_cfg = PredictorConfig(
-        word_vocab=corpus.config.word_vocab,
-        K=models.cap_cfg.K,
-        G=models.cap_cfg.G,
-        seed=args.seed,
-    )
-    predictor = train_predictor(
-        texts, codes, pred_cfg,
-        nc.TrainConfig(learning_rate=5e-3, steps=args.predictor_steps, seed=args.seed),
-    )
+    predictor = fit_predictor(corpus, models, train_idx, codes, args.predictor_steps, args.seed)
     predicted = predict_codes(words, predictor)
     _save_rows(args.out, predicted, "%d")
     print(f"predicted codes for {len(words)} words -> {args.out}")
@@ -298,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--predictor-steps", type=int, default=400)
+    p.add_argument("--predictor-steps", type=int, default=ExperimentConfig.predictor_steps)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("report", help="aggregate sweep output into tables")

@@ -29,6 +29,7 @@ from ibvq.numcore.checkpoint import write_atomic
 from ibvq.mi import MineConfig, content_vector, mine_estimate
 from ibvq.predictor import (
     PredictorConfig,
+    PredictorModel,
     evaluate_predictor,
     pack_sentences,
     predict_codes,
@@ -265,6 +266,26 @@ def run_transfer_experiment(
     )
 
 
+def fit_predictor(
+    corpus: Corpus,
+    models: AutoencoderModels,
+    train_indices: list[int],
+    train_codes: list[np.ndarray],
+    steps: int,
+    seed: int,
+) -> PredictorModel:
+    """The text-to-prosody predictor of ``models``' codes, trained for
+    ``steps`` steps on the words of the utterances ``train_indices`` and
+    their code blocks ``train_codes``."""
+    cfg = PredictorConfig(
+        word_vocab=corpus.config.word_vocab, K=models.cap_cfg.K, G=models.cap_cfg.G, seed=seed
+    )
+    texts = [corpus.utterances[i].spec.word_ids for i in train_indices]
+    return train_predictor(
+        texts, train_codes, cfg, nc.TrainConfig(learning_rate=5e-3, steps=steps, seed=seed)
+    )
+
+
 def predictor_experiment(
     models: AutoencoderModels,
     corpus: Corpus,
@@ -279,16 +300,7 @@ def predictor_experiment(
     the training utterances and measure held-out accuracy against
     ``held_codes`` plus the feature MSE of decoding its predictions. The
     held-out codes are predicted in one packed pass."""
-    texts = [corpus.utterances[i].spec.word_ids for i in train_indices]
-    cfg = PredictorConfig(
-        word_vocab=corpus.config.word_vocab,
-        K=models.cap_cfg.K,
-        G=models.cap_cfg.G,
-        seed=seed,
-    )
-    model = train_predictor(
-        texts, train_codes, cfg, nc.TrainConfig(learning_rate=5e-3, steps=steps, seed=seed)
-    )
+    model = fit_predictor(corpus, models, train_indices, train_codes, steps, seed)
     ids, offsets = pack_sentences([corpus.utterances[i].spec.word_ids for i in held_indices])
     predicted = predict_codes(ids, model, offsets)
     accuracy = evaluate_predictor(predicted, held_codes)

@@ -14,7 +14,7 @@ import numpy as np
 import ibvq.numcore as nc
 from ibvq.decoder import AutoencoderModels, DecoderConfig, prosody_codes, reconstruction_graph
 from ibvq.encoder import EncoderConfig, encode
-from ibvq.errors import CheckpointError, ConfigError, NumericError, ShapeError, ValidationError
+from ibvq.errors import CheckpointError, ConfigError, ValidationError
 from ibvq.numcore.checkpoint import write_atomic
 from ibvq.quantizer import CapacityConfig, DeadCodes, init_codebook_from_features, usage_stats
 from ibvq.synthdata.types import Corpus, pack_utterances
@@ -199,30 +199,53 @@ def train_autoencoder(
 # ---------------------------------------------------------------------------
 
 _META_NAME = "meta.json"
-_PARAMS_NAME = "params.ibvq"
+_PARAMS_NAME = "params.npy"
+
+
+def _layout(models: AutoencoderModels) -> list[list]:
+    """``[name, rows, cols]`` of every parameter of the bundle, store by store,
+    in the order `save_models` writes their values."""
+    return [[f"{prefix}.{name}", rows, cols] for prefix, store in models.stores().items()
+            for name, rows, cols in store.layout()]
 
 
 def save_models(path: str | Path, models: AutoencoderModels) -> None:
-    """Write the bundle's parameters, then its metadata, under ``path``; a
-    write that fails leaves the file it was replacing as it was.
+    """Write the bundle's parameter values, then its metadata, under
+    ``path``; a write that fails leaves the file it was replacing as it was.
 
-    The metadata records the sha256 digest of the parameter bytes, so a
-    save interrupted between the two files leaves a bundle that
+    The values are every store's value row, store by store, in one vector.
+    The metadata records their layout and the sha256 digest of the vector's
+    bytes, so a save interrupted between the two files leaves a bundle that
     `load_models` refuses instead of pairing new parameters with old
     metadata."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    stores = models.stores().items()
-    merged = {f"{p}.{name}": v for p, store in stores for name, v in store.export().items()}
-    digest = nc.save_params(root / _PARAMS_NAME, merged)
+    values = np.concatenate([store.values for store in models.stores().values()])
+    digest = nc.save_params(root / _PARAMS_NAME, values)
     meta = {
         "encoder": dataclasses.asdict(models.encoder.config),
         "decoder": dataclasses.asdict(models.decoder.config),
         "capacity": {"K": models.cap_cfg.K, "G": models.cap_cfg.G},
+        "params": _layout(models),
         "params_sha256": digest,
     }
     meta_text = json.dumps(meta, sort_keys=True, indent=1) + "\n"
     write_atomic(root / _META_NAME, lambda fh: fh.write(meta_text.encode()))
+
+
+def _layout_difference(recorded, expected: list[list]) -> str:
+    """What sets a recorded parameter layout apart from the bundle's, by
+    parameter name."""
+    try:
+        shapes = {name: (rows, cols) for name, rows, cols in recorded}
+    except (TypeError, ValueError):
+        return "malformed parameter layout"
+    wanted = {name: (rows, cols) for name, rows, cols in expected}
+    problems = [f"parameter {name!r} missing" for name in wanted if name not in shapes]
+    problems += [f"unknown parameter {name!r}" for name in shapes if name not in wanted]
+    problems += [f"parameter {name!r} shape {shapes[name]} != expected {shape}"
+                 for name, shape in wanted.items() if shapes.get(name, shape) != shape]
+    return "; ".join(problems) or "parameters out of order or repeated"
 
 
 def _config_from_meta(cls, fields, root: Path):
@@ -238,8 +261,9 @@ def _config_from_meta(cls, fields, root: Path):
 
 
 def load_models(path: str | Path) -> AutoencoderModels:
-    """The bundle saved under ``path``: the file must hold every parameter of
-    its stores, finite and shaped as the metadata says, and no other."""
+    """The bundle saved under ``path``: its metadata must record the layout
+    of the bundle it describes, and the file must hold those parameters'
+    values, finite, and nothing else."""
     root = Path(path)
     try:
         meta = json.loads((root / _META_NAME).read_text())
@@ -255,22 +279,22 @@ def load_models(path: str | Path) -> AutoencoderModels:
         )
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"incomplete model metadata in {root}: {e}") from e
-    if "params_sha256" not in meta:
+    if "params" not in meta or "params_sha256" not in meta:
         raise CheckpointError(
-            f"checkpoint {root} records no digest of its parameters (saved by an "
+            f"checkpoint {root} records no parameter layout or digest (saved by an "
             "earlier version); retrain the model"
         )
-    params = nc.load_params(root / _PARAMS_NAME, sha256=meta["params_sha256"])
-    cap = models.cap_cfg
-    try:
-        for prefix, store in models.stores().items():
-            mine = [key for key in params if key.startswith(f"{prefix}.")]
-            store.load({key[len(prefix) + 1:]: params.pop(key) for key in mine})
-    except (ConfigError, ShapeError, NumericError) as e:
+    layout = _layout(models)
+    if meta["params"] != layout:
+        cap = models.cap_cfg
         raise CheckpointError(
-            f"checkpoint {root} does not match its metadata (K={cap.K}, G={cap.G}) in its "
-            f"{prefix!r} parameters: {e}"
-        ) from e
-    if params:
-        raise CheckpointError(f"checkpoint {root} holds unknown parameters: {sorted(params)}")
+            f"checkpoint {root} does not match its metadata (K={cap.K}, G={cap.G}): "
+            f"{_layout_difference(meta['params'], layout)}"
+        )
+    values = nc.load_params(root / _PARAMS_NAME, meta["params_sha256"], layout)
+    start = 0
+    for store in models.stores().values():
+        stop = start + store.values.size
+        store.values[...] = values[start:stop]
+        start = stop
     return models

@@ -3,7 +3,8 @@
 Dense float64 matrices with reverse-mode gradients, the layer operations the
 models in this package are built from, an adaptive-moment optimizer and the
 one training loop (`fit`) that applies it, a finite-difference gradient
-checker, and a binary checkpoint format.
+checker, and checkpoints that save parameter values as one float64 vector
+in a NumPy ``.npy`` file (`save_params`, `load_params`).
 
 Layers are few, large graph nodes: `affine` is one node with its own
 backward, and `gather_rows` takes a ``(rows, G)`` index matrix to read G

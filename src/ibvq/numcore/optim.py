@@ -59,12 +59,13 @@ def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Array:
 class ParamStore:
     """Named parameter matrices plus their Adam state, complete when built.
 
-    ``ParamStore(arrays)`` takes every parameter at once; ``params`` and
-    `export` keep the order of ``arrays``. The values of every parameter and
-    its two adaptive moments live in one flat ``(3, total)`` buffer, laid
-    out once in sorted name order, and each parameter tensor holds a
-    reshaped view of its row-0 slice. ``steps`` counts the Adam updates of
-    the whole store: `adam_step` moves every parameter or none.
+    ``ParamStore(arrays)`` takes every parameter at once; ``params`` keeps
+    the order of ``arrays``. The values of every parameter and its two
+    adaptive moments live in one flat ``(3, total)`` buffer, laid out once
+    in sorted name order (`layout`), and each parameter tensor holds a
+    reshaped view of its slice of the value row (`values`). ``steps``
+    counts the Adam updates of the whole store: `adam_step` moves every
+    parameter or none.
     """
 
     def __init__(self, arrays: dict[str, Array]):
@@ -115,28 +116,16 @@ class ParamStore:
             for name, p in self.params.items():
                 p.requires_grad = before[name]
 
-    def export(self) -> dict[str, Array]:
-        return {name: p.data.copy() for name, p in self.params.items()}
+    @property
+    def values(self) -> Array:
+        """Every parameter's values in one vector, in `layout` order: a
+        view, so writing into it sets the parameters in place."""
+        return self._flat[0]
 
-    def load(self, arrays: dict[str, Array]) -> None:
-        """Overwrite every parameter's values in place; the names and shapes
-        must match exactly, the values be finite, and nothing changes unless
-        they all do."""
-        unknown = sorted(set(arrays) - set(self.params))
-        if unknown:
-            raise ConfigError(f"unknown parameters in checkpoint: {unknown}")
-        missing = sorted(set(self.params) - set(arrays))
-        if missing:
-            raise ConfigError(f"parameters missing from checkpoint: {missing}")
-        arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()}
-        for name, arr in arrays.items():
-            shape = self.params[name].data.shape
-            if arr.shape != shape:
-                raise ShapeError(f"parameter {name!r} shape {arr.shape} != expected {shape}")
-            if not np.isfinite(arr).all():
-                raise NumericError(f"parameter {name!r} has non-finite values")
-        for name, arr in arrays.items():
-            self.params[name].data[...] = arr
+    def layout(self) -> list[list]:
+        """``[name, rows, cols]`` of each parameter, in the order `values`
+        holds them."""
+        return [[name, *self.params[name].data.shape] for name in sorted(self.params)]
 
 
 def adam_step(store: ParamStore, grads: dict[str, Array], lr: float) -> ParamStore:

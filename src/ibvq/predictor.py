@@ -130,7 +130,7 @@ def train_predictor(
     texts: list,
     codes: list,
     cfg: PredictorConfig,
-    train_cfg: nc.TrainConfig | None = None,
+    train_cfg: nc.TrainConfig,
 ) -> PredictorModel:
     """Minimize per-head cross-entropy of codes given word context.
 
@@ -141,7 +141,6 @@ def train_predictor(
     """
     cfg.validate()
     _validate_pairs(texts, codes, cfg)
-    train_cfg = train_cfg or nc.TrainConfig(learning_rate=5e-3, steps=400, seed=cfg.seed)
     model = PredictorModel(cfg)
     sampler = nc.BatchSampler(
         len(texts), train_cfg.batch_size, np.random.default_rng(train_cfg.seed)

@@ -1,8 +1,10 @@
 import gc
+import hashlib
 import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -167,29 +169,35 @@ def test_model_checkpoint_round_trip(tmp_path, corpus, trained, trained_k0):
         save_models(first, res.models)
         loaded = load_models(first)
         save_models(second, loaded)
-        for name in ("params.ibvq", "meta.json"):
+        for name in ("params.npy", "meta.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
-        params = nc.load_params(first / "params.ibvq")
+        params = read_bundle_params(first)
         assert [p for p in params if p.startswith("cb.")] == codebook
         npt.assert_array_equal(reconstruct(batch, loaded), reconstruct(batch, res.models))
 
 
-def test_checkpoint_keeps_the_declared_parameter_order(tmp_path, trained):
-    """`params.ibvq` lists the parameters store by store in the order the
-    models declare them, not sorted (the list was recorded from a K=4 save
-    before the stores were laid out in one buffer at build)."""
+def test_checkpoint_records_the_full_layout(tmp_path, trained):
+    """`meta.json` records every parameter as ``[name, rows, cols]``, store by
+    store, in the order `params.npy` holds their values: sorted by name
+    within each store. A renamed, reordered or reshaped parameter changes
+    this list, which a K=4 save recorded."""
     save_models(tmp_path, trained.models)
-    assert list(nc.load_params(tmp_path / "params.ibvq")) == [
-        "enc.attn.wq", "enc.attn.wk", "enc.attn.wv", "enc.attn.wo", "enc.attn.ln_g",
-        "enc.attn.ln_b", "enc.conv.k", "enc.conv.b", "enc.conv.ln_g", "enc.conv.ln_b",
-        "enc.proj.w", "enc.proj.b",
-        "dec.embed", "dec.tenc.wq", "dec.tenc.wk", "dec.tenc.wv", "dec.tenc.wo",
-        "dec.tenc.ln1_g", "dec.tenc.ln1_b", "dec.tenc.conv.k", "dec.tenc.conv.b",
-        "dec.tenc.ln2_g", "dec.tenc.ln2_b", "dec.fuse.w", "dec.fuse.b", "dec.sdec.conv1.k",
-        "dec.sdec.conv1.b", "dec.sdec.conv2.k", "dec.sdec.conv2.b", "dec.sdec.out.w",
-        "dec.sdec.out.b", "dec.sdec.skip.w",
-        "cb.entries",
+    assert json.loads((tmp_path / "meta.json").read_text())["params"] == [
+        ["enc.attn.ln_b", 1, 16], ["enc.attn.ln_g", 1, 16], ["enc.attn.wk", 16, 16],
+        ["enc.attn.wo", 16, 16], ["enc.attn.wq", 16, 16], ["enc.attn.wv", 16, 16],
+        ["enc.conv.b", 1, 16], ["enc.conv.k", 48, 16], ["enc.conv.ln_b", 1, 16],
+        ["enc.conv.ln_g", 1, 16], ["enc.proj.b", 1, 8], ["enc.proj.w", 16, 8],
+        ["dec.embed", 24, 16], ["dec.fuse.b", 1, 24], ["dec.fuse.w", 24, 24],
+        ["dec.sdec.conv1.b", 1, 24], ["dec.sdec.conv1.k", 120, 24], ["dec.sdec.conv2.b", 1, 24],
+        ["dec.sdec.conv2.k", 72, 24], ["dec.sdec.out.b", 1, 16], ["dec.sdec.out.w", 24, 16],
+        ["dec.sdec.skip.w", 24, 16], ["dec.tenc.conv.b", 1, 16], ["dec.tenc.conv.k", 48, 16],
+        ["dec.tenc.ln1_b", 1, 16], ["dec.tenc.ln1_g", 1, 16], ["dec.tenc.ln2_b", 1, 16],
+        ["dec.tenc.ln2_g", 1, 16], ["dec.tenc.wk", 16, 16], ["dec.tenc.wo", 16, 16],
+        ["dec.tenc.wq", 16, 16], ["dec.tenc.wv", 16, 16],
+        ["cb.entries", 4, 4],
     ]
+    assert np.load(tmp_path / "params.npy").size == sum(
+        store.values.size for store in trained.models.stores().values())
 
 
 def test_failed_checkpoint_write_keeps_the_old_checkpoint(tmp_path, corpus, trained, monkeypatch):
@@ -914,28 +922,56 @@ def test_cli_train_refuses_a_non_finite_learning_rate(cli_workspace, tmp_path, c
     assert not (tmp_path / "ckpt").exists()
 
 
+def file_digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def read_bundle_params(root):
+    """A bundle's parameters by name, as its metadata lays out `params.npy`."""
+    layout = json.loads((root / "meta.json").read_text())["params"]
+    values = np.load(root / "params.npy")
+    ends = np.cumsum([rows * cols for _, rows, cols in layout])
+    return {name: part.reshape(rows, cols)
+            for (name, rows, cols), part in zip(layout, np.split(values, ends[:-1]))}
+
+
 def save_bundle_params(root, params):
-    """Replace a bundle's parameters and record their digest in its metadata."""
+    """Replace a bundle's parameters, recording their layout and digest in
+    its metadata."""
     meta = json.loads((root / "meta.json").read_text())
-    meta["params_sha256"] = nc.save_params(root / "params.ibvq", params)
+    meta["params"] = [[name, *value.shape] for name, value in params.items()]
+    meta["params_sha256"] = nc.save_params(
+        root / "params.npy", np.concatenate([value.ravel() for value in params.values()]))
     (root / "meta.json").write_text(json.dumps(meta))
 
 
-def test_cli_rejects_checkpoint_missing_a_parameter(cli_workspace, tmp_path):
+def assert_reconstruct_refuses(ckpt, tmp_path, capsys, *fragments):
+    """`ibvq reconstruct` on ``ckpt`` exits 1 with an error naming every
+    fragment, and writes no output file."""
+    capsys.readouterr()
+    out = tmp_path / "x.csv"
+    assert cli_main(["reconstruct", "--ckpt", str(ckpt), "--utt", "utt_0000",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for fragment in fragments:
+        assert fragment in err
+    assert not out.exists()
+
+
+def test_cli_rejects_checkpoint_missing_a_parameter(cli_workspace, tmp_path, capsys):
     root, corpus_dir, ckpt = cli_workspace
     broken = tmp_path / "broken"
     broken.mkdir()
     for name in ("meta.json", "corpus_path.txt"):
         (broken / name).write_bytes((ckpt / name).read_bytes())
-    params = nc.load_params(ckpt / "params.ibvq")
+    params = read_bundle_params(ckpt)
     dropped = next(k for k in params if k.startswith("dec."))
     del params[dropped]
     save_bundle_params(broken, params)
-    with pytest.raises(CheckpointError, match=dropped[4:]):
+    with pytest.raises(CheckpointError, match=f"parameter '{dropped}' missing"):
         load_models(broken)
-    rc = cli_main(["reconstruct", "--ckpt", str(broken), "--utt", "utt_0000",
-                   "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
+    assert_reconstruct_refuses(broken, tmp_path, capsys, f"'{dropped}'")
 
 
 def test_cli_rejects_codebook_entries_in_a_k0_checkpoint(cli_workspace, tmp_path, capsys):
@@ -943,15 +979,11 @@ def test_cli_rejects_codebook_entries_in_a_k0_checkpoint(cli_workspace, tmp_path
     ckpt0 = tmp_path / "ckpt0"
     assert cli_main(["train", "--corpus", str(corpus_dir), "--K", "0", "--seed", "1",
                      "--steps", "1", "--out", str(ckpt0)]) == 0
-    params = nc.load_params(ckpt0 / "params.ibvq")
-    params["cb.entries"] = nc.load_params(ckpt / "params.ibvq")["cb.entries"]
+    params = read_bundle_params(ckpt0)
+    params["cb.entries"] = read_bundle_params(ckpt)["cb.entries"]
     save_bundle_params(ckpt0, params)
-    capsys.readouterr()
-    assert cli_main(["reconstruct", "--ckpt", str(ckpt0), "--utt", "utt_0000",
-                     "--out", str(tmp_path / "x.csv")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "(K=0, G=2) in its 'cb' parameters: unknown " in err
-    assert "['entries']" in err
+    assert_reconstruct_refuses(ckpt0, tmp_path, capsys,
+                               "(K=0, G=2): unknown parameter 'cb.entries'")
 
 
 def test_cli_refuses_codebook_entries_of_another_k(cli_workspace, tmp_path, capsys):
@@ -960,35 +992,25 @@ def test_cli_refuses_codebook_entries_of_another_k(cli_workspace, tmp_path, caps
     _, _, ckpt = cli_workspace
     wrong = tmp_path / "wrong"
     shutil.copytree(ckpt, wrong)
-    params = nc.load_params(wrong / "params.ibvq")
+    params = read_bundle_params(wrong)
     params["cb.entries"] = np.vstack([params["cb.entries"], params["cb.entries"]])
     save_bundle_params(wrong, params)
-    with pytest.raises(CheckpointError, match=r"\(K=4, G=2\) in its 'cb' parameters: "
-                       r"parameter 'entries' shape \(8, 4\) != expected \(4, 4\)"):
+    with pytest.raises(CheckpointError, match=r"\(K=4, G=2\): "
+                       r"parameter 'cb.entries' shape \(8, 4\) != expected \(4, 4\)"):
         load_models(wrong)
-    capsys.readouterr()
-    assert cli_main(["reconstruct", "--ckpt", str(wrong), "--utt", "utt_0000",
-                     "--out", str(tmp_path / "x.csv")]) == 1
-    assert "'entries' shape (8, 4)" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
+    assert_reconstruct_refuses(wrong, tmp_path, capsys, "'cb.entries' shape (8, 4)")
 
 
 @pytest.mark.parametrize("name", ["dec.embed", "cb.entries"])
 def test_cli_refuses_non_finite_parameters(cli_workspace, tmp_path, capsys, name):
-    prefix, param = name.split(".")
     _, _, ckpt = cli_workspace
     bad = tmp_path / "bad"
     shutil.copytree(ckpt, bad)
-    params = nc.load_params(bad / "params.ibvq")
+    params = read_bundle_params(bad)
     params[name][0, 0] = np.nan
     save_bundle_params(bad, params)
-    capsys.readouterr()
-    assert cli_main(["reconstruct", "--ckpt", str(bad), "--utt", "utt_0000",
-                     "--out", str(tmp_path / "x.csv")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"in its '{prefix}' parameters: " in err
-    assert f"'{param}' has non-finite values" in err
-    assert not (tmp_path / "x.csv").exists()
+    assert_reconstruct_refuses(bad, tmp_path, capsys, f"parameter '{name}' in ",
+                               "has non-finite values")
 
 
 def test_cli_refuses_a_checkpoint_with_a_duration_head(cli_workspace, tmp_path, capsys):
@@ -999,16 +1021,87 @@ def test_cli_refuses_a_checkpoint_with_a_duration_head(cli_workspace, tmp_path, 
     meta = json.loads((old / "meta.json").read_text())
     meta["decoder"]["duration_hidden"] = 16
     (old / "meta.json").write_text(json.dumps(meta))
-    params = nc.load_params(old / "params.ibvq")
+    params = read_bundle_params(old)
     shapes = {"conv1.k": (48, 16), "conv1.b": (1, 16), "conv2.k": (48, 16),
               "conv2.b": (1, 16), "out.w": (16, 1), "out.b": (1, 1)}
     params.update({f"dec.dur.{name}": np.zeros(shape) for name, shape in shapes.items()})
-    nc.save_params(old / "params.ibvq", params)
-    capsys.readouterr()
-    assert cli_main(["reconstruct", "--ckpt", str(old), "--utt", "utt_0000",
-                     "--out", str(tmp_path / "x.csv")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "duration_hidden" in err and "retrain" in err
+    save_bundle_params(old, params)
+    assert_reconstruct_refuses(old, tmp_path, capsys, "duration_hidden", "retrain")
+
+
+def test_cli_refuses_a_previous_format_checkpoint(cli_workspace, tmp_path, capsys):
+    """A checkpoint in the earlier hand-written binary format, `params.ibvq`
+    beside a `meta.json` that records no layout, is refused with a message
+    to retrain."""
+    _, _, ckpt = cli_workspace
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "corpus_path.txt").write_bytes((ckpt / "corpus_path.txt").read_bytes())
+    records = [struct.pack("<4sII", b"IBVQ", 1, len(read_bundle_params(ckpt)))]
+    for name, value in read_bundle_params(ckpt).items():
+        encoded = name.encode()
+        records += [struct.pack("<I", len(encoded)), encoded, struct.pack("<II", *value.shape),
+                    value.astype("<f8").tobytes()]
+    blob = b"".join(records)
+    (old / "params.ibvq").write_bytes(blob)
+    meta = json.loads((ckpt / "meta.json").read_text())
+    del meta["params"]
+    meta["params_sha256"] = file_digest(old / "params.ibvq")
+    (old / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(CheckpointError, match="retrain"):
+        load_models(old)
+    assert_reconstruct_refuses(old, tmp_path, capsys, "retrain")
+
+
+def rewrite_npy(path, values, **save_kwargs):
+    """``values`` written to ``path`` by `np.save`; returns the file's digest."""
+    with path.open("wb") as fh:
+        np.save(fh, values, **save_kwargs)
+    return file_digest(path)
+
+
+@pytest.mark.parametrize("damage", ["torn", "truncated", "trailing", "float32", "big_endian",
+                                    "pickled"])
+def test_cli_refuses_a_malformed_params_file(cli_workspace, tmp_path, capsys, damage):
+    """A `params.npy` whose bytes no longer have the recorded digest is
+    refused; so is one recorded with its digest that is cut short, has bytes
+    after the array, holds another dtype, or holds a pickled array."""
+    _, _, ckpt = cli_workspace
+    bad = tmp_path / "bad"
+    shutil.copytree(ckpt, bad)
+    path = bad / "params.npy"
+    values = np.load(path)
+    blob = path.read_bytes()
+    meta = json.loads((bad / "meta.json").read_text())
+    if damage == "torn":
+        rewrite_npy(path, values + 1.0)
+        fragment = "sha256"
+    elif damage in ("truncated", "trailing"):
+        path.write_bytes(blob[:-8] if damage == "truncated" else blob + b"\x00" * 8)
+        meta["params_sha256"] = file_digest(path)
+        fragment = "not a readable .npy" if damage == "truncated" else "trailing bytes"
+    elif damage == "pickled":
+        meta["params_sha256"] = rewrite_npy(path, values.astype(object), allow_pickle=True)
+        fragment = "allow_pickle=False"
+    else:
+        dtype = "<f4" if damage == "float32" else ">f8"
+        meta["params_sha256"] = rewrite_npy(path, values.astype(dtype))
+        fragment = f"holds a {dtype} array"
+    (bad / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(CheckpointError, match=fragment):
+        load_models(bad)
+    assert_reconstruct_refuses(bad, tmp_path, capsys, fragment)
+
+
+def test_cli_train_is_deterministic(cli_workspace, tmp_path):
+    """Two `ibvq train` runs with the same seed, into two directories, write
+    byte-identical checkpoints and loss curves."""
+    _, corpus_dir, ckpt = cli_workspace
+    again = tmp_path / "again"
+    assert cli_main(["train", "--corpus", str(corpus_dir), "--K", "4", "--seed", "1",
+                     "--steps", "25", "--out", str(again)]) == 0
+    for name in ("params.npy", "meta.json", "loss_curve.csv"):
+        assert (again / name).read_bytes() == (ckpt / name).read_bytes(), name
 
 
 def test_cli_train_zero_steps(cli_workspace, tmp_path, capsys):

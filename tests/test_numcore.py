@@ -260,7 +260,8 @@ def whole_grads(rng, store):
 def test_flat_adam_equals_per_parameter_reference():
     """Over 20 steps, some of which the loss did not reach (no gradients),
     the store moves exactly as the per-parameter update and counts only the
-    steps that updated it; it keeps its declaration order."""
+    steps that updated it; it keeps its declaration order, while its value
+    row and `layout` hold the parameters in sorted name order."""
     rng = np.random.default_rng(30)
     store, ref = reference_store(rng)
     assert store.names() == ["c.w", "a", "d", "b", "c.k"]
@@ -271,7 +272,9 @@ def test_flat_adam_equals_per_parameter_reference():
         ref.step(grads, lr)
         assert_matches_reference(store, ref)
     assert 0 < store.steps < 20
-    assert list(store.export()) == store.names()
+    assert store.layout() == [["a", 3, 2], ["b", 1, 4], ["c.k", 4, 4], ["c.w", 2, 1], ["d", 1, 1]]
+    npt.assert_array_equal(store.values, np.concatenate(
+        [ref.values[name].ravel() for name, _, _ in store.layout()]))
 
 
 def test_adam_failed_step_leaves_store_unchanged():
@@ -283,13 +286,13 @@ def test_adam_failed_step_leaves_store_unchanged():
     warm = whole_grads(rng, store)
     nc.adam_step(store, warm, 0.05)
     ref.step(warm, 0.05)
-    before = {n: a.tobytes() for n, a in store.export().items()}
+    before = store.values.tobytes()
     bad = whole_grads(rng, store)
     bad["c.k"][1, 2] = np.nan
     bad["c.w"][0, 0] = np.inf
     with pytest.raises(NumericError, match="'c.k'"):
         nc.adam_step(store, bad, 0.05)
-    assert {n: a.tobytes() for n, a in store.export().items()} == before
+    assert store.values.tobytes() == before
     assert_matches_reference(store, ref)
     # the moments are untouched too: the next good step matches the reference
     good = whole_grads(rng, store)
@@ -325,48 +328,57 @@ def test_adam_refuses_gradients_for_part_of_a_store():
     assert_matches_reference(store, ref)
 
 
+def split_values(values, layout):
+    """The named matrices of a value vector laid out as ``layout``."""
+    ends = np.cumsum([rows * cols for _, rows, cols in layout])
+    return {name: part.reshape(rows, cols)
+            for (name, rows, cols), part in zip(layout, np.split(values, ends[:-1]))}
+
+
 def test_load_step_export_match_reference():
-    """`load` replaces values in place and keeps the optimizer state; the
-    next step and `export` then agree with the per-parameter update."""
+    """Writing the value row, as a checkpoint loads, replaces the values in
+    place and keeps the optimizer state; the next step and the value row, as
+    a checkpoint saves it, then agree with the per-parameter update."""
     rng = np.random.default_rng(33)
     store, ref = reference_store(rng)
     tensors = dict(store.params)
     first = whole_grads(rng, store)
     nc.adam_step(store, first, 0.1)
     ref.step(first, 0.1)
-    loaded = {n: rand(rng, *store[n].shape) for n in store.names()}
-    store.load(loaded)
-    ref.values = {n: v.copy() for n, v in loaded.items()}
+    loaded = rng.uniform(-1.0, 1.0, size=store.values.size)
+    store.values[...] = loaded
+    ref.values = {n: v.copy() for n, v in split_values(loaded, store.layout()).items()}
     assert all(store[n] is tensors[n] for n in store.names())
     assert_matches_reference(store, ref)
     grads = whole_grads(rng, store)
     nc.adam_step(store, grads, 0.02)
     ref.step(grads, 0.02)
-    exported = store.export()
-    for name in store.names():
-        npt.assert_array_equal(exported[name], ref.values[name], err_msg=name)
-    # exported arrays are copies
-    exported["a"][:] = 99.0
-    npt.assert_array_equal(store["a"].data, ref.values["a"])
+    for name, value in split_values(store.values.copy(), store.layout()).items():
+        npt.assert_array_equal(value, ref.values[name], err_msg=name)
 
 
-def test_load_refuses_bad_arrays_and_changes_nothing():
-    """A missing, extra, misshapen or non-finite array is refused, by name,
-    and no parameter changes."""
+def test_load_refuses_bad_arrays_and_changes_nothing(tmp_path):
+    """`load_params` refuses a vector of another length or shape, or one
+    with a non-finite value (naming its parameter), before the store's value
+    row is written: no parameter changes."""
     rng = np.random.default_rng(35)
     store, ref = reference_store(rng)
-    good = {n: rand(rng, *store[n].shape) for n in store.names()}
-    nan = dict(good, b=np.full(store["b"].shape, np.nan))
-    inf = dict(good, d=np.full(store["d"].shape, -np.inf))
-    for arrays, error, name in (
-        ({n: v for n, v in good.items() if n != "a"}, ConfigError, "missing.*'a'"),
-        (dict(good, zz=np.ones((1, 1))), ConfigError, "unknown.*'zz'"),
-        (dict(good, a=np.ones((2, 3))), ShapeError, "'a' shape"),
-        (nan, NumericError, "'b' has non-finite"),
-        (inf, NumericError, "'d' has non-finite"),
+    layout = store.layout()
+    good = rng.uniform(-1.0, 1.0, size=store.values.size)
+    nan, inf = good.copy(), good.copy()
+    split_values(nan, layout)["b"][0, 1] = np.nan
+    split_values(inf, layout)["d"][0, 0] = -np.inf
+    path = tmp_path / "params.npy"
+    for values, match in (
+        (good[:-1], r"shape \(28,\), not the 29 "),
+        (np.append(good, 1.0), r"shape \(30,\)"),
+        (good.reshape(1, -1), r"shape \(1, 29\)"),
+        (nan, "parameter 'b' in .* has non-finite values"),
+        (inf, "parameter 'd' in .* has non-finite values"),
     ):
-        with pytest.raises(error, match=name):
-            store.load(arrays)
+        digest = nc.save_params(path, values)
+        with pytest.raises(CheckpointError, match=match):
+            store.values[...] = nc.load_params(path, digest, layout)
         assert_matches_reference(store, ref)
 
 
@@ -384,12 +396,11 @@ def test_fit_refuses_a_loss_that_reaches_part_of_a_store():
     reach, before it changes; a store the loss never reaches is skipped."""
     store = nc.ParamStore({"w": [[1.0, -2.0]], "unused": [[3.0]]})
     other = quadratic_store()
-    before = store.export()
+    before = store.values.copy()
     with pytest.raises(ConfigError, match=r"\['unused'\]"):
         nc.fit([store], 5, lambda step: nc.sqnorm(store["w"]), 0.1)
     assert store.steps == 0
-    for name, value in before.items():
-        npt.assert_array_equal(store[name].data, value)
+    npt.assert_array_equal(store.values, before)
     target = quadratic_store()
     nc.fit([target, other], 5, lambda step: nc.sqnorm(target["w"]), 0.1)
     assert (target.steps, other.steps) == (5, 0)
@@ -1171,37 +1182,60 @@ def test_glorot_uniform_bounds_and_seeding():
 # ---------------------------------------------------------------------------
 
 
+CHECKPOINT_LAYOUT = [["enc.w", 4, 3], ["dec.b", 1, 7]]
+
+
+def file_digest(path):
+    import hashlib
+
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    params = {"enc.w": rand(rng, 4, 3), "dec.b": rand(rng, 1, 7)}
-    path = tmp_path / "model.ibvq"
-    nc.save_params(path, params)
-    loaded = nc.load_params(path)
-    assert list(loaded) == list(params)
-    for name in params:
-        npt.assert_array_equal(loaded[name], params[name])
+    values = np.random.default_rng(11).standard_normal(19)
+    path = tmp_path / "params.npy"
+    digest = nc.save_params(path, values)
+    assert digest == file_digest(path)
+    loaded = nc.load_params(path, digest, CHECKPOINT_LAYOUT)
+    assert loaded.dtype == np.float64
+    npt.assert_array_equal(loaded, values)
 
 
 def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "junk.ibvq"
+    """A file that is not a `.npy` array is refused by numpy's own reader."""
+    path = tmp_path / "params.npy"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(CheckpointError):
-        nc.load_params(path)
+    with pytest.raises(CheckpointError, match="not a readable .npy array"):
+        nc.load_params(path, file_digest(path), CHECKPOINT_LAYOUT)
 
 
 def test_checkpoint_truncated(tmp_path):
-    rng = np.random.default_rng(12)
-    path = tmp_path / "model.ibvq"
-    nc.save_params(path, {"w": rand(rng, 3, 3)})
+    """A file cut short is refused by its digest, and, with a digest of the
+    shortened bytes, by the `.npy` reader, in its data or in its header, as
+    is one whose header declares more values than it holds."""
+    path = tmp_path / "params.npy"
+    digest = nc.save_params(path, np.random.default_rng(12).standard_normal(19))
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
-    with pytest.raises(CheckpointError):
-        nc.load_params(path)
+    with pytest.raises(CheckpointError, match="sha256"):
+        nc.load_params(path, digest, CHECKPOINT_LAYOUT)
+    for cut in (8, len(blob) - 20):
+        path.write_bytes(blob[:-cut])
+        with pytest.raises(CheckpointError, match="not a readable .npy array"):
+            nc.load_params(path, file_digest(path), CHECKPOINT_LAYOUT)
+    # a header that declares far more values than the file holds: numpy
+    # allocates the declared array before it reads, and that fails or the
+    # read runs out of data
+    with path.open("wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": (2**40,)})
+        fh.write(blob[-8 * 19:])
+    with pytest.raises(CheckpointError, match="not a readable .npy array"):
+        nc.load_params(path, file_digest(path), CHECKPOINT_LAYOUT)
 
 
 def test_checkpoint_deterministic_bytes(tmp_path):
-    params = {"a": np.ones((2, 2)), "b": np.zeros((1, 3))}
-    p1, p2 = tmp_path / "c1.ibvq", tmp_path / "c2.ibvq"
-    nc.save_params(p1, params)
-    nc.save_params(p2, params)
+    values = np.arange(19.0)
+    p1, p2 = tmp_path / "c1.npy", tmp_path / "c2.npy"
+    assert nc.save_params(p1, values) == nc.save_params(p2, values)
     assert p1.read_bytes() == p2.read_bytes()

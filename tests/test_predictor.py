@@ -59,7 +59,7 @@ def test_code_value_exceeding_k_rejected():
     texts = [[0, 1]]
     codes = [np.array([[0, 9], [1, 1]])]
     with pytest.raises(ConfigError):
-        train_predictor(texts, codes, PredictorConfig(word_vocab=4, K=8))
+        train_predictor(texts, codes, PredictorConfig(word_vocab=4, K=8), nc.TrainConfig())
 
 
 def test_predict_shapes_and_range():
