@@ -97,7 +97,7 @@ class DecoderModel:
         self.store = nc.ParamStore(p)
 
 
-def encode_text(phone_ids, model: DecoderModel, offsets=None) -> nc.Tensor:
+def encode_text(phone_ids, model: DecoderModel, offsets) -> nc.Tensor:
     """Phone ids to (P, phone_dim) phone-level features; ``offsets`` marks
     where each utterance of a packed id sequence starts."""
     ids = np.asarray(phone_ids, dtype=np.int64).reshape(-1)
@@ -150,7 +150,7 @@ def length_regulate(phone_feats: nc.Tensor, durations) -> nc.Tensor:
     return nc.repeat_rows(phone_feats, durations)
 
 
-def decode_frames(frame_feats: nc.Tensor, model: DecoderModel, offsets=None) -> nc.Tensor:
+def decode_frames(frame_feats: nc.Tensor, model: DecoderModel, offsets) -> nc.Tensor:
     """Frame-level fused features (T, phone_dim + prosody_dim) to (T, C);
     ``offsets`` marks where each utterance of packed frame rows starts."""
     cfg = model.config

@@ -7,8 +7,8 @@ stack: global context plus local filtering at desk scale.
 
 Every function takes a packed batch: the frames of several utterances
 stacked row-wise, with ``offsets`` marking where each utterance starts
-(see `ibvq.numcore`); one utterance is the batch of one and needs no
-offsets. Utterances in a batch never see each other's frames.
+(see `ibvq.numcore`); one utterance of n frames is the batch ``[0, n]``.
+Utterances in a batch never see each other's frames.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ class EncoderModel:
         self.store = nc.ParamStore(p)
 
 
-def extract_frame_features(x, model: EncoderModel, offsets=None) -> nc.Tensor:
-    """Map (T, C) packed feature rows to (T, D) frame-level acoustic features.
+def extract_frame_features(x, model: EncoderModel, offsets) -> nc.Tensor:
+    """Map (T, C) feature rows of utterances packed at ``offsets`` to (T, D)
+    frame-level acoustic features.
 
     Sinusoidal positional encoding of each frame's position within its
     utterance is added to the input before the blocks, so frame order
@@ -104,7 +105,7 @@ def pool_hierarchy(frames: nc.Tensor, align: AlignmentHierarchy) -> nc.Tensor:
     return nc.segment_mean(frames, align.word_edges)
 
 
-def encode(x, align: AlignmentHierarchy, model: EncoderModel, offsets=None) -> nc.Tensor:
+def encode(x, align: AlignmentHierarchy, model: EncoderModel, offsets) -> nc.Tensor:
     """Word-level acoustic features (W, D) of the utterances packed in ``x``,
     whose frame rows start at ``offsets``, over their stacked alignment."""
     return pool_hierarchy(extract_frame_features(x, model, offsets), align)

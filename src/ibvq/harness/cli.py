@@ -41,7 +41,7 @@ from ibvq.harness.training import (
     train_autoencoder,
 )
 from ibvq.mi import MineConfig
-from ibvq.predictor import predict_codes
+from ibvq.predictor import pack_sentences, predict_codes
 from ibvq.numcore.checkpoint import write_atomic
 from ibvq.quantizer import CapacityConfig, capacity
 from ibvq.synthdata import (
@@ -217,7 +217,8 @@ def cmd_predict(args) -> int:
     train_idx, _ = split_corpus(corpus)
     codes = corpus_codes(corpus, models, train_idx)
     predictor = fit_predictor(corpus, models, train_idx, codes, args.predictor_steps, args.seed)
-    predicted = predict_codes(words, predictor)
+    ids, offsets = pack_sentences([words])
+    predicted = predict_codes(ids, predictor, offsets)
     _save_rows(args.out, predicted, "%d")
     print(f"predicted codes for {len(words)} words -> {args.out}")
     return 0

@@ -3,9 +3,10 @@
 The estimator trains a small statistics network to maximize the
 Donsker-Varadhan lower bound I >= E_joint[T] - ln E_marginal[exp T], with
 the standard exponential-moving-average correction for the biased gradient
-of the log-partition term. Discrete codes enter the network through learned
-embeddings so it sees a metric space rather than raw integers; the G
-embeddings of a code tuple come from one gather.
+of the log-partition term. The codes are tuples of G non-negative integers;
+they enter the network through learned embeddings so it sees a metric space
+rather than raw integers, and the G embeddings of a code tuple come from one
+gather.
 
 The network's first layer is factorized over its two inputs, x @ w1x +
 emb(z) @ w1z + b1, so an x row paired with several code tuples is projected
@@ -112,13 +113,9 @@ class MineModel:
     def __init__(self, x_dim: int, z_dim: int, n_symbols: int, cfg: MineConfig):
         cfg.validate()
         self.cfg = cfg
-        self.discrete = n_symbols > 0
         rng = np.random.default_rng(cfg.seed)
-        z_repr = cfg.code_embed_dim * z_dim if self.discrete else z_dim
-        p = {}
-        if self.discrete:
-            p["embed"] = 0.1 * rng.standard_normal((n_symbols * z_dim, cfg.code_embed_dim))
-        w1 = nc.glorot_uniform(rng, x_dim + z_repr, cfg.hidden)
+        p = {"embed": 0.1 * rng.standard_normal((n_symbols * z_dim, cfg.code_embed_dim))}
+        w1 = nc.glorot_uniform(rng, x_dim + cfg.code_embed_dim * z_dim, cfg.hidden)
         p["w1x"], p["w1z"] = w1[:x_dim], w1[x_dim:]
         p["b1"] = np.zeros((1, cfg.hidden))
         p["w2"] = nc.glorot_uniform(rng, cfg.hidden, 1)
@@ -144,10 +141,7 @@ class MineModel:
     def _head(self, x_proj: nc.Tensor, z: np.ndarray) -> nc.Tensor:
         """T from the projected x rows (first-layer bias included) and one
         code tuple per row."""
-        if self.discrete:
-            z_repr = nc.gather_rows(self.store["embed"], z + self.n_symbols * np.arange(self.z_dim))
-        else:
-            z_repr = nc.constant(z)
+        z_repr = nc.gather_rows(self.store["embed"], z + self.n_symbols * np.arange(self.z_dim))
         h = nc.add(x_proj, nc.affine(z_repr, self.store["w1z"]))
         return nc.affine(nc.relu(h), self.store["w2"], self.store["b2"])
 
@@ -157,23 +151,24 @@ def _prepare_inputs(xs, zs) -> tuple[np.ndarray, np.ndarray, int]:
     if xs.ndim == 1:
         xs = xs.reshape(-1, 1)
     zs = np.asarray(zs)
-    if np.issubdtype(zs.dtype, np.integer):
-        if zs.ndim == 1:
-            zs = zs.reshape(-1, 1)
-        n_symbols = int(zs.max()) + 1
-        zs = zs.astype(np.int64)
-    else:
-        n_symbols = 0
-        zs = np.asarray(zs, dtype=np.float64)
-        if zs.ndim == 1:
-            zs = zs.reshape(-1, 1)
-    if xs.shape[0] != zs.shape[0]:
-        raise ShapeError(f"sample counts differ: {xs.shape[0]} vs {zs.shape[0]}")
-    return xs, zs, n_symbols
+    if zs.ndim == 1:
+        zs = zs.reshape(-1, 1)
+    n = xs.shape[0]
+    if n != zs.shape[0]:
+        raise ShapeError(f"sample counts differ: {n} vs {zs.shape[0]}")
+    if n < 100:
+        raise ValidationError(f"mine_estimate needs >= 100 samples, got {n}")
+    if not np.issubdtype(zs.dtype, np.integer):
+        raise ValidationError(f"codes must be integers, got dtype {zs.dtype}")
+    if zs.min() < 0:
+        raise ValidationError(f"codes must be >= 0, got {int(zs.min())}")
+    return xs, zs.astype(np.int64), int(zs.max()) + 1
 
 
 def mine_estimate(xs, zs, cfg: MineConfig | None = None) -> float:
-    """Train the statistics network and return the smoothed final bound.
+    """Train the statistics network on the rows of ``xs`` paired with the
+    code tuples ``zs`` (non-negative integers, one row of G per sample) and
+    return the smoothed final bound.
 
     Requires at least 100 samples (the estimator is unreliable below). The
     returned value is clamped below at 0 for reporting, since mutual
@@ -183,8 +178,6 @@ def mine_estimate(xs, zs, cfg: MineConfig | None = None) -> float:
     cfg.validate()
     xs, zs, n_symbols = _prepare_inputs(xs, zs)
     n = xs.shape[0]
-    if n < 100:
-        raise ValidationError(f"mine_estimate needs >= 100 samples, got {n}")
     model = MineModel(xs.shape[1], zs.shape[1], n_symbols, cfg)
     rng = np.random.default_rng(cfg.seed)
     # several independent derangements keep the Monte-Carlo noise of the

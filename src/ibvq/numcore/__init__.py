@@ -21,9 +21,10 @@ node's saved arrays as soon as the node's backward has run. A graph is
 therefore back-propagated once; see `ibvq.numcore.tensor`.
 
 The sequence layers (`attention`, `conv1d`, `mse`, `cross_entropy`,
-`positional`) take optional ``offsets`` marking where each sequence of a
-packed batch starts, so one graph over stacked sequences computes what a
-graph per sequence would; see `ibvq.numcore.tensor`.
+`positional`) take ``offsets`` marking where each sequence of a packed
+batch starts, so one graph over stacked sequences computes what a graph per
+sequence would; a single sequence of n rows is the batch ``[0, n]``. See
+`ibvq.numcore.tensor`.
 
 On glibc, importing this package tells the allocator to keep freed heap
 memory in the process (`_keep_freed_heap`), so that each training step

@@ -38,8 +38,8 @@ sequence's entries and then the sequences, and `positional` numbers rows
 from 0 in every sequence, so a packed batch computes what its sequences
 compute one at a time, to rounding: the BLAS result for a row of a matrix
 product can depend on the product's row count, so the two can differ in
-the last bit.
-Without offsets the whole matrix is one sequence.
+the last bit. Offsets are required: a single sequence of n rows is the
+batch ``[0, n]``.
 """
 
 from __future__ import annotations
@@ -515,25 +515,14 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _child(out_data, nodes, backward)
 
 
-def _check_edges(edges: Array, total_rows: int) -> None:
-    if edges.ndim != 1 or edges.size < 2:
-        raise AlignmentError("edges must be a 1-D array with at least two entries")
-    if edges[0] != 0 or edges[-1] != total_rows:
-        raise AlignmentError(
-            f"edges must span [0, {total_rows}], got [{edges[0]}, {edges[-1]}]"
-        )
-    if np.any(np.diff(edges) <= 0):
-        raise AlignmentError("edges must be strictly increasing")
-
-
 def segment_mean(x: Tensor, edges) -> Tensor:
     """Mean of row segments (average pooling).
 
     ``edges`` has S+1 entries delimiting S half-open segments over the rows
-    of ``x``; segment s is the mean of its member rows.
+    of ``x``, checked as `check_offsets` checks offsets; segment s is the
+    mean of its member rows.
     """
-    edges = np.asarray(edges, dtype=np.int64)
-    _check_edges(edges, x.rows)
+    edges = check_offsets(edges, x.rows)
     lengths = np.diff(edges)
     out_data = np.add.reduceat(x.data, edges[:-1], axis=0) / lengths[:, None]
     xn = x._node
@@ -603,12 +592,13 @@ def straight_through(x: Tensor, values: Array) -> Tensor:
     return _child(values.copy(), (xn,), backward)
 
 
-def cross_entropy(logits: Tensor, targets, offsets=None) -> Tensor:
+def cross_entropy(logits: Tensor, targets, offsets) -> Tensor:
     """Mean negative log-likelihood of integer targets under row softmax.
 
-    With ``offsets`` each sequence's NLL is the mean over its own rows, and
-    the result is the mean of those over the sequences, so each sequence
-    weighs the same whatever its length (as in `mse`).
+    Each sequence's NLL, over the rows from one of ``offsets`` to the next,
+    is the mean over its own rows, and the result is the mean of those over
+    the sequences, so each sequence weighs the same whatever its length (as
+    in `mse`).
     """
     idx = np.asarray(targets, dtype=np.int64).reshape(-1)
     n, k = logits.shape
@@ -646,11 +636,21 @@ def cross_entropy(logits: Tensor, targets, offsets=None) -> Tensor:
 
 
 def check_offsets(offsets, rows: int) -> Array:
-    """Validated sequence offsets over ``rows`` rows; None is one sequence."""
-    if offsets is None:
-        return np.array([0, rows], dtype=np.int64)
-    off = np.asarray(offsets, dtype=np.int64)
-    _check_edges(off, rows)
+    """``offsets`` as an int64 array, validated: S+1 >= 2 strictly increasing
+    integers from 0 to ``rows``. Values that are not integers are refused,
+    not truncated."""
+    raw = np.asarray(offsets)
+    if raw.ndim != 1 or raw.size < 2:
+        raise AlignmentError("offsets must be a 1-D array with at least two entries")
+    if raw.dtype.kind not in "iu":
+        bad = ~np.isfinite(raw) | (raw != np.trunc(raw))
+        if bad.any():
+            raise AlignmentError(f"offsets must be integers, got {raw[bad].tolist()}")
+    off = raw.astype(np.int64, copy=False)
+    if off[0] != 0 or off[-1] != rows:
+        raise AlignmentError(f"offsets must span [0, {rows}], got [{off[0]}, {off[-1]}]")
+    if np.any(np.diff(off) <= 0):
+        raise AlignmentError("offsets must be strictly increasing")
     return off
 
 
@@ -673,32 +673,30 @@ def _shared_sinusoid_table(length: int, dim: int) -> Array:
     return table
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, offsets=None) -> Tensor:
-    """Scaled dot-product attention softmax(q kT / sqrt(d)) v as one node.
+def attention(q: Tensor, k: Tensor, v: Tensor, offsets) -> Tensor:
+    """Scaled dot-product self-attention softmax(q kT / sqrt(d)) v as one node.
 
-    With ``offsets`` the rows of q, k and v are packed sequences and each
-    query attends only to the keys of its own sequence: the score matrix is
-    block diagonal and is computed block by block. Without, every query
-    attends to every key, and q may have another row count than k and v.
+    The rows of q, k and v are the positions of packed sequences, starting
+    at ``offsets``, and each query attends only to the keys of its own
+    sequence: the score matrix is block diagonal and is computed block by
+    block.
 
     Each block keeps its unnormalised exponentials e = exp(s - rowmax(s))
     and the output is (e v) / rowsum(e), so no L x L pass normalises. The
     backward keeps the scaled queries, the keys and values, every block's e,
     the row reciprocals and the output; it needs no probabilities, because
-    rowsum(dP * P) equals rowsum(g * out) (Dao et al. 2022). No block's e is
-    kept when no input needs a gradient.
+    rowsum(dP * P) equals rowsum(g * out) (Dao et al. 2022). It computes dq,
+    dk and dv together and adds each to its input if that input needs a
+    gradient. No block's e is kept when no input needs a gradient.
     """
     if q.cols != k.cols:
         raise ShapeError(f"query/key widths differ: {q.shape} vs {k.shape}")
-    if k.rows != v.rows:
-        raise ShapeError(f"key/value row counts differ: {k.shape} vs {v.shape}")
-    if offsets is None:
-        q_off, k_off = check_offsets(None, q.rows), check_offsets(None, k.rows)
-    else:
-        if q.rows != k.rows:
-            raise ShapeError(f"packed attention needs one key per query: {q.shape} vs {k.shape}")
-        q_off = k_off = check_offsets(offsets, q.rows)
-    blocks = list(zip(q_off[:-1], q_off[1:], k_off[:-1], k_off[1:]))
+    if not q.rows == k.rows == v.rows:
+        raise ShapeError(
+            f"attention needs one key and value per query: {q.shape}, {k.shape}, {v.shape}"
+        )
+    off = check_offsets(offsets, q.rows)
+    spans = list(zip(off[:-1], off[1:]))
     qn, kn, vn = q._node, k._node, v._node
     k_data, v_data = k.data, v.data
     scale = 1.0 / math.sqrt(q.cols)
@@ -707,51 +705,42 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets=None) -> Tensor:
     inv = np.empty((q.rows, 1))
     keep = qn.requires_grad or kn.requires_grad or vn.requires_grad
     exps = []
-    for qa, qb, ka, kb in blocks:
-        e = qs[qa:qb] @ k_data[ka:kb].T
+    for a, b in spans:
+        e = qs[a:b] @ k_data[a:b].T
         e -= e.max(axis=1, keepdims=True)
         np.exp(e, out=e)
-        np.divide(1.0, e.sum(axis=1, keepdims=True), out=inv[qa:qb])
-        np.multiply(e @ v_data[ka:kb], inv[qa:qb], out=out_data[qa:qb])
+        np.divide(1.0, e.sum(axis=1, keepdims=True), out=inv[a:b])
+        np.multiply(e @ v_data[a:b], inv[a:b], out=out_data[a:b])
         if keep:
             exps.append(e)
 
     def backward(g):
-        dq = np.empty_like(qs) if qn.requires_grad else None
-        dk = np.empty_like(k_data) if kn.requires_grad else None
-        dv = np.empty_like(v_data) if vn.requires_grad else None
+        dq, dk, dv = np.empty_like(qs), np.empty_like(k_data), np.empty_like(v_data)
         gl = g * inv
         delta = (g * out_data).sum(axis=1, keepdims=True) * inv
-        for (qa, qb, ka, kb), e in zip(blocks, exps):
-            if dv is not None:
-                dv[ka:kb] = e.T @ gl[qa:qb]
-            if dq is None and dk is None:
-                continue
-            ds = gl[qa:qb] @ v_data[ka:kb].T
-            ds -= delta[qa:qb]
+        for (a, b), e in zip(spans, exps):
+            dv[a:b] = e.T @ gl[a:b]
+            ds = gl[a:b] @ v_data[a:b].T
+            ds -= delta[a:b]
             ds *= e
-            if dq is not None:
-                dq[qa:qb] = ds @ k_data[ka:kb]
-            if dk is not None:
-                dk[ka:kb] = ds.T @ qs[qa:qb]
-        if dq is not None:
-            dq *= scale
+            dq[a:b] = ds @ k_data[a:b]
+            dk[a:b] = ds.T @ qs[a:b]
+        dq *= scale
         for node, d in ((qn, dq), (kn, dk), (vn, dv)):
-            if d is not None:
+            if node.requires_grad:
                 node._accumulate(d)
 
     return _child(out_data, (qn, kn, vn), backward)
 
 
-def conv1d(
-    x: Tensor, kernel: Tensor, bias: Tensor | None = None, *, width: int, offsets=None
-) -> Tensor:
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, *, width: int, offsets) -> Tensor:
     """Same-padded 1-D convolution over the row sequence of ``x`` as one node.
 
     The kernel is a (width * C_in, C_out) matrix whose k-th row block applies
     to the neighbor at offset k - width//2. Every sequence of a packed ``x``
     is zero padded at both ends, so no output row reads another sequence's
-    rows, and the output keeps the input's row count.
+    rows, and the output keeps the input's row count. ``bias`` is a
+    1 x C_out row added to every output row.
 
     The output is a sum over taps of one product each, between a shifted
     contiguous slice of the padded input and the tap's kernel block; no
@@ -763,14 +752,13 @@ def conv1d(
         raise ShapeError(
             f"kernel rows {kernel.rows} != width*channels {width * x.cols}"
         )
-    if bias is not None and bias.shape != (1, kernel.cols):
+    if bias.shape != (1, kernel.cols):
         raise ShapeError(f"bias must be 1x{kernel.cols}, got {bias.shape}")
     off = check_offsets(offsets, x.rows)
     h = width // 2
     t, c = x.shape
     n_seq = off.size - 1
-    xn, kn = x._node, kernel._node
-    bn = None if bias is None else bias._node
+    xn, kn, bn = x._node, kernel._node, bias._node
     # h zero rows precede every sequence and follow the last one; row r of x
     # sits at padded row pos[r]
     pos = np.arange(t) + h * (1 + np.repeat(np.arange(n_seq), np.diff(off)))
@@ -786,15 +774,14 @@ def conv1d(
     for j in range(1, width):
         full += padded[j : j + m] @ taps[j]
     out_data = full[pos - h]
-    if bias is not None:
-        out_data += bias.data
+    out_data += bias.data
 
     def backward(g):
         g_pad = np.zeros((m, out_cols))
         g_pad[pos - h] = g
         if kn.requires_grad:
             kn._accumulate(np.vstack([padded[j : j + m].T @ g_pad for j in range(width)]))
-        if bn is not None and bn.requires_grad:
+        if bn.requires_grad:
             bn._accumulate(g.sum(axis=0, keepdims=True))
         if xn.requires_grad:
             acc = np.zeros((padded_rows, c))
@@ -802,16 +789,15 @@ def conv1d(
                 acc[j : j + m] += g_pad @ taps[j].T
             xn._accumulate(acc[pos])
 
-    parents = (xn, kn) if bn is None else (xn, kn, bn)
-    return _child(out_data, parents, backward)
+    return _child(out_data, (xn, kn, bn), backward)
 
 
-def mse(pred: Tensor, target, offsets=None) -> Tensor:
+def mse(pred: Tensor, target, offsets) -> Tensor:
     """Mean squared error as one node; the target carries no gradient.
 
-    With ``offsets`` each sequence's error is the mean over its own entries,
-    and the result is the mean of those over the sequences, so each sequence
-    weighs the same whatever its length.
+    Each sequence's error, the rows from one of ``offsets`` to the next, is
+    the mean over its own entries, and the result is the mean of those over
+    the sequences, so each sequence weighs the same whatever its length.
     """
     tgt = target.data if isinstance(target, Tensor) else _as_matrix(target)
     if tgt.shape != pred.shape:

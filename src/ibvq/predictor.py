@@ -80,9 +80,9 @@ def pack_sentences(texts) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ids), offsets
 
 
-def head_logits(word_ids, model: PredictorModel, offsets=None) -> list[nc.Tensor]:
-    """Per-group (W, K) logits of the words of one sentence, or of packed
-    sentences whose words start at ``offsets``."""
+def head_logits(word_ids, model: PredictorModel, offsets) -> list[nc.Tensor]:
+    """Per-group (W, K) logits of the words of packed sentences whose words
+    start at ``offsets`` (`pack_sentences`)."""
     ids = _check_words(word_ids, model.config.word_vocab)
     offsets = nc.check_offsets(offsets, ids.size)
     p = model.store
@@ -100,9 +100,9 @@ def head_logits(word_ids, model: PredictorModel, offsets=None) -> list[nc.Tensor
     ]
 
 
-def predict_codes(word_ids, model: PredictorModel, offsets=None) -> np.ndarray:
-    """(W, G) argmax codes of the words of one sentence, or of packed
-    sentences whose words start at ``offsets``; deterministic, ties to the
+def predict_codes(word_ids, model: PredictorModel, offsets) -> np.ndarray:
+    """(W, G) argmax codes of the words of packed sentences whose words
+    start at ``offsets`` (`pack_sentences`); deterministic, ties to the
     lowest index."""
     with model.store.frozen():
         logits = head_logits(word_ids, model, offsets)

@@ -18,8 +18,6 @@ import numpy as np
 import ibvq.numcore as nc
 from ibvq.errors import CodeRangeError, ConfigError, ShapeError, ValidationError
 
-DEFAULT_COMMITMENT_COST = 0.25
-
 
 @dataclass(frozen=True)
 class CapacityConfig:
@@ -102,17 +100,17 @@ def apply_bottleneck(
     x: nc.Tensor,
     codebook_param: nc.Tensor,
     cfg: CapacityConfig,
-    commitment_cost: float = DEFAULT_COMMITMENT_COST,
-    offsets=None,
+    commitment_cost: float,
+    offsets,
 ) -> BottleneckOutput:
     """Differentiable bottleneck application for training graphs.
 
     Forward values are the quantized vectors; gradients reach the input via
     the straight-through estimator and reach the codebook via the codebook
-    loss only. Each loss is a mean over an utterance's n x D entries, so it
-    sits on the same scale as a mean-squared reconstruction loss; for rows
-    packed from several utterances (``offsets`` marks where each starts) the
-    per-utterance means are averaged.
+    loss only. The rows are the words of packed utterances, and ``offsets``
+    marks where each utterance's words start. Each loss is the mean over the
+    utterances of the mean over an utterance's n x D entries, so it sits on
+    the same scale as the mean-squared reconstruction loss.
     """
     codes, q_values, _ = quantize_batch(x.data, codebook_param.data, cfg.G)
     # codebook pulls toward frozen encoder outputs

@@ -53,19 +53,19 @@ def make_models(corpus, k, seed=0):
 
 
 def test_encode_text_shape(dec):
-    assert encode_text([3], dec).shape == (1, dec.config.phone_dim)
-    assert encode_text([0, 1, 2, 3], dec).shape == (4, dec.config.phone_dim)
+    assert encode_text([3], dec, [0, 1]).shape == (1, dec.config.phone_dim)
+    assert encode_text([0, 1, 2, 3], dec, [0, 4]).shape == (4, dec.config.phone_dim)
 
 
 def test_encode_text_deterministic(dec):
-    a = encode_text([0, 2, 5, 2], dec).data
-    b = encode_text([0, 2, 5, 2], dec).data
+    a = encode_text([0, 2, 5, 2], dec, [0, 4]).data
+    b = encode_text([0, 2, 5, 2], dec, [0, 4]).data
     npt.assert_array_equal(a, b)
 
 
 def test_encode_text_unknown_phone(dec):
     with pytest.raises(VocabularyError):
-        encode_text([0, dec.config.n_phones], dec)
+        encode_text([0, dec.config.n_phones], dec, [0, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +138,14 @@ def test_length_regulate_total_frames():
 def test_decode_frames_shape_and_determinism(dec):
     rng = np.random.default_rng(6)
     ff = nc.constant(rng.normal(size=(9, dec.config.phone_dim + dec.config.prosody_dim)))
-    a = decode_frames(ff, dec)
+    a = decode_frames(ff, dec, [0, 9])
     assert a.shape == (9, dec.config.channels)
-    npt.assert_array_equal(a.data, decode_frames(ff, dec).data)
+    npt.assert_array_equal(a.data, decode_frames(ff, dec, [0, 9]).data)
 
 
 def test_decode_frames_wrong_width(dec):
     with pytest.raises(ShapeError):
-        decode_frames(nc.constant(np.zeros((4, 3))), dec)
+        decode_frames(nc.constant(np.zeros((4, 3))), dec, [0, 4])
 
 
 # ---------------------------------------------------------------------------

@@ -26,20 +26,20 @@ def test_config_requires_divisible_dim():
 
 
 def test_single_frame_output_shape(model):
-    out = extract_frame_features(np.zeros((1, 16)), model)
+    out = extract_frame_features(np.zeros((1, 16)), model, [0, 1])
     assert out.shape == (1, 8)
 
 
 def test_channel_mismatch(model):
     with pytest.raises(ShapeError):
-        extract_frame_features(np.zeros((4, 12)), model)
+        extract_frame_features(np.zeros((4, 12)), model, [0, 4])
 
 
 def test_frame_permutation_changes_outputs(model):
     rng = np.random.default_rng(0)
     x = rng.normal(size=(6, 16))
-    base = extract_frame_features(x, model).data
-    permuted = extract_frame_features(x[::-1].copy(), model).data
+    base = extract_frame_features(x, model, [0, 6]).data
+    permuted = extract_frame_features(x[::-1].copy(), model, [0, 6]).data
     assert not np.allclose(base, permuted[::-1])  # positional encoding breaks symmetry
 
 
@@ -84,7 +84,7 @@ def test_pool_boundary_beyond_frames(model):
 def test_encode_shapes_and_order(model):
     corpus = build_corpus(CorpusConfig(n_utterances=4, seed=3))
     for utt in corpus.utterances:
-        out = encode(utt.features, utt.alignment, model)
+        out = encode(utt.features, utt.alignment, model, [0, utt.alignment.total_frames])
         assert out.shape == (utt.alignment.n_words, 8)
         assert out.cols % model.config.groups == 0
 
@@ -92,8 +92,9 @@ def test_encode_shapes_and_order(model):
 def test_encode_deterministic(model):
     corpus = build_corpus(CorpusConfig(n_utterances=1, seed=5))
     utt = corpus.utterances[0]
-    a = encode(utt.features, utt.alignment, model).data
-    b = encode(utt.features, utt.alignment, model).data
+    one = [0, utt.alignment.total_frames]
+    a = encode(utt.features, utt.alignment, model, one).data
+    b = encode(utt.features, utt.alignment, model, one).data
     npt.assert_array_equal(a, b)
 
 
@@ -110,7 +111,7 @@ def test_encode_gradients():
     def loss(p):
         for name in param_names:
             model.store.params[name] = p[name]
-        return nc.sqnorm(encode(x, align, model))
+        return nc.sqnorm(encode(x, align, model, [0, 5]))
 
     try:
         err = nc.grad_check(loss, point, eps=1e-5)

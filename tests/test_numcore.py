@@ -98,36 +98,42 @@ def test_affine_bias_shape_mismatch():
 
 
 def test_attention_single_key_returns_value():
+    # five one-row sequences: each query's only key is its own
     rng = np.random.default_rng(0)
-    q = nc.tensor(rand(rng, 5, 3))
-    k = nc.tensor([[0.3, -0.2, 1.0]])
-    v = nc.tensor([[2.0, -1.0, 0.5]])
-    out = nc.attention(q, k, v)
-    npt.assert_allclose(out.data, np.tile(v.data, (5, 1)), atol=1e-15)
+    q, k, v = (nc.tensor(rand(rng, 5, 3)) for _ in range(3))
+    out = nc.attention(q, k, v, offsets=[0, 1, 2, 3, 4, 5])
+    npt.assert_allclose(out.data, v.data, atol=1e-15)
 
 
 def test_attention_equal_scores_average_values():
-    q = nc.tensor([[1.0, 1.0]])
+    q = nc.tensor([[1.0, 1.0], [1.0, 1.0]])
     k = nc.tensor([[1.0, 0.0], [0.0, 1.0]])  # both score q.k = 1
     v = nc.tensor([[2.0, 0.0], [0.0, 4.0]])
-    npt.assert_allclose(nc.attention(q, k, v).data, [[1.0, 2.0]], atol=1e-15)
+    npt.assert_allclose(nc.attention(q, k, v, offsets=[0, 2]).data, [[1.0, 2.0]] * 2,
+                        atol=1e-15)
 
 
 def test_attention_hand_softmax():
-    q = nc.tensor([[1.0, 0.0]])
+    q = nc.tensor([[1.0, 0.0], [1.0, 0.0]])
     k = nc.tensor([[1.0, 0.0], [0.0, 1.0]])
     v = nc.tensor([[1.0, 0.0], [0.0, 1.0]])
     # logits are [1/sqrt(2), 0]; weights computed by hand from the softmax
     w1 = math.exp(1.0 / math.sqrt(2.0))
-    expect = np.array([[w1, 1.0]]) / (w1 + 1.0)
-    npt.assert_allclose(nc.attention(q, k, v).data, expect, atol=1e-15)
+    expect = np.array([[w1, 1.0]] * 2) / (w1 + 1.0)
+    npt.assert_allclose(nc.attention(q, k, v, offsets=[0, 2]).data, expect, atol=1e-15)
 
 
 def test_attention_shape_errors():
     with pytest.raises(ShapeError):
-        nc.attention(nc.tensor(np.zeros((1, 2))), nc.tensor(np.zeros((3, 4))), nc.tensor(np.zeros((3, 4))))
+        nc.attention(nc.tensor(np.zeros((3, 2))), nc.tensor(np.zeros((3, 4))),
+                     nc.tensor(np.zeros((3, 4))), offsets=[0, 3])
+    # one key and one value per query
     with pytest.raises(ShapeError):
-        nc.attention(nc.tensor(np.zeros((1, 2))), nc.tensor(np.zeros((3, 2))), nc.tensor(np.zeros((4, 2))))
+        nc.attention(nc.tensor(np.zeros((1, 2))), nc.tensor(np.zeros((3, 2))),
+                     nc.tensor(np.zeros((3, 2))), offsets=[0, 1])
+    with pytest.raises(ShapeError):
+        nc.attention(nc.tensor(np.zeros((3, 2))), nc.tensor(np.zeros((3, 2))),
+                     nc.tensor(np.zeros((4, 2))), offsets=[0, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -143,25 +149,29 @@ def identity_kernel(width, channels):
     return k
 
 
+def zero_bias(cols):
+    return nc.tensor(np.zeros((1, cols)))
+
+
 def test_conv1d_identity_kernel():
     rng = np.random.default_rng(1)
     x = nc.tensor(rand(rng, 7, 3))
     k = nc.tensor(identity_kernel(3, 3))
-    npt.assert_array_equal(nc.conv1d(x, k, width=3).data, x.data)
+    npt.assert_array_equal(nc.conv1d(x, k, zero_bias(3), width=3, offsets=[0, 7]).data, x.data)
 
 
 def test_conv1d_averaging_kernel():
     x = nc.tensor(np.array([[0.0], [3.0], [0.0], [0.0], [0.0]]))
     k = nc.tensor(np.full((3, 1), 1.0 / 3.0))
-    out = nc.conv1d(x, k, width=3)
-    npt.assert_allclose(out.data[:, 0], [1.0, 1.0, 1.0, 0.0, 0.0], atol=1e-15)
+    out = nc.conv1d(x, k, nc.tensor([[0.5]]), width=3, offsets=[0, 5])
+    npt.assert_allclose(out.data[:, 0], [1.5, 1.5, 1.5, 0.5, 0.5], atol=1e-15)
 
 
 def test_conv1d_even_width_rejected():
     x = nc.tensor(np.zeros((4, 2)))
     k = nc.tensor(np.zeros((4, 2)))
     with pytest.raises(ConfigError):
-        nc.conv1d(x, k, width=2)
+        nc.conv1d(x, k, zero_bias(2), width=2, offsets=[0, 4])
 
 
 def test_conv1d_preserves_length():
@@ -169,7 +179,7 @@ def test_conv1d_preserves_length():
     for t in (1, 2, 9):
         x = nc.tensor(rand(rng, t, 4))
         k = nc.tensor(rand(rng, 5 * 4, 6))
-        assert nc.conv1d(x, k, width=5).shape == (t, 6)
+        assert nc.conv1d(x, k, zero_bias(6), width=5, offsets=[0, t]).shape == (t, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +699,7 @@ def test_grad_repeat_rows():
 
 def test_grad_unfold_conv():
     check(
-        lambda p: nc.sqnorm(nc.conv1d(p["x"], p["k"], p["b"], width=3)),
+        lambda p: nc.sqnorm(nc.conv1d(p["x"], p["k"], p["b"], width=3, offsets=[0, 6])),
         {"x": rand(RNG, 6, 2), "k": rand(RNG, 6, 3), "b": rand(RNG, 1, 3)},
     )
 
@@ -697,15 +707,15 @@ def test_grad_unfold_conv():
 def test_grad_cross_entropy():
     targets = np.array([1, 0, 2])
     check(
-        lambda p: nc.cross_entropy(p["l"], targets),
+        lambda p: nc.cross_entropy(p["l"], targets, offsets=[0, 3]),
         {"l": rand(RNG, 3, 4, lo=-2.0, hi=2.0)},
     )
 
 
 def test_grad_attention():
     check(
-        lambda p: nc.sqnorm(nc.attention(p["q"], p["k"], p["v"])),
-        {"q": rand(RNG, 3, 4), "k": rand(RNG, 5, 4), "v": rand(RNG, 5, 2)},
+        lambda p: nc.sqnorm(nc.attention(p["q"], p["k"], p["v"], offsets=[0, 5])),
+        {"q": rand(RNG, 5, 4), "k": rand(RNG, 5, 4), "v": rand(RNG, 5, 2)},
     )
 
 
@@ -748,23 +758,25 @@ def test_cross_entropy_packed_weights_every_sequence_equally():
     logits[0, 2] = 50.0
     targets = [2, 0, 1, 3]
     packed = nc.cross_entropy(nc.tensor(logits), targets, offsets=[0, 1, 4]).item()
-    flat = nc.cross_entropy(nc.tensor(logits), targets).item()
+    flat = nc.cross_entropy(nc.tensor(logits), targets, offsets=[0, 4]).item()
     npt.assert_allclose(packed, math.log(4) / 2, rtol=1e-12)
     npt.assert_allclose(flat, 3 * math.log(4) / 4, rtol=1e-12)
 
 
 def test_packed_ops_equal_each_sequence_alone():
     rng = np.random.default_rng(8)
-    x, w = rand(rng, 8, 2), rand(rng, 10, 3)
+    x, w, bias = rand(rng, 8, 2), nc.tensor(rand(rng, 10, 3)), nc.tensor(rand(rng, 1, 3))
     q, k, v = rand(rng, 8, 3), rand(rng, 8, 3), rand(rng, 8, 2)
-    conv = nc.conv1d(nc.tensor(x), nc.tensor(w), width=5, offsets=PACKED).data
+    conv = nc.conv1d(nc.tensor(x), w, bias, width=5, offsets=PACKED).data
     attn = nc.attention(nc.tensor(q), nc.tensor(k), nc.tensor(v), offsets=PACKED).data
     pe = nc.positional(PACKED, 6)
     for a, b in zip(PACKED[:-1], PACKED[1:]):
-        rows = slice(a, b)
-        one = nc.conv1d(nc.tensor(x[rows]), nc.tensor(w), width=5).data
+        # each sequence alone is a batch of one
+        rows, alone = slice(a, b), [0, b - a]
+        one = nc.conv1d(nc.tensor(x[rows]), w, bias, width=5, offsets=alone).data
         npt.assert_allclose(conv[rows], one, rtol=1e-14, atol=1e-15)
-        one = nc.attention(nc.tensor(q[rows]), nc.tensor(k[rows]), nc.tensor(v[rows])).data
+        one = nc.attention(nc.tensor(q[rows]), nc.tensor(k[rows]), nc.tensor(v[rows]),
+                           offsets=alone).data
         npt.assert_allclose(attn[rows], one, rtol=1e-14, atol=1e-15)
         npt.assert_array_equal(pe[rows], nc.sinusoid_table(b - a, 6))
 
@@ -774,15 +786,29 @@ def test_mse_packed_weights_every_sequence_equally():
     target = np.array([[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [2.0, 2.0]])
     # per-sequence means 1 and 4, averaged; a flat mean would give 3.25
     assert nc.mse(nc.tensor(pred), target, offsets=[0, 1, 4]).item() == 2.5
-    assert nc.mse(nc.tensor(pred), target).item() == 3.25
+    assert nc.mse(nc.tensor(pred), target, offsets=[0, 4]).item() == 3.25
 
 
 def test_packed_offsets_must_cover_rows():
     x = nc.tensor(np.zeros((4, 2)))
     with pytest.raises(AlignmentError):
-        nc.conv1d(x, nc.tensor(np.zeros((6, 2))), width=3, offsets=[0, 2, 3])
+        nc.conv1d(x, nc.tensor(np.zeros((6, 2))), zero_bias(2), width=3, offsets=[0, 2, 3])
     with pytest.raises(AlignmentError):
         nc.attention(x, x, x, offsets=[0, 2, 2, 4])
+
+
+def test_offsets_and_edges_that_are_not_integers_are_refused():
+    """A cast to int would truncate them: [0, 2.7, 5] would pool rows 0-1 as
+    its first segment. They are refused, naming the values."""
+    with pytest.raises(AlignmentError, match="2.7"):
+        nc.check_offsets([0, 2.7, 5], 5)
+    with pytest.raises(AlignmentError, match="2.9"):
+        nc.segment_mean(nc.tensor(np.zeros((5, 2))), [0, 2.9, 5])
+    with pytest.raises(AlignmentError, match="nan"):
+        nc.check_offsets([0, math.nan, 5], 5)
+    # integers stored as floats are offsets
+    off = nc.check_offsets(np.array([0.0, 2.0, 5.0]), 5)
+    assert off.dtype == np.int64 and off.tolist() == [0, 2, 5]
 
 
 def test_grad_affine():
@@ -798,7 +824,7 @@ def test_grad_affine():
 
 def test_grad_affine_chain():
     check(
-        lambda p: nc.mse(nc.relu(nc.affine(p["x"], p["w"], p["b"])), np.ones((4, 3))),
+        lambda p: nc.mse(nc.relu(nc.affine(p["x"], p["w"], p["b"])), np.ones((4, 3)), [0, 4]),
         {"x": rand(RNG, 4, 5), "w": rand(RNG, 5, 3), "b": rand(RNG, 1, 3)},
     )
 
@@ -830,53 +856,43 @@ def test_straight_through_zero_upstream():
 # ---------------------------------------------------------------------------
 
 
-def reference_attention(q, k, v, offsets=None):
+def reference_attention(q, k, v, offsets):
     """Per-block normalised softmax, kept as the reference for `nc.attention`."""
-    if offsets is None:
-        q_off, k_off = check_offsets(None, q.rows), check_offsets(None, k.rows)
-    else:
-        q_off = k_off = check_offsets(offsets, q.rows)
-    blocks = list(zip(q_off[:-1], q_off[1:], k_off[:-1], k_off[1:]))
+    off = check_offsets(offsets, q.rows)
+    spans = list(zip(off[:-1], off[1:]))
     qn, kn, vn = q._node, k._node, v._node
     q_data, k_data, v_data = q.data, k.data, v.data
     scale = 1.0 / math.sqrt(q.cols)
     out_data = np.empty((q.rows, v.cols))
     probs = []
-    for qa, qb, ka, kb in blocks:
-        p = q_data[qa:qb] @ k_data[ka:kb].T
+    for a, b in spans:
+        p = q_data[a:b] @ k_data[a:b].T
         p *= scale
         p -= p.max(axis=1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
-        out_data[qa:qb] = p @ v_data[ka:kb]
+        out_data[a:b] = p @ v_data[a:b]
         probs.append(p)
 
     def backward(g):
-        dq = np.empty_like(q_data) if qn.requires_grad else None
-        dk = np.empty_like(k_data) if kn.requires_grad else None
-        dv = np.empty_like(v_data) if vn.requires_grad else None
-        for (qa, qb, ka, kb), p in zip(blocks, probs):
-            gs = g[qa:qb]
-            if dv is not None:
-                dv[ka:kb] = p.T @ gs
-            if dq is None and dk is None:
-                continue
-            ds = gs @ v_data[ka:kb].T
+        dq, dk, dv = np.empty_like(q_data), np.empty_like(k_data), np.empty_like(v_data)
+        for (a, b), p in zip(spans, probs):
+            gs = g[a:b]
+            dv[a:b] = p.T @ gs
+            ds = gs @ v_data[a:b].T
             ds -= (ds * p).sum(axis=1, keepdims=True)
             ds *= p
             ds *= scale
-            if dq is not None:
-                dq[qa:qb] = ds @ k_data[ka:kb]
-            if dk is not None:
-                dk[ka:kb] = ds.T @ q_data[qa:qb]
+            dq[a:b] = ds @ k_data[a:b]
+            dk[a:b] = ds.T @ q_data[a:b]
         for node, d in ((qn, dq), (kn, dk), (vn, dv)):
-            if d is not None:
+            if node.requires_grad:
                 node._accumulate(d)
 
     return _child(out_data, (qn, kn, vn), backward)
 
 
-def reference_conv1d(x, kernel, bias=None, *, width, offsets=None):
+def reference_conv1d(x, kernel, bias, *, width, offsets):
     """Gathered windows matrix, kept as the reference for `nc.conv1d`."""
     off = check_offsets(offsets, x.rows)
     h = width // 2
@@ -889,16 +905,13 @@ def reference_conv1d(x, kernel, bias=None, *, width, offsets=None):
     taps = pos[:, None] + np.arange(-h, h + 1)
     windows = padded[taps].reshape(t, width * c)
     kernel_data = kernel.data
-    out_data = windows @ kernel_data
-    if bias is not None:
-        out_data = out_data + bias.data
-    xn, kn = x._node, kernel._node
-    bn = None if bias is None else bias._node
+    out_data = windows @ kernel_data + bias.data
+    xn, kn, bn = x._node, kernel._node, bias._node
 
     def backward(g):
         if kn.requires_grad:
             kn._accumulate(windows.T @ g)
-        if bn is not None and bn.requires_grad:
+        if bn.requires_grad:
             bn._accumulate(g.sum(axis=0, keepdims=True))
         if xn.requires_grad:
             g_windows = g @ kernel_data.T
@@ -907,8 +920,7 @@ def reference_conv1d(x, kernel, bias=None, *, width, offsets=None):
                 acc[taps[:, j]] += g_windows[:, j * c : (j + 1) * c]
             xn._accumulate(acc[pos])
 
-    parents = (xn, kn) if bn is None else (xn, kn, bn)
-    return _child(out_data, parents, backward)
+    return _child(out_data, (xn, kn, bn), backward)
 
 
 # lengths 1, 2, 5 and 40: a single row, sequences shorter than a width-5
@@ -967,29 +979,23 @@ def assert_op_matches_reference(op, reference, arrays, grads, kwargs):
         npt.assert_allclose(got[name], ref[name], rtol=1e-12, atol=1e-15, err_msg=name)
 
 
-ATTENTION_CASES = {
-    "packed": (RAGGED[-1], RAGGED[-1], RAGGED, "qkv"),
-    "packed-only-v": (RAGGED[-1], RAGGED[-1], RAGGED, "v"),
-    "packed-only-qk": (RAGGED[-1], RAGGED[-1], RAGGED, "qk"),
-    "cross": (7, 11, None, "qkv"),
-    "cross-only-v": (7, 11, None, "v"),
-    "cross-only-qk": (7, 11, None, "qk"),
-}
+# which inputs need a gradient
+ATTENTION_CASES = {"packed": "qkv", "packed-only-v": "v", "packed-only-qk": "qk"}
 
 
 @pytest.mark.parametrize("case", ATTENTION_CASES)
 def test_attention_equals_reference(case):
-    q_rows, k_rows, offsets, grads = ATTENTION_CASES[case]
     rng = np.random.default_rng(11)
-    arrays = {"q": rng.standard_normal((q_rows, 6)), "k": rng.standard_normal((k_rows, 6)),
-              "v": rng.standard_normal((k_rows, 4))}
-    assert_op_matches_reference(nc.attention, reference_attention, arrays, grads,
-                                {"offsets": offsets})
+    rows = RAGGED[-1]
+    arrays = {"q": rng.standard_normal((rows, 6)), "k": rng.standard_normal((rows, 6)),
+              "v": rng.standard_normal((rows, 4))}
+    assert_op_matches_reference(nc.attention, reference_attention, arrays,
+                                ATTENTION_CASES[case], {"offsets": RAGGED})
 
 
 @pytest.mark.parametrize("width", [3, 5])
 @pytest.mark.parametrize("grads", [("x", "k", "b"), ("x",), ("k", "b")])
-@pytest.mark.parametrize("offsets", [RAGGED, None], ids=["packed", "one-sequence"])
+@pytest.mark.parametrize("offsets", [RAGGED, [0, RAGGED[-1]]], ids=["packed", "one-sequence"])
 def test_conv1d_equals_reference(width, grads, offsets):
     rng = np.random.default_rng(12)
     arrays = {"x": rng.standard_normal((RAGGED[-1], 3)),
@@ -1036,14 +1042,15 @@ def test_backward_leaves_gradients_only_on_leaves():
     kernel = nc.tensor(rng.standard_normal((18, 6)), requires_grad=True)
     gain = nc.tensor(np.ones((1, 6)), requires_grad=True)
     bias = nc.tensor(np.zeros((1, 6)), requires_grad=True)
-    h = nc.layer_norm(nc.conv1d(x, kernel, width=3, offsets=RAGGED), gain, bias)
+    conv_bias = nc.tensor(rng.standard_normal((1, 6)), requires_grad=True)
+    h = nc.layer_norm(nc.conv1d(x, kernel, conv_bias, width=3, offsets=RAGGED), gain, bias)
     out = nc.attention(h, h, x, offsets=RAGGED)
     loss = nc.mse(out, rng.standard_normal((48, 6)), offsets=RAGGED)
     nodes = graph_nodes(loss)
     interior = [n for n in nodes if n._parents]
     loss.backward()
     assert len(interior) == 4 and all(n.grad is None for n in interior)
-    for leaf in (x, kernel, gain, bias):
+    for leaf in (x, kernel, conv_bias, gain, bias):
         assert leaf.grad is not None and leaf.grad.shape == leaf.shape
 
 
@@ -1147,7 +1154,7 @@ def test_ops_bit_deterministic():
         k = nc.tensor(rand(rng, 18, 6))
         g = nc.tensor(rand(rng, 1, 6))
         b = nc.tensor(rand(rng, 1, 6))
-        return nc.layer_norm(nc.conv1d(x, k, width=3), g, b).data
+        return nc.layer_norm(nc.conv1d(x, k, b, width=3, offsets=[0, 8]), g, b).data
 
     npt.assert_array_equal(run(rng1), run(rng2))
 

@@ -64,22 +64,23 @@ def test_code_value_exceeding_k_rejected():
 
 def test_predict_shapes_and_range():
     model = PredictorModel(PredictorConfig(word_vocab=10, K=6, seed=1))
-    out = predict_codes([4], model)
+    out = predict_codes([4], model, [0, 1])
     assert out.shape == (1, 2)
     assert np.all((out >= 0) & (out < 6))
-    many = predict_codes([1, 2, 3, 4, 5], model)
+    many = predict_codes([1, 2, 3, 4, 5], model, [0, 5])
     assert many.shape == (5, 2)
 
 
 def test_predict_deterministic():
     model = PredictorModel(PredictorConfig(word_vocab=10, K=6, seed=2))
-    npt.assert_array_equal(predict_codes([1, 2, 3], model), predict_codes([1, 2, 3], model))
+    npt.assert_array_equal(predict_codes([1, 2, 3], model, [0, 3]),
+                           predict_codes([1, 2, 3], model, [0, 3]))
 
 
 def test_unknown_word_rejected():
     model = PredictorModel(PredictorConfig(word_vocab=10, K=6))
     with pytest.raises(VocabularyError):
-        predict_codes([10], model)
+        predict_codes([10], model, [0, 1])
 
 
 def test_evaluate_perfect_and_chance_levels():
@@ -129,8 +130,8 @@ def test_packed_step_equals_per_sentence_graphs():
 
     total = None
     for t, c in zip(texts, codes):
-        for g, lg in enumerate(head_logits(t, model)):
-            term = nc.cross_entropy(lg, c[:, g])
+        for g, lg in enumerate(head_logits(t, model, [0, len(t)])):
+            term = nc.cross_entropy(lg, c[:, g], [0, len(t)])
             total = term if total is None else nc.add(total, term)
     single = nc.mul(total, 1.0 / (len(texts) * g_count))
     single_grads = grads(single)
@@ -184,9 +185,10 @@ def test_evaluate_matches_per_sentence_logits():
     model = PredictorModel(PredictorConfig(word_vocab=12, K=8, seed=8))
     ids, offsets = pack_sentences(texts)
     packed = predict_codes(ids, model, offsets)
-    npt.assert_array_equal(packed, np.vstack([predict_codes(t, model) for t in texts]))
+    npt.assert_array_equal(packed,
+                           np.vstack([predict_codes(t, model, [0, len(t)]) for t in texts]))
     accuracy = evaluate_predictor(packed, codes)
-    logits = [head_logits(t, model) for t in texts]
+    logits = [head_logits(t, model, [0, len(t)]) for t in texts]
     for g in range(2):
         lg = np.vstack([ls[g].data for ls in logits])
         target = np.concatenate([c[:, g] for c in codes])

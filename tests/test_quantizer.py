@@ -116,9 +116,8 @@ LOSS_ROWS_MEAN_SQ = (1.0 + 0.0 + 0.0625 + 0.5) / 8
 
 def bottleneck_losses(x, commitment_cost):
     cbp = nc.tensor(two_entry_codebook())
-    out = qz.apply_bottleneck(
-        nc.tensor(x), cbp, qz.CapacityConfig(K=2, G=2), commitment_cost=commitment_cost
-    )
+    out = qz.apply_bottleneck(nc.tensor(x), cbp, qz.CapacityConfig(K=2, G=2),
+                              commitment_cost, [0, len(x)])
     return out, out.codebook_loss.item(), out.commitment_loss.item()
 
 
@@ -148,7 +147,7 @@ def test_bottleneck_gradient_trace_matches_quantized_input():
     x_data = rng.normal(size=(5, 4))
     cbp = nc.tensor(rng.normal(size=(3, 2)), requires_grad=True)
     x = nc.tensor(x_data, requires_grad=True)
-    out = qz.apply_bottleneck(x, cbp, qz.CapacityConfig(K=3, G=2), commitment_cost=0.0)
+    out = qz.apply_bottleneck(x, cbp, qz.CapacityConfig(K=3, G=2), 0.0, [0, 5])
     nc.sqnorm(out.quantized).backward()
 
     xq = nc.tensor(out.quantized.data, requires_grad=True)
@@ -160,7 +159,7 @@ def test_bottleneck_gradient_routing():
     rng = np.random.default_rng(2)
     x = nc.tensor(rng.normal(size=(4, 4)), requires_grad=True)
     cbp = nc.tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    out = qz.apply_bottleneck(x, cbp, qz.CapacityConfig(K=3, G=2), commitment_cost=0.25)
+    out = qz.apply_bottleneck(x, cbp, qz.CapacityConfig(K=3, G=2), 0.25, [0, 4])
 
     out.codebook_loss.backward()
     assert x.grad is None  # codebook loss reaches only the codebook
@@ -168,7 +167,7 @@ def test_bottleneck_gradient_routing():
 
     x2 = nc.tensor(x.data, requires_grad=True)
     cbp2 = nc.tensor(cbp.data, requires_grad=True)
-    out2 = qz.apply_bottleneck(x2, cbp2, qz.CapacityConfig(K=3, G=2), commitment_cost=0.25)
+    out2 = qz.apply_bottleneck(x2, cbp2, qz.CapacityConfig(K=3, G=2), 0.25, [0, 4])
     out2.commitment_loss.backward()
     assert cbp2.grad is None  # commitment reaches only the encoder side
     assert x2.grad is not None and np.any(x2.grad != 0)
@@ -204,7 +203,7 @@ def test_bottleneck_codebook_loss_equals_per_group_gathers(groups):
     cfg = qz.CapacityConfig(K=5, G=groups)
 
     cbp = nc.tensor(entries, requires_grad=True)
-    out = qz.apply_bottleneck(nc.constant(x_data), cbp, cfg, offsets=offsets)
+    out = qz.apply_bottleneck(nc.constant(x_data), cbp, cfg, 0.25, offsets)
     out.codebook_loss.backward()
 
     ref = nc.tensor(entries, requires_grad=True)
