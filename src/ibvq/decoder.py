@@ -7,19 +7,22 @@ its phones and concatenated, a length regulator repeats phone rows by their
 frame durations, and a convolutional decoder emits the output channels.
 Ground-truth durations drive reconstruction and transfer.
 
-Every entry point takes a packed batch: the phone and frame rows of several
-utterances stacked into single matrices, with offsets marking where each
-utterance starts; one utterance is ``pack_utterances([utt])``. The text
+Every model entry point takes a list of utterances and returns one array
+per utterance, in order. This module is the only one that packs them: the
+phone and frame rows of several utterances stacked into single matrices,
+with offsets marking where each utterance starts (`PackedBatch`). The text
 encoder and the frame decoder take those offsets and never mix utterances;
 broadcasting and length regulation are row-wise already. Training
-(`reconstruction_graph`) and evaluation (`decode_with_codes`, hence
-`reconstruct` and `transfer`) decode through the same `decode`. Evaluation,
-`prosody_codes` included, runs with the parameters frozen, so it records no
-graph.
+(`reconstruction_graph`) packs its batch into one graph. Evaluation
+(`word_features`, `prosody_codes`, `decode_with_codes`, hence `reconstruct`
+and `transfer`) runs with the parameters frozen, so it records no graph, in
+passes of at most `PASS_UTTERANCES` utterances; both decode through the
+same `_decode`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +44,7 @@ from ibvq.quantizer import (
     lookup,
     quantize_batch,
 )
-from ibvq.synthdata.types import PackedBatch
+from ibvq.synthdata.types import AlignmentHierarchy, Utterance, edges_from_lengths
 
 
 @dataclass(frozen=True)
@@ -194,17 +197,101 @@ class AutoencoderModels:
         return {"enc": self.encoder.store, "dec": self.decoder.store, "cb": self.codebook}
 
 
-def prosody_codes(batch: PackedBatch, models: AutoencoderModels) -> np.ndarray | None:
-    """Discrete codes (W, G) of every word of ``batch``, in word order; None
-    when the bottleneck is off. A forward pass only: it records no graph."""
+@dataclass(frozen=True)
+class PackedBatch:
+    """Utterances stacked row-wise into single matrices.
+
+    Utterance b owns frame rows ``frame_offsets[b]:frame_offsets[b + 1]``,
+    phone rows ``phone_offsets[b]:...`` and word rows ``word_offsets[b]:...``
+    (each offsets array has B + 1 entries). ``alignment`` is the alignment of
+    the stacked frames: every utterance's edges shifted by its first frame.
+    """
+
+    features: np.ndarray        # (sum T_b, C)
+    alignment: AlignmentHierarchy
+    phone_ids: np.ndarray       # (sum P_b,) int
+    frame_offsets: np.ndarray
+    phone_offsets: np.ndarray
+    word_offsets: np.ndarray
+
+
+def pack_utterances(utterances: list[Utterance]) -> PackedBatch:
+    """Stack utterances, in the given order, into one packed batch."""
+    if not utterances:
+        raise ValidationError("cannot pack an empty batch")
+    aligns = [u.alignment for u in utterances]
+    frame_off = edges_from_lengths([a.total_frames for a in aligns])
+
+    def stacked(level: str) -> np.ndarray:
+        parts = [getattr(a, level)[:-1] + f for a, f in zip(aligns, frame_off)]
+        return np.concatenate(parts + [frame_off[-1:]]).astype(np.int64)
+
+    phone_ids = [np.asarray(u.spec.phone_ids, dtype=np.int64) for u in utterances]
+    return PackedBatch(
+        features=np.vstack([u.features for u in utterances]),
+        alignment=AlignmentHierarchy(
+            phone_edges=stacked("phone_edges"),
+            word_edges=stacked("word_edges"),
+        ),
+        phone_ids=np.concatenate(phone_ids),
+        frame_offsets=frame_off,
+        phone_offsets=edges_from_lengths([p.size for p in phone_ids]),
+        word_offsets=edges_from_lengths([a.n_words for a in aligns]),
+    )
+
+
+# Utterances per frozen pass: twice the default training batch, so a pass's
+# intermediates stay below one training step's graph whatever the number of
+# utterances encoded or decoded.
+PASS_UTTERANCES = 16
+
+
+def _passes(utts: list[Utterance]) -> Iterator[tuple[slice, PackedBatch]]:
+    """Consecutive chunks of at most PASS_UTTERANCES of ``utts``, each with
+    its slice of ``utts``, packed.
+
+    One pass over every utterance would need memory for all of their
+    intermediates at once (about 30 MiB to encode 180 utterances, and the 64
+    utterances that seed the codebook outweigh a training step's graph);
+    bounded passes cap that at a constant, and each utterance's outputs are
+    those of a pass over it alone (to rounding: see `numcore.tensor` on
+    packed batches).
+    """
+    for start in range(0, len(utts), PASS_UTTERANCES):
+        chunk = slice(start, start + PASS_UTTERANCES)
+        yield chunk, pack_utterances(utts[chunk])
+
+
+def _encoded_passes(utts: list[Utterance], models: AutoencoderModels
+                    ) -> Iterator[tuple[PackedBatch, np.ndarray]]:
+    """Each pass over ``utts`` with its (W, D) word features from the
+    reference encoder, its parameters frozen."""
+    for _, batch in _passes(utts):
+        with models.encoder.store.frozen():
+            feats = encode(batch.features, batch.alignment, models.encoder, batch.frame_offsets)
+        yield batch, feats.data
+
+
+def word_features(utts: list[Utterance], models: AutoencoderModels) -> list[np.ndarray]:
+    """The (W_u, D) continuous word features of each utterance, before the
+    bottleneck. A forward pass only: it records no graph."""
+    return [block for batch, feats in _encoded_passes(utts, models)
+            for block in np.split(feats, batch.word_offsets[1:-1])]
+
+
+def prosody_codes(utts: list[Utterance], models: AutoencoderModels) -> list[np.ndarray] | None:
+    """The discrete codes (W_u, G) of each utterance's words; None when the
+    bottleneck is off. A forward pass only: it records no graph."""
     if not models.cap_cfg.enabled:
         return None
-    with models.encoder.store.frozen():
-        word_feats = encode(batch.features, batch.alignment, models.encoder, batch.frame_offsets)
-    return quantize_batch(word_feats.data, models.codebook["entries"].data, models.cap_cfg.G)[0]
+    entries, blocks = models.codebook["entries"].data, []
+    for batch, feats in _encoded_passes(utts, models):
+        codes = quantize_batch(feats, entries, models.cap_cfg.G)[0]
+        blocks.extend(np.split(codes, batch.word_offsets[1:-1]))
+    return blocks
 
 
-def decode(word_vectors: nc.Tensor, batch: PackedBatch, dec_model: DecoderModel) -> nc.Tensor:
+def _decode(word_vectors: nc.Tensor, batch: PackedBatch, dec_model: DecoderModel) -> nc.Tensor:
     """The frames of ``batch`` from one prosody vector per word and the
     batch's phones and ground-truth durations: text encoder, prosody
     broadcast, length regulation, frame decoder."""
@@ -215,44 +302,56 @@ def decode(word_vectors: nc.Tensor, batch: PackedBatch, dec_model: DecoderModel)
 
 
 def decode_with_codes(
-    codes: np.ndarray | None, batch: PackedBatch, models: AutoencoderModels
-) -> np.ndarray:
-    """The frames of ``batch`` decoded from one code row per word (zero
-    prosody vectors when ``codes`` is None); a forward pass only: it records
-    no graph."""
-    if codes is None:
-        word_vecs = np.zeros((batch.alignment.n_words, models.decoder.config.prosody_dim))
-    else:
-        word_vecs = lookup(codes, models.codebook["entries"].data, models.cap_cfg.G)
-    with models.decoder.store.frozen():
-        return decode(nc.constant(word_vecs), batch, models.decoder).data
+    blocks: list[np.ndarray] | None, utts: list[Utterance], models: AutoencoderModels
+) -> list[np.ndarray]:
+    """The frames of each utterance decoded from its code block, one code
+    row per word (zero prosody vectors when ``blocks`` is None). A forward
+    pass only: it records no graph."""
+    if blocks is not None and [len(b) for b in blocks] != [u.alignment.n_words for u in utts]:
+        raise AlignmentError(
+            f"code blocks of {[len(b) for b in blocks]} rows for utterances of "
+            f"{[u.alignment.n_words for u in utts]} words"
+        )
+    outs = []
+    for chunk, batch in _passes(utts):
+        if blocks is None:
+            word_vecs = np.zeros((batch.alignment.n_words, models.decoder.config.prosody_dim))
+        else:
+            word_vecs = lookup(np.vstack(blocks[chunk]), models.codebook["entries"].data,
+                               models.cap_cfg.G)
+        with models.decoder.store.frozen():
+            frames = _decode(nc.constant(word_vecs), batch, models.decoder).data
+        outs.extend(np.split(frames, batch.frame_offsets[1:-1]))
+    return outs
 
 
-def reconstruct(batch: PackedBatch, models: AutoencoderModels) -> np.ndarray:
-    """Encode -> quantize -> decode with ground-truth durations; the output
-    has the batch's frame rows."""
-    return decode_with_codes(prosody_codes(batch, models), batch, models)
+def reconstruct(utts: list[Utterance], models: AutoencoderModels) -> list[np.ndarray]:
+    """Encode -> quantize -> decode with ground-truth durations: each
+    utterance's frames."""
+    return decode_with_codes(prosody_codes(utts, models), utts, models)
 
 
 def transfer(
-    ref_batch: PackedBatch, target_batch: PackedBatch, models: AutoencoderModels
-) -> np.ndarray:
+    refs: list[Utterance], targets: list[Utterance], models: AutoencoderModels
+) -> list[np.ndarray]:
     """Drive each target utterance's content with the prosody codes of the
-    reference utterance in the same place of ``ref_batch`` (word-aligned);
-    the output has the target batch's frame rows."""
-    ref_words = np.diff(ref_batch.word_offsets)
-    target_words = np.diff(target_batch.word_offsets)
-    if not np.array_equal(ref_words, target_words):
-        raise ValidationError(
-            f"word counts differ: reference utterances have {ref_words.tolist()}, "
-            f"targets have {target_words.tolist()}"
-        )
-    return decode_with_codes(prosody_codes(ref_batch, models), target_batch, models)
+    reference in the same place of ``refs`` (word-aligned): each target's
+    frames."""
+    if len(refs) != len(targets):
+        raise ValidationError(f"{len(refs)} reference utterances for {len(targets)} targets")
+    for ref, target in zip(refs, targets):
+        if ref.alignment.n_words != target.alignment.n_words:
+            raise ValidationError(
+                f"word counts differ: reference {ref.spec.utt_id} has {ref.alignment.n_words}, "
+                f"target {target.spec.utt_id} has {target.alignment.n_words}"
+            )
+    return decode_with_codes(prosody_codes(refs, models), targets, models)
 
 
 @dataclass
 class ReconstructionGraph:
-    """Differentiable reconstruction of a packed batch with its losses.
+    """Differentiable reconstruction of a packed batch with its losses; the
+    output and word feature rows are its utterances' rows, stacked.
 
     ``mse`` averages each utterance's reconstruction MSE over the batch, and
     ``loss`` adds the bottleneck's batch-averaged codebook and commitment
@@ -267,10 +366,12 @@ class ReconstructionGraph:
 
 
 def reconstruction_graph(
-    batch: PackedBatch, models: AutoencoderModels, commitment_cost: float, quantize: bool = True
+    utts: list[Utterance], models: AutoencoderModels, commitment_cost: float,
+    quantize: bool = True,
 ) -> ReconstructionGraph:
-    """Build the end-to-end training graph of a packed batch: one graph
-    whatever the batch size, in which no utterance reads another's rows.
+    """Build the end-to-end training graph of the batch ``utts``, packed in
+    the given order: one graph whatever the batch size, in which no
+    utterance reads another's rows.
 
     Unless ``quantize``, the word vectors pass through unquantized and both
     bottleneck losses are zero: training's warm-up, before the codebook is
@@ -281,6 +382,7 @@ def reconstruction_graph(
     through, in training as in evaluation; no gradient could reach the
     encoder then, so it is not run.
     """
+    batch = pack_utterances(utts)
     cap_cfg, enc = models.cap_cfg, models.encoder
     if cap_cfg.enabled:
         word_feats = vectors = encode(batch.features, batch.alignment, enc, batch.frame_offsets)
@@ -293,7 +395,7 @@ def reconstruction_graph(
     else:
         zero = nc.constant(np.zeros((1, 1)))
         bn = BottleneckOutput(quantized=vectors, codes=None, codebook_loss=zero, commitment_loss=zero)
-    out = decode(bn.quantized, batch, models.decoder)
+    out = _decode(bn.quantized, batch, models.decoder)
     mse = nc.mse(out, batch.features, batch.frame_offsets)
     loss = nc.add(nc.add(mse, bn.codebook_loss), bn.commitment_loss)
     return ReconstructionGraph(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import ibvq.numcore as nc
-from ibvq.decoder import reconstruct, transfer
+from ibvq.decoder import prosody_codes, reconstruct, transfer
 from ibvq.errors import (
     ConfigError,
     IbvqError,
@@ -33,24 +33,12 @@ from ibvq.harness.experiments import (
     write_csv,
     write_tables,
 )
-from ibvq.harness.training import (
-    corpus_codes,
-    load_models,
-    save_models,
-    split_corpus,
-    train_autoencoder,
-)
+from ibvq.harness.training import load_models, save_models, split_corpus, train_autoencoder
 from ibvq.mi import MineConfig
 from ibvq.predictor import pack_sentences, predict_codes
 from ibvq.numcore.checkpoint import write_atomic
 from ibvq.quantizer import CapacityConfig, capacity
-from ibvq.synthdata import (
-    CorpusConfig,
-    build_corpus,
-    pack_utterances,
-    read_corpus,
-    write_corpus,
-)
+from ibvq.synthdata import CorpusConfig, build_corpus, read_corpus, write_corpus
 
 _FLOAT_FMT = "%.17g"
 
@@ -141,7 +129,7 @@ def cmd_reconstruct(args) -> int:
     ckpt = Path(args.ckpt)
     models = load_models(ckpt)
     (utt,) = _corpus_for_ckpt(args, ckpt, [args.utt]).utterances
-    out = reconstruct(pack_utterances([utt]), models)
+    out = reconstruct([utt], models)[0]
     _save_rows(args.out, out, _FLOAT_FMT)
     print(f"reconstructed {args.utt}: {out.shape[0]} frames -> {args.out}")
     return 0
@@ -152,7 +140,7 @@ def cmd_transfer(args) -> int:
     models = load_models(ckpt)
     utts = _corpus_for_ckpt(args, ckpt, [args.ref, args.target]).utterances
     ref, tgt = utts[0], utts[-1]  # one utterance when --ref and --target are the same
-    out = transfer(pack_utterances([ref]), pack_utterances([tgt]), models)
+    out = transfer([ref], [tgt], models)[0]
     _save_rows(args.out, out, _FLOAT_FMT)
     print(f"transferred prosody of {args.ref} onto {args.target} -> {args.out}")
     return 0
@@ -195,7 +183,7 @@ def cmd_mi(args) -> int:
     corpus = read_corpus(args.corpus)
     indices = list(range(len(corpus.utterances)))
     mine_cfg = MineConfig(steps=args.mine_steps, seed=args.seed)
-    codes = corpus_codes(corpus, models, indices)
+    codes = prosody_codes(corpus.utterances, models)
     plugin, mine = mi_analysis(corpus, models, indices, codes, mine_cfg)
     write_csv(args.out, MI_CURVE_COLUMNS, [[capacity(models.cap_cfg), mine, plugin]])
     print(f"MI analysis -> {args.out} (plugin {plugin:.3f}, mine {mine:.3f} nats)")
@@ -215,7 +203,7 @@ def cmd_predict(args) -> int:
     except ValueError as e:
         raise ValidationError(f"text file must hold integer word ids: {e}") from e
     train_idx, _ = split_corpus(corpus)
-    codes = corpus_codes(corpus, models, train_idx)
+    codes = prosody_codes([corpus.utterances[i] for i in train_idx], models)
     predictor = fit_predictor(corpus, models, train_idx, codes, args.predictor_steps, args.seed)
     ids, offsets = pack_sentences([words])
     predicted = predict_codes(ids, predictor, offsets)

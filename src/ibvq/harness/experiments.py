@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 import ibvq.numcore as nc
-from ibvq.decoder import AutoencoderModels, decode_with_codes, reconstruct, transfer
+from ibvq.decoder import (AutoencoderModels, decode_with_codes, prosody_codes, reconstruct,
+                          transfer)
 from ibvq.encoder import EncoderConfig
 from ibvq.errors import ConfigError, ValidationError
 from ibvq.metrics import compare, extract_pitch
@@ -43,14 +44,8 @@ from ibvq.synthdata import (
     build_corpus,
     merge_symbols,
     oracle_mi_discrete,
-    pack_utterances,
 )
-from ibvq.harness.training import (
-    corpus_codes,
-    in_passes,
-    split_corpus,
-    train_autoencoder,
-)
+from ibvq.harness.training import split_corpus, train_autoencoder
 
 DEFAULT_CAPACITY_GRID = (0, 2, 4, 8, 16, 32, 64)
 
@@ -146,25 +141,15 @@ def phone_recovery_accuracy(
 
 def reconstruction_eval(corpus: Corpus, models: AutoencoderModels, indices: list[int]) -> dict:
     """Mean reconstruction metrics of the utterances ``indices``, each
-    reconstructed in a packed pass and scored on its own frames."""
-    mses, vdes, gpes, ffes, mcds = [], [], [], [], []
-    for chunk in in_passes(indices):
-        utts = [corpus.utterances[i] for i in chunk]
-        batch = pack_utterances(utts)
-        outs = np.split(reconstruct(batch, models), batch.frame_offsets[1:-1])
-        for utt, out in zip(utts, outs):
-            mses.append(float(np.mean((out - utt.features) ** 2)))
-            rep = compare(utt.features, out)
-            vdes.append(rep.vde)
-            gpes.append(rep.gpe)
-            ffes.append(rep.ffe)
-            mcds.append(rep.mcd)
+    scored on its own frames."""
+    utts = [corpus.utterances[i] for i in indices]
+    outs = reconstruct(utts, models)
+    reports = [compare(utt.features, out) for utt, out in zip(utts, outs)]
     return {
-        "recon_mse": float(np.mean(mses)),
-        "vde": float(np.mean(vdes)),
-        "gpe": float(np.mean(gpes)),
-        "ffe": float(np.mean(ffes)),
-        "mcd": float(np.mean(mcds)),
+        "recon_mse": float(np.mean([np.mean((out - utt.features) ** 2)
+                                    for utt, out in zip(utts, outs)])),
+        **{name: float(np.mean([getattr(rep, name) for rep in reports]))
+           for name in ("vde", "gpe", "ffe", "mcd")},
     }
 
 
@@ -237,24 +222,21 @@ def run_transfer_experiment(
     nearest-template phone recovery accuracy against the target's phones.
     """
     pairs = matched_pairs(corpus, indices, n_pairs, seed)
+    refs = [corpus.utterances[r] for r, _ in pairs]
+    tgts = [corpus.utterances[t] for _, t in pairs]
     pitch_out, pitch_ref, clearness = [], [], []
-    for chunk in in_passes(pairs):
-        refs = [corpus.utterances[r] for r, _ in chunk]
-        tgts = [corpus.utterances[t] for _, t in chunk]
-        tgt_batch = pack_utterances(tgts)
-        out_rows = transfer(pack_utterances(refs), tgt_batch, models)
-        for ref, tgt, out in zip(refs, tgts, np.split(out_rows, tgt_batch.frame_offsets[1:-1])):
-            readout = word_pitch_readout(out, tgt.alignment.word_edges)
-            for w, value in enumerate(readout):
-                if not math.isnan(value):
-                    pitch_out.append(value)
-                    pitch_ref.append(ref.spec.words[w].prosody.pitch_mean)
-            clearness.append(
-                phone_recovery_accuracy(
-                    out, tgt.spec.phone_ids, np.diff(tgt.alignment.phone_edges),
-                    corpus.inventory.templates,
-                )
+    for ref, tgt, out in zip(refs, tgts, transfer(refs, tgts, models)):
+        readout = word_pitch_readout(out, tgt.alignment.word_edges)
+        for w, value in enumerate(readout):
+            if not math.isnan(value):
+                pitch_out.append(value)
+                pitch_ref.append(ref.spec.words[w].prosody.pitch_mean)
+        clearness.append(
+            phone_recovery_accuracy(
+                out, tgt.spec.phone_ids, np.diff(tgt.alignment.phone_edges),
+                corpus.inventory.templates,
             )
+        )
     if len(pitch_out) >= 3 and np.std(pitch_out) > 1e-9:
         r = float(np.corrcoef(pitch_out, pitch_ref)[0, 1])
     else:
@@ -301,20 +283,13 @@ def predictor_experiment(
     ``held_codes`` plus the feature MSE of decoding its predictions. The
     held-out codes are predicted in one packed pass."""
     model = fit_predictor(corpus, models, train_indices, train_codes, steps, seed)
-    ids, offsets = pack_sentences([corpus.utterances[i].spec.word_ids for i in held_indices])
+    utts = [corpus.utterances[i] for i in held_indices]
+    ids, offsets = pack_sentences([utt.spec.word_ids for utt in utts])
     predicted = predict_codes(ids, model, offsets)
     accuracy = evaluate_predictor(predicted, held_codes)
-    mses = []
-    for chunk in in_passes(list(zip(held_indices, np.split(predicted, offsets[1:-1])))):
-        utts = [corpus.utterances[i] for i, _ in chunk]
-        batch = pack_utterances(utts)
-        outs = np.split(
-            decode_with_codes(np.vstack([block for _, block in chunk]), batch, models),
-            batch.frame_offsets[1:-1],
-        )
-        for utt, out in zip(utts, outs):
-            mses.append(float(np.mean((out - utt.features) ** 2)))
-    return float(accuracy.mean()), float(np.mean(mses))
+    outs = decode_with_codes(np.split(predicted, offsets[1:-1]), utts, models)
+    mse = np.mean([np.mean((out - utt.features) ** 2) for utt, out in zip(utts, outs)])
+    return float(accuracy.mean()), float(mse)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +318,7 @@ def run_cell(
     if cap_cfg.enabled:
         # training ended with the codes of its utterances; the held-out ones
         # are encoded here, once for every evaluation that needs them
-        held_codes = corpus_codes(corpus, models, held_indices)
+        held_codes = prosody_codes([corpus.utterances[i] for i in held_indices], models)
         cell.plugin_mi, cell.mine_mi = mi_analysis(
             corpus, models, train_indices + held_indices, trained.codes + held_codes, cfg.mine
         )
@@ -358,7 +333,9 @@ def run_cell(
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[CellResult]:
     """Train and evaluate one model per (capacity, seed) cell, rewriting the
-    tables under ``out_dir`` after every cell.
+    tables under ``out_dir`` after every cell. A split that leaves nothing
+    to train on, or no word-count-matched held-out pair (`matched_pairs`)
+    to transfer, is refused before any cell trains.
 
     A cell failure is recorded in its row (status/error) without aborting
     the others. Every row carries the full column set either way.
@@ -366,6 +343,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[CellResult]:
     cfg.validate()
     corpus = build_corpus(cfg.corpus)
     train_indices, held_indices = split_corpus(corpus, cfg.holdout_fraction)
+    split = f"holdout_fraction {cfg.holdout_fraction} holds out {len(held_indices)} utterance(s)"
+    if not train_indices:
+        raise ConfigError(f"{split}, all of them: no utterances to train on")
+    if len({corpus.utterances[i].alignment.n_words for i in held_indices}) == len(held_indices):
+        raise ConfigError(f"{split}, no two with the same word count: no pair to transfer")
     cells = []
     for k in cfg.capacities:
         for seed in cfg.seeds:

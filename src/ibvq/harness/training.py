@@ -5,19 +5,19 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 import ibvq.numcore as nc
-from ibvq.decoder import AutoencoderModels, DecoderConfig, prosody_codes, reconstruction_graph
-from ibvq.encoder import EncoderConfig, encode
-from ibvq.errors import CheckpointError, ConfigError, ValidationError
+from ibvq.decoder import (AutoencoderModels, DecoderConfig, prosody_codes,
+                          reconstruction_graph, word_features)
+from ibvq.encoder import EncoderConfig
+from ibvq.errors import CheckpointError, ConfigError
 from ibvq.numcore.checkpoint import write_atomic
 from ibvq.quantizer import CapacityConfig, DeadCodes, init_codebook_from_features, usage_stats
-from ibvq.synthdata.types import Corpus, pack_utterances
+from ibvq.synthdata.types import Corpus
 
 
 @dataclass(frozen=True)
@@ -40,39 +40,6 @@ class TrainedAutoencoder:
     # (W, G) code block of each training utterance, in training order, from
     # the trained encoder; None when the bottleneck is off
     codes: "list[np.ndarray] | None" = None
-
-
-# Utterances (or transfer pairs) per packed frozen pass: twice the default
-# training batch, so a pass's intermediates stay below one training step's
-# graph whatever the number of utterances encoded or decoded.
-PASS_UTTERANCES = 16
-
-
-def in_passes(items: list) -> Iterator[list]:
-    """``items`` in consecutive chunks of at most PASS_UTTERANCES.
-
-    Codebook seeding and evaluation pack each chunk into one frozen pass.
-    One pass over every utterance would need memory for all of their
-    intermediates at once (about 30 MiB to encode 180 utterances, and the 64
-    utterances that seed the codebook outweigh a training step's graph);
-    bounded passes cap that at a constant, and each utterance's outputs are
-    those of a pass over it alone (to rounding: see `numcore.tensor` on
-    packed batches).
-    """
-    for start in range(0, len(items), PASS_UTTERANCES):
-        yield items[start : start + PASS_UTTERANCES]
-
-
-def corpus_codes(corpus: Corpus, models: AutoencoderModels, indices: list[int]) -> list[np.ndarray]:
-    """Per-utterance (W, G) code blocks of the utterances ``indices``, in that
-    order, from the trained reference encoder, encoded in bounded passes."""
-    if not indices:
-        raise ValidationError("no utterances to encode")
-    blocks = []
-    for chunk in in_passes(indices):
-        batch = pack_utterances([corpus.utterances[i] for i in chunk])
-        blocks.extend(np.split(prosody_codes(batch, models), batch.word_offsets[1:-1]))
-    return blocks
 
 
 def split_corpus(corpus: Corpus, holdout_fraction: float = 0.1) -> tuple[list[int], list[int]]:
@@ -127,7 +94,6 @@ def train_autoencoder(
         seed=train_cfg.seed + 1,
     )
     models = AutoencoderModels.build(enc_cfg, dec_cfg, cap_cfg)
-    enc = models.encoder
 
     rng = np.random.default_rng(train_cfg.seed)
     sampler = nc.BatchSampler(len(utts), train_cfg.batch_size, rng)
@@ -138,15 +104,9 @@ def train_autoencoder(
 
     def seed_codebook() -> nc.Tensor:
         seed_idx = rng.permutation(len(utts))[: max(train_cfg.batch_size, 64)]
-        seed_feats = []
-        with enc.store.frozen():
-            for chunk in in_passes(seed_idx.tolist()):
-                batch = pack_utterances([utts[i] for i in chunk])
-                seed_feats.append(
-                    encode(batch.features, batch.alignment, enc, batch.frame_offsets).data)
+        feats = np.vstack(word_features([utts[i] for i in seed_idx], models))
         entries = models.codebook["entries"]
-        entries.data[...] = init_codebook_from_features(
-            np.vstack(seed_feats), cap_cfg, train_cfg.seed)
+        entries.data[...] = init_codebook_from_features(feats, cap_cfg, train_cfg.seed)
         return entries
 
     curve: list[LossPoint] = []
@@ -156,7 +116,7 @@ def train_autoencoder(
         if cap_cfg.enabled and codebook_param is None and step >= warmup:
             codebook_param = seed_codebook()
         graph = reconstruction_graph(
-            pack_utterances([utts[i] for i in sampler.next()]), models,
+            [utts[i] for i in sampler.next()], models,
             train_cfg.commitment_cost, quantize=codebook_param is not None,
         )
         if graph.bottleneck.codes is not None:
@@ -189,7 +149,7 @@ def train_autoencoder(
     if cap_cfg.enabled:
         if codebook_param is None:  # steps == 0: still produce a usable bundle
             seed_codebook()
-        blocks = corpus_codes(corpus, models, train_indices)
+        blocks = prosody_codes(utts, models)
         usage = usage_stats(np.concatenate(blocks), cap_cfg).perplexity
     return TrainedAutoencoder(models=models, loss_curve=curve, usage=usage, codes=blocks)
 

@@ -255,52 +255,9 @@ class Utterance:
         )
 
 
-@dataclass(frozen=True)
-class PackedBatch:
-    """Utterances stacked row-wise into single matrices.
-
-    Utterance b owns frame rows ``frame_offsets[b]:frame_offsets[b + 1]``,
-    phone rows ``phone_offsets[b]:...`` and word rows ``word_offsets[b]:...``
-    (each offsets array has B + 1 entries). ``alignment`` is the alignment of
-    the stacked frames: every utterance's edges shifted by its first frame.
-    """
-
-    features: np.ndarray        # (sum T_b, C)
-    alignment: AlignmentHierarchy
-    phone_ids: np.ndarray       # (sum P_b,) int
-    frame_offsets: np.ndarray
-    phone_offsets: np.ndarray
-    word_offsets: np.ndarray
-
-
 def edges_from_lengths(lengths) -> np.ndarray:
     """Segment edges [0, l0, l0 + l1, ...] of consecutive segments, as int64."""
     return np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-
-
-def pack_utterances(utterances) -> PackedBatch:
-    """Stack utterances, in the given order, into one packed batch."""
-    if not utterances:
-        raise ValidationError("cannot pack an empty batch")
-    aligns = [u.alignment for u in utterances]
-    frame_off = edges_from_lengths([a.total_frames for a in aligns])
-
-    def stacked(level: str) -> np.ndarray:
-        parts = [getattr(a, level)[:-1] + f for a, f in zip(aligns, frame_off)]
-        return np.concatenate(parts + [frame_off[-1:]]).astype(np.int64)
-
-    phone_ids = [np.asarray(u.spec.phone_ids, dtype=np.int64) for u in utterances]
-    return PackedBatch(
-        features=np.vstack([u.features for u in utterances]),
-        alignment=AlignmentHierarchy(
-            phone_edges=stacked("phone_edges"),
-            word_edges=stacked("word_edges"),
-        ),
-        phone_ids=np.concatenate(phone_ids),
-        frame_offsets=frame_off,
-        phone_offsets=edges_from_lengths([p.size for p in phone_ids]),
-        word_offsets=edges_from_lengths([a.n_words for a in aligns]),
-    )
 
 
 @dataclass

@@ -1,13 +1,17 @@
+import ast
+import dataclasses
 import importlib
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-import ibvq.harness.training as training_module
+import ibvq.decoder as decoder_module
 import ibvq.numcore as nc
 from ibvq.decoder import (
+    PASS_UTTERANCES,
     AutoencoderModels,
     DecoderConfig,
     DecoderModel,
@@ -16,14 +20,17 @@ from ibvq.decoder import (
     decode_with_codes,
     encode_text,
     length_regulate,
+    prosody_codes,
     reconstruct,
     reconstruction_graph,
     transfer,
+    word_features,
 )
 from ibvq.encoder import EncoderConfig, EncoderModel
 from ibvq.errors import AlignmentError, ShapeError, ValidationError, VocabularyError
 from ibvq.quantizer import CapacityConfig, codebook_store
-from ibvq.synthdata import CorpusConfig, build_corpus, pack_utterances
+from ibvq.synthdata import CorpusConfig, build_corpus
+from ibvq.synthdata.types import edges_from_lengths
 
 
 @pytest.fixture(scope="module")
@@ -153,15 +160,11 @@ def test_decode_frames_wrong_width(dec):
 # ---------------------------------------------------------------------------
 
 
-def one(utt):
-    return pack_utterances([utt])
-
-
 def test_reconstruct_preserves_length(corpus):
     models = make_models(corpus, k=4)
-    for utt in corpus.utterances[:3]:
-        out = reconstruct(one(utt), models)
-        assert out.shape == utt.features.shape
+    utts = corpus.utterances[:3]
+    outs = reconstruct(utts, models)
+    assert [out.shape for out in outs] == [utt.features.shape for utt in utts]
 
 
 def test_reconstruct_k0_ignores_prosody(corpus):
@@ -169,11 +172,10 @@ def test_reconstruct_k0_ignores_prosody(corpus):
     different prosody decode to exactly the same output."""
     models = make_models(corpus, k=0)
     utt = corpus.utterances[0]
-    other = one(utt)
+    other = dataclasses.replace(utt, features=utt.features.copy())
     other.features[:, 0] *= 0.5  # perturb the prosody channels only
     other.features[:, 2] += 0.3
-    a = reconstruct(one(utt), models)
-    b = reconstruct(other, models)
+    a, b = reconstruct([utt, other], models)
     npt.assert_array_equal(a, b)
 
 
@@ -182,29 +184,27 @@ def test_k0_graph_feeds_zeros_with_zero_losses(corpus):
     codes, and adds exactly 0 to the loss; the encoder is not run."""
     models = make_models(corpus, k=0)
     assert models.codebook.names() == []
-    batch = one(corpus.utterances[0])
-    graph = reconstruction_graph(batch, models, commitment_cost=0.25)
+    utts = corpus.utterances[:1]
+    graph = reconstruction_graph(utts, models, commitment_cost=0.25)
     bn = graph.bottleneck
-    npt.assert_array_equal(bn.quantized.data, np.zeros((batch.alignment.n_words, 8)))
+    npt.assert_array_equal(bn.quantized.data, np.zeros((utts[0].alignment.n_words, 8)))
     assert bn.codes is None and graph.word_features is None
     assert bn.codebook_loss.item() == 0.0 and bn.commitment_loss.item() == 0.0
     assert graph.loss.item() == graph.mse.item()
-    npt.assert_array_equal(graph.output.data, reconstruct(batch, models))
+    npt.assert_array_equal(graph.output.data, reconstruct(utts, models)[0])
 
 
 def test_transfer_degenerate_equals_reconstruct(corpus):
     models = make_models(corpus, k=8)
-    utt = corpus.utterances[1]
-    rec = reconstruct(one(utt), models)
-    tra = transfer(one(utt), one(utt), models)
-    npt.assert_array_equal(rec, tra)
+    utts = corpus.utterances[1:2]
+    npt.assert_array_equal(reconstruct(utts, models)[0], transfer(utts, utts, models)[0])
 
 
 def test_reconstruct_records_no_graph(corpus, monkeypatch):
     # the package's `tensor` function shadows its module of the same name
     tensor_module = importlib.import_module("ibvq.numcore.tensor")
     models = make_models(corpus, k=8)
-    batch = one(corpus.utterances[3])
+    utts = corpus.utterances[3:4]
 
     @contextmanager
     def not_frozen(store):
@@ -212,7 +212,7 @@ def test_reconstruct_records_no_graph(corpus, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(nc.ParamStore, "frozen", not_frozen)
-        recorded = reconstruct(batch, models)  # parameters require gradients throughout
+        recorded = reconstruct(utts, models)[0]  # parameters require gradients throughout
 
     child, nodes = tensor_module._child, []
 
@@ -221,7 +221,7 @@ def test_reconstruct_records_no_graph(corpus, monkeypatch):
         return nodes[-1]
 
     monkeypatch.setattr(tensor_module, "_child", recording_child)
-    out = reconstruct(batch, models)
+    out = reconstruct(utts, models)[0]
     assert nodes and not any(n.requires_grad for n in nodes)
     npt.assert_array_equal(out, recorded)
     assert all(p.requires_grad for s in (models.encoder.store, models.decoder.store)
@@ -237,30 +237,34 @@ def test_transfer_word_count_mismatch(corpus):
             target = cand
             break
     assert target is not None
-    with pytest.raises(ValidationError, match="word counts differ"):
-        transfer(one(ref), one(target), models)
+    names_both = (f"word counts differ: reference {ref.spec.utt_id} has .*, "
+                  f"target {target.spec.utt_id} has")
+    with pytest.raises(ValidationError, match=names_both):
+        transfer([ref], [target], models)
     # checked per pair: equal word totals over a batch do not hide a mismatch
-    with pytest.raises(ValidationError, match="word counts differ"):
-        transfer(pack_utterances([ref, target]), pack_utterances([target, ref]), models)
-    with pytest.raises(ValidationError, match="word counts differ"):
-        transfer(pack_utterances([ref, ref]), one(ref), models)
+    with pytest.raises(ValidationError, match=names_both):
+        transfer([ref, target], [target, ref], models)
+    with pytest.raises(ValidationError, match="2 reference utterances for 1 targets"):
+        transfer([ref, ref], [ref], models)
 
 
 def test_decode_with_codes_in_code_space(corpus):
     models = make_models(corpus, k=8)
     utt = corpus.utterances[2]
     codes = np.zeros((utt.alignment.n_words, 2), dtype=np.int64)
-    out = decode_with_codes(codes, one(utt), models)
+    (out,) = decode_with_codes([codes], [utt], models)
     assert out.shape == utt.features.shape
-    with pytest.raises(ValidationError):
-        decode_with_codes(codes[1:], one(utt), models)
+    with pytest.raises(AlignmentError):
+        decode_with_codes([codes[1:]], [utt], models)
+    with pytest.raises(AlignmentError):
+        decode_with_codes([codes, codes], [utt], models)
 
 
-def test_packed_passes_equal_batches_of_one():
-    """Utterances packed into evaluation passes, one pass full and the next
-    not, give bit for bit what each gives as a batch of one, through every
-    decoder entry point."""
-    corpus = build_corpus(CorpusConfig(n_utterances=training_module.PASS_UTTERANCES + 4, seed=22))
+def test_packed_passes_equal_batches_of_one(monkeypatch):
+    """Utterances evaluated together, in two packed passes, one full and the
+    next not, give bit for bit what each gives alone, through every decoder
+    entry point."""
+    corpus = build_corpus(CorpusConfig(n_utterances=PASS_UTTERANCES + 4, seed=22))
     models = make_models(corpus, k=8)
     utts = corpus.utterances
     # each utterance's transfer target: the next one with its word count, or itself
@@ -271,22 +275,38 @@ def test_packed_passes_equal_batches_of_one():
     assert any(t is not u for u, t in zip(utts, targets))
     rng = np.random.default_rng(4)
     codes = [rng.integers(0, 8, size=(u.alignment.n_words, 2)) for u in utts]
-    passes = list(training_module.in_passes(list(range(len(utts)))))
-    assert [len(p) for p in passes] == [training_module.PASS_UTTERANCES, 4]
-    for chunk in passes:
-        batch = pack_utterances([utts[i] for i in chunk])
-        target_batch = pack_utterances([targets[i] for i in chunk])
-        packed_codes = np.vstack([codes[i] for i in chunk])
-        for out, rows, alone in (
-            (reconstruct(batch, models), batch.frame_offsets,
-             lambda i: reconstruct(one(utts[i]), models)),
-            (transfer(batch, target_batch, models), target_batch.frame_offsets,
-             lambda i: transfer(one(utts[i]), one(targets[i]), models)),
-            (decode_with_codes(packed_codes, batch, models), batch.frame_offsets,
-             lambda i: decode_with_codes(codes[i], one(utts[i]), models)),
-        ):
-            for i, part in zip(chunk, np.split(out, rows[1:-1])):
-                assert part.tobytes() == alone(i).tobytes()
+    sizes, pack = [], decoder_module.pack_utterances
+    monkeypatch.setattr(decoder_module, "pack_utterances",
+                        lambda batch: sizes.append(len(batch)) or pack(batch))
+    outputs = reconstruct(utts, models)
+    assert sizes == [PASS_UTTERANCES, 4] * 2  # the encoding passes, then the decoding ones
+    for outs, alone in (
+        (outputs, lambda i: reconstruct([utts[i]], models)),
+        (transfer(utts, targets, models), lambda i: transfer([utts[i]], [targets[i]], models)),
+        (decode_with_codes(codes, utts, models),
+         lambda i: decode_with_codes([codes[i]], [utts[i]], models)),
+        (prosody_codes(utts, models), lambda i: prosody_codes([utts[i]], models)),
+        (word_features(utts, models), lambda i: word_features([utts[i]], models)),
+    ):
+        assert len(outs) == len(utts)
+        for i, out in enumerate(outs):
+            assert out.tobytes() == alone(i)[0].tobytes()
+
+
+def test_only_the_decoder_packs_utterances():
+    """Every caller hands the decoder a list of utterances: a pack, or a pass
+    size, anywhere else under the package would be a second pass loop."""
+    src = Path(decoder_module.__file__).resolve().parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        if path == src / "decoder.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(
+                node, "name", None)
+            if name in ("pack_utterances", "PASS_UTTERANCES"):
+                found.append(f"{path.relative_to(src)}:{getattr(node, 'lineno', '?')}: {name}")
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +329,6 @@ def test_end_to_end_gradient_check():
     point = {f"e.{n}": p.data.copy() for n, p in originals[0].items()}
     point.update({f"d.{n}": p.data.copy() for n, p in originals[1].items()})
 
-    batch = pack_utterances(corpus.utterances)
     cap = CapacityConfig(K=4, G=2)
     models = AutoencoderModels(enc, dec, cap, codebook_store(cap, 4))
 
@@ -318,7 +337,8 @@ def test_end_to_end_gradient_check():
             enc.store.params[n] = p[f"e.{n}"]
         for n in dec_names:
             dec.store.params[n] = p[f"d.{n}"]
-        graph = reconstruction_graph(batch, models, commitment_cost=0.25, quantize=False)
+        graph = reconstruction_graph(corpus.utterances, models, commitment_cost=0.25,
+                                     quantize=False)
         return graph.loss
 
     try:
@@ -340,8 +360,8 @@ def trainable(corpus, k=4, seed=3):
     return models, list(models.stores().values())
 
 
-def step_graph(batch, models):
-    return reconstruction_graph(batch, models, commitment_cost=0.25)
+def step_graph(utts, models):
+    return reconstruction_graph(utts, models, commitment_cost=0.25)
 
 
 def test_packed_loss_and_gradients_equal_per_utterance_graphs(corpus):
@@ -357,8 +377,8 @@ def test_packed_loss_and_gradients_equal_per_utterance_graphs(corpus):
         grads = {(i, n): g.copy() for i, s in enumerate(stores) for n, g in s.grads().items()}
         return graph, grads
 
-    packed, packed_grads = run(pack_utterances(utts))
-    parts = [run(pack_utterances([u])) for u in utts]
+    packed, packed_grads = run(utts)
+    parts = [run([u]) for u in utts]
     for field in ("mse", "loss"):
         single = sum(getattr(g, field).item() for g, _ in parts) / len(utts)
         npt.assert_allclose(getattr(packed, field).item(), single, rtol=1e-12)
@@ -371,17 +391,16 @@ def test_packed_loss_and_gradients_equal_per_utterance_graphs(corpus):
 def test_packed_utterances_do_not_see_each_other(corpus):
     models, _ = trainable(corpus)
     utts = corpus.utterances[:3]
-    batch = pack_utterances(utts)
-    changed = pack_utterances(utts)
-    middle = slice(batch.frame_offsets[1], batch.frame_offsets[2])
-    changed.features[middle] += np.random.default_rng(9).normal(
-        size=changed.features[middle].shape
-    )
-    a, b = step_graph(batch, models), step_graph(changed, models)
+    noise = np.random.default_rng(9).normal(size=utts[1].features.shape)
+    changed = [utts[0], dataclasses.replace(utts[1], features=utts[1].features + noise), utts[2]]
+    frame_offsets = edges_from_lengths([u.alignment.total_frames for u in utts])
+    word_offsets = edges_from_lengths([u.alignment.n_words for u in utts])
+    middle = slice(frame_offsets[1], frame_offsets[2])
+    a, b = step_graph(utts, models), step_graph(changed, models)
     assert not np.array_equal(a.output.data[middle], b.output.data[middle])
     for i in (0, 2):
         # the encoder's word vectors, before quantization can hide a change
-        words = slice(batch.word_offsets[i], batch.word_offsets[i + 1])
+        words = slice(word_offsets[i], word_offsets[i + 1])
         npt.assert_array_equal(a.word_features.data[words], b.word_features.data[words])
-        frames = slice(batch.frame_offsets[i], batch.frame_offsets[i + 1])
+        frames = slice(frame_offsets[i], frame_offsets[i + 1])
         npt.assert_array_equal(a.output.data[frames], b.output.data[frames])

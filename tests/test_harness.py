@@ -17,9 +17,9 @@ import pytest
 
 import ibvq.decoder as decoder_module
 import ibvq.harness.experiments as experiments
-import ibvq.harness.training as training_module
 import ibvq.numcore as nc
 from ibvq.decoder import (
+    PASS_UTTERANCES,
     AutoencoderModels,
     DecoderConfig,
     prosody_codes,
@@ -43,18 +43,11 @@ from ibvq.harness.experiments import (
     word_pitch_readout,
     write_tables,
 )
-from ibvq.harness.training import (
-    PASS_UTTERANCES,
-    corpus_codes,
-    load_models,
-    save_models,
-    split_corpus,
-    train_autoencoder,
-)
+from ibvq.harness.training import load_models, save_models, split_corpus, train_autoencoder
 from ibvq.mi import MineConfig, mine_estimate
 from ibvq.predictor import PredictorConfig, predict_codes, train_predictor
 from ibvq.quantizer import CapacityConfig
-from ibvq.synthdata import ENERGY_CHANNEL, CorpusConfig, build_corpus, pack_utterances
+from ibvq.synthdata import ENERGY_CHANNEL, CorpusConfig, build_corpus
 
 TINY_TRAIN = nc.TrainConfig(learning_rate=3e-3, steps=30, seed=5, batch_size=4)
 
@@ -138,7 +131,6 @@ def test_k0_training_runs_no_encode(corpus, monkeypatch):
     training never runs it."""
     calls = []
     monkeypatch.setattr(decoder_module, "encode", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(training_module, "encode", lambda *a, **k: calls.append(a))
     train_autoencoder(corpus, CapacityConfig(K=0, G=2), nc.TrainConfig(steps=3, seed=5,
                                                                         batch_size=4))
     assert calls == []
@@ -162,7 +154,7 @@ def test_divergence_reports_step(corpus):
 def test_model_checkpoint_round_trip(tmp_path, corpus, trained, trained_k0):
     """At K=4 and at K=0, save -> load -> save writes the same files, byte
     for byte, and the loaded bundle reconstructs as the trained one."""
-    batch = pack_utterances([corpus.utterances[0]])
+    utts = corpus.utterances[:1]
     for res, codebook in ((trained, ["cb.entries"]), (trained_k0, [])):
         k = res.models.cap_cfg.K
         first, second = tmp_path / f"k{k}_first", tmp_path / f"k{k}_second"
@@ -173,7 +165,7 @@ def test_model_checkpoint_round_trip(tmp_path, corpus, trained, trained_k0):
             assert (first / name).read_bytes() == (second / name).read_bytes()
         params = read_bundle_params(first)
         assert [p for p in params if p.startswith("cb.")] == codebook
-        npt.assert_array_equal(reconstruct(batch, loaded), reconstruct(batch, res.models))
+        npt.assert_array_equal(reconstruct(utts, loaded)[0], reconstruct(utts, res.models)[0])
 
 
 def test_checkpoint_records_the_full_layout(tmp_path, trained):
@@ -229,9 +221,9 @@ def test_failed_checkpoint_write_keeps_the_old_checkpoint(tmp_path, corpus, trai
         save_models(ckpt, changed)
     monkeypatch.undo()
     assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == before
-    batch = pack_utterances([corpus.utterances[0]])
-    npt.assert_array_equal(reconstruct(batch, load_models(ckpt)),
-                           reconstruct(batch, trained.models))
+    utts = corpus.utterances[:1]
+    npt.assert_array_equal(reconstruct(utts, load_models(ckpt))[0],
+                           reconstruct(utts, trained.models)[0])
 
 
 def test_torn_checkpoint_is_refused(tmp_path, trained, monkeypatch):
@@ -276,8 +268,7 @@ def step_graph(corpus, batch_size):
         CapacityConfig(K=4, G=2),
     )
     models.codebook["entries"].data[...] = np.random.default_rng(2).normal(size=(4, 4))
-    batch = pack_utterances(corpus.utterances[:batch_size])
-    return reconstruction_graph(batch, models, 0.25)
+    return reconstruction_graph(corpus.utterances[:batch_size], models, 0.25)
 
 
 def count_nodes(root) -> int:
@@ -409,13 +400,13 @@ def test_codebook_seeding_packs_bounded_passes(corpus, monkeypatch):
     seeding encodes its seed utterances (all 24 here) in bounded passes, as
     the final codes are."""
     sizes = []
-    pack = training_module.pack_utterances
+    pack = decoder_module.pack_utterances
 
     def recording_pack(utts):
         sizes.append(len(utts))
         return pack(utts)
 
-    monkeypatch.setattr(training_module, "pack_utterances", recording_pack)
+    monkeypatch.setattr(decoder_module, "pack_utterances", recording_pack)
     train_autoencoder(corpus, CapacityConfig(K=4, G=2),
                       nc.TrainConfig(steps=2, seed=5, batch_size=4), warmup_steps=1)
     # warm-up batch, seeding passes, quantized batch, final-code passes
@@ -454,40 +445,38 @@ def test_phone_recovery_ignores_the_energy_channel(corpus, energy):
         assert _phone_recovery(utt, output, corpus.inventory.templates) == 1.0
 
 
-def test_corpus_codes_equal_per_utterance_codes(corpus, trained):
+def test_prosody_codes_equal_per_utterance_codes(corpus, trained):
     models = trained.models
-    indices = list(range(len(corpus.utterances)))
-    packed = corpus_codes(corpus, models, indices)
-    assert len(packed) == len(indices)
+    packed = prosody_codes(corpus.utterances, models)
+    assert len(packed) == len(corpus.utterances)
     for block, utt in zip(packed, corpus.utterances):
-        npt.assert_array_equal(block, prosody_codes(pack_utterances([utt]), models))
+        npt.assert_array_equal(block, prosody_codes([utt], models)[0])
 
 
-def test_corpus_codes_peak_memory_bounded_by_one_pass(corpus, trained):
+def test_prosody_codes_peak_memory_bounded_by_one_pass(corpus, trained):
     """Encoding, or reconstructing, 48 utterances costs no more memory at
-    its peak than 16, up to the spread of utterance lengths: the passes are
-    bounded, not one pack of everything."""
+    its peak than 16, up to the spread of utterance lengths and the outputs
+    kept: the passes are bounded, not one pack of everything."""
     assert PASS_UTTERANCES == 16
 
-    def peak(evaluate, indices):
+    def peak(evaluate, utts):
         tracemalloc.start()
         try:
-            evaluate(corpus, trained.models, indices)
+            evaluate(utts, trained.models)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    everything = list(range(len(corpus.utterances))) * 2
-    for evaluate in (corpus_codes, reconstruction_eval):
+    everything = corpus.utterances * 2
+    for evaluate in (prosody_codes, reconstruct):
         peak(evaluate, everything[:16])  # fill lazily built caches first
         assert peak(evaluate, everything) <= 1.5 * peak(evaluate, everything[:16]), evaluate
 
 
 def test_training_keeps_the_codes_of_its_utterances(corpus, trained):
     # the fixture trains on every utterance, in corpus order
-    indices = list(range(len(corpus.utterances)))
-    assert len(trained.codes) == len(indices)
-    for kept, fresh in zip(trained.codes, corpus_codes(corpus, trained.models, indices)):
+    assert len(trained.codes) == len(corpus.utterances)
+    for kept, fresh in zip(trained.codes, prosody_codes(corpus.utterances, trained.models)):
         npt.assert_array_equal(kept, fresh)
 
 
@@ -667,10 +656,14 @@ def test_sweep_refuses_a_mine_setting_that_cannot_run_before_training(
 @pytest.mark.parametrize("section, message", [
     ({"groups": 3}, "divisible by groups 3"),
     ({"corpus": {"n_utterances": 1}}, "n_utterances >= 2"),
-], ids=["groups", "n_utterances"])
+    ({"corpus": {"n_utterances": 2}, "holdout_fraction": 0.75}, "no utterances to train on"),
+    ({"corpus": {"n_utterances": 10}}, "holds out 1 utterance(s), no two with the same word"),
+], ids=["groups", "n_utterances", "nothing_to_train", "no_transfer_pair"])
 def test_sweep_refuses_a_config_no_cell_can_run(tmp_path, monkeypatch, capsys, section, message):
-    """A group count that does not divide the encoder's output, or a corpus
-    too small to hold an utterance out, fails the command, not every cell."""
+    """A group count that does not divide the encoder's output, a corpus too
+    small to hold an utterance out, a split that holds every utterance out,
+    or one whose held-out utterances hold no word-count-matched transfer
+    pair, fails the command, not every cell."""
     calls = []
     monkeypatch.setattr(experiments, "train_autoencoder", lambda *a, **k: calls.append(a))
     config = tmp_path / "sweep.json"
