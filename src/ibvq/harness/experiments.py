@@ -77,6 +77,8 @@ class ExperimentConfig:
         EncoderConfig(channels=self.corpus.channels, groups=self.groups).validate()
         if self.corpus.n_utterances < 2:
             raise ConfigError("a sweep needs n_utterances >= 2, to hold some out for evaluation")
+        if self.transfer_pairs < 1:
+            raise ConfigError(f"transfer_pairs must be >= 1, got {self.transfer_pairs}")
         if self.mine is not None:
             self.mine.validate()
 

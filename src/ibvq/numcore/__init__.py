@@ -26,10 +26,19 @@ batch starts, so one graph over stacked sequences computes what a graph per
 sequence would; a single sequence of n rows is the batch ``[0, n]``. See
 `ibvq.numcore.tensor`.
 
-On glibc, importing this package tells the allocator to keep freed heap
-memory in the process (`_keep_freed_heap`), so that each training step
-reuses the pages the previous step's graph released instead of faulting
-them in again.
+Training splits each step's batch into two shards and back-propagates the
+second in a forked worker process when two CPUs are free
+(`ibvq.numcore.shards`); parameter stores keep their values in shared
+memory for it.
+
+Importing this package sets two process-wide settings. On glibc it tells
+the allocator to keep freed heap memory in the process
+(`_keep_freed_heap`), so that each training step reuses the pages the
+previous step's graph released instead of faulting them in again. And it
+pins numpy's bundled OpenBLAS to one thread (`_one_blas_thread`): with
+more, a matrix product with a long inner dimension sums in an order that
+depends on the thread count, so results would depend on the host, and the
+worker process's threads would compete with the training's own.
 """
 
 import ctypes
@@ -45,6 +54,7 @@ from ibvq.numcore.optim import (
     fit,
     glorot_uniform,
 )
+from ibvq.numcore.shards import ShardWorker
 from ibvq.numcore.tensor import (
     Array,
     Tensor,
@@ -58,6 +68,7 @@ from ibvq.numcore.tensor import (
     cross_entropy,
     exp,
     gather_rows,
+    known_gradient,
     layer_norm,
     matmul,
     mean_all,
@@ -107,12 +118,45 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
+def _one_blas_thread() -> None:
+    """Pin the OpenBLAS library bundled with numpy to one thread.
+
+    numpy's Linux wheels ship it in ``numpy.libs`` beside the package,
+    already loaded by ``import numpy``; this calls its thread-count setter,
+    ``scipy_openblas_set_num_threads64_``, through ctypes. Where no such
+    library or setter is found (another BLAS, a numpy built from source) it
+    does nothing.
+    """
+    import numpy
+
+    libs = os.path.dirname(numpy.__file__) + ".libs"
+    try:
+        names = sorted(os.listdir(libs))
+    except OSError:
+        return
+    for name in names:
+        if "openblas" not in name:
+            continue
+        try:
+            setter = getattr(ctypes.CDLL(os.path.join(libs, name)),
+                             "scipy_openblas_set_num_threads64_", None)
+        except OSError:
+            continue
+        if setter is not None:
+            setter.argtypes = (ctypes.c_int,)
+            setter.restype = None
+            setter(1)
+            return
+
+
 _keep_freed_heap()
+_one_blas_thread()
 
 __all__ = [
     "Array",
     "BatchSampler",
     "ParamStore",
+    "ShardWorker",
     "Tensor",
     "TrainConfig",
     "adam_step",
@@ -129,6 +173,7 @@ __all__ = [
     "gather_rows",
     "glorot_uniform",
     "grad_check",
+    "known_gradient",
     "layer_norm",
     "load_params",
     "matmul",

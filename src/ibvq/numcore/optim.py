@@ -6,11 +6,15 @@ moments live in one flat array, each parameter tensor a view of its slice,
 and the store counts its steps once. One Adam step takes a gradient for
 every parameter and is a few vectorised numpy calls over the whole buffer;
 it computes exactly what the update written parameter by parameter does.
+The buffer is an anonymous shared mapping (`shared_zeros`), so a process
+forked from this one (`ibvq.numcore.shards`) reads every value the store
+is given afterwards without a copy.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -50,6 +54,15 @@ class TrainConfig:
             )
 
 
+def shared_zeros(shape: tuple[int, ...]) -> Array:
+    """A float64 array of zeros in an anonymous shared mapping: a process
+    forked after it is made reads and writes the same memory."""
+    count = math.prod(shape)
+    # a mapping cannot be empty
+    buf = mmap.mmap(-1, max(count, 1) * np.dtype(np.float64).itemsize)
+    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
+
+
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Array:
     """Seeded uniform init in +-sqrt(6 / (fan_in + fan_out))."""
     limit = np.sqrt(6.0 / (rows + cols))
@@ -61,17 +74,17 @@ class ParamStore:
 
     ``ParamStore(arrays)`` takes every parameter at once; ``params`` keeps
     the order of ``arrays``. The values of every parameter and its two
-    adaptive moments live in one flat ``(3, total)`` buffer, laid out once
-    in sorted name order (`layout`), and each parameter tensor holds a
-    reshaped view of its slice of the value row (`values`). ``steps``
-    counts the Adam updates of the whole store: `adam_step` moves every
-    parameter or none.
+    adaptive moments live in one flat ``(3, total)`` buffer in shared memory
+    (`shared_zeros`), laid out once in sorted name order (`layout`), and
+    each parameter tensor holds a reshaped view of its slice of the value
+    row (`values`). ``steps`` counts the Adam updates of the whole store:
+    `adam_step` moves every parameter or none.
     """
 
     def __init__(self, arrays: dict[str, Array]):
         self.params = {name: tensor(data, requires_grad=True) for name, data in arrays.items()}
         self.steps = 0
-        self._flat = np.zeros((3, sum(p.data.size for p in self.params.values())))
+        self._flat = shared_zeros((3, sum(p.data.size for p in self.params.values())))
         start = 0
         for name in sorted(self.params):
             p = self.params[name]

@@ -171,38 +171,45 @@ class Tensor:
         run; the node is then spent. A graph that reaches a spent node
         raises ValidationError before any gradient moves.
         """
-        if self.data.shape != (1, 1):
-            raise ShapeError(f"backward() needs a scalar output, got {self.shape}")
-        root = self._node
-        topo: list[Node] = []
-        seen: set[int] = set()
-        stack: list[tuple[Node, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            if node._backward is _spent:
-                raise ValidationError(_SPENT)
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        root.grad = np.ones((1, 1))
-        for node in reversed(topo):
-            backward = node._backward
-            if backward is None:
-                continue
-            node._backward = _spent
-            if node.grad is not None:
-                backward(node.grad)
-                node.grad = None
+        backprop(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def backprop(loss: Tensor) -> None:
+    """`loss.backward()`, for a shard of a training step's batch that is
+    back-propagated on its own (`ibvq.numcore.shards`), so that the step's
+    one `Tensor.backward` call stays the step's boundary."""
+    if loss.data.shape != (1, 1):
+        raise ShapeError(f"backward() needs a scalar output, got {loss.shape}")
+    root = loss._node
+    topo: list[Node] = []
+    seen: set[int] = set()
+    stack: list[tuple[Node, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        if node._backward is _spent:
+            raise ValidationError(_SPENT)
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    root.grad = np.ones((1, 1))
+    for node in reversed(topo):
+        backward = node._backward
+        if backward is None:
+            continue
+        node._backward = _spent
+        if node.grad is not None:
+            backward(node.grad)
+            node.grad = None
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -590,6 +597,35 @@ def straight_through(x: Tensor, values: Array) -> Tensor:
             xn._accumulate(g)
 
     return _child(values.copy(), (xn,), backward)
+
+
+def known_gradient(
+    value: float, leaves: Sequence[Tensor], gradients: Callable[[], Sequence[Array | None]]
+) -> Tensor:
+    """A 1x1 tensor holding ``value``, a loss computed elsewhere (another
+    process's shard of a batch), entering this graph as one node.
+
+    Its backward calls ``gradients()`` for the loss's gradient with respect
+    to each of ``leaves`` (None for a leaf the loss does not reach) and adds
+    upstream times each into its leaf. It calls it only when backward
+    reaches the node, so ``gradients`` may wait for them to be computed;
+    as the second operand of an `add`, the node is reached after every node
+    of the first operand's graph.
+    """
+    nodes = tuple(t._node for t in leaves)
+    shapes = [t.data.shape for t in leaves]
+
+    def backward(g):
+        scale = g[0, 0]
+        for node, shape, grad in zip(nodes, shapes, gradients(), strict=True):
+            if grad is None or not node.requires_grad:
+                continue
+            if grad.shape != shape:
+                raise ShapeError(f"gradient shape {grad.shape} != leaf shape {shape}")
+            # _accumulate copies a first contribution, so grad may be reused
+            node._accumulate(grad if scale == 1.0 else grad * scale)
+
+    return _child(np.array([[float(value)]]), nodes, backward)
 
 
 def cross_entropy(logits: Tensor, targets, offsets) -> Tensor:

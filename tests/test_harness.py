@@ -18,6 +18,7 @@ import pytest
 import ibvq.decoder as decoder_module
 import ibvq.harness.experiments as experiments
 import ibvq.numcore as nc
+import ibvq.numcore.shards as shards
 from ibvq.decoder import (
     PASS_UTTERANCES,
     AutoencoderModels,
@@ -407,10 +408,13 @@ def test_codebook_seeding_packs_bounded_passes(corpus, monkeypatch):
         return pack(utts)
 
     monkeypatch.setattr(decoder_module, "pack_utterances", recording_pack)
+    # both shards of each batch in this process, so that every pack is seen
+    monkeypatch.setattr(shards, "_two_cpus", lambda: False)
     train_autoencoder(corpus, CapacityConfig(K=4, G=2),
                       nc.TrainConfig(steps=2, seed=5, batch_size=4), warmup_steps=1)
-    # warm-up batch, seeding passes, quantized batch, final-code passes
-    assert sizes == [4, PASS_UTTERANCES, 24 - PASS_UTTERANCES, 4,
+    # warm-up batch (two shards), seeding passes, quantized batch (two
+    # shards), final-code passes
+    assert sizes == [2, 2, PASS_UTTERANCES, 24 - PASS_UTTERANCES, 2, 2,
                      PASS_UTTERANCES, 24 - PASS_UTTERANCES]
 
 
@@ -658,12 +662,15 @@ def test_sweep_refuses_a_mine_setting_that_cannot_run_before_training(
     ({"corpus": {"n_utterances": 1}}, "n_utterances >= 2"),
     ({"corpus": {"n_utterances": 2}, "holdout_fraction": 0.75}, "no utterances to train on"),
     ({"corpus": {"n_utterances": 10}}, "holds out 1 utterance(s), no two with the same word"),
-], ids=["groups", "n_utterances", "nothing_to_train", "no_transfer_pair"])
+    ({"transfer_pairs": 0}, "transfer_pairs must be >= 1, got 0"),
+    ({"transfer_pairs": -3}, "transfer_pairs must be >= 1, got -3"),
+], ids=["groups", "n_utterances", "nothing_to_train", "no_transfer_pair", "zero_transfer_pairs",
+        "negative_transfer_pairs"])
 def test_sweep_refuses_a_config_no_cell_can_run(tmp_path, monkeypatch, capsys, section, message):
     """A group count that does not divide the encoder's output, a corpus too
     small to hold an utterance out, a split that holds every utterance out,
-    or one whose held-out utterances hold no word-count-matched transfer
-    pair, fails the command, not every cell."""
+    one whose held-out utterances hold no word-count-matched transfer pair,
+    or a transfer pair count below 1, fails the command, not every cell."""
     calls = []
     monkeypatch.setattr(experiments, "train_autoencoder", lambda *a, **k: calls.append(a))
     config = tmp_path / "sweep.json"

@@ -5,6 +5,8 @@ import math
 import os
 import platform
 import resource
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import numpy.testing as npt
 import pytest
 
 import ibvq.numcore as nc
+import ibvq.numcore.shards as shards
 from ibvq.errors import (
     AlignmentError,
     CheckpointError,
@@ -852,6 +855,40 @@ def test_straight_through_zero_upstream():
 
 
 # ---------------------------------------------------------------------------
+# a loss back-propagated elsewhere, entering a graph as one node
+# ---------------------------------------------------------------------------
+
+
+def test_known_gradient_adds_its_gradients_after_the_rest_of_the_graph():
+    a = nc.tensor([[1.0, 2.0]], requires_grad=True)
+    b = nc.tensor([[3.0]], requires_grad=True)
+    unreached = nc.tensor([[4.0]], requires_grad=True)
+    seen = []
+
+    def gradients():
+        seen.append(a.grad.copy())  # the rest of the graph has run
+        return [np.array([[10.0, 20.0]]), np.array([[5.0]]), None]
+
+    node = nc.known_gradient(0.5, [a, b, unreached], gradients)
+    assert node.item() == 0.5 and seen == []  # asked for only on backward
+    loss = nc.add(nc.mul(nc.sum_all(a), 2.0), node)
+    assert loss.item() == 6.5
+    loss.backward()
+    npt.assert_array_equal(seen[0], [[2.0, 2.0]])
+    npt.assert_array_equal(a.grad, [[12.0, 22.0]])
+    npt.assert_array_equal(b.grad, [[5.0]])
+    assert unreached.grad is None
+
+
+def test_known_gradient_scales_by_upstream_and_checks_shapes():
+    a = nc.tensor([[1.0, 2.0]], requires_grad=True)
+    nc.mul(nc.known_gradient(1.0, [a], lambda: [np.array([[1.0, -1.0]])]), 3.0).backward()
+    npt.assert_array_equal(a.grad, [[3.0, -3.0]])
+    with pytest.raises(ShapeError, match="gradient shape"):
+        nc.known_gradient(1.0, [a], lambda: [np.ones((2, 1))]).backward()
+
+
+# ---------------------------------------------------------------------------
 # attention and conv1d against the bodies they replaced
 # ---------------------------------------------------------------------------
 
@@ -1107,26 +1144,54 @@ def test_training_loss_curve_equals_reference_ops(monkeypatch):
         npt.assert_array_equal(got, want)
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                    reason="the heap settings apply to glibc's allocator only")
-def test_training_steps_reuse_freed_heap_pages():
-    """Once the heap is warm, a step runs in the pages the previous step's
-    graph released: without the allocator settings made at import, every
-    step faults in several hundred pages again. The fewest faults of three
-    runs after a warm-up count, so that one run disturbed by something else
-    in the process does not fail it."""
+def faults_of_warm_trainings(steps: int) -> list[int]:
+    """The minor page faults of three `steps`-step trainings after a
+    warm-up, this process's and those of any worker it reaped."""
     corpus = build_corpus(CorpusConfig())
-    train_cfg = nc.TrainConfig(steps=20, seed=1, batch_size=8)
+    train_cfg = nc.TrainConfig(steps=steps, seed=1, batch_size=8)
+
+    def faults():
+        return sum(resource.getrusage(who).ru_minflt
+                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
     def faults_of_one_run():
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        before = faults()
         train_autoencoder(corpus, CapacityConfig(K=16, G=2), train_cfg, warmup_steps=5)
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        return faults() - before
 
     faults_of_one_run()  # warm-up
-    faults = [faults_of_one_run() for _ in range(3)]
-    assert min(faults) < 20 * train_cfg.steps, (
-        f"minor page faults of three {train_cfg.steps}-step runs: {faults}")
+    return [faults_of_one_run() for _ in range(3)]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap settings apply to glibc's allocator only")
+def test_training_steps_reuse_freed_heap_pages(monkeypatch):
+    """Once the heap is warm, a step runs in the pages the previous step's
+    graph released: without the allocator settings made at import, every
+    step faults in several hundred pages again. Both shards run in this
+    process here. The fewest faults of three runs after a warm-up count, so
+    that one run disturbed by something else in the process does not fail
+    it."""
+    monkeypatch.setattr(shards, "_two_cpus", lambda: False)
+    steps = 20
+    faults = faults_of_warm_trainings(steps)
+    assert min(faults) < 20 * steps, f"minor page faults of three {steps}-step runs: {faults}"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap settings apply to glibc's allocator only")
+def test_a_shard_worker_costs_a_fixed_count_of_page_faults(monkeypatch):
+    """With the shard worker, both processes together take a fixed count
+    of faults per training plus the same 20 per step. The fixed count comes
+    from the fork: the first write to each page either process reuses
+    faults once (copy on write; on x86-64, about 2,800 faults in the caller
+    and 2,600 in the worker, whatever the training's length). A worker that
+    faulted its pages in again on every step would add hundreds per step."""
+    monkeypatch.setattr(shards, "_two_cpus", lambda: True)
+    steps, per_training = 40, 6000
+    faults = faults_of_warm_trainings(steps)
+    assert min(faults) < per_training + 20 * steps, (
+        f"minor page faults of three {steps}-step runs, caller and worker: {faults}")
 
 
 def test_heap_settings_do_nothing_without_glibc(monkeypatch):
@@ -1138,6 +1203,60 @@ def test_heap_settings_do_nothing_without_glibc(monkeypatch):
 def test_heap_settings_do_nothing_without_mallopt(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a libc without mallopt
     nc._keep_freed_heap()
+
+
+# the golden K=4 run (tests/test_golden.py), printing the digests of its
+# loss curve and of its trained parameter values
+_GOLDEN_K4_DIGESTS = """
+import hashlib
+import numpy as np
+import ibvq.numcore as nc
+from ibvq.harness.training import split_corpus, train_autoencoder
+from ibvq.quantizer import CapacityConfig
+from ibvq.synthdata import CorpusConfig, build_corpus
+corpus = build_corpus(CorpusConfig(n_utterances=40, seed=7))
+train_idx, _ = split_corpus(corpus)
+trained = train_autoencoder(
+    corpus, CapacityConfig(K=4, G=2), nc.TrainConfig(steps=60, batch_size=8, seed=3),
+    train_indices=train_idx, warmup_steps=20, reseed_every=20)
+curve = repr([(p.mse, p.codebook, p.commitment) for p in trained.loss_curve])
+values = np.concatenate([s.values for s in trained.models.stores().values()])
+print(hashlib.sha256(curve.encode()).hexdigest(), hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+def test_training_bytes_do_not_depend_on_the_blas_thread_count():
+    """Importing numcore pins numpy's OpenBLAS to one thread. Unpinned, a
+    weight gradient summed over many frames sums in another order at two
+    threads, and the golden run's loss curve and parameters move."""
+    src = Path(nc.__file__).resolve().parents[2]
+
+    def digests(threads: int) -> str:
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", _GOLDEN_K4_DIGESTS], env=env,
+                             capture_output=True, text=True, check=True)
+        return run.stdout
+
+    assert digests(2) == digests(1)
+
+
+def test_blas_pinning_does_nothing_without_a_bundled_openblas(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: pytest.fail(f"opened {name}"))
+    monkeypatch.setattr(os, "listdir", lambda path: ["libcblas.so"])  # numpy on another BLAS
+    nc._one_blas_thread()
+
+    def no_libs(path):  # numpy built from source
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(os, "listdir", no_libs)
+    nc._one_blas_thread()
+
+
+def test_blas_pinning_does_nothing_without_a_thread_setter(monkeypatch):
+    monkeypatch.setattr(os, "listdir", lambda path: ["libopenblas.so"])
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # no setter exported
+    nc._one_blas_thread()
 
 
 # ---------------------------------------------------------------------------
