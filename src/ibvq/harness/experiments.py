@@ -184,7 +184,10 @@ def mi_analysis(
 
 
 def matched_pairs(corpus: Corpus, indices: list[int], n_pairs: int, seed: int) -> list[tuple[int, int]]:
-    """Word-count-matched (reference, target) utterance pairs, ref != target."""
+    """Up to ``n_pairs`` (at least one) word-count-matched (reference,
+    target) utterance pairs, ref != target."""
+    if n_pairs < 1:
+        raise ValidationError(f"need n_pairs >= 1, got {n_pairs}")
     by_count: dict[int, list[int]] = {}
     for i in indices:
         by_count.setdefault(corpus.utterances[i].alignment.n_words, []).append(i)
@@ -201,21 +204,15 @@ def matched_pairs(corpus: Corpus, indices: list[int], n_pairs: int, seed: int) -
     return [pairs[i] for i in order[: min(n_pairs, len(pairs))]]
 
 
-@dataclass
-class TransferResult:
-    prosody_similarity_r: float
-    content_clearness: float
-    n_pairs: int
-
-
 def run_transfer_experiment(
     models: AutoencoderModels,
     corpus: Corpus,
     indices: list[int],
-    n_pairs: int = 40,
-    seed: int = 0,
-) -> TransferResult:
-    """Objective proxies for cross-text transfer quality.
+    n_pairs: int,
+    seed: int,
+) -> tuple[float, float]:
+    """Objective proxies for cross-text transfer quality over `matched_pairs`
+    of the utterances ``indices``: (prosody similarity, content clearness).
 
     Prosody similarity: correlation between the output's word-level pitch
     readout and the reference words' true pitch means; NaN where it is
@@ -243,11 +240,7 @@ def run_transfer_experiment(
         r = float(np.corrcoef(pitch_out, pitch_ref)[0, 1])
     else:
         r = math.nan
-    return TransferResult(
-        prosody_similarity_r=r,
-        content_clearness=float(np.mean(clearness)),
-        n_pairs=len(pairs),
-    )
+    return r, float(np.mean(clearness))
 
 
 def fit_predictor(
@@ -312,11 +305,9 @@ def run_cell(
     trained = train_autoencoder(corpus, cap_cfg, train_cfg, train_indices=train_indices)
     models = trained.models
     cell.__dict__.update(reconstruction_eval(corpus, models, held_indices))
-    tr = run_transfer_experiment(
-        models, corpus, held_indices, n_pairs=cfg.transfer_pairs, seed=cell.seed
+    cell.transfer_prosody_r, cell.transfer_clearness = run_transfer_experiment(
+        models, corpus, held_indices, cfg.transfer_pairs, cell.seed
     )
-    cell.transfer_prosody_r = tr.prosody_similarity_r
-    cell.transfer_clearness = tr.content_clearness
     if cap_cfg.enabled:
         # training ended with the codes of its utterances; the held-out ones
         # are encoded here, once for every evaluation that needs them

@@ -19,6 +19,11 @@ from ibvq.numcore.checkpoint import write_atomic
 from ibvq.quantizer import CapacityConfig, DeadCodes, init_codebook_from_features, usage_stats
 from ibvq.synthdata.types import Corpus, Utterance
 
+# the training recipe's two periods, in steps: the unquantized warm-up before
+# the codebook is seeded, and the interval between dead-code reseeds
+WARMUP_STEPS = 100
+RESEED_EVERY = 50
+
 
 @dataclass(frozen=True)
 class LossPoint:
@@ -88,8 +93,6 @@ def train_autoencoder(
     train_indices: list[int] | None = None,
     enc_cfg: EncoderConfig | None = None,
     dec_cfg: DecoderConfig | None = None,
-    warmup_steps: int = 100,
-    reseed_every: int = 50,
 ) -> TrainedAutoencoder:
     """Train encoder, codebook, and decoder jointly on reconstruction.
 
@@ -98,10 +101,10 @@ def train_autoencoder(
     bottleneck's capacity term is a constant (it depends only on K and G),
     so it never enters the gradient. Deterministic under the seed.
 
-    For the first ``warmup_steps`` the quantizer is bypassed so the encoder
+    For the first `WARMUP_STEPS` the quantizer is bypassed so the encoder
     settles before its outputs seed the codebook (k-means++); afterwards,
     entries that received no assignments since the last check are reseeded
-    from live word features every ``reseed_every`` steps. Both guards exist
+    from live word features every `RESEED_EVERY` steps. Both guards exist
     to keep codebook usage from collapsing onto a few entries. At K = 0
     there is no warm-up: the decoder sees zero prosody vectors from the
     first step, as it does in evaluation.
@@ -135,7 +138,7 @@ def train_autoencoder(
     rng = np.random.default_rng(train_cfg.seed)
     sampler = nc.BatchSampler(len(utts), train_cfg.batch_size, rng)
 
-    warmup = min(warmup_steps, max(train_cfg.steps - 1, 0)) if cap_cfg.enabled else 0
+    warmup = min(WARMUP_STEPS, max(train_cfg.steps - 1, 0)) if cap_cfg.enabled else 0
     codebook_param = None  # the seeded codebook entries; None before seeding
     dead_codes = DeadCodes(cap_cfg)
 
@@ -199,11 +202,7 @@ def train_autoencoder(
         return train_cfg.learning_rate * (0.1 + 0.45 * (1.0 + math.cos(math.pi * frac)))
 
     def reseed_dead_codes(step: int) -> None:
-        if (
-            codebook_param is not None
-            and reseed_every > 0
-            and (step + 1 - warmup) % reseed_every == 0
-        ):
+        if codebook_param is not None and (step + 1 - warmup) % RESEED_EVERY == 0:
             dead_codes.reseed(codebook_param.data, rng)
 
     stores = list(models.stores().values())
@@ -215,7 +214,7 @@ def train_autoencoder(
         if codebook_param is None:  # steps == 0: still produce a usable bundle
             seed_codebook()
         blocks = prosody_codes(utts, models)
-        usage = usage_stats(np.concatenate(blocks), cap_cfg).perplexity
+        usage = usage_stats(np.concatenate(blocks), cap_cfg)
     return TrainedAutoencoder(models=models, loss_curve=curve, usage=usage, codes=blocks)
 
 

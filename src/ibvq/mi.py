@@ -165,7 +165,7 @@ def _prepare_inputs(xs, zs) -> tuple[np.ndarray, np.ndarray, int]:
     return xs, zs.astype(np.int64), int(zs.max()) + 1
 
 
-def mine_estimate(xs, zs, cfg: MineConfig | None = None) -> float:
+def mine_estimate(xs, zs, cfg: MineConfig) -> float:
     """Train the statistics network on the rows of ``xs`` paired with the
     code tuples ``zs`` (non-negative integers, one row of G per sample) and
     return the smoothed final bound.
@@ -174,7 +174,6 @@ def mine_estimate(xs, zs, cfg: MineConfig | None = None) -> float:
     returned value is clamped below at 0 for reporting, since mutual
     information is non-negative.
     """
-    cfg = cfg or MineConfig()
     cfg.validate()
     xs, zs, n_symbols = _prepare_inputs(xs, zs)
     n = xs.shape[0]

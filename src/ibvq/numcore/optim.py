@@ -99,9 +99,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self.params
 
-    def names(self) -> list[str]:
-        return list(self.params)
-
     def grads(self) -> dict[str, Array]:
         """The accumulated gradients of the parameters the last backward
         pass reached; a parameter it did not reach has none."""

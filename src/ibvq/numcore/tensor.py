@@ -434,7 +434,10 @@ def sqnorm(a: Tensor) -> Tensor:
     return _child(out_data, (an,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+LAYER_NORM_EPS = 1e-6  # added to each row's variance before the square root
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if gain.shape != (1, x.cols) or bias.shape != (1, x.cols):
         raise ShapeError(
             f"layer_norm gain/bias must be 1x{x.cols}, got {gain.shape}/{bias.shape}"
@@ -444,7 +447,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     mu = x.data.mean(axis=1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out_data = xhat * gain_data + bias.data
     n = x.cols

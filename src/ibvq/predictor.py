@@ -23,13 +23,16 @@ import ibvq.numcore as nc
 from ibvq.errors import ConfigError, ShapeError, ValidationError, VocabularyError
 
 
+# word embedding width, and the width of the context and attention layers
+EMBED_DIM = 16
+HIDDEN = 24
+
+
 @dataclass(frozen=True)
 class PredictorConfig:
     word_vocab: int
     K: int
     G: int = 2
-    embed_dim: int = 16
-    hidden: int = 24
     seed: int = 0
 
     def validate(self) -> None:
@@ -39,8 +42,8 @@ class PredictorConfig:
             raise ConfigError(
                 "predictor needs K >= 1; a disabled bottleneck has nothing to predict"
             )
-        if self.G < 1 or self.embed_dim < 1 or self.hidden < 1:
-            raise ConfigError("G, embed_dim, hidden must all be >= 1")
+        if self.G < 1:
+            raise ConfigError("G must be >= 1")
 
 
 class PredictorModel:
@@ -48,7 +51,7 @@ class PredictorModel:
         config.validate()
         self.config = config
         rng = np.random.default_rng(config.seed)
-        e, h = config.embed_dim, config.hidden
+        e, h = EMBED_DIM, HIDDEN
         p = {"embed": nc.glorot_uniform(rng, config.word_vocab, e),
              "ctx.w": nc.glorot_uniform(rng, 3 * e, h),
              "ctx.b": np.zeros((1, h))}

@@ -4,7 +4,7 @@ A D-dimensional vector is split into G contiguous sub-vectors, each encoded
 independently as the index of its nearest entry in one shared codebook of K
 entries living in R^(D/G). The bottleneck therefore transmits at most
 G * ln K nats, less when a group uses fewer entries (at K = 2 a probe found
-0 nats: ROADMAP.md, item 2); K = 0 disables it (no codebook, no codes).
+0 nats: ROADMAP.md, item 1); K = 0 disables it (no codebook, no codes).
 Only this module knows the codebook's layout.
 """
 
@@ -52,13 +52,12 @@ def codebook_store(cfg: CapacityConfig, dim: int) -> nc.ParamStore:
 
 def quantize_batch(
     x: np.ndarray, entries: np.ndarray, groups: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Quantize rows of (n, D) against the K x (D/G) codebook ``entries``
     shared by the ``groups`` groups.
 
-    Returns (codes, quantized, sq_dists): integer codes (n, G), the
-    concatenated nearest entries (n, D), and squared L2 distances to every
-    entry (n, G, K). Ties go to the lowest index (argmin semantics).
+    Returns (codes, quantized): integer codes (n, G) and the concatenated
+    nearest entries (n, D). Ties go to the lowest index (argmin semantics).
     """
     x = np.asarray(x, dtype=np.float64)
     sub_dim = entries.shape[1]
@@ -71,7 +70,7 @@ def quantize_batch(
     sq = np.einsum("ngkd,ngkd->ngk", diff, diff)
     codes = sq.argmin(axis=2)
     quantized = entries[codes].reshape(x.shape[0], x.shape[1])
-    return codes, quantized, sq
+    return codes, quantized
 
 
 def lookup(codes, entries: np.ndarray, groups: int) -> np.ndarray:
@@ -112,7 +111,7 @@ def apply_bottleneck(
     utterances of the mean over an utterance's n x D entries, so it sits on
     the same scale as the mean-squared reconstruction loss.
     """
-    codes, q_values, _ = quantize_batch(x.data, codebook_param.data, cfg.G)
+    codes, q_values = quantize_batch(x.data, codebook_param.data, cfg.G)
     # codebook pulls toward frozen encoder outputs
     codebook_loss = nc.mse(nc.gather_rows(codebook_param, codes), x.data, offsets)
     # encoder commits to the frozen selected entries
@@ -125,27 +124,20 @@ def apply_bottleneck(
     )
 
 
-@dataclass
-class UsageStats:
-    histogram: np.ndarray   # (G, K) counts
-    perplexity: np.ndarray  # (G,) exp(entropy), in [1, K]
-
-
-def usage_stats(codes: np.ndarray, cfg: CapacityConfig) -> UsageStats:
-    """Per-group code histograms and perplexities over a dataset."""
+def usage_stats(codes: np.ndarray, cfg: CapacityConfig) -> np.ndarray:
+    """(G,) code perplexity of each group over a dataset: exp of the entropy
+    of its code histogram, in [1, K]."""
     codes = np.asarray(codes, dtype=np.int64)
     if codes.size == 0:
         raise ValidationError("usage_stats needs at least one code")
     if codes.ndim != 2 or codes.shape[1] != cfg.G:
         raise ShapeError(f"codes shaped {codes.shape} are not (n, {cfg.G} groups)")
-    hist = np.zeros((cfg.G, cfg.K), dtype=np.int64)
     perp = np.zeros(cfg.G)
-    n = codes.shape[0]
     for g in range(cfg.G):
-        hist[g] = np.bincount(codes[:, g], minlength=cfg.K)
-        p = hist[g][hist[g] > 0] / n
+        counts = np.bincount(codes[:, g])
+        p = counts[counts > 0] / codes.shape[0]
         perp[g] = math.exp(-float(np.sum(p * np.log(p))))
-    return UsageStats(histogram=hist, perplexity=perp)
+    return perp
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +146,7 @@ def usage_stats(codes: np.ndarray, cfg: CapacityConfig) -> UsageStats:
 
 
 def init_codebook_from_features(
-    word_features: np.ndarray, cfg: CapacityConfig, seed: int = 0
+    word_features: np.ndarray, cfg: CapacityConfig, seed: int
 ) -> np.ndarray:
     """K x (D/G) codebook entries seeded from encoder outputs by
     deterministic k-means++ over their group sub-vectors, to reduce early

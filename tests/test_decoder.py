@@ -183,7 +183,7 @@ def test_k0_graph_feeds_zeros_with_zero_losses(corpus):
     """A disabled bottleneck passes zero word vectors to the decoder, has no
     codes, and adds exactly 0 to the loss; the encoder is not run."""
     models = make_models(corpus, k=0)
-    assert models.codebook.names() == []
+    assert list(models.codebook.params) == []
     utts = corpus.utterances[:1]
     graph = reconstruction_graph(utts, models, commitment_cost=0.25)
     bn = graph.bottleneck

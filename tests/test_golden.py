@@ -4,11 +4,11 @@ and ``tests/data/golden_k0.json``, and one tiny K=4 sweep cell whose
 `CellResult` is checked in as ``tests/data/golden_cell.json``.
 
 Each run (40 utterances, G=2, 60 steps of batch 8, warm-up 20, reseed check
-every 20) takes about a second. At K=4 it covers the warm-up, k-means++
-codebook seeding, quantized steps and reseed checks; at K=0 the text-only
-baseline, whose decoder sees zero prosody vectors from the first step. The
-tests repeat them and compare every loss at rtol 1e-12 and the codes
-exactly.
+every 20, set with `recipe.recipe`) takes about a second. At K=4 it covers
+the warm-up, k-means++ codebook seeding, quantized steps and reseed checks;
+at K=0 the text-only baseline, whose decoder sees zero prosody vectors from
+the first step. The tests repeat them and compare every loss at rtol 1e-12
+and the codes exactly.
 
 The cell (48 utterances, 19 of them held out, 40 training steps, 20
 transfer pairs, a few MINE and predictor steps) pins the evaluation
@@ -21,7 +21,9 @@ A change that moves these numbers on purpose regenerates the files with
     PYTHONPATH=src python tests/test_golden.py
 
 which prints the largest relative move of any loss (or cell metric) against
-each old file.
+each old file. It trains through `golden_run` and `golden_cell`, the
+functions the tests call, so the regenerated files and the tests use the
+same recipe (warm-up 20, reseed 20) and cannot drift apart.
 Record every regeneration in CHANGES.md, with its cause and that move.
 """
 
@@ -42,6 +44,7 @@ from ibvq.harness.training import split_corpus, train_autoencoder
 from ibvq.mi import MineConfig
 from ibvq.quantizer import CapacityConfig
 from ibvq.synthdata import CorpusConfig, build_corpus
+from recipe import recipe
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = {k: DATA / f"golden_k{k}.json" for k in (4, 0)}
@@ -56,10 +59,11 @@ def golden_run(k: int) -> dict:
     utterance."""
     corpus = build_corpus(CorpusConfig(n_utterances=40, seed=7))
     train_idx, _ = split_corpus(corpus)
-    trained = train_autoencoder(
-        corpus, CapacityConfig(K=k, G=2), nc.TrainConfig(steps=60, batch_size=8, seed=3),
-        train_indices=train_idx, warmup_steps=20, reseed_every=20,
-    )
+    with recipe(warmup=20, reseed=20):
+        trained = train_autoencoder(
+            corpus, CapacityConfig(K=k, G=2), nc.TrainConfig(steps=60, batch_size=8, seed=3),
+            train_indices=train_idx,
+        )
     run = {name: [repr(getattr(p, name)) for p in trained.loss_curve] for name in LOSSES}
     if trained.codes is not None:
         run["codes"] = [block.tolist() for block in trained.codes]

@@ -28,7 +28,7 @@ from ibvq.decoder import (
     reconstruction_graph,
 )
 from ibvq.encoder import EncoderConfig
-from ibvq.errors import CheckpointError, ConfigError, TrainingError
+from ibvq.errors import CheckpointError, ConfigError, TrainingError, ValidationError
 import ibvq.harness.cli as cli_module
 from ibvq.harness.cli import main as cli_main
 from ibvq.harness.experiments import (
@@ -49,6 +49,7 @@ from ibvq.mi import MineConfig, mine_estimate
 from ibvq.predictor import PredictorConfig, predict_codes, train_predictor
 from ibvq.quantizer import CapacityConfig
 from ibvq.synthdata import ENERGY_CHANNEL, CorpusConfig, build_corpus
+from recipe import recipe
 
 TINY_TRAIN = nc.TrainConfig(learning_rate=3e-3, steps=30, seed=5, batch_size=4)
 
@@ -60,9 +61,8 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def trained(corpus):
-    return train_autoencoder(
-        corpus, CapacityConfig(K=4, G=2), TINY_TRAIN, warmup_steps=10
-    )
+    with recipe(warmup=10):
+        return train_autoencoder(corpus, CapacityConfig(K=4, G=2), TINY_TRAIN)
 
 
 def test_split_corpus_fixed_and_disjoint(corpus):
@@ -75,10 +75,11 @@ def test_split_corpus_fixed_and_disjoint(corpus):
 
 
 def test_training_deterministic(corpus):
-    r1 = train_autoencoder(corpus, CapacityConfig(K=4, G=2), TINY_TRAIN, warmup_steps=10)
-    r2 = train_autoencoder(corpus, CapacityConfig(K=4, G=2), TINY_TRAIN, warmup_steps=10)
+    with recipe(warmup=10):
+        r1 = train_autoencoder(corpus, CapacityConfig(K=4, G=2), TINY_TRAIN)
+        r2 = train_autoencoder(corpus, CapacityConfig(K=4, G=2), TINY_TRAIN)
     assert [p.total for p in r1.loss_curve] == [p.total for p in r2.loss_curve]
-    for name in r1.models.encoder.store.names():
+    for name in r1.models.encoder.store.params:
         npt.assert_array_equal(
             r1.models.encoder.store[name].data, r2.models.encoder.store[name].data
         )
@@ -97,7 +98,7 @@ def test_loss_decreases(trained):
 def test_k0_quantizer_losses_identically_zero(corpus):
     res = train_autoencoder(corpus, CapacityConfig(K=0, G=2), TINY_TRAIN)
     assert all(p.codebook == 0.0 and p.commitment == 0.0 for p in res.loss_curve)
-    assert res.models.codebook.names() == [] and res.usage is None
+    assert list(res.models.codebook.params) == [] and res.usage is None
 
 
 K0_TRAIN = nc.TrainConfig(learning_rate=3e-3, steps=60, seed=5, batch_size=4)
@@ -148,8 +149,9 @@ def test_every_saved_parameter_is_trained(trained):
 def test_divergence_reports_step(corpus):
     # a learning rate this large drives activations to overflow within steps
     bad = nc.TrainConfig(learning_rate=1e160, steps=60, seed=5, batch_size=4)
-    with pytest.raises(TrainingError, match="step"), pytest.warns(RuntimeWarning):
-        train_autoencoder(corpus, CapacityConfig(K=4, G=2), bad, warmup_steps=5)
+    with recipe(warmup=5):
+        with pytest.raises(TrainingError, match="step"), pytest.warns(RuntimeWarning):
+            train_autoencoder(corpus, CapacityConfig(K=4, G=2), bad)
 
 
 def test_model_checkpoint_round_trip(tmp_path, corpus, trained, trained_k0):
@@ -298,7 +300,8 @@ def test_step_graph_size_independent_of_batch(corpus, monkeypatch):
         sizes.append([])
         cfg = nc.TrainConfig(steps=2, seed=5, batch_size=batch_size)
         # step 0 bypasses the quantizer, step 1 quantizes
-        train_autoencoder(corpus, CapacityConfig(K=4, G=2), cfg, warmup_steps=1)
+        with recipe(warmup=1):
+            train_autoencoder(corpus, CapacityConfig(K=4, G=2), cfg)
     assert sizes[0] == sizes[1]
     assert len(sizes[0]) == 2 and max(sizes[0]) < 100
 
@@ -384,8 +387,9 @@ def test_no_backward_function_holds_a_tensor(corpus, monkeypatch):
         backward(loss)
 
     monkeypatch.setattr(nc.Tensor, "backward", checking_backward)
-    train_autoencoder(corpus, CapacityConfig(K=4, G=2),
-                      nc.TrainConfig(steps=2, seed=5, batch_size=4), warmup_steps=1)
+    with recipe(warmup=1):
+        train_autoencoder(corpus, CapacityConfig(K=4, G=2),
+                          nc.TrainConfig(steps=2, seed=5, batch_size=4))
     rng = np.random.default_rng(3)
     mine_estimate(rng.standard_normal((100, 3)), rng.integers(0, 4, size=(100, 2)),
                   MineConfig(steps=1, batch_size=32, eval_derangements=1))
@@ -410,8 +414,9 @@ def test_codebook_seeding_packs_bounded_passes(corpus, monkeypatch):
     monkeypatch.setattr(decoder_module, "pack_utterances", recording_pack)
     # both shards of each batch in this process, so that every pack is seen
     monkeypatch.setattr(shards, "_two_cpus", lambda: False)
-    train_autoencoder(corpus, CapacityConfig(K=4, G=2),
-                      nc.TrainConfig(steps=2, seed=5, batch_size=4), warmup_steps=1)
+    with recipe(warmup=1):
+        train_autoencoder(corpus, CapacityConfig(K=4, G=2),
+                          nc.TrainConfig(steps=2, seed=5, batch_size=4))
     # warm-up batch (two shards), seeding passes, quantized batch (two
     # shards), final-code passes
     assert sizes == [2, 2, PASS_UTTERANCES, 24 - PASS_UTTERANCES, 2, 2,
@@ -490,12 +495,11 @@ def test_transfer_r_undefined_is_nan(corpus, trained, monkeypatch, readout):
     with the reference: r is NaN, not 0."""
     monkeypatch.setattr(experiments, "word_pitch_readout",
                         lambda features, edges: [readout] * (len(edges) - 1))
-    result = run_transfer_experiment(
-        trained.models, corpus, list(range(len(corpus.utterances))), n_pairs=4
+    prosody_r, clearness = run_transfer_experiment(
+        trained.models, corpus, list(range(len(corpus.utterances))), n_pairs=4, seed=0
     )
-    assert result.n_pairs > 0
-    assert math.isnan(result.prosody_similarity_r)
-    assert 0.0 <= result.content_clearness <= 1.0
+    assert math.isnan(prosody_r)
+    assert 0.0 <= clearness <= 1.0
 
 
 def test_matched_pairs_props(corpus):
@@ -504,6 +508,14 @@ def test_matched_pairs_props(corpus):
     for a, b in pairs:
         assert a != b
         assert corpus.utterances[a].alignment.n_words == corpus.utterances[b].alignment.n_words
+
+
+@pytest.mark.parametrize("n_pairs", [0, -3])
+def test_matched_pairs_refuses_fewer_than_one_pair(corpus, n_pairs):
+    """No pairs would leave transfer's mean empty (NaN), and a negative
+    count would keep all pairs but the last few."""
+    with pytest.raises(ValidationError, match=f"n_pairs >= 1, got {n_pairs}"):
+        matched_pairs(corpus, list(range(len(corpus.utterances))), n_pairs, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ def test_factorized_statistic_equals_concatenated_input():
     x = rng.standard_normal((n, 4))
     z = rng.integers(0, symbols, size=(n, k * groups))
     model = MineModel(4, groups, symbols, MineConfig(hidden=16, seed=3))
-    p = {name: model.store[name].data for name in model.store.names()}
+    p = {name: model.store[name].data for name in model.store.params}
     w1 = np.vstack([p["w1x"], p["w1z"]])
     outs = model.statistic(x, z)
     assert len(outs) == k

@@ -29,6 +29,7 @@ from ibvq.harness.training import train_autoencoder
 from ibvq.numcore.tensor import _child, _spent, check_offsets
 from ibvq.quantizer import CapacityConfig
 from ibvq.synthdata import CorpusConfig, build_corpus
+from recipe import recipe
 
 
 def rand(rng, r, c, lo=-1.0, hi=1.0):
@@ -261,13 +262,13 @@ def reference_store(rng):
 
 
 def assert_matches_reference(store, ref):
-    for name in store.names():
+    for name in store.params:
         npt.assert_array_equal(store[name].data, ref.values[name], err_msg=name)
     assert store.steps == ref.t
 
 
 def whole_grads(rng, store):
-    return {n: rand(rng, *store[n].shape, lo=-2.0, hi=2.0) for n in store.names()}
+    return {n: rand(rng, *store[n].shape, lo=-2.0, hi=2.0) for n in store.params}
 
 
 def test_flat_adam_equals_per_parameter_reference():
@@ -277,7 +278,7 @@ def test_flat_adam_equals_per_parameter_reference():
     row and `layout` hold the parameters in sorted name order."""
     rng = np.random.default_rng(30)
     store, ref = reference_store(rng)
-    assert store.names() == ["c.w", "a", "d", "b", "c.k"]
+    assert list(store.params) == ["c.w", "a", "d", "b", "c.k"]
     for step in range(20):
         grads = whole_grads(rng, store) if rng.random() < 0.7 else {}
         lr = 0.01 * (1 + step % 3)
@@ -361,7 +362,7 @@ def test_load_step_export_match_reference():
     loaded = rng.uniform(-1.0, 1.0, size=store.values.size)
     store.values[...] = loaded
     ref.values = {n: v.copy() for n, v in split_values(loaded, store.layout()).items()}
-    assert all(store[n] is tensors[n] for n in store.names())
+    assert all(store[n] is tensors[n] for n in store.params)
     assert_matches_reference(store, ref)
     grads = whole_grads(rng, store)
     nc.adam_step(store, grads, 0.02)
@@ -1130,7 +1131,8 @@ def test_training_loss_curve_equals_reference_ops(monkeypatch):
     train_cfg = nc.TrainConfig(learning_rate=3e-3, steps=30, seed=5, batch_size=4)
 
     def train():
-        return train_autoencoder(corpus, CapacityConfig(K=4, G=2), train_cfg, warmup_steps=10)
+        with recipe(warmup=10):
+            return train_autoencoder(corpus, CapacityConfig(K=4, G=2), train_cfg)
 
     fused = train()
     monkeypatch.setattr(nc, "attention", reference_attention)
@@ -1156,11 +1158,12 @@ def faults_of_warm_trainings(steps: int) -> list[int]:
 
     def faults_of_one_run():
         before = faults()
-        train_autoencoder(corpus, CapacityConfig(K=16, G=2), train_cfg, warmup_steps=5)
+        train_autoencoder(corpus, CapacityConfig(K=16, G=2), train_cfg)
         return faults() - before
 
-    faults_of_one_run()  # warm-up
-    return [faults_of_one_run() for _ in range(3)]
+    with recipe(warmup=5):
+        faults_of_one_run()  # warm-up
+        return [faults_of_one_run() for _ in range(3)]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
@@ -1214,11 +1217,13 @@ import ibvq.numcore as nc
 from ibvq.harness.training import split_corpus, train_autoencoder
 from ibvq.quantizer import CapacityConfig
 from ibvq.synthdata import CorpusConfig, build_corpus
+from recipe import recipe
 corpus = build_corpus(CorpusConfig(n_utterances=40, seed=7))
 train_idx, _ = split_corpus(corpus)
-trained = train_autoencoder(
-    corpus, CapacityConfig(K=4, G=2), nc.TrainConfig(steps=60, batch_size=8, seed=3),
-    train_indices=train_idx, warmup_steps=20, reseed_every=20)
+with recipe(warmup=20, reseed=20):
+    trained = train_autoencoder(
+        corpus, CapacityConfig(K=4, G=2), nc.TrainConfig(steps=60, batch_size=8, seed=3),
+        train_indices=train_idx)
 curve = repr([(p.mse, p.codebook, p.commitment) for p in trained.loss_curve])
 values = np.concatenate([s.values for s in trained.models.stores().values()])
 print(hashlib.sha256(curve.encode()).hexdigest(), hashlib.sha256(values.tobytes()).hexdigest())
@@ -1233,7 +1238,8 @@ def test_training_bytes_do_not_depend_on_the_blas_thread_count():
 
     def digests(threads: int) -> str:
         env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+               "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent),
+                                              os.environ.get("PYTHONPATH", "")])}
         run = subprocess.run([sys.executable, "-c", _GOLDEN_K4_DIGESTS], env=env,
                              capture_output=True, text=True, check=True)
         return run.stdout

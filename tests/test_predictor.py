@@ -51,7 +51,7 @@ def test_training_deterministic_under_seed():
     tc = nc.TrainConfig(learning_rate=5e-3, steps=60, seed=5)
     m1 = train_predictor(texts, codes, cfg, tc)
     m2 = train_predictor(texts, codes, cfg, tc)
-    for name in m1.store.names():
+    for name in m1.store.params:
         npt.assert_array_equal(m1.store[name].data, m2.store[name].data)
 
 

@@ -46,24 +46,21 @@ def test_capacity_config_validation():
 
 def test_quantize_hand_case():
     cb = two_entry_codebook()
-    codes, q, sq = qz.quantize_batch(np.array([[0.1, -0.1, 0.9, 1.2]]), cb, 2)
+    codes, q = qz.quantize_batch(np.array([[0.1, -0.1, 0.9, 1.2]]), cb, 2)
     npt.assert_array_equal(codes, [[0, 1]])
     npt.assert_array_equal(q, [[0.0, 0.0, 1.0, 1.0]])
-    assert sq.shape == (1, 2, 2)
-    npt.assert_allclose(sq[0, 0], [0.02, 2.02], atol=1e-12)
 
 
 def test_quantize_fixed_point():
     cb = two_entry_codebook()
     x = np.array([[1.0, 1.0, 0.0, 0.0]])
-    codes, q, sq = qz.quantize_batch(x, cb, 2)
+    _, q = qz.quantize_batch(x, cb, 2)
     npt.assert_array_equal(q, x)
-    assert sq[0, 0, codes[0, 0]] == 0.0 and sq[0, 1, codes[0, 1]] == 0.0
 
 
 def test_quantize_tie_goes_to_lowest_index():
     cb = two_entry_codebook()
-    codes, _, _ = qz.quantize_batch(np.array([[0.5, 0.5, 0.5, 0.5]]), cb, 2)
+    codes, _ = qz.quantize_batch(np.array([[0.5, 0.5, 0.5, 0.5]]), cb, 2)
     npt.assert_array_equal(codes, [[0, 0]])
 
 
@@ -79,7 +76,7 @@ def test_lookup_hand_case_and_round_trip():
         qz.lookup([0, 1], cb, 2)  # one code row is still (1, G)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(100, 4))
-    codes, q, _ = qz.quantize_batch(x, cb, 2)
+    codes, q = qz.quantize_batch(x, cb, 2)
     npt.assert_array_equal(qz.lookup(codes, cb, 2), q)
 
 
@@ -92,13 +89,12 @@ def test_nearest_neighbor_matches_brute_force():
     rng = np.random.default_rng(4)
     cb = rng.normal(size=(16, 4))
     x = rng.normal(size=(200, 8))
-    codes, q, sq = qz.quantize_batch(x, cb, 2)
+    codes, _ = qz.quantize_batch(x, cb, 2)
     for i in range(x.shape[0]):
         for g in range(2):
             sub = x[i, g * 4 : (g + 1) * 4]
             dists = [float(np.sum((sub - e) ** 2)) for e in cb]
             assert codes[i, g] == int(np.argmin(dists))
-            assert sq[i, g, codes[i, g]] <= min(dists) + 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +176,7 @@ def test_bottleneck_codebook_loss_finite_difference():
     x_data = rng.normal(size=(6, 4))
     entries = rng.normal(size=(4, 2))
 
-    codes, _, _ = qz.quantize_batch(x_data, entries, 2)
+    codes, _ = qz.quantize_batch(x_data, entries, 2)
 
     def loss(p):
         gathered = nc.concat_cols(
@@ -220,30 +216,29 @@ def test_bottleneck_codebook_loss_equals_per_group_gathers(groups):
 
 
 def test_usage_collapse():
-    stats = qz.usage_stats(np.zeros((10, 2), dtype=int), qz.CapacityConfig(K=4, G=2))
-    npt.assert_allclose(stats.perplexity, [1.0, 1.0])
+    perplexity = qz.usage_stats(np.zeros((10, 2), dtype=int), qz.CapacityConfig(K=4, G=2))
+    npt.assert_allclose(perplexity, [1.0, 1.0])
 
 
 def test_usage_uniform_is_k():
     codes = np.stack([np.arange(16) % 16, np.arange(16) % 16], axis=1)
-    stats = qz.usage_stats(codes, qz.CapacityConfig(K=16, G=2))
-    npt.assert_allclose(stats.perplexity, [16.0, 16.0], rtol=1e-12)
+    perplexity = qz.usage_stats(codes, qz.CapacityConfig(K=16, G=2))
+    npt.assert_allclose(perplexity, [16.0, 16.0], rtol=1e-12)
 
 
 def test_usage_hand_entropy():
     codes = np.array([[0], [0], [0], [1]])
-    stats = qz.usage_stats(codes, qz.CapacityConfig(K=2, G=1))
+    perplexity = qz.usage_stats(codes, qz.CapacityConfig(K=2, G=1))
     expect = math.exp(-(0.75 * math.log(0.75) + 0.25 * math.log(0.25)))
-    assert abs(stats.perplexity[0] - expect) < 1e-12
+    assert abs(perplexity[0] - expect) < 1e-12
     assert abs(expect - 1.7548) < 1e-4
-    npt.assert_array_equal(stats.histogram, [[3, 1]])
 
 
 def test_usage_perplexity_bounds():
     rng = np.random.default_rng(5)
     codes = rng.integers(0, 8, size=(500, 2))
-    stats = qz.usage_stats(codes, qz.CapacityConfig(K=8, G=2))
-    assert np.all(stats.perplexity >= 1.0) and np.all(stats.perplexity <= 8.0)
+    perplexity = qz.usage_stats(codes, qz.CapacityConfig(K=8, G=2))
+    assert np.all(perplexity >= 1.0) and np.all(perplexity <= 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +253,7 @@ def test_plugin_mi_of_codes_never_exceeds_capacity():
     for k in (2, 4, 16):
         cfg = qz.CapacityConfig(K=k, G=2)
         cb = qz.init_codebook_from_features(x, cfg, seed=0)
-        codes, _, _ = qz.quantize_batch(x, cb, 2)
+        codes, _ = qz.quantize_batch(x, cb, 2)
         mi = sd.oracle_mi_discrete(sd.merge_symbols(codes), labels)
         assert mi <= qz.capacity(cfg) + 1e-9
 
@@ -275,7 +270,7 @@ def test_quantization_error_non_increasing_in_k():
             cb = qz.init_codebook_from_features(x, qz.CapacityConfig(K=k, G=2), seed=seed)
             largest = qz.init_codebook_from_features(x, qz.CapacityConfig(K=16, G=2), seed=seed)
             npt.assert_array_equal(cb, largest[:k])
-            _, q, _ = qz.quantize_batch(x, cb, 2)
+            _, q = qz.quantize_batch(x, cb, 2)
             per_seed.append(float(np.mean((x - q) ** 2)))
         distortions[k] = np.mean(per_seed)
     ks = sorted(distortions)
@@ -294,15 +289,15 @@ def test_init_codebook_from_features_shapes():
     cb = qz.init_codebook_from_features(feats, qz.CapacityConfig(K=16, G=2), seed=1)
     assert cb.shape == (16, 4)
     with pytest.raises(ConfigError):
-        qz.init_codebook_from_features(feats, qz.CapacityConfig(K=0, G=2))
+        qz.init_codebook_from_features(feats, qz.CapacityConfig(K=0, G=2), seed=1)
 
 
 
 def test_codebook_store_holds_entries_only_when_enabled():
     store = qz.codebook_store(qz.CapacityConfig(K=4, G=2), 8)
-    assert store.names() == ["entries"]
+    assert list(store.params) == ["entries"]
     npt.assert_array_equal(store["entries"].data, np.zeros((4, 4)))
-    assert qz.codebook_store(qz.CapacityConfig(K=0, G=2), 8).names() == []
+    assert list(qz.codebook_store(qz.CapacityConfig(K=0, G=2), 8).params) == []
 
 
 # ---------------------------------------------------------------------------

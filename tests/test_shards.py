@@ -18,6 +18,7 @@ from ibvq.harness.cli import main as cli_main
 from ibvq.harness.training import split_shards, train_autoencoder
 from ibvq.quantizer import CapacityConfig
 from ibvq.synthdata import CorpusConfig, build_corpus
+from recipe import recipe
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the shard worker is forked")
 
@@ -50,9 +51,9 @@ def forks(monkeypatch):
 
 
 def train(corpus, k, batch_size, steps=24):
-    return train_autoencoder(corpus, CapacityConfig(K=k, G=2),
-                             nc.TrainConfig(steps=steps, seed=5, batch_size=batch_size),
-                             warmup_steps=8, reseed_every=8)
+    with recipe(warmup=8, reseed=8):
+        return train_autoencoder(corpus, CapacityConfig(K=k, G=2),
+                                 nc.TrainConfig(steps=steps, seed=5, batch_size=batch_size))
 
 
 def digests(trained) -> dict:
