@@ -67,8 +67,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.capacities or len(set(self.capacities)) != len(self.capacities):
             raise ConfigError("capacities must be a non-empty list of distinct K values")
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must be a non-empty list of distinct seeds")
+        if self.predictor_steps < 0:
+            raise ConfigError(f"predictor_steps must be >= 0, got {self.predictor_steps}")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ConfigError("holdout_fraction must lie in (0, 1)")
         for k in self.capacities:

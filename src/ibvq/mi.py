@@ -14,11 +14,15 @@ once. Each training step projects its batch's x rows once and evaluates
 the rest of the network on them paired with their own codes (the joint
 rows) and with shuffled codes (the marginal rows); the full-data bound
 projects the data once for the joint rows and all of its derangements.
+
+`MineConfig` holds what callers set (hidden width, steps, batch size,
+evaluation period, seed); `CODE_EMBED_DIM`, `LEARNING_RATE`, `EMA_DECAY`,
+`EVAL_SMOOTHING` and `EVAL_DERANGEMENTS` are constants. Samples and codes
+are 2-D, one row per sample.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,30 +36,26 @@ from ibvq.errors import (
 )
 
 
+CODE_EMBED_DIM = 8         # width of each code's learned embedding
+LEARNING_RATE = 2e-3
+EMA_DECAY = 0.99           # gradient bias correction for ln E[exp T]
+EVAL_SMOOTHING = 0.9       # smoothing of the full-data bound
+EVAL_DERANGEMENTS = 16     # marginal resamplings per evaluation
+
+
 @dataclass(frozen=True)
 class MineConfig:
     hidden: int = 48
-    code_embed_dim: int = 8
-    learning_rate: float = 2e-3
     steps: int = 4000
     batch_size: int = 512
-    ema_decay: float = 0.99      # gradient bias correction for ln E[exp T]
     eval_every: int = 50
-    eval_smoothing: float = 0.9  # smoothing of the full-data bound
-    eval_derangements: int = 16  # marginal resamplings per evaluation
     seed: int = 0
 
     def validate(self) -> None:
         if self.steps < 1 or self.batch_size < 2 or self.hidden < 1:
             raise ConfigError("steps >= 1, batch_size >= 2, hidden >= 1 required")
-        if self.eval_every < 1 or self.code_embed_dim < 1:
-            raise ConfigError("eval_every >= 1 and code_embed_dim >= 1 required")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.eval_derangements < 1:
-            raise ConfigError("eval_derangements must be >= 1")
-        if not 0.0 <= self.ema_decay < 1.0 or not 0.0 <= self.eval_smoothing < 1.0:
-            raise ConfigError("decay factors must lie in [0, 1)")
+        if self.eval_every < 1:
+            raise ConfigError("eval_every >= 1 required")
 
 
 def dv_bound(t_joint, t_marginal) -> float:
@@ -114,8 +114,8 @@ class MineModel:
         cfg.validate()
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
-        p = {"embed": 0.1 * rng.standard_normal((n_symbols * z_dim, cfg.code_embed_dim))}
-        w1 = nc.glorot_uniform(rng, x_dim + cfg.code_embed_dim * z_dim, cfg.hidden)
+        p = {"embed": 0.1 * rng.standard_normal((n_symbols * z_dim, CODE_EMBED_DIM))}
+        w1 = nc.glorot_uniform(rng, x_dim + CODE_EMBED_DIM * z_dim, cfg.hidden)
         p["w1x"], p["w1z"] = w1[:x_dim], w1[x_dim:]
         p["b1"] = np.zeros((1, cfg.hidden))
         p["w2"] = nc.glorot_uniform(rng, cfg.hidden, 1)
@@ -148,11 +148,9 @@ class MineModel:
 
 def _prepare_inputs(xs, zs) -> tuple[np.ndarray, np.ndarray, int]:
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim == 1:
-        xs = xs.reshape(-1, 1)
     zs = np.asarray(zs)
-    if zs.ndim == 1:
-        zs = zs.reshape(-1, 1)
+    if xs.ndim != 2 or zs.ndim != 2:
+        raise ShapeError(f"samples and codes must be 2-D, got shapes {xs.shape} and {zs.shape}")
     n = xs.shape[0]
     if n != zs.shape[0]:
         raise ShapeError(f"sample counts differ: {n} vs {zs.shape[0]}")
@@ -183,7 +181,7 @@ def mine_estimate(xs, zs, cfg: MineConfig) -> float:
     # log-partition term well below the estimator's tolerance
     z_eval_margs = [
         shuffle_marginal(zs, seed=cfg.seed + 1 + r)
-        for r in range(cfg.eval_derangements)
+        for r in range(EVAL_DERANGEMENTS)
     ]
     # each row's codes followed by its codes under every derangement
     z_eval = np.hstack([zs] + z_eval_margs)
@@ -200,7 +198,7 @@ def mine_estimate(xs, zs, cfg: MineConfig) -> float:
         mean_exp_marg = nc.mean_all(nc.exp(t_marg))
         batch_mean_exp = mean_exp_marg.item()
         ema = batch_mean_exp if ema is None else (
-            cfg.ema_decay * ema + (1.0 - cfg.ema_decay) * batch_mean_exp
+            EMA_DECAY * ema + (1.0 - EMA_DECAY) * batch_mean_exp
         )
         # maximize mean(T_joint) - E[exp T_marg]/ema: same gradient direction
         # as the DV bound but with the debiased log-partition gradient
@@ -213,8 +211,8 @@ def mine_estimate(xs, zs, cfg: MineConfig) -> float:
                 t_joint, *t_margs = model.statistic(xs, z_eval)
             bound = dv_bound(t_joint.data, np.vstack([t.data for t in t_margs]))
             smoothed = bound if smoothed is None else (
-                cfg.eval_smoothing * smoothed + (1.0 - cfg.eval_smoothing) * bound
+                EVAL_SMOOTHING * smoothed + (1.0 - EVAL_SMOOTHING) * bound
             )
 
-    nc.fit([model.store], cfg.steps, step_loss, cfg.learning_rate, on_step=evaluate_bound)
+    nc.fit([model.store], cfg.steps, step_loss, LEARNING_RATE, on_step=evaluate_bound)
     return max(float(smoothed), 0.0)

@@ -1,10 +1,11 @@
 """Deterministic differentiable-computation core.
 
-Dense float64 matrices with reverse-mode gradients, the layer operations the
-models in this package are built from, an adaptive-moment optimizer and the
-one training loop (`fit`) that applies it, a finite-difference gradient
-checker, and checkpoints that save parameter values as one float64 vector
-in a NumPy ``.npy`` file (`save_params`, `load_params`).
+Dense 2-D float64 matrices with reverse-mode gradients, the layer
+operations the models in this package are built from, an adaptive-moment
+optimizer and the one training loop (`fit`) that applies it, a
+finite-difference gradient checker, and checkpoints that save parameter
+values as one float64 vector in a NumPy ``.npy`` file (`save_params`,
+`load_params`).
 
 Layers are few, large graph nodes: `affine` is one node with its own
 backward, and `gather_rows` takes a ``(rows, G)`` index matrix to read G
@@ -20,11 +21,12 @@ is freed as soon as the model code drops it, and backward releases each
 node's saved arrays as soon as the node's backward has run. A graph is
 therefore back-propagated once; see `ibvq.numcore.tensor`.
 
-The sequence layers (`attention`, `conv1d`, `mse`, `cross_entropy`,
-`positional`) take ``offsets`` marking where each sequence of a packed
-batch starts, so one graph over stacked sequences computes what a graph per
-sequence would; a single sequence of n rows is the batch ``[0, n]``. See
-`ibvq.numcore.tensor`.
+The elementwise `add`, `sub` and `mul` take operands of one shape; they do
+not broadcast. The sequence layers (`attention`, `conv1d`, `mse`,
+`cross_entropy`, `positional`) take ``offsets``, an integer array marking
+where each sequence of a packed batch starts, so one graph over stacked
+sequences computes what a graph per sequence would; a single sequence of n
+rows is the batch ``[0, n]``. See `ibvq.numcore.tensor`.
 
 Training splits each step's batch into two shards and back-propagates the
 second in a forked worker process when two CPUs are free

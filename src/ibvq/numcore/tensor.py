@@ -1,17 +1,19 @@
 """Reverse-mode differentiable operations on 2-D float64 matrices.
 
 Every value is a `Tensor`: a ``(rows, cols)`` numpy array (``data``) and
-the graph `Node` it was computed by. Operations build a graph of nodes;
-calling :meth:`Tensor.backward` on a 1x1 scalar runs reverse-mode
-accumulation into ``.grad`` of every leaf that was created with
-``requires_grad=True``. Only leaves keep ``.grad``: an interior node's
-gradient is dropped as soon as its backward function has passed it on.
-Everything is float64 and deterministic: the same inputs produce
-bit-identical outputs.
+the graph `Node` it was computed by; data of any other number of
+dimensions, a 1-D vector included, is refused. The elementwise `add`, `sub`
+and `mul` take operands of one shape and do not broadcast; `mul` also
+takes a number. Operations build a graph of nodes; calling
+:meth:`Tensor.backward` on a 1x1 scalar runs reverse-mode accumulation
+into ``.grad`` of every leaf that was created with ``requires_grad=True``.
+Only leaves keep ``.grad``: an interior node's gradient is dropped as soon
+as its backward function has passed it on. Everything is float64 and
+deterministic: the same inputs produce bit-identical outputs.
 
 A node holds its parents' nodes and a backward function, and that function
 holds exactly the arrays it reads (an `affine` its input and weight, a
-`relu` a boolean mask, an `add` two shapes), never a tensor. The graph
+`relu` a boolean mask, an `add` none), never a tensor. The graph
 therefore does not keep a value alive: an intermediate no backward reads
 is freed as soon as the model code drops its tensor, while the loss lives.
 As backward runs, it releases each node's function, and with it the
@@ -38,8 +40,8 @@ sequence's entries and then the sequences, and `positional` numbers rows
 from 0 in every sequence, so a packed batch computes what its sequences
 compute one at a time, to rounding: the BLAS result for a row of a matrix
 product can depend on the product's row count, so the two can differ in
-the last bit. Offsets are required: a single sequence of n rows is the
-batch ``[0, n]``.
+the last bit. Offsets are required, with an integer dtype: a single
+sequence of n rows is the batch ``[0, n]``.
 """
 
 from __future__ import annotations
@@ -63,8 +65,6 @@ Array = np.ndarray
 
 def _as_matrix(data) -> Array:
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got shape {arr.shape}")
     return arr
@@ -231,56 +231,41 @@ def _child(data: Array, parents: tuple[Node, ...], backward: Callable[[Array], N
     return Tensor(data)
 
 
-def _unbroadcast(g: Array, shape: tuple[int, int]) -> Array:
-    # Sum gradient over axes that were broadcast in the forward pass.
-    if g.shape == shape:
-        return g
-    if shape[0] == 1 and g.shape[0] != 1:
-        g = g.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] != 1:
-        g = g.sum(axis=1, keepdims=True)
-    if g.shape != shape:
-        raise ShapeError(f"cannot reduce gradient {g.shape} to {shape}")
-    return g
-
-
-def _broadcast_ok(a: Tensor, b: Tensor) -> None:
-    for da, db in zip(a.shape, b.shape):
-        if da != db and da != 1 and db != 1:
-            raise ShapeError(f"shapes {a.shape} and {b.shape} do not broadcast")
+def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op} needs operands of one shape, got {a.shape} and {b.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_ok(a, b)
+    _same_shape("add", a, b)
     out_data = a.data + b.data
     an, bn = a._node, b._node
-    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
         if an.requires_grad:
-            an._accumulate(_unbroadcast(g, a_shape))
+            an._accumulate(g)
         if bn.requires_grad:
-            bn._accumulate(_unbroadcast(g, b_shape))
+            bn._accumulate(g)
 
     return _child(out_data, (an, bn), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_ok(a, b)
+    _same_shape("sub", a, b)
     out_data = a.data - b.data
     an, bn = a._node, b._node
-    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
         if an.requires_grad:
-            an._accumulate(_unbroadcast(g, a_shape))
+            an._accumulate(g)
         if bn.requires_grad:
-            bn._accumulate(_unbroadcast(-g, b_shape))
+            bn._accumulate(-g)
 
     return _child(out_data, (an, bn), backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
+    """a times a number, or entrywise times a tensor of a's shape."""
     an = a._node
     if not isinstance(b, Tensor):
         s = float(b)
@@ -292,16 +277,16 @@ def mul(a: Tensor, b) -> Tensor:
 
         return _child(out_data, (an,), backward_scalar)
 
-    _broadcast_ok(a, b)
+    _same_shape("mul", a, b)
     bn = b._node
     a_data, b_data = a.data, b.data
     out_data = a_data * b_data
 
     def backward(g):
         if an.requires_grad:
-            an._accumulate(_unbroadcast(g * b_data, a_data.shape))
+            an._accumulate(g * b_data)
         if bn.requires_grad:
-            bn._accumulate(_unbroadcast(g * a_data, b_data.shape))
+            bn._accumulate(g * a_data)
 
     return _child(out_data, (an, bn), backward)
 
@@ -323,8 +308,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """y = x @ weight + bias, with the bias row broadcast over rows, as one
-    node; values and gradients equal those of `matmul` followed by `add`."""
+    """y = x @ weight + bias, with the bias row added to every row, as one
+    node; its values equal those of `matmul` followed by an `add` of the
+    bias repeated over the rows."""
     if x.cols != weight.rows:
         raise ShapeError(f"affine dimensions differ: x {x.shape} vs W {weight.shape}")
     if bias is not None and bias.shape != (1, weight.cols):
@@ -676,15 +662,15 @@ def cross_entropy(logits: Tensor, targets, offsets) -> Tensor:
 
 def check_offsets(offsets, rows: int) -> Array:
     """``offsets`` as an int64 array, validated: S+1 >= 2 strictly increasing
-    integers from 0 to ``rows``. Values that are not integers are refused,
-    not truncated."""
+    values from 0 to ``rows``, of an integer dtype; a float array is refused
+    even when its values are integral."""
     raw = np.asarray(offsets)
     if raw.ndim != 1 or raw.size < 2:
         raise AlignmentError("offsets must be a 1-D array with at least two entries")
     if raw.dtype.kind not in "iu":
-        bad = ~np.isfinite(raw) | (raw != np.trunc(raw))
-        if bad.any():
-            raise AlignmentError(f"offsets must be integers, got {raw[bad].tolist()}")
+        raise AlignmentError(
+            f"offsets must have an integer dtype, got {raw.dtype}: {raw.tolist()}"
+        )
     off = raw.astype(np.int64, copy=False)
     if off[0] != 0 or off[-1] != rows:
         raise AlignmentError(f"offsets must span [0, {rows}], got [{off[0]}, {off[-1]}]")
@@ -832,13 +818,14 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, *, width: int, offsets) -> T
 
 
 def mse(pred: Tensor, target, offsets) -> Tensor:
-    """Mean squared error as one node; the target carries no gradient.
+    """Mean squared error as one node, against a target array of the
+    prediction's shape.
 
     Each sequence's error, the rows from one of ``offsets`` to the next, is
     the mean over its own entries, and the result is the mean of those over
     the sequences, so each sequence weighs the same whatever its length.
     """
-    tgt = target.data if isinstance(target, Tensor) else _as_matrix(target)
+    tgt = _as_matrix(target)
     if tgt.shape != pred.shape:
         raise ShapeError(f"mse shapes differ: {pred.shape} vs {tgt.shape}")
     off = check_offsets(offsets, pred.rows)

@@ -49,8 +49,6 @@ def entropy_discrete(a) -> float:
 def merge_symbols(codes) -> np.ndarray:
     """Collapse rows of a 2-D integer array into one symbol per row."""
     arr = np.asarray(codes)
-    if arr.ndim == 1:
-        return arr.copy()
     if arr.ndim != 2:
-        raise ShapeError(f"expected 1-D or 2-D codes, got shape {arr.shape}")
+        raise ShapeError(f"expected 2-D codes, got shape {arr.shape}")
     return np.unique(arr, axis=0, return_inverse=True)[1].reshape(-1)

@@ -392,7 +392,7 @@ def test_no_backward_function_holds_a_tensor(corpus, monkeypatch):
                           nc.TrainConfig(steps=2, seed=5, batch_size=4))
     rng = np.random.default_rng(3)
     mine_estimate(rng.standard_normal((100, 3)), rng.integers(0, 4, size=(100, 2)),
-                  MineConfig(steps=1, batch_size=32, eval_derangements=1))
+                  MineConfig(steps=1, batch_size=32))
     texts = [u.spec.word_ids for u in corpus.utterances]
     codes = [rng.integers(0, 4, size=(len(t), 2)) for t in texts]
     train_predictor(texts, codes, PredictorConfig(word_vocab=corpus.config.word_vocab, K=4),
@@ -669,6 +669,25 @@ def test_sweep_refuses_a_mine_setting_that_cannot_run_before_training(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("code_embed_dim", 8), ("learning_rate", 2e-3), ("ema_decay", 0.99),
+    ("eval_smoothing", 0.9), ("eval_derangements", 16),
+])
+def test_sweep_refuses_a_mine_setting_that_is_a_constant(tmp_path, monkeypatch, capsys,
+                                                         name, value):
+    """The MINE settings no caller set are constants of ibvq.mi; a sweep
+    config naming one, even at its value, is refused as an unknown field."""
+    calls = []
+    monkeypatch.setattr(experiments, "train_autoencoder", lambda *a, **k: calls.append(a))
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"capacities": [4], "mine": {"steps": 10, name: value}}))
+    assert cli_main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "mine section of the sweep config" in err and name in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, message", [
     ({"groups": 3}, "divisible by groups 3"),
     ({"corpus": {"n_utterances": 1}}, "n_utterances >= 2"),
@@ -676,13 +695,20 @@ def test_sweep_refuses_a_mine_setting_that_cannot_run_before_training(
     ({"corpus": {"n_utterances": 10}}, "holds out 1 utterance(s), no two with the same word"),
     ({"transfer_pairs": 0}, "transfer_pairs must be >= 1, got 0"),
     ({"transfer_pairs": -3}, "transfer_pairs must be >= 1, got -3"),
+    ({"predictor_steps": -1}, "predictor_steps must be >= 0, got -1"),
+    ({"seeds": [1, 1]}, "distinct seeds"),
+    ({"capacities": [4.0]}, "K must be an integer, got 4.0"),
+    ({"groups": 2.0}, "G must be an integer, got 2.0"),
 ], ids=["groups", "n_utterances", "nothing_to_train", "no_transfer_pair", "zero_transfer_pairs",
-        "negative_transfer_pairs"])
+        "negative_transfer_pairs", "negative_predictor_steps", "repeated_seed", "float_K",
+        "float_G"])
 def test_sweep_refuses_a_config_no_cell_can_run(tmp_path, monkeypatch, capsys, section, message):
     """A group count that does not divide the encoder's output, a corpus too
     small to hold an utterance out, a split that holds every utterance out,
     one whose held-out utterances hold no word-count-matched transfer pair,
-    or a transfer pair count below 1, fails the command, not every cell."""
+    a transfer pair count below 1, a negative predictor step count, a seed
+    named twice (its cell would count twice in the per-K means) or a K or G
+    that is not an integer, fails the command, not every cell."""
     calls = []
     monkeypatch.setattr(experiments, "train_autoencoder", lambda *a, **k: calls.append(a))
     config = tmp_path / "sweep.json"

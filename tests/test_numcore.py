@@ -4,6 +4,7 @@ import gc
 import math
 import os
 import platform
+import re
 import resource
 import subprocess
 import sys
@@ -64,8 +65,10 @@ def test_affine_shape_mismatch():
 
 @pytest.mark.parametrize("with_bias", [True, False])
 def test_affine_one_node_equals_matmul_add(with_bias):
-    """The one-node affine gives the values and gradients of matmul + add,
-    bit for bit."""
+    """The one-node affine gives the values of matmul + add of the bias
+    repeated over the rows, and their gradients, bit for bit; the bias
+    gradient is the upstream gradient summed over the rows, as numpy sums
+    them."""
     rng = np.random.default_rng(21)
     data = {"x": rand(rng, 9, 5), "w": rand(rng, 5, 4), "b": rand(rng, 1, 4)}
     g = rand(rng, 9, 4, lo=-3.0, hi=3.0)
@@ -77,7 +80,7 @@ def test_affine_one_node_equals_matmul_add(with_bias):
             y = nc.affine(t["x"], t["w"], bias)
         else:
             y = nc.matmul(t["x"], t["w"])
-            y = nc.add(y, bias) if with_bias else y
+            y = nc.add(y, nc.repeat_rows(bias, [y.rows])) if with_bias else y
         nc.sum_all(nc.mul(y, nc.constant(g))).backward()
         return y, t
 
@@ -86,8 +89,10 @@ def test_affine_one_node_equals_matmul_add(with_bias):
     inputs = (t1["x"], t1["w"], t1["b"]) if with_bias else (t1["x"], t1["w"])
     assert y1._parents == tuple(t._node for t in inputs)
     npt.assert_array_equal(y1.data, y2.data)
-    for name in ("x", "w", "b") if with_bias else ("x", "w"):
+    for name in ("x", "w"):
         npt.assert_array_equal(t1[name].grad, t2[name].grad)
+    if with_bias:
+        npt.assert_array_equal(t1["b"].grad, g.sum(axis=0, keepdims=True))
 
 
 def test_affine_bias_shape_mismatch():
@@ -585,17 +590,35 @@ def check(f, point, tol=1e-4):
     assert err < tol, f"gradient mismatch: {err}"
 
 
-def test_grad_add_broadcast():
-    check(
-        lambda p: nc.sum_all(nc.mul(nc.add(p["a"], p["b"]), nc.add(p["a"], p["b"]))),
-        {"a": rand(RNG, 3, 4), "b": rand(RNG, 1, 4)},
-    )
+@pytest.mark.parametrize("op", [nc.add, nc.sub, nc.mul], ids=["add", "sub", "mul"])
+@pytest.mark.parametrize("shapes", [((3, 4), (1, 4)), ((3, 3), (3, 1)), ((1, 1), (2, 2))],
+                         ids=["row", "column", "scalar"])
+def test_elementwise_ops_refuse_operands_of_two_shapes(op, shapes):
+    """add, sub and mul do not broadcast: operands of two shapes are refused,
+    naming both, and so is a 1x1 tensor beside a larger one."""
+    a, b = (nc.tensor(np.ones(shape)) for shape in shapes)
+    message = f"{op.__name__} needs operands of one shape, got {shapes[0]} and {shapes[1]}"
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        op(a, b)
+    with pytest.raises(ShapeError):
+        op(b, a)
+
+
+def test_tensor_data_must_be_two_dimensional():
+    """A 1-D vector is not read as one row: tensors are 2-D matrices."""
+    for data in ([1.0, 2.0], np.zeros(3), np.zeros((2, 2, 2)), 1.0):
+        with pytest.raises(ShapeError, match="2-D"):
+            nc.tensor(data)
+        with pytest.raises(ShapeError, match="2-D"):
+            nc.constant(data)
+    with pytest.raises(ShapeError, match="2-D"):
+        nc.mse(nc.tensor(np.zeros((1, 2))), np.zeros(2), [0, 1])
 
 
 def test_grad_sub_mul():
     check(
         lambda p: nc.sum_all(nc.mul(nc.sub(p["a"], p["b"]), p["a"])),
-        {"a": rand(RNG, 3, 3), "b": rand(RNG, 3, 1)},
+        {"a": rand(RNG, 3, 3), "b": rand(RNG, 3, 3)},
     )
 
 
@@ -803,16 +826,17 @@ def test_packed_offsets_must_cover_rows():
 
 def test_offsets_and_edges_that_are_not_integers_are_refused():
     """A cast to int would truncate them: [0, 2.7, 5] would pool rows 0-1 as
-    its first segment. They are refused, naming the values."""
+    its first segment. They are refused, naming the values, and so is a
+    float array of integral values: offsets have an integer dtype."""
     with pytest.raises(AlignmentError, match="2.7"):
         nc.check_offsets([0, 2.7, 5], 5)
     with pytest.raises(AlignmentError, match="2.9"):
         nc.segment_mean(nc.tensor(np.zeros((5, 2))), [0, 2.9, 5])
     with pytest.raises(AlignmentError, match="nan"):
         nc.check_offsets([0, math.nan, 5], 5)
-    # integers stored as floats are offsets
-    off = nc.check_offsets(np.array([0.0, 2.0, 5.0]), 5)
-    assert off.dtype == np.int64 and off.tolist() == [0, 2, 5]
+    with pytest.raises(AlignmentError, match="integer dtype, got float64"):
+        nc.check_offsets(np.array([0.0, 2.0, 5.0]), 5)
+    assert nc.check_offsets(np.array([0, 2, 5], dtype=np.int32), 5).dtype == np.int64
 
 
 def test_grad_affine():

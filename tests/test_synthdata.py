@@ -621,3 +621,9 @@ def test_merge_symbols_rows():
     merged = sd.merge_symbols(codes)
     assert merged[0] == merged[1]
     assert len({merged[0], merged[2], merged[3]}) == 3
+
+
+def test_merge_symbols_refuses_codes_that_are_not_2d():
+    for codes in (np.array([0, 1, 1]), np.zeros((2, 2, 2), dtype=np.int64)):
+        with pytest.raises(ShapeError, match="2-D"):
+            sd.merge_symbols(codes)
