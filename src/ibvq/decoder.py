@@ -56,7 +56,7 @@ class DecoderConfig:
     hidden: int = 24
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_phones < 1:
             raise ConfigError("n_phones must be >= 1")
         for name in ("channels", "phone_dim", "prosody_dim", "hidden"):
@@ -69,7 +69,6 @@ class DecoderModel:
     trained by the reconstruction loss."""
 
     def __init__(self, config: DecoderConfig):
-        config.validate()
         self.config = config
         rng = np.random.default_rng(config.seed)
         e, h, c = config.phone_dim, config.hidden, config.channels

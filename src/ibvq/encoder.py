@@ -31,7 +31,7 @@ class EncoderConfig:
     groups: int = 2
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.acoustic_dim % self.groups != 0:
             raise ConfigError(
                 f"acoustic_dim {self.acoustic_dim} must be divisible by groups {self.groups}"
@@ -44,7 +44,6 @@ class EncoderModel:
     """Parameter container; all computation lives in the module functions."""
 
     def __init__(self, config: EncoderConfig):
-        config.validate()
         self.config = config
         rng = np.random.default_rng(config.seed)
         c, d = config.channels, config.acoustic_dim

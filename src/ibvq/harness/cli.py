@@ -36,7 +36,7 @@ from ibvq.harness.experiments import (
 from ibvq.harness.training import load_models, save_models, split_corpus, train_autoencoder
 from ibvq.mi import MineConfig
 from ibvq.predictor import pack_sentences, predict_codes
-from ibvq.numcore.checkpoint import write_atomic
+from ibvq.numcore.checkpoint import config_from_json, write_atomic
 from ibvq.quantizer import CapacityConfig, capacity
 from ibvq.synthdata import CorpusConfig, build_corpus, read_corpus, write_corpus
 
@@ -64,13 +64,13 @@ def _read_json(path: str | None) -> dict:
 
 
 def _config(cls, data, where: str, **overrides):
-    """``cls`` built from the keys of the JSON object ``data``, with the
-    ``overrides`` that are not None in place of its own. A value that is not
-    an object, or a key ``cls`` does not take, is a ConfigError naming
-    ``where``."""
+    """``cls`` built by `config_from_json` from the JSON object ``data``,
+    with the ``overrides`` (JSON values) that are not None in place of its
+    own. A value that is not an object, a key ``cls`` does not take, or a
+    value of the wrong JSON type is a ConfigError naming ``where``."""
     try:
         data = {**data, **{k: v for k, v in overrides.items() if v is not None}}
-        return cls(**data)
+        return config_from_json(cls, data)
     except TypeError as e:
         raise ConfigError(f"bad {where}: {e}") from e
 
@@ -155,14 +155,8 @@ def _experiment_config_from_json(path: str | None, seed: int | None) -> Experime
         # a null mine section turns the MINE estimate off
         if name in data and not (name == "mine" and data[name] is None):
             data[name] = _config(cls, data[name], f"{name} section of the sweep config")
-    try:
-        for key in ("capacities", "seeds"):
-            if key in data:
-                data[key] = tuple(data[key])
-    except TypeError as e:
-        raise ConfigError(f"bad sweep config: {e}") from e
     return _config(ExperimentConfig, data, "sweep config",
-                   seeds=(seed,) if seed is not None else None)
+                   seeds=[seed] if seed is not None else None)
 
 
 def cmd_sweep(args) -> int:

@@ -64,7 +64,7 @@ class ExperimentConfig:
         default_factory=lambda: MineConfig(steps=1500, hidden=32, batch_size=256)
     )
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.capacities or len(set(self.capacities)) != len(self.capacities):
             raise ConfigError("capacities must be a non-empty list of distinct K values")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
@@ -76,13 +76,11 @@ class ExperimentConfig:
         for k in self.capacities:
             CapacityConfig(K=k, G=self.groups)  # raises on a bad K or G
         # the encoder every cell trains; raises when G does not divide its output
-        EncoderConfig(channels=self.corpus.channels, groups=self.groups).validate()
+        EncoderConfig(channels=self.corpus.channels, groups=self.groups)
         if self.corpus.n_utterances < 2:
             raise ConfigError("a sweep needs n_utterances >= 2, to hold some out for evaluation")
         if self.transfer_pairs < 1:
             raise ConfigError(f"transfer_pairs must be >= 1, got {self.transfer_pairs}")
-        if self.mine is not None:
-            self.mine.validate()
 
 
 @dataclass
@@ -335,7 +333,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[CellResult]:
     A cell failure is recorded in its row (status/error) without aborting
     the others. Every row carries the full column set either way.
     """
-    cfg.validate()
     corpus = build_corpus(cfg.corpus)
     train_indices, held_indices = split_corpus(corpus, cfg.holdout_fraction)
     split = f"holdout_fraction {cfg.holdout_fraction} holds out {len(held_indices)} utterance(s)"

@@ -15,7 +15,7 @@ from ibvq.decoder import (AutoencoderModels, DecoderConfig, prosody_codes,
                           reconstruction_graph, word_features)
 from ibvq.encoder import EncoderConfig
 from ibvq.errors import CheckpointError, ConfigError
-from ibvq.numcore.checkpoint import write_atomic
+from ibvq.numcore.checkpoint import config_from_json, write_atomic
 from ibvq.quantizer import CapacityConfig, DeadCodes, init_codebook_from_features, usage_stats
 from ibvq.synthdata.types import Corpus, Utterance
 
@@ -273,15 +273,15 @@ def _layout_difference(recorded, expected: list[list]) -> str:
 
 
 def _config_from_meta(cls, fields, root: Path):
-    """``cls(**fields)``, refusing fields the config class does not have
-    (metadata written by a version with a different model)."""
+    """``config_from_json(cls, fields)``, refusing fields the config class
+    does not have (metadata written by a version with a different model)."""
     unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise CheckpointError(
             f"checkpoint {root} sets {cls.__name__} fields this version does not have: "
             f"{', '.join(unknown)}; retrain the model"
         )
-    return cls(**fields)
+    return config_from_json(cls, fields)
 
 
 def load_models(path: str | Path) -> AutoencoderModels:
@@ -299,10 +299,10 @@ def load_models(path: str | Path) -> AutoencoderModels:
         models = AutoencoderModels.build(
             _config_from_meta(EncoderConfig, meta["encoder"], root),
             _config_from_meta(DecoderConfig, meta["decoder"], root),
-            CapacityConfig(**meta["capacity"]),
+            _config_from_meta(CapacityConfig, meta["capacity"], root),
         )
-    except (KeyError, TypeError) as e:
-        raise CheckpointError(f"incomplete model metadata in {root}: {e}") from e
+    except (KeyError, TypeError, ConfigError) as e:
+        raise CheckpointError(f"incomplete or invalid model metadata in {root}: {e}") from e
     if "params" not in meta or "params_sha256" not in meta:
         raise CheckpointError(
             f"checkpoint {root} records no parameter layout or digest (saved by an "

@@ -18,7 +18,7 @@ projects the data once for the joint rows and all of its derangements.
 `MineConfig` holds what callers set (hidden width, steps, batch size,
 evaluation period, seed); `CODE_EMBED_DIM`, `LEARNING_RATE`, `EMA_DECAY`,
 `EVAL_SMOOTHING` and `EVAL_DERANGEMENTS` are constants. Samples and codes
-are 2-D, one row per sample.
+are 2-D, one row per sample and at least one column.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class MineConfig:
     eval_every: int = 50
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.steps < 1 or self.batch_size < 2 or self.hidden < 1:
             raise ConfigError("steps >= 1, batch_size >= 2, hidden >= 1 required")
         if self.eval_every < 1:
@@ -111,7 +111,6 @@ class MineModel:
     """
 
     def __init__(self, x_dim: int, z_dim: int, n_symbols: int, cfg: MineConfig):
-        cfg.validate()
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
         p = {"embed": 0.1 * rng.standard_normal((n_symbols * z_dim, CODE_EMBED_DIM))}
@@ -149,8 +148,8 @@ class MineModel:
 def _prepare_inputs(xs, zs) -> tuple[np.ndarray, np.ndarray, int]:
     xs = np.asarray(xs, dtype=np.float64)
     zs = np.asarray(zs)
-    if xs.ndim != 2 or zs.ndim != 2:
-        raise ShapeError(f"samples and codes must be 2-D, got shapes {xs.shape} and {zs.shape}")
+    if xs.ndim != 2 or zs.ndim != 2 or xs.shape[1] == 0 or zs.shape[1] == 0:
+        raise ShapeError(f"samples and codes must be 2-D with columns, got {xs.shape}, {zs.shape}")
     n = xs.shape[0]
     if n != zs.shape[0]:
         raise ShapeError(f"sample counts differ: {n} vs {zs.shape[0]}")
@@ -172,7 +171,6 @@ def mine_estimate(xs, zs, cfg: MineConfig) -> float:
     returned value is clamped below at 0 for reporting, since mutual
     information is non-negative.
     """
-    cfg.validate()
     xs, zs, n_symbols = _prepare_inputs(xs, zs)
     n = xs.shape[0]
     model = MineModel(xs.shape[1], zs.shape[1], n_symbols, cfg)

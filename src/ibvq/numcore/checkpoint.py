@@ -7,12 +7,16 @@ digest it is given, so a caller can tell its file from another save's. The
 vector is read back by numpy's own header parser with pickles refused, and
 it must be a little-endian float64 vector of exactly the length its layout
 names, with no bytes after it and every value finite.
+
+`config_from_json` builds a config from a JSON object read from a command's
+config file, a checkpoint's metadata or a corpus manifest.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +34,29 @@ def write_atomic(path: Path, write) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+# what a JSON value must be to fill a config field of each annotated type;
+# a JSON true or false is not an integer
+_JSON_KINDS = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    tuple[int, ...]: ("a list of integers",
+                      lambda v: type(v) is list and all(type(x) is int for x in v)),
+}
+
+
+def config_from_json(cls, data):
+    """``cls`` built from the JSON object ``data``, each list as a tuple. A
+    value of a JSON type its field's annotation does not take (`_JSON_KINDS`)
+    is a TypeError naming the field, as is a key ``cls`` does not take."""
+    data = {**data}
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        kind = _JSON_KINDS.get(hints.get(key))
+        if kind and not kind[1](value):
+            raise TypeError(f"{key} must be {kind[0]}, got {value!r}")
+    return cls(**{k: tuple(v) if type(v) is list else v for k, v in data.items()})
 
 
 def _sha256(blob: bytes) -> str:

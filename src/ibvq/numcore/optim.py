@@ -96,9 +96,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
     def grads(self) -> dict[str, Array]:
         """The accumulated gradients of the parameters the last backward
         pass reached; a parameter it did not reach has none."""

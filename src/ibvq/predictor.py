@@ -35,7 +35,7 @@ class PredictorConfig:
     G: int = 2
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.word_vocab < 1:
             raise ConfigError("word_vocab must be >= 1")
         if self.K < 1:
@@ -48,7 +48,6 @@ class PredictorConfig:
 
 class PredictorModel:
     def __init__(self, config: PredictorConfig):
-        config.validate()
         self.config = config
         rng = np.random.default_rng(config.seed)
         e, h = EMBED_DIM, HIDDEN
@@ -142,7 +141,6 @@ def train_predictor(
     graph over the packed batch; its loss is the mean over heads and
     sentences of each sentence's mean cross-entropy over its words.
     """
-    cfg.validate()
     _validate_pairs(texts, codes, cfg)
     model = PredictorModel(cfg)
     sampler = nc.BatchSampler(

@@ -11,7 +11,6 @@ Only this module knows the codebook's layout.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +27,6 @@ class CapacityConfig:
     G: int = 2
 
     def __post_init__(self):
-        for name in ("K", "G"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)  # a numpy integer passes, 4.0 does not
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.K < 0:
             raise ConfigError(f"K must be >= 0, got {self.K}")
         if self.G < 1:

@@ -71,9 +71,7 @@ def make_inventory(cfg: CorpusConfig, rng: np.random.Generator) -> PhoneInventor
                 f"cannot place {p} separated templates in {n_tpl} channels"
             )
     base_durations = rng.uniform(2.5, 7.5, size=p)
-    inv = PhoneInventory(voiced=voiced, templates=templates, base_durations=base_durations)
-    inv.validate()
-    return inv
+    return PhoneInventory(voiced=voiced, templates=templates, base_durations=base_durations)
 
 
 def make_lexicon(cfg: CorpusConfig, rng: np.random.Generator) -> list[LexiconWord]:
@@ -141,7 +139,6 @@ def _generate(cfg: CorpusConfig) -> tuple[PhoneInventory, list[LexiconWord], lis
     cfg.seed. Word identities follow Zipf-like frequencies so repeated words
     give the content/prosody mutual-information analysis realistic
     repetition."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     inventory = make_inventory(cfg, rng)
     lexicon = make_lexicon(cfg, rng)

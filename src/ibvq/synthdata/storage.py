@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ibvq.errors import CorpusFormatError, ValidationError
-from ibvq.numcore.checkpoint import write_atomic
+from ibvq.numcore.checkpoint import config_from_json, write_atomic
 from ibvq.synthdata.types import (
     Corpus,
     CorpusConfig,
@@ -173,7 +173,7 @@ def read_corpus(path: str | Path, utt_ids: Sequence[str] | None = None) -> Corpu
     manifest_path = root / MANIFEST_NAME
     manifest = _load_manifest(manifest_path)
     try:
-        config = CorpusConfig(**manifest["config"])
+        config = config_from_json(CorpusConfig, manifest["config"])
         inv = manifest["inventory"]
         inventory = PhoneInventory(
             voiced=np.asarray(inv["voiced"], dtype=bool),
@@ -196,7 +196,7 @@ def read_corpus(path: str | Path, utt_ids: Sequence[str] | None = None) -> Corpu
         frame_offsets = _offsets(manifest["frame_offsets"], len(listed))
         spec_offsets = _offsets(manifest["spec_offsets"], len(listed))
     except (KeyError, TypeError, ValueError) as e:
-        raise CorpusFormatError(f"manifest {manifest_path} is incomplete: {e}") from e
+        raise CorpusFormatError(f"manifest {manifest_path} is incomplete or invalid: {e}") from e
     if utt_ids is None:
         order = range(len(listed))
     else:

@@ -44,11 +44,11 @@ class PhoneInventory:
     def template_channels(self) -> int:
         return int(self.templates.shape[1])
 
-    def validate(self) -> None:
+    def __post_init__(self):
         p = self.size
         if p < 2 or not self.voiced.any() or self.voiced.all():
             raise ConfigError("inventory needs at least one voiced and one unvoiced phone")
-        if self.templates.shape[0] != p or self.base_durations.size != p:
+        if self.templates.ndim != 2 or (len(self.templates), self.base_durations.size) != (p, p):
             raise ConfigError("inventory field lengths disagree")
         diffs = self.templates[:, None, :] - self.templates[None, :, :]
         dist = np.sqrt((diffs**2).sum(axis=2))
@@ -76,7 +76,7 @@ class ProsodyFactor:
     energy: float       # scale, [0.5, 1.5]
     tempo: float        # duration multiplier, one of TEMPO_CHOICES
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 80.0 <= self.pitch_mean <= 400.0:
             raise ValidationError(f"pitch_mean {self.pitch_mean} outside [80, 400]")
         if not -3.0 <= self.pitch_slope <= 3.0:
@@ -114,7 +114,6 @@ class WordToken:
         for d in self.durations:
             if not 2 <= d <= 8:
                 raise ValidationError(f"phone duration {d} outside [2, 8]")
-        self.prosody.validate()
 
 
 def round_half_up(x: float) -> int:
@@ -223,7 +222,7 @@ class CorpusConfig:
     noise_sigma: float = 0.01
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_utterances < 1:
             raise ConfigError(f"n_utterances must be >= 1, got {self.n_utterances}")
         if self.word_vocab < 1:

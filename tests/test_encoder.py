@@ -22,7 +22,7 @@ def model():
 
 def test_config_requires_divisible_dim():
     with pytest.raises(ConfigError):
-        EncoderConfig(acoustic_dim=7, groups=2).validate()
+        EncoderConfig(acoustic_dim=7, groups=2)
 
 
 def test_single_frame_output_shape(model):

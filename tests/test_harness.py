@@ -1,13 +1,17 @@
 import gc
 import hashlib
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import shutil
 import struct
 import subprocess
 import sys
 import tracemalloc
+import typing
 import weakref
 from pathlib import Path
 
@@ -15,6 +19,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import ibvq
 import ibvq.decoder as decoder_module
 import ibvq.harness.experiments as experiments
 import ibvq.numcore as nc
@@ -28,7 +33,8 @@ from ibvq.decoder import (
     reconstruction_graph,
 )
 from ibvq.encoder import EncoderConfig
-from ibvq.errors import CheckpointError, ConfigError, TrainingError, ValidationError
+from ibvq.errors import (CheckpointError, ConfigError, CorpusFormatError, TrainingError,
+                         ValidationError)
 import ibvq.harness.cli as cli_module
 from ibvq.harness.cli import main as cli_main
 from ibvq.harness.experiments import (
@@ -48,7 +54,7 @@ from ibvq.harness.training import load_models, save_models, split_corpus, train_
 from ibvq.mi import MineConfig, mine_estimate
 from ibvq.predictor import PredictorConfig, predict_codes, train_predictor
 from ibvq.quantizer import CapacityConfig
-from ibvq.synthdata import ENERGY_CHANNEL, CorpusConfig, build_corpus
+from ibvq.synthdata import ENERGY_CHANNEL, CorpusConfig, build_corpus, read_corpus
 from recipe import recipe
 
 TINY_TRAIN = nc.TrainConfig(learning_rate=3e-3, steps=30, seed=5, batch_size=4)
@@ -169,6 +175,28 @@ def test_model_checkpoint_round_trip(tmp_path, corpus, trained, trained_k0):
         params = read_bundle_params(first)
         assert [p for p in params if p.startswith("cb.")] == codebook
         npt.assert_array_equal(reconstruct(utts, loaded)[0], reconstruct(utts, res.models)[0])
+
+
+@pytest.mark.parametrize("section, name, value, message", [
+    ("capacity", "K", 0.0, "K must be an integer, got 0.0"),
+    ("capacity", "G", 2.0, "G must be an integer, got 2.0"),
+    ("encoder", "channels", 16.0, "channels must be an integer, got 16.0"),
+    ("decoder", "n_phones", "24", "n_phones must be an integer, got '24'"),
+    ("decoder", "seed", None, "seed must be an integer, got None"),
+    ("capacity", "G", 0, "G must be >= 1, got 0"),
+    ("decoder", "hidden", 0, "hidden must be >= 1"),
+])
+def test_checkpoint_metadata_of_a_wrong_type_or_range_is_refused(tmp_path, trained_k0,
+                                                                section, name, value, message):
+    """A K=0 bundle builds no codebook, so only the metadata's JSON types can
+    tell a K of 0.0 or a G of 2.0 from an integer; a value its config
+    refuses is a CheckpointError too."""
+    save_models(tmp_path, trained_k0.models)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta[section][name] = value
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(CheckpointError, match=f"invalid model metadata in .*: {message}"):
+        load_models(tmp_path)
 
 
 def test_checkpoint_records_the_full_layout(tmp_path, trained):
@@ -648,9 +676,10 @@ def test_interrupted_sweep_keeps_finished_cells(tmp_path, monkeypatch):
 
 
 def test_sweep_refuses_a_bad_k_before_training(tmp_path, monkeypatch):
+    """The sweep config refuses the K when it is built, so no sweep starts."""
     calls = []
     monkeypatch.setattr(experiments, "train_autoencoder", lambda *a, **k: calls.append(a))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="K must be >= 0, got -1"):
         run_sweep(tiny_sweep_config(capacities=(4, -1)), tmp_path / "out")
     assert calls == []
     assert not (tmp_path / "out").exists()
@@ -697,8 +726,8 @@ def test_sweep_refuses_a_mine_setting_that_is_a_constant(tmp_path, monkeypatch, 
     ({"transfer_pairs": -3}, "transfer_pairs must be >= 1, got -3"),
     ({"predictor_steps": -1}, "predictor_steps must be >= 0, got -1"),
     ({"seeds": [1, 1]}, "distinct seeds"),
-    ({"capacities": [4.0]}, "K must be an integer, got 4.0"),
-    ({"groups": 2.0}, "G must be an integer, got 2.0"),
+    ({"capacities": [4.0]}, "capacities must be a list of integers, got [4.0]"),
+    ({"groups": 2.0}, "groups must be an integer, got 2.0"),
 ], ids=["groups", "n_utterances", "nothing_to_train", "no_transfer_pair", "zero_transfer_pairs",
         "negative_transfer_pairs", "negative_predictor_steps", "repeated_seed", "float_K",
         "float_G"])
@@ -717,6 +746,73 @@ def test_sweep_refuses_a_config_no_cell_can_run(tmp_path, monkeypatch, capsys, s
     assert message in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def _wrongly_typed_values() -> list:
+    """One case per integer, number or integer-list field a JSON config
+    sets: its sweep section (None for the sweep itself), its name, and a
+    value of the wrong JSON type."""
+    wrong = {int: 2.0, float: "0.5", tuple[int, ...]: [1.0]}
+    sections = {"corpus": CorpusConfig, "train": nc.TrainConfig, "mine": MineConfig,
+                None: ExperimentConfig}
+    return [pytest.param(section, name, wrong[hint], id=f"{section or 'sweep'}.{name}")
+            for section, cls in sections.items()
+            for name, hint in typing.get_type_hints(cls).items() if hint in wrong]
+
+
+WRONGLY_TYPED_VALUES = _wrongly_typed_values()
+
+
+def test_every_number_field_of_a_json_config_is_probed():
+    # CorpusConfig 14, TrainConfig 5, MineConfig 5, ExperimentConfig 6
+    assert len(WRONGLY_TYPED_VALUES) == 30
+
+
+@pytest.mark.parametrize("section, name, value", WRONGLY_TYPED_VALUES)
+def test_sweep_refuses_a_value_of_the_wrong_json_type(tmp_path, monkeypatch, capsys,
+                                                      section, name, value):
+    """A JSON value whose type does not fit its field (2.0 for an integer,
+    "0.5" for a number, [1.0] for a list of integers) exits 1 naming the
+    section and the field, before a corpus is built or a cell trains."""
+    calls = []
+    monkeypatch.setattr(experiments, "build_corpus", lambda *a: calls.append(a))
+    monkeypatch.setattr(experiments, "train_autoencoder", lambda *a, **k: calls.append(a))
+    setting = {section: {name: value}} if section else {name: value}
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"capacities": [4], **setting}))
+    assert cli_main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    where = f"{section} section of the sweep config" if section else "sweep config"
+    assert f"error: bad {where}: {name} must be " in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_gen_data_refuses_a_value_of_the_wrong_json_type(tmp_path, capsys):
+    config = tmp_path / "corpus.json"
+    config.write_text('{"n_utterances": 30.0}\n')
+    assert cli_main(["gen-data", "--config", str(config), "--out", str(tmp_path / "corpus")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: bad corpus config: n_utterances must be an integer, got 30.0\n"
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_no_config_or_record_defines_validate():
+    """Every config, the phone inventory and the prosody factor check their
+    own fields when they are built; none keeps a `validate` to call later."""
+    checked, with_validate = set(), []
+    for info in pkgutil.walk_packages(ibvq.__path__, "ibvq."):
+        module = importlib.import_module(info.name)
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ != info.name:
+                continue
+            if name.endswith("Config") or name in ("PhoneInventory", "ProsodyFactor"):
+                checked.add(name)
+                if hasattr(cls, "validate"):
+                    with_validate.append(f"{info.name}.{name}")
+    assert with_validate == []
+    assert checked >= {"EncoderConfig", "DecoderConfig", "PredictorConfig", "MineConfig",
+                       "CorpusConfig", "ExperimentConfig", "TrainConfig", "CapacityConfig",
+                       "PhoneInventory", "ProsodyFactor"}
 
 
 def test_sweep_exits_2_when_a_cell_fails(tmp_path, monkeypatch, capsys):
@@ -800,8 +896,6 @@ def test_cli_reconstruct_and_transfer(cli_workspace, tmp_path):
     cli_main(["reconstruct", "--ckpt", str(ckpt), "--utt", "utt_0000", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
 
-    from ibvq.synthdata import read_corpus
-
     corpus = read_corpus(corpus_dir)
     [(ref, target)] = matched_pairs(corpus, list(range(len(corpus.utterances))), 1, seed=0)
     argv = ["transfer", "--ckpt", str(ckpt), "--ref", corpus.utterances[ref].spec.utt_id,
@@ -834,6 +928,30 @@ def test_cli_query_reads_only_the_named_utterances(cli_workspace, tmp_path):
                      "--utt", "utt_0005", "--out", str(tmp_path / "x.csv")]) == 1
     assert cli_main(["mi", "--ckpt", str(ckpt), "--corpus", str(damaged),
                      "--out", str(tmp_path / "mi.csv")]) == 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda inv: inv.update(templates=inv["templates"][:3]), "field lengths disagree"),
+    (lambda inv: inv.update(voiced=[1] * len(inv["voiced"])), "one voiced and one unvoiced"),
+], ids=["three_template_rows", "no_unvoiced_phone"])
+def test_cli_refuses_a_corpus_with_a_bad_inventory(cli_workspace, tmp_path, capsys,
+                                                    edit, message):
+    """A manifest inventory the phone inventory would refuse when built is a
+    CorpusFormatError: `ibvq train` exits 1 and trains nothing."""
+    _, corpus_dir, _ = cli_workspace
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    edit(manifest["inventory"])
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CorpusFormatError, match=message):
+        read_corpus(bad)
+    capsys.readouterr()
+    assert cli_main(["train", "--corpus", str(bad), "--K", "4", "--seed", "1",
+                     "--steps", "1", "--out", str(tmp_path / "ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest ") and message in err
+    assert not (tmp_path / "ckpt").exists()
 
 
 def test_cli_refuses_a_version_1_corpus(cli_workspace, tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import ibvq.mi as mi
 import ibvq.numcore as nc
 from ibvq.errors import ConfigError, ShapeError, ValidationError, VocabularyError
 from ibvq.mi import (
@@ -136,9 +137,8 @@ def test_mine_requires_enough_samples():
     ("eval_every", 0),
 ])
 def test_mine_refuses_settings_that_cannot_run(field, value):
-    cfg = dataclasses.replace(FAST, **{field: value})
     with pytest.raises(ConfigError, match=field):
-        mine_estimate(np.zeros((200, 1)), np.zeros((200, 1), dtype=np.int64), cfg)
+        dataclasses.replace(FAST, **{field: value})
 
 
 def test_mine_refuses_samples_or_codes_that_are_not_2d():
@@ -147,6 +147,17 @@ def test_mine_refuses_samples_or_codes_that_are_not_2d():
     for xs, zs in ((x[:, 0], z), (x, z[:, 0]), (x[None], z)):
         with pytest.raises(ShapeError, match="2-D"):
             mine_estimate(xs, zs, FAST)
+
+
+def test_mine_refuses_samples_or_codes_without_a_column(monkeypatch):
+    """An empty sample or code tuple is refused before the network is built."""
+    built = []
+    monkeypatch.setattr(mi, "MineModel", lambda *a: built.append(a))
+    x, z = np.zeros((200, 1)), np.zeros((200, 1), dtype=np.int64)
+    for xs, zs in ((x[:, :0], z), (x, z[:, :0])):
+        with pytest.raises(ShapeError, match="2-D with columns"):
+            mine_estimate(xs, zs, FAST)
+    assert built == []
 
 
 def test_mine_length_mismatch():

@@ -34,7 +34,7 @@ def held_out_accuracy(model, texts, codes):
 
 def test_k0_is_config_error():
     with pytest.raises(ConfigError):
-        PredictorConfig(word_vocab=10, K=0).validate()
+        PredictorConfig(word_vocab=10, K=0)
 
 
 def test_overfit_deterministic_mapping_reaches_full_accuracy():

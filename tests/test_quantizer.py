@@ -37,10 +37,6 @@ def test_capacity_config_validation():
         qz.CapacityConfig(K=-1)
     with pytest.raises(ConfigError):
         qz.CapacityConfig(K=4, G=0)
-    # a JSON 4.0 is refused here, not when a model is built from it
-    for fields, name in (({"K": 4.0}, "K"), ({"K": 4, "G": 2.0}, "G"), ({"K": "4"}, "K")):
-        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
-            qz.CapacityConfig(**fields)
     cfg = qz.CapacityConfig(K=np.int64(4), G=np.int32(2))  # numpy integers pass
     assert cfg.enabled and qz.capacity(cfg) == 2 * math.log(4)
 

@@ -54,7 +54,7 @@ def test_sample_corpus_deterministic():
 
 def test_sample_corpus_rejects_empty():
     with pytest.raises(ConfigError):
-        sd.CorpusConfig(n_utterances=0).validate()
+        sd.CorpusConfig(n_utterances=0)
 
 
 def test_sample_corpus_structure_exhaustive():
@@ -66,7 +66,7 @@ def test_sample_corpus_structure_exhaustive():
             for syl in word.syllables:
                 assert 1 <= len(syl) <= 3
             assert all(2 <= d <= 8 for d in word.durations)
-            word.prosody.validate()
+            dataclasses.replace(word.prosody)  # a rebuilt factor checks its ranges again
 
 
 def test_zipf_repetition_present():
@@ -449,6 +449,22 @@ def test_lexicon_not_matching_the_vocabulary_is_refused(tmp_path, small_corpus, 
     sd.write_corpus(small_corpus, root)
     _edit_manifest(root, lambda m: m.update(lexicon=(m["lexicon"] * 2)[:words]))
     with pytest.raises(CorpusFormatError, match=f"{words} lexicon words for word_vocab 50"):
+        sd.read_corpus(root)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m["config"].update(channels=16.0), "channels must be an integer, got 16.0"),
+    (lambda m: m["config"].update(n_utterances=0), "n_utterances must be >= 1"),
+    (lambda m: m["inventory"].update(templates=m["inventory"]["templates"][0]),
+     "inventory field lengths disagree"),
+], ids=["float_channels", "no_utterances", "one_template_row"])
+def test_manifest_config_and_inventory_are_checked(tmp_path, small_corpus, edit, message):
+    """The manifest's config and inventory are built, and so checked, as
+    the corpus is read."""
+    root = tmp_path / "corpus"
+    sd.write_corpus(small_corpus, root)
+    _edit_manifest(root, edit)
+    with pytest.raises(CorpusFormatError, match=f"manifest .* is incomplete or invalid: {message}"):
         sd.read_corpus(root)
 
 
