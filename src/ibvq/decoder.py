@@ -2,9 +2,11 @@
 to a feature sequence, with length regulation.
 
 The pipeline mirrors a non-autoregressive synthesis stack: a text encoder
-produces phone-level features, the per-word prosody vector is broadcast to
-its phones and concatenated, a length regulator repeats phone rows by their
-frame durations, and a convolutional decoder emits the output channels.
+(the reference encoder's `residual_block` over phone embeddings, with its
+own parameters under ``tenc.``) produces phone-level features, the
+per-word prosody vector is broadcast to its phones and concatenated, a
+length regulator repeats phone rows by their frame durations, and a
+convolutional decoder emits the output channels.
 Ground-truth durations drive reconstruction and transfer.
 
 Every model entry point takes a list of utterances and returns one array
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import ibvq.numcore as nc
-from ibvq.encoder import EncoderConfig, EncoderModel, encode
+from ibvq.encoder import EncoderConfig, EncoderModel, block_params, encode, residual_block
 from ibvq.errors import (
     AlignmentError,
     ConfigError,
@@ -74,16 +76,7 @@ class DecoderModel:
         e, h, c = config.phone_dim, config.hidden, config.channels
         d = config.prosody_dim
         p = {"embed": nc.glorot_uniform(rng, config.n_phones, e)}
-        for name in ("tenc.wq", "tenc.wk", "tenc.wv"):
-            p[name] = nc.glorot_uniform(rng, e, e)
-        # residual-branch outputs start small (near-identity stream)
-        p["tenc.wo"] = 0.1 * nc.glorot_uniform(rng, e, e)
-        p["tenc.ln1_g"] = np.ones((1, e))
-        p["tenc.ln1_b"] = np.zeros((1, e))
-        p["tenc.conv.k"] = 0.1 * nc.glorot_uniform(rng, 3 * e, e)
-        p["tenc.conv.b"] = np.zeros((1, e))
-        p["tenc.ln2_g"] = np.ones((1, e))
-        p["tenc.ln2_b"] = np.zeros((1, e))
+        p.update(block_params(rng, e, "tenc."))
         p["fuse.w"] = nc.glorot_uniform(rng, e + d, h)
         p["fuse.b"] = np.zeros((1, h))
         p["sdec.conv1.k"] = 0.1 * nc.glorot_uniform(rng, 5 * h, h)
@@ -100,7 +93,8 @@ class DecoderModel:
 
 
 def encode_text(phone_ids, model: DecoderModel, offsets) -> nc.Tensor:
-    """Phone ids to (P, phone_dim) phone-level features; ``offsets`` marks
+    """Phone ids to (P, phone_dim) phone-level features: the reference
+    encoder's `residual_block` over the phone embeddings. ``offsets`` marks
     where each utterance of a packed id sequence starts."""
     ids = np.asarray(phone_ids, dtype=np.int64).reshape(-1)
     if ids.size < 1:
@@ -110,23 +104,8 @@ def encode_text(phone_ids, model: DecoderModel, offsets) -> nc.Tensor:
             f"phone id outside inventory [0, {model.config.n_phones}): "
             f"{int(ids.min())}..{int(ids.max())}"
         )
-    p = model.store
-    offsets = nc.check_offsets(offsets, ids.size)
-    h = nc.add(nc.gather_rows(p["embed"], ids),
-               nc.constant(nc.positional(offsets, model.config.phone_dim)))
-    normed = nc.layer_norm(h, p["tenc.ln1_g"], p["tenc.ln1_b"])
-    attended = nc.attention(
-        nc.affine(normed, p["tenc.wq"]),
-        nc.affine(normed, p["tenc.wk"]),
-        nc.affine(normed, p["tenc.wv"]),
-        offsets=offsets,
-    )
-    h = nc.add(h, nc.affine(attended, p["tenc.wo"]))
-    normed = nc.layer_norm(h, p["tenc.ln2_g"], p["tenc.ln2_b"])
-    conv = nc.relu(
-        nc.conv1d(normed, p["tenc.conv.k"], p["tenc.conv.b"], width=3, offsets=offsets)
-    )
-    return nc.add(h, conv)
+    return residual_block(nc.gather_rows(model.store["embed"], ids), model.store, offsets,
+                          "tenc.")
 
 
 def broadcast_prosody(word_vectors: nc.Tensor, phones_per_word, phone_feats: nc.Tensor) -> nc.Tensor:

@@ -3,7 +3,8 @@ each word's frames into one word-level acoustic vector.
 
 One self-attention block and one convolution block (each with a residual
 connection and layer norm) stand in for a deeper feed-forward transformer
-stack: global context plus local filtering at desk scale.
+stack: global context plus local filtering at desk scale. The decoder's
+text encoder is the same `residual_block` over phone embeddings.
 
 Every function takes a packed batch: the frames of several utterances
 stacked row-wise, with ``offsets`` marking where each utterance starts
@@ -40,6 +41,45 @@ class EncoderConfig:
             raise ConfigError("channels must be >= 1")
 
 
+def block_params(rng: np.random.Generator, width: int, prefix: str = "") -> dict:
+    """The parameters of one `residual_block` over ``width`` channels, named
+    under ``prefix``, drawn from ``rng`` in the order wq, wk, wv, wo, conv.k."""
+    p = {f"{prefix}attn.{w}": nc.glorot_uniform(rng, width, width) for w in ("wq", "wk", "wv")}
+    # residual-branch outputs start small so the stream is near-identity
+    p[f"{prefix}attn.wo"] = 0.1 * nc.glorot_uniform(rng, width, width)
+    p[f"{prefix}conv.k"] = 0.1 * nc.glorot_uniform(rng, CONV_WIDTH * width, width)
+    p[f"{prefix}conv.b"] = np.zeros((1, width))
+    for sub in ("attn", "conv"):
+        p[f"{prefix}{sub}.ln_g"] = np.ones((1, width))
+        p[f"{prefix}{sub}.ln_b"] = np.zeros((1, width))
+    return p
+
+
+def residual_block(x: nc.Tensor, store: nc.ParamStore, offsets, prefix: str = "") -> nc.Tensor:
+    """The (T, width) rows ``x`` of sequences packed at ``offsets`` through
+    the block whose `block_params` ``store`` holds under ``prefix``.
+
+    Each row's sinusoidal position within its sequence is added first, so
+    row order matters. A self-attention and a convolution sub-block follow,
+    each pre-norm with a residual connection, so the residual stream carries
+    the raw input channels through: in the reference encoder single
+    channels (pitch, voicing, energy) are meaningful on their own, and
+    per-frame normalization would entangle them with the phone content.
+    """
+    def w(name):
+        return store[prefix + name]
+
+    offsets = nc.check_offsets(offsets, x.rows)
+    h = nc.add(x, nc.constant(nc.positional(offsets, x.cols)))
+    normed = nc.layer_norm(h, w("attn.ln_g"), w("attn.ln_b"))
+    attended = nc.attention(nc.affine(normed, w("attn.wq")), nc.affine(normed, w("attn.wk")),
+                            nc.affine(normed, w("attn.wv")), offsets=offsets)
+    h = nc.add(h, nc.affine(attended, w("attn.wo")))
+    normed = nc.layer_norm(h, w("conv.ln_g"), w("conv.ln_b"))
+    conv = nc.conv1d(normed, w("conv.k"), w("conv.b"), width=CONV_WIDTH, offsets=offsets)
+    return nc.add(h, nc.relu(conv))
+
+
 class EncoderModel:
     """Parameter container; all computation lives in the module functions."""
 
@@ -47,15 +87,7 @@ class EncoderModel:
         self.config = config
         rng = np.random.default_rng(config.seed)
         c, d = config.channels, config.acoustic_dim
-        p = {name: nc.glorot_uniform(rng, c, c) for name in ("attn.wq", "attn.wk", "attn.wv")}
-        # residual-branch outputs start small so the stream is near-identity
-        p["attn.wo"] = 0.1 * nc.glorot_uniform(rng, c, c)
-        p["attn.ln_g"] = np.ones((1, c))
-        p["attn.ln_b"] = np.zeros((1, c))
-        p["conv.k"] = 0.1 * nc.glorot_uniform(rng, CONV_WIDTH * c, c)
-        p["conv.b"] = np.zeros((1, c))
-        p["conv.ln_g"] = np.ones((1, c))
-        p["conv.ln_b"] = np.zeros((1, c))
+        p = block_params(rng, c)
         p["proj.w"] = nc.glorot_uniform(rng, c, d)
         p["proj.b"] = np.zeros((1, d))
         self.store = nc.ParamStore(p)
@@ -63,38 +95,14 @@ class EncoderModel:
 
 def extract_frame_features(x, model: EncoderModel, offsets) -> nc.Tensor:
     """Map (T, C) feature rows of utterances packed at ``offsets`` to (T, D)
-    frame-level acoustic features.
-
-    Sinusoidal positional encoding of each frame's position within its
-    utterance is added to the input before the blocks, so frame order
-    matters to the output. Blocks are pre-norm: the residual
-    stream carries the raw input channels to the output projection, which
-    matters here because single input channels (pitch, voicing, energy) are
-    meaningful on their own and per-frame normalization would entangle them
-    with the channel statistics of the phone content.
-    """
-    p = model.store
+    frame-level acoustic features: one `residual_block`, then a projection."""
     xt = x if isinstance(x, nc.Tensor) else nc.constant(x)
     if xt.cols != model.config.channels:
         raise ShapeError(
             f"input has {xt.cols} channels, model expects {model.config.channels}"
         )
-    offsets = nc.check_offsets(offsets, xt.rows)
-    h = nc.add(xt, nc.constant(nc.positional(offsets, model.config.channels)))
-    normed = nc.layer_norm(h, p["attn.ln_g"], p["attn.ln_b"])
-    attended = nc.attention(
-        nc.affine(normed, p["attn.wq"]),
-        nc.affine(normed, p["attn.wk"]),
-        nc.affine(normed, p["attn.wv"]),
-        offsets=offsets,
-    )
-    h = nc.add(h, nc.affine(attended, p["attn.wo"]))
-    normed = nc.layer_norm(h, p["conv.ln_g"], p["conv.ln_b"])
-    conv = nc.relu(
-        nc.conv1d(normed, p["conv.k"], p["conv.b"], width=CONV_WIDTH, offsets=offsets)
-    )
-    h = nc.add(h, conv)
-    return nc.affine(h, p["proj.w"], p["proj.b"])
+    p = model.store
+    return nc.affine(residual_block(xt, p, offsets), p["proj.w"], p["proj.b"])
 
 
 def pool_hierarchy(frames: nc.Tensor, align: AlignmentHierarchy) -> nc.Tensor:

@@ -218,6 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Capacity-controlled vector-quantized prosody representation learning",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the default sweep's recipe is also each single-run command's default
+    sweep = ExperimentConfig()
 
     p = sub.add_parser("gen-data", help="generate a synthetic corpus")
     p.add_argument("--config", help="JSON file of corpus settings")
@@ -228,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one autoencoder")
     p.add_argument("--corpus", required=True)
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--G", type=int, default=2)
+    p.add_argument("--G", type=int, default=CapacityConfig.G)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=5000)
-    p.add_argument("--learning-rate", type=float, default=3e-3)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--commitment-cost", type=float, default=0.25)
+    p.add_argument("--steps", type=int, default=sweep.train.steps)
+    p.add_argument("--learning-rate", type=float, default=nc.TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=nc.TrainConfig.batch_size)
+    p.add_argument("--commitment-cost", type=float, default=nc.TrainConfig.commitment_cost)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mine-steps", type=int, default=1500)
+    p.add_argument("--mine-steps", type=int, default=sweep.mine.steps)
     p.set_defaults(func=cmd_mi)
 
     p = sub.add_parser("predict", help="predict prosody codes from text")
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--predictor-steps", type=int, default=ExperimentConfig.predictor_steps)
+    p.add_argument("--predictor-steps", type=int, default=sweep.predictor_steps)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("report", help="aggregate sweep output into tables")

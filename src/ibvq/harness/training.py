@@ -313,7 +313,7 @@ def load_models(path: str | Path) -> AutoencoderModels:
         cap = models.cap_cfg
         raise CheckpointError(
             f"checkpoint {root} does not match its metadata (K={cap.K}, G={cap.G}): "
-            f"{_layout_difference(meta['params'], layout)}"
+            f"{_layout_difference(meta['params'], layout)}; retrain the model"
         )
     values = nc.load_params(root / _PARAMS_NAME, meta["params_sha256"], layout)
     start = 0

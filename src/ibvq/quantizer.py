@@ -17,6 +17,7 @@ import numpy as np
 
 import ibvq.numcore as nc
 from ibvq.errors import CodeRangeError, ConfigError, ShapeError, ValidationError
+from ibvq.synthdata import entropy_discrete
 
 
 @dataclass(frozen=True)
@@ -132,12 +133,7 @@ def usage_stats(codes: np.ndarray, cfg: CapacityConfig) -> np.ndarray:
         raise ValidationError("usage_stats needs at least one code")
     if codes.ndim != 2 or codes.shape[1] != cfg.G:
         raise ShapeError(f"codes shaped {codes.shape} are not (n, {cfg.G} groups)")
-    perp = np.zeros(cfg.G)
-    for g in range(cfg.G):
-        counts = np.bincount(codes[:, g])
-        p = counts[counts > 0] / codes.shape[0]
-        perp[g] = math.exp(-float(np.sum(p * np.log(p))))
-    return perp
+    return np.array([math.exp(entropy_discrete(codes[:, g])) for g in range(cfg.G)])
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from ibvq.synthdata.types import (
     UtteranceSpec,
     WordToken,
     round_half_up,
+    zipf_weights,
 )
 
 _LOG_SPAN = np.log(F0_CEIL_HZ) - np.log(F0_FLOOR_HZ)  # ln 10
@@ -96,11 +97,6 @@ def make_lexicon(cfg: CorpusConfig, rng: np.random.Generator) -> list[LexiconWor
     return lexicon
 
 
-def _zipf_weights(n: int, exponent: float) -> np.ndarray:
-    w = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), exponent)
-    return w / w.sum()
-
-
 def _sample_word(
     word_id: int,
     entry: LexiconWord,
@@ -142,7 +138,7 @@ def _generate(cfg: CorpusConfig) -> tuple[PhoneInventory, list[LexiconWord], lis
     rng = np.random.default_rng(cfg.seed)
     inventory = make_inventory(cfg, rng)
     lexicon = make_lexicon(cfg, rng)
-    weights = _zipf_weights(cfg.word_vocab, cfg.zipf_exponent)
+    weights = zipf_weights(cfg.word_vocab, cfg.zipf_exponent)
     specs = []
     for i in range(cfg.n_utterances):
         n_words = int(rng.integers(cfg.min_words, cfg.max_words + 1))

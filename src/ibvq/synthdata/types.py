@@ -9,6 +9,7 @@ Gaussian noise at rendering time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,6 +205,12 @@ class LexiconWord:
     preferred_tempo: float
 
 
+def zipf_weights(n: int, exponent: float) -> np.ndarray:
+    """The probability of each of ``n`` words under a Zipf law."""
+    w = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), exponent)
+    return w / w.sum()
+
+
 @dataclass(frozen=True)
 class CorpusConfig:
     n_utterances: int = 200
@@ -233,8 +240,19 @@ class CorpusConfig:
             raise ConfigError(f"channels must be >= {TEMPLATE_START + 1}")
         if not 1 <= self.min_words <= self.max_words:
             raise ConfigError("need 1 <= min_words <= max_words")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+        for name in ("zipf_exponent", "pitch_jitter", "slope_jitter", "energy_jitter",
+                     "tempo_flip_prob", "duration_jitter", "noise_sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if name.endswith(("_jitter", "_sigma")) and value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
+        if not 0.0 <= self.tempo_flip_prob <= 1.0:
+            raise ConfigError(f"tempo_flip_prob must lie in [0, 1], got {self.tempo_flip_prob}")
+        with np.errstate(all="ignore"):
+            if not np.isfinite(zipf_weights(self.word_vocab, self.zipf_exponent)).all():
+                raise ConfigError(f"zipf_exponent {self.zipf_exponent} overflows the weights "
+                                  f"of {self.word_vocab} words")
 
 
 @dataclass

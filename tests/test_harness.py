@@ -213,10 +213,11 @@ def test_checkpoint_records_the_full_layout(tmp_path, trained):
         ["dec.embed", 24, 16], ["dec.fuse.b", 1, 24], ["dec.fuse.w", 24, 24],
         ["dec.sdec.conv1.b", 1, 24], ["dec.sdec.conv1.k", 120, 24], ["dec.sdec.conv2.b", 1, 24],
         ["dec.sdec.conv2.k", 72, 24], ["dec.sdec.out.b", 1, 16], ["dec.sdec.out.w", 24, 16],
-        ["dec.sdec.skip.w", 24, 16], ["dec.tenc.conv.b", 1, 16], ["dec.tenc.conv.k", 48, 16],
-        ["dec.tenc.ln1_b", 1, 16], ["dec.tenc.ln1_g", 1, 16], ["dec.tenc.ln2_b", 1, 16],
-        ["dec.tenc.ln2_g", 1, 16], ["dec.tenc.wk", 16, 16], ["dec.tenc.wo", 16, 16],
-        ["dec.tenc.wq", 16, 16], ["dec.tenc.wv", 16, 16],
+        ["dec.sdec.skip.w", 24, 16], ["dec.tenc.attn.ln_b", 1, 16],
+        ["dec.tenc.attn.ln_g", 1, 16], ["dec.tenc.attn.wk", 16, 16],
+        ["dec.tenc.attn.wo", 16, 16], ["dec.tenc.attn.wq", 16, 16],
+        ["dec.tenc.attn.wv", 16, 16], ["dec.tenc.conv.b", 1, 16], ["dec.tenc.conv.k", 48, 16],
+        ["dec.tenc.conv.ln_b", 1, 16], ["dec.tenc.conv.ln_g", 1, 16],
         ["cb.entries", 4, 4],
     ]
     assert np.load(tmp_path / "params.npy").size == sum(
@@ -796,6 +797,45 @@ def test_gen_data_refuses_a_value_of_the_wrong_json_type(tmp_path, capsys):
     assert not (tmp_path / "corpus").exists()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("pitch_jitter", -1.0), ("slope_jitter", -1.0), ("energy_jitter", -1.0),
+    ("duration_jitter", -1.0), ("noise_sigma", -1.0), ("noise_sigma", math.nan),
+    ("pitch_jitter", math.inf), ("zipf_exponent", -math.inf), ("zipf_exponent", math.nan),
+    ("zipf_exponent", -182.0), ("tempo_flip_prob", 2.0), ("tempo_flip_prob", -0.5),
+])
+def test_gen_data_refuses_a_value_out_of_range(tmp_path, capsys, name, value):
+    """A corpus setting numpy would refuse, or one that would write a corpus
+    of NaN features or sampling weights, exits 1 naming the field, without
+    a traceback. A Zipf exponent below about -181 overflows the weights of
+    the 50 default words."""
+    config = tmp_path / "corpus.json"
+    config.write_text(json.dumps({"n_utterances": 5, name: value}))
+    assert cli_main(["gen-data", "--config", str(config), "--out", str(tmp_path / "corpus")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_cli_defaults_are_the_config_defaults():
+    """`ibvq train`, `ibvq mi` and `ibvq predict` default to the recipe the
+    configs define: TrainConfig's rate, batch and commitment cost,
+    CapacityConfig's G, and the default sweep's train, MINE and predictor
+    steps."""
+    parser = cli_module.build_parser()
+    sweep, train_cfg = ExperimentConfig(), nc.TrainConfig()
+    train = parser.parse_args(["train", "--corpus", "c", "--K", "4", "--out", "o"])
+    assert train.G == CapacityConfig(K=4).G == 2
+    assert train.learning_rate == train_cfg.learning_rate == 3e-3
+    assert train.batch_size == train_cfg.batch_size == 8
+    assert train.commitment_cost == train_cfg.commitment_cost == 0.25
+    assert train.steps == sweep.train.steps == 5000
+    mi = parser.parse_args(["mi", "--ckpt", "c", "--corpus", "c", "--out", "o"])
+    assert mi.mine_steps == sweep.mine.steps == 1500
+    predict = parser.parse_args(["predict", "--ckpt", "c", "--text", "t", "--out", "o"])
+    assert predict.predictor_steps == sweep.predictor_steps == 400
+
+
 def test_no_config_or_record_defines_validate():
     """Every config, the phone inventory and the prosody factor check their
     own fields when they are built; none keeps a `validate` to call later."""
@@ -1207,6 +1247,40 @@ def test_cli_refuses_a_previous_format_checkpoint(cli_workspace, tmp_path, capsy
     with pytest.raises(CheckpointError, match="retrain"):
         load_models(old)
     assert_reconstruct_refuses(old, tmp_path, capsys, "retrain")
+
+
+# the text encoder's own names, by the reference encoder block's names that
+# replaced them
+OLD_TEXT_ENCODER_NAMES = {
+    "attn.wq": "wq", "attn.wk": "wk", "attn.wv": "wv", "attn.wo": "wo",
+    "attn.ln_g": "ln1_g", "attn.ln_b": "ln1_b", "conv.ln_g": "ln2_g", "conv.ln_b": "ln2_b",
+}
+
+
+def test_cli_refuses_a_checkpoint_with_the_old_text_encoder_names(cli_workspace, tmp_path,
+                                                                  capsys):
+    """A checkpoint saved while the text encoder had a block of its own
+    lists eight `dec.tenc.*` parameters under their old names: it is refused
+    with a message that names each missing and each unknown parameter and
+    tells the user to retrain."""
+    _, _, ckpt = cli_workspace
+    old = tmp_path / "old"
+    shutil.copytree(ckpt, old)
+    params = {}
+    for name, value in read_bundle_params(old).items():
+        suffix = name.removeprefix("dec.tenc.")
+        params[f"dec.tenc.{OLD_TEXT_ENCODER_NAMES[suffix]}"
+               if suffix in OLD_TEXT_ENCODER_NAMES else name] = value
+    save_bundle_params(old, params)
+    with pytest.raises(CheckpointError) as refused:
+        load_models(old)
+    message = str(refused.value)
+    assert message.endswith("; retrain the model")
+    for name, old_name in OLD_TEXT_ENCODER_NAMES.items():
+        assert f"parameter 'dec.tenc.{name}' missing" in message
+        assert f"unknown parameter 'dec.tenc.{old_name}'" in message
+    assert_reconstruct_refuses(old, tmp_path, capsys, "unknown parameter 'dec.tenc.ln1_g'",
+                               "retrain the model")
 
 
 def rewrite_npy(path, values, **save_kwargs):
