@@ -64,6 +64,8 @@ class DecoderConfig:
         for name in ("channels", "phone_dim", "prosody_dim", "hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class DecoderModel:

@@ -33,12 +33,16 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.groups < 1:
+            raise ConfigError(f"groups must be >= 1, got {self.groups}")
         if self.acoustic_dim % self.groups != 0:
             raise ConfigError(
                 f"acoustic_dim {self.acoustic_dim} must be divisible by groups {self.groups}"
             )
         if self.channels < 1:
             raise ConfigError("channels must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def block_params(rng: np.random.Generator, width: int, prefix: str = "") -> dict:

@@ -9,6 +9,7 @@ or a sweep in which a cell failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -44,8 +45,12 @@ _FLOAT_FMT = "%.17g"
 
 
 def _save_rows(path: str, rows: np.ndarray, fmt: str) -> None:
-    """``rows`` as comma-separated text in ``fmt``, written through `write_atomic`."""
-    write_atomic(Path(path), lambda fh: np.savetxt(fh, rows, fmt=fmt, delimiter=","))
+    """The 2-D ``rows`` as comma-separated text in ``fmt``, one line per row,
+    written through `write_atomic`: the bytes ``np.savetxt(fh, rows, fmt=fmt,
+    delimiter=",")`` writes, formatted by one ``%`` over the whole matrix."""
+    line = ",".join([fmt] * rows.shape[1]) + "\n"
+    text = (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+    write_atomic(Path(path), lambda fh: fh.write(text.encode()))
 
 
 def _read_json(path: str | None) -> dict:
@@ -97,7 +102,6 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    corpus = read_corpus(args.corpus)
     cap_cfg = CapacityConfig(K=args.K, G=args.G)
     train_cfg = nc.TrainConfig(
         learning_rate=args.learning_rate,
@@ -106,6 +110,7 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size,
         commitment_cost=args.commitment_cost,
     )
+    corpus = read_corpus(args.corpus)
     train_idx, _ = split_corpus(corpus)
     trained = train_autoencoder(corpus, cap_cfg, train_cfg, train_indices=train_idx)
     out = Path(args.out)
@@ -170,13 +175,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mi(args) -> int:
+    mine_cfg = MineConfig(steps=args.mine_steps, seed=args.seed)
     ckpt = Path(args.ckpt)
     models = load_models(ckpt)
     if not models.cap_cfg.enabled:
         raise ConfigError("the checkpoint has a disabled bottleneck: no codes to analyze")
     corpus = read_corpus(args.corpus)
     indices = list(range(len(corpus.utterances)))
-    mine_cfg = MineConfig(steps=args.mine_steps, seed=args.seed)
     codes = prosody_codes(corpus.utterances, models)
     plugin, mine = mi_analysis(corpus, models, indices, codes, mine_cfg)
     write_csv(args.out, MI_CURVE_COLUMNS, [[capacity(models.cap_cfg), mine, plugin]])
@@ -185,6 +190,9 @@ def cmd_mi(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    # the predictor's training config, built here only to refuse a bad step
+    # count or seed before any work
+    nc.TrainConfig(steps=args.predictor_steps, seed=args.seed)
     ckpt = Path(args.ckpt)
     models = load_models(ckpt)
     if not models.cap_cfg.enabled:
@@ -212,7 +220,9 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `ibvq` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ibvq",
         description="Capacity-controlled vector-quantized prosody representation learning",

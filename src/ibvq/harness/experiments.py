@@ -69,14 +69,17 @@ class ExperimentConfig:
             raise ConfigError("capacities must be a non-empty list of distinct K values")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be a non-empty list of distinct seeds")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         if self.predictor_steps < 0:
             raise ConfigError(f"predictor_steps must be >= 0, got {self.predictor_steps}")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ConfigError("holdout_fraction must lie in (0, 1)")
-        for k in self.capacities:
-            CapacityConfig(K=k, G=self.groups)  # raises on a bad K or G
-        # the encoder every cell trains; raises when G does not divide its output
+        # the encoder every cell trains; raises on a G below 1 or one that
+        # does not divide its output
         EncoderConfig(channels=self.corpus.channels, groups=self.groups)
+        for k in self.capacities:
+            CapacityConfig(K=k, G=self.groups)  # raises on a bad K
         if self.corpus.n_utterances < 2:
             raise ConfigError("a sweep needs n_utterances >= 2, to hold some out for evaluation")
         if self.transfer_pairs < 1:

@@ -52,10 +52,10 @@ class MineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 2 or self.hidden < 1:
-            raise ConfigError("steps >= 1, batch_size >= 2, hidden >= 1 required")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every >= 1 required")
+        for name, least in (("hidden", 1), ("steps", 1), ("batch_size", 2),
+                            ("eval_every", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 def dv_bound(t_joint, t_marginal) -> float:

@@ -14,6 +14,7 @@ config file, a checkpoint's metadata or a corpus manifest.
 
 from __future__ import annotations
 
+import functools
 import io
 import os
 import typing
@@ -46,12 +47,16 @@ _JSON_KINDS = {
 }
 
 
+# a config class's string annotations are compiled once per process
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def config_from_json(cls, data):
     """``cls`` built from the JSON object ``data``, each list as a tuple. A
     value of a JSON type its field's annotation does not take (`_JSON_KINDS`)
     is a TypeError naming the field, as is a key ``cls`` does not take."""
     data = {**data}
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     for key, value in data.items():
         kind = _JSON_KINDS.get(hints.get(key))
         if kind and not kind[1](value):

@@ -48,6 +48,8 @@ class TrainConfig:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.commitment_cost) and self.commitment_cost >= 0):
             raise ConfigError(
                 f"commitment_cost must be finite and >= 0, got {self.commitment_cost}"

@@ -44,6 +44,8 @@ class PredictorConfig:
             )
         if self.G < 1:
             raise ConfigError("G must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class PredictorModel:

@@ -22,7 +22,6 @@ corpus, and a rewrite touches nothing but these three names.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections.abc import Sequence
 from pathlib import Path
@@ -78,23 +77,37 @@ def _spec_from_json(obj: dict) -> UtteranceSpec:
     return UtteranceSpec(utt_id=obj["utt_id"], words=words)
 
 
+def _spec_to_json(spec: UtteranceSpec) -> dict:
+    """The JSON object `_spec_from_json` reads ``spec`` back from: what
+    ``dataclasses.asdict(spec)`` gives, without its deep copies."""
+    return {
+        "utt_id": spec.utt_id,
+        "words": [
+            {"word_id": w.word_id, "syllables": w.syllables, "durations": w.durations,
+             "prosody": vars(w.prosody)}
+            for w in spec.words
+        ],
+    }
+
+
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     utts = corpus.utterances
-    lines = [(json.dumps(dataclasses.asdict(u.spec), sort_keys=True) + "\n").encode() for u in utts]
+    lines = [(json.dumps(_spec_to_json(u.spec), sort_keys=True) + "\n").encode() for u in utts]
     features = np.concatenate(
         [np.empty((0, corpus.config.channels))] + [u.features for u in utts], dtype="<f8"
     )
     manifest = {
         "version": MANIFEST_VERSION,
-        "config": dataclasses.asdict(corpus.config),
+        # neither holds a dataclass, so its field dict is what asdict gives
+        "config": vars(corpus.config),
         "inventory": {
             "voiced": corpus.inventory.voiced.astype(int).tolist(),
             "templates": corpus.inventory.templates.tolist(),
             "base_durations": corpus.inventory.base_durations.tolist(),
         },
-        "lexicon": [dataclasses.asdict(w) for w in corpus.lexicon],
+        "lexicon": [vars(w) for w in corpus.lexicon],
         "utterances": [u.spec.utt_id for u in utts],
         "frame_offsets": edges_from_lengths([len(u.features) for u in utts]).tolist(),
         "spec_offsets": edges_from_lengths([len(line) for line in lines]).tolist(),

@@ -240,6 +240,8 @@ class CorpusConfig:
             raise ConfigError(f"channels must be >= {TEMPLATE_START + 1}")
         if not 1 <= self.min_words <= self.max_words:
             raise ConfigError("need 1 <= min_words <= max_words")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("zipf_exponent", "pitch_jitter", "slope_jitter", "energy_jitter",
                      "tempo_flip_prob", "duration_jitter", "noise_sigma"):
             value = getattr(self, name)

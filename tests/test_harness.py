@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 import hashlib
 import importlib
 import inspect
+import io
 import json
 import math
 import os
@@ -18,6 +20,9 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ibvq
 import ibvq.decoder as decoder_module
@@ -33,8 +38,8 @@ from ibvq.decoder import (
     reconstruction_graph,
 )
 from ibvq.encoder import EncoderConfig
-from ibvq.errors import (CheckpointError, ConfigError, CorpusFormatError, TrainingError,
-                         ValidationError)
+from ibvq.errors import (CheckpointError, ConfigError, CorpusFormatError, IbvqError,
+                         TrainingError, ValidationError)
 import ibvq.harness.cli as cli_module
 from ibvq.harness.cli import main as cli_main
 from ibvq.harness.experiments import (
@@ -817,6 +822,112 @@ def test_gen_data_refuses_a_value_out_of_range(tmp_path, capsys, name, value):
     assert not (tmp_path / "corpus").exists()
 
 
+# a corpus and a sweep small enough that every range case that runs
+# finishes in well under a second
+GATE_CORPUS = {"n_utterances": 40, "seed": 3}
+GATE_SWEEP = {
+    "capacities": [4], "seeds": [1], "corpus": GATE_CORPUS,
+    "train": {"steps": 2, "batch_size": 4}, "holdout_fraction": 0.3, "transfer_pairs": 2,
+    "predictor_steps": 2, "mine": {"steps": 2, "hidden": 4, "batch_size": 16, "eval_every": 1},
+}
+RANGE_PROBES = (-1, 0, math.nan, math.inf, -math.inf)
+
+
+def _range_cases() -> list:
+    """One case per integer or number field that `cli._config` reads (the
+    `gen-data` corpus config, and the sweep's top level and its corpus,
+    train and mine sections) and per value of RANGE_PROBES: the command,
+    the JSON config, the field and the value."""
+    targets = [("gen-data", None, CorpusConfig), ("sweep", "corpus", CorpusConfig),
+               ("sweep", "train", nc.TrainConfig), ("sweep", "mine", MineConfig),
+               ("sweep", None, ExperimentConfig)]
+    cases = []
+    for command, section, cls in targets:
+        base = GATE_CORPUS if command == "gen-data" else GATE_SWEEP
+        for name, hint in typing.get_type_hints(cls).items():
+            if hint not in (int, float):
+                continue
+            for value in RANGE_PROBES:
+                if section:
+                    config = {**base, section: {**base[section], name: value}}
+                else:
+                    config = {**base, name: value}
+                cases.append(pytest.param(command, config, name,
+                                          id=f"{command}:{section or 'top'}.{name}={value}"))
+    return cases
+
+
+RANGE_CASES = _range_cases()
+
+
+def test_every_number_field_of_a_json_config_is_range_probed():
+    # 14 corpus fields for gen-data; 14 corpus, 5 train, 5 mine and 4 top-level
+    # fields for the sweep; five values each
+    assert len(RANGE_CASES) == 5 * (14 + 14 + 5 + 5 + 4)
+
+
+@pytest.mark.parametrize("command, config, name", RANGE_CASES)
+def test_every_number_field_is_range_checked(tmp_path, capsys, command, config, name):
+    """-1, 0, NaN or +-Infinity in any integer or number field of a config
+    either exits 1 with a message naming the field and writes nothing, or
+    exits 0 with outputs that read back finite; never a traceback."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = cli_main([command, "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if rc == 1:
+        assert err.startswith("error: ") and name in err, err
+        assert not out.exists()
+        return
+    assert rc == 0, err
+    if command == "gen-data":
+        assert all(np.isfinite(u.features).all() for u in read_corpus(out).utterances)
+    else:
+        (cell,) = read_cells(out / "sweep.csv")
+        assert cell.status == "ok", cell.error
+        floats = {f.name: getattr(cell, f.name) for f in dataclasses.fields(CellResult)
+                  if f.type == "float"}
+        assert [k for k, v in floats.items() if not math.isfinite(v)] == []
+
+
+MISSING = "no-such-path"
+
+
+@pytest.mark.parametrize("argv, config, field", [
+    (["gen-data", "--seed", "-1"], GATE_CORPUS, "seed"),
+    (["gen-data"], {**GATE_CORPUS, "seed": -1}, "seed"),
+    (["sweep"], {**GATE_SWEEP, "corpus": {**GATE_CORPUS, "seed": -1}}, "seed"),
+    (["sweep", "--seed", "-1"], GATE_SWEEP, "seeds"),
+    (["sweep"], {**GATE_SWEEP, "seeds": [2, -1]}, "seeds"),
+    (["sweep"], {**GATE_SWEEP, "train": {"steps": 2, "seed": -1}}, "seed"),
+    (["sweep"], {**GATE_SWEEP, "mine": {**GATE_SWEEP["mine"], "seed": -1}}, "seed"),
+    # the corpus and the checkpoint do not exist: the seed is refused first
+    (["train", "--corpus", MISSING, "--K", "4", "--seed", "-1"], None, "seed"),
+    (["mi", "--ckpt", MISSING, "--corpus", MISSING, "--seed", "-1"], None, "seed"),
+    (["predict", "--ckpt", MISSING, "--text", MISSING, "--seed", "-1"], None, "seed"),
+], ids=["gen-data --seed", "gen-data config", "sweep corpus", "sweep --seed", "sweep seeds",
+        "sweep train", "sweep mine", "train --seed", "mi --seed", "predict --seed"])
+def test_a_negative_seed_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                   argv, config, field):
+    """np.random.default_rng refuses a negative seed; every config that
+    holds one refuses it first, so the command exits 1 naming the field,
+    without a traceback, and builds no corpus and trains no cell."""
+    calls = []
+    monkeypatch.setattr(experiments, "build_corpus", lambda *a: calls.append(a))
+    monkeypatch.setattr(experiments, "train_autoencoder", lambda *a, **k: calls.append(a))
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "config.json")]
+    out = tmp_path / "out"
+    assert cli_main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {field} must be >= 0, got -1\n"
+    assert calls == []
+    assert not out.exists()
+
+
 def test_cli_defaults_are_the_config_defaults():
     """`ibvq train`, `ibvq mi` and `ibvq predict` default to the recipe the
     configs define: TrainConfig's rate, batch and commitment cost,
@@ -1033,6 +1144,55 @@ def test_cli_predict_codes(cli_workspace, tmp_path, monkeypatch):
     npt.assert_array_equal(codes, predicted[0])
     assert codes.shape == (3, 2)
     assert np.all((codes >= 0) & (codes < 4))
+
+
+def test_cli_parser_is_built_once_and_each_call_gets_its_own_defaults(
+    cli_workspace, tmp_path, monkeypatch
+):
+    """`main` parses every call with one parser, and an option one call
+    sets does not carry over to the next: `mi` and `predict` without
+    --seed see seed 0 after a `predict --seed 7`."""
+    assert cli_module.build_parser() is cli_module.build_parser()
+    _, corpus_dir, ckpt = cli_workspace
+    seen = []
+
+    def fit_predictor(corpus, models, train_idx, codes, steps, seed):
+        seen.append(("predict", seed))
+        raise IbvqError("stop")
+
+    def mi_analysis(corpus, models, indices, codes, mine_cfg):
+        seen.append(("mi", mine_cfg.seed))
+        raise IbvqError("stop")
+
+    monkeypatch.setattr(cli_module, "fit_predictor", fit_predictor)
+    monkeypatch.setattr(cli_module, "mi_analysis", mi_analysis)
+    text = tmp_path / "words.txt"
+    text.write_text("0 1 2\n")
+    predict = ["predict", "--ckpt", str(ckpt), "--text", str(text), "--out", str(tmp_path / "p")]
+    mi = ["mi", "--ckpt", str(ckpt), "--corpus", str(corpus_dir), "--out", str(tmp_path / "m")]
+    for argv in ([*predict, "--seed", "7"], mi, predict):
+        assert cli_main(argv) == 1
+    assert seen == [("predict", 7), ("mi", 0), ("predict", 0)]
+
+
+MATRIX_SHAPES = st.tuples(st.integers(1, 40), st.integers(1, 20))
+FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308])
+
+
+@pytest.mark.parametrize("dtype, fmt, elements", [
+    (np.float64, "%.17g", FLOATS),
+    (np.int64, "%d", st.integers(-2**63, 2**63 - 1)),
+], ids=["float", "int"])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_save_rows_writes_what_savetxt_writes(tmp_path, dtype, fmt, elements, data):
+    rows = data.draw(hnp.arrays(dtype, MATRIX_SHAPES, elements=elements))
+    expect = io.BytesIO()
+    np.savetxt(expect, rows, fmt=fmt, delimiter=",")
+    cli_module._save_rows(str(tmp_path / "rows.csv"), rows, fmt)
+    assert (tmp_path / "rows.csv").read_bytes() == expect.getvalue()
 
 
 def test_cli_error_exit_codes(cli_workspace, tmp_path, capsys):

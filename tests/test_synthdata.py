@@ -306,6 +306,28 @@ def test_corpus_write_deterministic_bytes(tmp_path, small_corpus):
         assert (tmp_path / "c1" / name).read_bytes() == (tmp_path / "c2" / name).read_bytes()
 
 
+@pytest.mark.parametrize("config", [
+    sd.CorpusConfig(),
+    sd.CorpusConfig(n_utterances=30, min_words=1, max_words=1, tempo_flip_prob=1.0, seed=5),
+], ids=["default", "one_word_tempo_flips"])
+def test_corpus_files_hold_the_key_sorted_json_of_asdict(tmp_path, config):
+    """Each spec line is ``json.dumps(dataclasses.asdict(spec), sort_keys=True)``,
+    and the manifest's config and lexicon are what asdict gives."""
+    corpus = sd.build_corpus(config)
+    if config.tempo_flip_prob == 1.0:
+        assert {len(u.spec.words) for u in corpus.utterances} == {1}
+        assert all(w.prosody.tempo != corpus.lexicon[w.word_id].preferred_tempo
+                   for u in corpus.utterances for w in u.spec.words)
+    sd.write_corpus(corpus, tmp_path)
+    lines = (tmp_path / "specs.jsonl").read_bytes().splitlines(keepends=True)
+    assert lines == [(json.dumps(dataclasses.asdict(u.spec), sort_keys=True) + "\n").encode()
+                     for u in corpus.utterances]
+    text = (tmp_path / "manifest.json").read_text()
+    expect = {**json.loads(text), "config": dataclasses.asdict(config),
+              "lexicon": [dataclasses.asdict(w) for w in corpus.lexicon]}
+    assert text == json.dumps(expect, sort_keys=True, indent=1) + "\n"
+
+
 @pytest.mark.parametrize("name", ["features.npy", "specs.jsonl"])
 def test_missing_data_file_names_the_file(tmp_path, small_corpus, name):
     sd.write_corpus(small_corpus, tmp_path / "corpus")
