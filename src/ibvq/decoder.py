@@ -266,7 +266,7 @@ def prosody_codes(utts: list[Utterance], models: AutoencoderModels) -> list[np.n
         return None
     entries, blocks = models.codebook["entries"].data, []
     for batch, feats in _encoded_passes(utts, models):
-        codes = quantize_batch(feats, entries, models.cap_cfg.G)[0]
+        codes = quantize_batch(feats, entries, models.cap_cfg.G)
         blocks.extend(np.split(codes, batch.word_offsets[1:-1]))
     return blocks
 

@@ -18,6 +18,7 @@ import numpy as np
 
 import ibvq.numcore as nc
 from ibvq.decoder import prosody_codes, reconstruct, transfer
+from ibvq.encoder import EncoderConfig
 from ibvq.errors import (
     ConfigError,
     IbvqError,
@@ -110,6 +111,9 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size,
         commitment_cost=args.commitment_cost,
     )
+    # the encoder's config, built here only to refuse a G that does not
+    # divide its width before the corpus is read
+    EncoderConfig(groups=args.G)
     corpus = read_corpus(args.corpus)
     train_idx, _ = split_corpus(corpus)
     trained = train_autoencoder(corpus, cap_cfg, train_cfg, train_indices=train_idx)

@@ -138,16 +138,16 @@ def train_autoencoder(
     rng = np.random.default_rng(train_cfg.seed)
     sampler = nc.BatchSampler(len(utts), train_cfg.batch_size, rng)
 
-    warmup = min(WARMUP_STEPS, max(train_cfg.steps - 1, 0)) if cap_cfg.enabled else 0
-    codebook_param = None  # the seeded codebook entries; None before seeding
+    # the first quantized step, the codebook seeded just before it; none at K = 0
+    warmup = (min(WARMUP_STEPS, max(train_cfg.steps - 1, 0)) if cap_cfg.enabled
+              else train_cfg.steps)
     dead_codes = DeadCodes(cap_cfg)
 
-    def seed_codebook() -> nc.Tensor:
+    def seed_codebook() -> None:
         seed_idx = rng.permutation(len(utts))[: max(train_cfg.batch_size, 64)]
         feats = np.vstack(word_features([utts[i] for i in seed_idx], models))
-        entries = models.codebook["entries"]
-        entries.data[...] = init_codebook_from_features(feats, cap_cfg, train_cfg.seed)
-        return entries
+        models.codebook["entries"].data[...] = init_codebook_from_features(
+            feats, cap_cfg, train_cfg.seed)
 
     curve: list[LossPoint] = []
 
@@ -169,11 +169,10 @@ def train_autoencoder(
         return nc.mul(graph.loss, weight), terms
 
     def step_loss(step: int) -> nc.Tensor:
-        nonlocal codebook_param
-        if cap_cfg.enabled and codebook_param is None and step >= warmup:
-            codebook_param = seed_codebook()
+        if step == warmup:
+            seed_codebook()
         batch = sampler.next()
-        requests = [(shard, codebook_param is not None, len(shard) / len(batch))
+        requests = [(shard, step >= warmup, len(shard) / len(batch))
                     for shard in split_shards([utts[i] for i in batch], batch.tolist())]
         if len(requests) > 1:
             worker.submit(requests[1])
@@ -202,8 +201,8 @@ def train_autoencoder(
         return train_cfg.learning_rate * (0.1 + 0.45 * (1.0 + math.cos(math.pi * frac)))
 
     def reseed_dead_codes(step: int) -> None:
-        if codebook_param is not None and (step + 1 - warmup) % RESEED_EVERY == 0:
-            dead_codes.reseed(codebook_param.data, rng)
+        if step >= warmup and (step + 1 - warmup) % RESEED_EVERY == 0:
+            dead_codes.reseed(models.codebook["entries"].data, rng)
 
     stores = list(models.stores().values())
     with nc.ShardWorker(stores, shard_loss) as worker:
@@ -211,7 +210,7 @@ def train_autoencoder(
 
     usage = blocks = None
     if cap_cfg.enabled:
-        if codebook_param is None:  # steps == 0: still produce a usable bundle
+        if train_cfg.steps == 0:  # still produce a usable bundle
             seed_codebook()
         blocks = prosody_codes(utts, models)
         usage = usage_stats(np.concatenate(blocks), cap_cfg)

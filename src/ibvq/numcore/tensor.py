@@ -688,14 +688,7 @@ def positional(offsets, dim: int) -> Array:
     # a table's rows do not depend on its length: round the length up so
     # that batches of similar lengths share one table
     rows = max(256, 1 << int(lengths.max() - 1).bit_length())
-    return _shared_sinusoid_table(rows, dim)[pos]
-
-
-@functools.lru_cache(maxsize=16)
-def _shared_sinusoid_table(length: int, dim: int) -> Array:
-    table = sinusoid_table(length, dim)
-    table.flags.writeable = False
-    return table
+    return sinusoid_table(rows, dim)[pos]
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, offsets) -> Tensor:
@@ -848,10 +841,13 @@ def mse(pred: Tensor, target, offsets) -> Tensor:
     return _child(out_data, (pn,), backward)
 
 
+@functools.lru_cache(maxsize=16)
 def sinusoid_table(length: int, dim: int) -> Array:
-    """Fixed sinusoidal positional-encoding table of shape (length, dim)."""
+    """Fixed sinusoidal positional-encoding table of shape (length, dim),
+    cached: every caller of one shape shares it, so it is read-only."""
     pos = np.arange(length)[:, None]
     i = np.arange(dim)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
     table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-    return table.astype(np.float64)
+    table.flags.writeable = False
+    return table

@@ -51,15 +51,11 @@ def codebook_store(cfg: CapacityConfig, dim: int) -> nc.ParamStore:
     return nc.ParamStore({"entries": np.zeros((cfg.K, dim // cfg.G))} if cfg.enabled else {})
 
 
-def quantize_batch(
-    x: np.ndarray, entries: np.ndarray, groups: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize rows of (n, D) against the K x (D/G) codebook ``entries``
-    shared by the ``groups`` groups.
-
-    Returns (codes, quantized): integer codes (n, G) and the concatenated
-    nearest entries (n, D). Ties go to the lowest index (argmin semantics).
-    """
+def quantize_batch(x: np.ndarray, entries: np.ndarray, groups: int) -> np.ndarray:
+    """The (n, G) integer codes of the rows of (n, D) ``x``: per group, the
+    index of the nearest entry of the K x (D/G) codebook ``entries`` shared
+    by the ``groups`` groups. Ties go to the lowest index (argmin
+    semantics); `lookup` maps the codes back to entries."""
     x = np.asarray(x, dtype=np.float64)
     sub_dim = entries.shape[1]
     if x.ndim != 2 or x.shape[1] != groups * sub_dim:
@@ -69,15 +65,13 @@ def quantize_batch(
     grouped = x.reshape(x.shape[0], groups, sub_dim)
     diff = grouped[:, :, None, :] - entries[None, None, :, :]
     sq = np.einsum("ngkd,ngkd->ngk", diff, diff)
-    codes = sq.argmin(axis=2)
-    quantized = entries[codes].reshape(x.shape[0], x.shape[1])
-    return codes, quantized
+    return sq.argmin(axis=2)
 
 
 def lookup(codes, entries: np.ndarray, groups: int) -> np.ndarray:
     """The (W, G * entry dim) rows of codebook ``entries`` for (W, G) integer
-    codes; inverse of quantize_batch's code assignment (lookup(codes) ==
-    quantized)."""
+    codes, each group's entry side by side: the nearest entries of the rows
+    `quantize_batch` coded."""
     idx = np.asarray(codes, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[1] != groups:
         raise ShapeError(f"codes shaped {idx.shape} are not (words, {groups} groups)")
@@ -105,20 +99,22 @@ def apply_bottleneck(
 ) -> BottleneckOutput:
     """Differentiable bottleneck application for training graphs.
 
-    Forward values are the quantized vectors; gradients reach the input via
-    the straight-through estimator and reach the codebook via the codebook
-    loss only. The rows are the words of packed utterances, and ``offsets``
-    marks where each utterance's words start. Each loss is the mean over the
-    utterances of the mean over an utterance's n x D entries, so it sits on
-    the same scale as the mean-squared reconstruction loss.
+    One gather of the picked entries gives the forward values, the codebook
+    loss and the commitment target; gradients reach the input via the
+    straight-through estimator and the codebook via the codebook loss only.
+    The rows are the words of packed utterances, and ``offsets`` marks where
+    each utterance's words start. Each loss is the mean over the utterances
+    of the mean over an utterance's n x D entries, so it sits on the same
+    scale as the mean-squared reconstruction loss.
     """
-    codes, q_values = quantize_batch(x.data, codebook_param.data, cfg.G)
+    codes = quantize_batch(x.data, codebook_param.data, cfg.G)
+    chosen = nc.gather_rows(codebook_param, codes)
     # codebook pulls toward frozen encoder outputs
-    codebook_loss = nc.mse(nc.gather_rows(codebook_param, codes), x.data, offsets)
+    codebook_loss = nc.mse(chosen, x.data, offsets)
     # encoder commits to the frozen selected entries
-    commitment_loss = nc.mul(nc.mse(x, q_values, offsets), commitment_cost)
+    commitment_loss = nc.mul(nc.mse(x, chosen.data, offsets), commitment_cost)
     return BottleneckOutput(
-        quantized=nc.straight_through(x, q_values),
+        quantized=nc.straight_through(x, chosen.data),
         codes=codes,
         codebook_loss=codebook_loss,
         commitment_loss=commitment_loss,

@@ -147,9 +147,7 @@ def _generate(cfg: CorpusConfig) -> tuple[PhoneInventory, list[LexiconWord], lis
             _sample_word(int(wid), lexicon[int(wid)], inventory, cfg, rng)
             for wid in word_ids
         ]
-        spec = UtteranceSpec(utt_id=f"utt_{i:04d}", words=words)
-        spec.validate(inventory.size)
-        specs.append(spec)
+        specs.append(UtteranceSpec(utt_id=f"utt_{i:04d}", words=words))
     return inventory, lexicon, specs
 
 

@@ -188,8 +188,12 @@ def read_corpus(path: str | Path, utt_ids: Sequence[str] | None = None) -> Corpu
     try:
         config = config_from_json(CorpusConfig, manifest["config"])
         inv = manifest["inventory"]
+        voiced = np.asarray(inv["voiced"])
+        flags = (voiced == 0) | (voiced == 1)
+        if not flags.all():
+            raise ValueError(f"voiced entries must be 0 or 1, got {voiced[~flags][0]}")
         inventory = PhoneInventory(
-            voiced=np.asarray(inv["voiced"], dtype=bool),
+            voiced=voiced.astype(bool),
             templates=np.asarray(inv["templates"], dtype=np.float64),
             base_durations=np.asarray(inv["base_durations"], dtype=np.float64),
         )

@@ -51,6 +51,13 @@ class PhoneInventory:
             raise ConfigError("inventory needs at least one voiced and one unvoiced phone")
         if self.templates.ndim != 2 or (len(self.templates), self.base_durations.size) != (p, p):
             raise ConfigError("inventory field lengths disagree")
+        finite = np.isfinite(self.templates)
+        if not finite.all():
+            raise ConfigError(f"templates must be finite, got {self.templates[~finite][0]}")
+        positive = np.isfinite(self.base_durations) & (self.base_durations > 0)
+        if not positive.all():
+            raise ConfigError(f"base_durations must be finite and > 0, "
+                              f"got {self.base_durations[~positive][0]}")
         diffs = self.templates[:, None, :] - self.templates[None, :, :]
         dist = np.sqrt((diffs**2).sum(axis=2))
         np.fill_diagonal(dist, np.inf)
@@ -204,6 +211,15 @@ class LexiconWord:
     base_energy: float
     preferred_tempo: float
 
+    def __post_init__(self):
+        for name in ("base_pitch", "base_slope", "base_energy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.preferred_tempo not in TEMPO_CHOICES:
+            raise ConfigError(
+                f"preferred_tempo must be one of {TEMPO_CHOICES}, got {self.preferred_tempo}"
+            )
+
 
 def zipf_weights(n: int, exponent: float) -> np.ndarray:
     """The probability of each of ``n`` words under a Zipf law."""
@@ -285,12 +301,3 @@ class Corpus:
     inventory: PhoneInventory
     lexicon: list[LexiconWord]
     utterances: list[Utterance] = field(default_factory=list)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Corpus)
-            and self.config == other.config
-            and self.inventory == other.inventory
-            and self.lexicon == other.lexicon
-            and self.utterances == other.utterances
-        )

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import shutil
 import struct
 import subprocess
@@ -27,6 +28,7 @@ from hypothesis.extra import numpy as hnp
 import ibvq
 import ibvq.decoder as decoder_module
 import ibvq.harness.experiments as experiments
+import ibvq.harness.training as training_module
 import ibvq.numcore as nc
 import ibvq.numcore.shards as shards
 from ibvq.decoder import (
@@ -58,7 +60,7 @@ from ibvq.harness.experiments import (
 from ibvq.harness.training import load_models, save_models, split_corpus, train_autoencoder
 from ibvq.mi import MineConfig, mine_estimate
 from ibvq.predictor import PredictorConfig, predict_codes, train_predictor
-from ibvq.quantizer import CapacityConfig
+from ibvq.quantizer import CapacityConfig, DeadCodes
 from ibvq.synthdata import ENERGY_CHANNEL, CorpusConfig, build_corpus, read_corpus
 from recipe import recipe
 
@@ -147,6 +149,46 @@ def test_k0_training_runs_no_encode(corpus, monkeypatch):
     train_autoencoder(corpus, CapacityConfig(K=0, G=2), nc.TrainConfig(steps=3, seed=5,
                                                                         batch_size=4))
     assert calls == []
+
+
+def test_zero_step_training_seeds_the_codebook(corpus):
+    """Without a step to seed it in, training still seeds the codebook, so
+    the bundle it returns has usable entries."""
+    res = train_autoencoder(corpus, CapacityConfig(K=4, G=2),
+                            nc.TrainConfig(steps=0, seed=5, batch_size=4))
+    assert res.loss_curve == []
+    assert np.all(np.any(res.models.codebook["entries"].data != 0, axis=1))
+
+
+def test_one_step_training_quantizes_its_only_step(corpus):
+    """The warm-up is shorter than the training: a one-step training seeds
+    the codebook before its only step and quantizes it."""
+    res = train_autoencoder(corpus, CapacityConfig(K=4, G=2),
+                            nc.TrainConfig(steps=1, seed=5, batch_size=4))
+    [point] = res.loss_curve
+    assert point.codebook > 0 and point.commitment > 0
+
+
+def test_k0_training_never_seeds_or_counts_codes(corpus, monkeypatch):
+    """At K=0 training has no codebook to seed and no codes to count; at
+    K=4 the same spies see the seeding and every quantized step."""
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(training_module, "init_codebook_from_features",
+                        spy("init", training_module.init_codebook_from_features))
+    monkeypatch.setattr(DeadCodes, "count", spy("count", DeadCodes.count))
+    steps = nc.TrainConfig(steps=3, seed=5, batch_size=4)
+    train_autoencoder(corpus, CapacityConfig(K=0, G=2), steps)
+    assert calls == []
+    with recipe(warmup=1):
+        train_autoencoder(corpus, CapacityConfig(K=4, G=2), steps)
+    assert calls == ["init", "count", "count"]
 
 
 def test_every_saved_parameter_is_trained(trained):
@@ -1103,6 +1145,63 @@ def test_cli_refuses_a_corpus_with_a_bad_inventory(cli_workspace, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: manifest ") and message in err
     assert not (tmp_path / "ckpt").exists()
+
+
+def _set_first(manifest: dict, key: str, value) -> None:
+    """Set the first value of inventory field ``key``, or field ``key`` of
+    the first lexicon word, to ``value``."""
+    if key in manifest["inventory"]:
+        values = manifest["inventory"][key]
+        if isinstance(values[0], list):
+            values = values[0]
+        values[0] = value
+    else:
+        manifest["lexicon"][0][key] = value
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("templates", math.nan, "templates must be finite, got nan"),
+    ("base_durations", math.nan, "base_durations must be finite and > 0, got nan"),
+    ("base_durations", -5, "base_durations must be finite and > 0, got -5.0"),
+    ("voiced", 2, "voiced entries must be 0 or 1, got 2"),
+    ("base_pitch", math.nan, "base_pitch must be finite, got nan"),
+    ("preferred_tempo", 7, "preferred_tempo must be one of (0.75, 1.0, 1.25), got 7.0"),
+], ids=["nan_template", "nan_base_duration", "negative_base_duration", "voiced_2",
+        "nan_base_pitch", "tempo_7"])
+def test_cli_refuses_a_manifest_value_out_of_range(cli_workspace, tmp_path, capsys,
+                                                   key, value, message):
+    """A manifest inventory or lexicon value out of its range is a
+    CorpusFormatError naming the value: `ibvq train` exits 1, without a
+    traceback, and writes nothing."""
+    _, corpus_dir, _ = cli_workspace
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    _set_first(manifest, key, value)
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CorpusFormatError, match=re.escape(message)):
+        read_corpus(bad, ["utt_0000"])
+    capsys.readouterr()
+    assert cli_main(["train", "--corpus", str(bad), "--K", "4", "--seed", "1",
+                     "--steps", "1", "--out", str(tmp_path / "ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: manifest {bad / 'manifest.json'} is incomplete or invalid: {message}\n"
+    assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.mark.parametrize("groups", ["3", "16"])
+def test_cli_train_refuses_a_bad_g_before_reading_the_corpus(tmp_path, monkeypatch, capsys,
+                                                             groups):
+    """A G that does not divide the encoder's width exits 1 naming groups,
+    before the corpus is read and without writing anything."""
+    calls = []
+    monkeypatch.setattr(cli_module, "read_corpus", lambda *a: calls.append(a))
+    out = tmp_path / "ckpt"
+    assert cli_main(["train", "--corpus", str(tmp_path), "--K", "4", "--G", groups,
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: acoustic_dim 8 must be divisible by groups {groups}\n"
+    assert calls == [] and not out.exists()
 
 
 def test_cli_refuses_a_version_1_corpus(cli_workspace, tmp_path, capsys):

@@ -48,21 +48,20 @@ def test_capacity_config_validation():
 
 def test_quantize_hand_case():
     cb = two_entry_codebook()
-    codes, q = qz.quantize_batch(np.array([[0.1, -0.1, 0.9, 1.2]]), cb, 2)
+    codes = qz.quantize_batch(np.array([[0.1, -0.1, 0.9, 1.2]]), cb, 2)
     npt.assert_array_equal(codes, [[0, 1]])
-    npt.assert_array_equal(q, [[0.0, 0.0, 1.0, 1.0]])
+    npt.assert_array_equal(qz.lookup(codes, cb, 2), [[0.0, 0.0, 1.0, 1.0]])
 
 
 def test_quantize_fixed_point():
     cb = two_entry_codebook()
     x = np.array([[1.0, 1.0, 0.0, 0.0]])
-    _, q = qz.quantize_batch(x, cb, 2)
-    npt.assert_array_equal(q, x)
+    npt.assert_array_equal(qz.lookup(qz.quantize_batch(x, cb, 2), cb, 2), x)
 
 
 def test_quantize_tie_goes_to_lowest_index():
     cb = two_entry_codebook()
-    codes, _ = qz.quantize_batch(np.array([[0.5, 0.5, 0.5, 0.5]]), cb, 2)
+    codes = qz.quantize_batch(np.array([[0.5, 0.5, 0.5, 0.5]]), cb, 2)
     npt.assert_array_equal(codes, [[0, 0]])
 
 
@@ -78,8 +77,9 @@ def test_lookup_hand_case_and_round_trip():
         qz.lookup([0, 1], cb, 2)  # one code row is still (1, G)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(100, 4))
-    codes, q = qz.quantize_batch(x, cb, 2)
-    npt.assert_array_equal(qz.lookup(codes, cb, 2), q)
+    codes = qz.quantize_batch(x, cb, 2)
+    # each looked-up entry is its own nearest entry
+    npt.assert_array_equal(qz.quantize_batch(qz.lookup(codes, cb, 2), cb, 2), codes)
 
 
 def test_lookup_out_of_range():
@@ -91,7 +91,7 @@ def test_nearest_neighbor_matches_brute_force():
     rng = np.random.default_rng(4)
     cb = rng.normal(size=(16, 4))
     x = rng.normal(size=(200, 8))
-    codes, _ = qz.quantize_batch(x, cb, 2)
+    codes = qz.quantize_batch(x, cb, 2)
     for i in range(x.shape[0]):
         for g in range(2):
             sub = x[i, g * 4 : (g + 1) * 4]
@@ -127,6 +127,7 @@ def test_vq_loss_zero_at_fixed_point():
 def test_vq_loss_hand_case():
     out, cb_loss, commit = bottleneck_losses(LOSS_ROWS, 0.25)
     npt.assert_array_equal(out.codes, [[0, 1], [0, 1]])
+    npt.assert_array_equal(out.quantized.data, qz.lookup(out.codes, two_entry_codebook(), 2))
     assert cb_loss == LOSS_ROWS_MEAN_SQ
     assert commit == 0.25 * LOSS_ROWS_MEAN_SQ
 
@@ -178,7 +179,7 @@ def test_bottleneck_codebook_loss_finite_difference():
     x_data = rng.normal(size=(6, 4))
     entries = rng.normal(size=(4, 2))
 
-    codes, _ = qz.quantize_batch(x_data, entries, 2)
+    codes = qz.quantize_batch(x_data, entries, 2)
 
     def loss(p):
         gathered = nc.concat_cols(
@@ -255,7 +256,7 @@ def test_plugin_mi_of_codes_never_exceeds_capacity():
     for k in (2, 4, 16):
         cfg = qz.CapacityConfig(K=k, G=2)
         cb = qz.init_codebook_from_features(x, cfg, seed=0)
-        codes, _ = qz.quantize_batch(x, cb, 2)
+        codes = qz.quantize_batch(x, cb, 2)
         mi = sd.oracle_mi_discrete(sd.merge_symbols(codes), labels)
         assert mi <= qz.capacity(cfg) + 1e-9
 
@@ -272,7 +273,7 @@ def test_quantization_error_non_increasing_in_k():
             cb = qz.init_codebook_from_features(x, qz.CapacityConfig(K=k, G=2), seed=seed)
             largest = qz.init_codebook_from_features(x, qz.CapacityConfig(K=16, G=2), seed=seed)
             npt.assert_array_equal(cb, largest[:k])
-            _, q = qz.quantize_batch(x, cb, 2)
+            q = qz.lookup(qz.quantize_batch(x, cb, 2), cb, 2)
             per_seed.append(float(np.mean((x - q) ** 2)))
         distortions[k] = np.mean(per_seed)
     ks = sorted(distortions)

@@ -264,6 +264,43 @@ def test_corpus_round_trip(tmp_path, small_corpus):
     assert loaded == small_corpus
 
 
+def _with_utterance(corpus, index, **changes):
+    utts = list(corpus.utterances)
+    utts[index] = dataclasses.replace(utts[index], **changes)
+    return dataclasses.replace(corpus, utterances=utts)
+
+
+def _bumped(arr: np.ndarray) -> np.ndarray:
+    """A copy of ``arr`` with its last element one larger."""
+    out = arr.copy()
+    out.reshape(-1)[-1] += 1
+    return out
+
+
+CORPUS_CHANGES = {
+    "config": lambda c: dataclasses.replace(c, config=dataclasses.replace(c.config,
+                                                                          noise_sigma=0.02)),
+    "template_value": lambda c: dataclasses.replace(
+        c, inventory=dataclasses.replace(c.inventory, templates=_bumped(c.inventory.templates))),
+    "lexicon_word": lambda c: dataclasses.replace(
+        c, lexicon=[*c.lexicon[:-1], dataclasses.replace(c.lexicon[-1], base_slope=0.5)]),
+    "features": lambda c: _with_utterance(c, 2, features=_bumped(c.utterances[2].features)),
+    "alignment": lambda c: _with_utterance(c, 2, alignment=sd.AlignmentHierarchy(
+        phone_edges=_bumped(c.utterances[2].alignment.phone_edges),
+        word_edges=_bumped(c.utterances[2].alignment.word_edges))),
+}
+
+
+@pytest.mark.parametrize("change", CORPUS_CHANGES)
+def test_corpora_that_differ_in_one_part_compare_unequal(small_corpus, change):
+    """Corpus equality compares the config, the inventory's arrays, the
+    lexicon and every utterance's features and alignment; a corpus equals
+    its write/read round trip (`test_corpus_round_trip`)."""
+    changed = CORPUS_CHANGES[change](small_corpus)
+    assert changed != small_corpus and small_corpus != changed
+    assert CORPUS_CHANGES[change](small_corpus) == changed
+
+
 def test_corpus_round_trip_is_bit_exact(tmp_path, small_corpus):
     first = small_corpus.utterances[0]
     features = first.features.copy()
